@@ -363,3 +363,11 @@ def test_golden_sweep_small(runner, golden):
         cli, ["--format", "json", "sweep", "--max-n", "3", "--grades", "0,1/2,1"]
     )
     golden("sweep_n3.json", result.output)
+
+
+def test_golden_sweep_n4_two_grades(runner, golden):
+    """Carries thm-3.1-prime and thm-4.3 witnesses; sweep_n3 has no thm-4.3 one."""
+    result = runner.invoke(
+        cli, ["--format", "json", "sweep", "--max-n", "4", "--grades", "0,1"]
+    )
+    golden("sweep_n4_grades01.json", result.output)

@@ -289,3 +289,57 @@ def test_witness_document_roundtrip():
     replay = Instance(ms=ms, chis=chis,
                       grade_universe=tuple(grades(0, 1)))
     assert run_property("thm-3.1-prime", replay) is not None
+
+
+# -- pinned law outcomes ---------------------------------------------------------
+
+def _law_outcome_inputs():
+    """Every catalog lattice up to four elements, every negation table up to
+    three elements (invalid ones give hypothesis-unmet) and the valid tables
+    at four, and every grade map, filter or not: over {0, 1} up to four
+    elements and over {0, 1/2, 1} up to three."""
+    from itertools import product
+
+    from msfuzz import FuzzySet, enumerate_ms_operations
+
+    for lat in lattice_catalog(4):
+        if lat.n <= 3:
+            tables = [dict(zip(lat.elements, images))
+                      for images in product(lat.elements, repeat=lat.n)]
+        else:
+            tables = enumerate_ms_operations(lat)
+        universes = (UNIVERSE2, UNIVERSE3) if lat.n <= 3 else (UNIVERSE2,)
+        for neg in tables:
+            ms = MSAlgebra(lat, neg)
+            for universe in universes:
+                for values in product(universe, repeat=lat.n):
+                    yield Instance(ms, (FuzzySet(lat, values),), universe)
+
+
+def test_golden_law_outcomes(golden):
+    """One digest per instance-level law over its run_property outcomes:
+    ``pass``, the witness JSON, or the name of the raised exception."""
+    import hashlib
+
+    pids = [rec.pid for rec in properties() if rec.fixture is None]
+    digests = {pid: hashlib.sha256() for pid in pids}
+    tally = {pid: {} for pid in pids}
+    for inst in _law_outcome_inputs():
+        for pid in pids:
+            try:
+                witness = run_property(pid, inst)
+            except Exception as exc:  # the exception class is the outcome
+                kind = outcome = type(exc).__name__
+            else:
+                kind = "pass" if witness is None else "fail"
+                outcome = "pass" if witness is None else json.dumps(
+                    witness.to_dict(), sort_keys=True
+                )
+            digests[pid].update(outcome.encode() + b"\n")
+            tally[pid][kind] = tally[pid].get(kind, 0) + 1
+    report = {
+        pid: {"sha256": digests[pid].hexdigest(),
+              "outcomes": dict(sorted(tally[pid].items()))}
+        for pid in pids
+    }
+    golden("law_outcomes.json", json.dumps(report, indent=2) + "\n")
