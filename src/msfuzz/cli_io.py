@@ -358,16 +358,16 @@ def verify(ctx, file, props_text):
     ctx.exit(0 if all_pass else 1)
 
 
-def _sweep_config(max_n, grades_text, seed, iters, require_invalid=False):
+def _sweep_config(max_n, grades_text, seed, iters):
     universe = _parse_grades(grades_text)
+    if seed is not None and iters is None:
+        raise click.UsageError("--seed needs --iters (randomized mode)")
     try:
-        if iters:
+        if iters is not None:
             return SearchConfig(max_elements=max_n, grade_universe=universe,
                                 mode="randomized", seed=seed or 0,
-                                iterations=iters,
-                                require_valid=not require_invalid)
-        return SearchConfig(max_elements=max_n, grade_universe=universe,
-                            require_valid=not require_invalid)
+                                iterations=iters)
+        return SearchConfig(max_elements=max_n, grade_universe=universe)
     except (MsfuzzError, ValueError) as exc:
         raise click.UsageError(str(exc))
 

@@ -5,10 +5,12 @@ Two pointwise operators over a nonempty reference subset W:
     upsilon(theta) = max(chi(theta), max over w in W of chi(w''))
     omega(theta)   = max over w in W of chi(theta join w'')
 
-where '' is double negation.  Both are raw evaluators: they accept
-invalid negation tables and non-filter grade maps on purpose, so flawed
-instances still evaluate to their exact grades; the law suite in the
-verifier applies them only to validated instances.
+where '' is double negation.  ``upsilon_row`` and ``omega_row`` are the
+only evaluators; everything else here and the law table in the verifier
+call them.  Both are raw: they accept invalid negation tables and
+non-filter grade maps on purpose, so flawed instances still evaluate to
+their exact grades; the law suite in the verifier applies them only to
+validated instances.
 """
 
 from __future__ import annotations
@@ -64,9 +66,26 @@ def _w_indices(ms: MSAlgebra, w_subset) -> list[int]:
     return idx
 
 
-def _base_grade(ms: MSAlgebra, chi: FuzzySet, w_idx) -> Fraction:
+def _base_grade(ms: MSAlgebra, grades, w_idx) -> Fraction:
     dd = ms.dneg_table()
-    return max(chi.grades[dd[w]] for w in w_idx)
+    return max(grades[dd[w]] for w in w_idx)
+
+
+def upsilon_row(ms: MSAlgebra, grades, w_idx) -> tuple[Fraction, ...]:
+    """upsilon on element indices: the grade tuple of chi and the indices
+    of a nonempty W in, the grade tuple of the extension out.  Unchecked,
+    so the law scans can call it once per (chi, W) row."""
+    base = _base_grade(ms, grades, w_idx)
+    return tuple(base if g < base else g for g in grades)
+
+
+def omega_row(ms: MSAlgebra, grades, w_idx) -> tuple[Fraction, ...]:
+    """omega on element indices, unchecked like ``upsilon_row``."""
+    dd = ms.dneg_table()
+    images = [dd[w] for w in w_idx]
+    return tuple(
+        max(grades[joins[v]] for v in images) for joins in ms.lattice.join_table
+    )
 
 
 def extend(ms: MSAlgebra, chi: FuzzySet, w_subset) -> ExtensionResult:
@@ -75,19 +94,12 @@ def extend(ms: MSAlgebra, chi: FuzzySet, w_subset) -> ExtensionResult:
     if chi.carrier != lat:
         raise CarrierMismatch("grade map does not live on the algebra's lattice")
     w_idx = _w_indices(ms, w_subset)
-    dd = ms.dneg_table()
-    base = _base_grade(ms, chi, w_idx)
-    ups = tuple(max(g, base) for g in chi.grades)
-    omg = tuple(
-        max(chi.grades[lat.join_table[i][dd[w]]] for w in w_idx)
-        for i in range(lat.n)
-    )
     return ExtensionResult(
         source=chi,
         subset=tuple(lat.elements[i] for i in w_idx),
-        upsilon=FuzzySet(lat, ups),
-        omega=FuzzySet(lat, omg),
-        base_grade=base,
+        upsilon=FuzzySet(lat, upsilon_row(ms, chi.grades, w_idx)),
+        omega=FuzzySet(lat, omega_row(ms, chi.grades, w_idx)),
+        base_grade=_base_grade(ms, chi.grades, w_idx),
     )
 
 

@@ -55,9 +55,6 @@ class AlgebraDocument:
         default_factory=tuple
     )
 
-    def fuzzy_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.fuzzy)
-
     def fuzzy_section(self, name: str) -> dict[str, Fraction]:
         for sec_name, entries in self.fuzzy:
             if sec_name == name:

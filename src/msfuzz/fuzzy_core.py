@@ -169,9 +169,11 @@ def classify(lat: FiniteLattice, chi: FuzzySet) -> FuzzyClassification:
 
 def fuzzy_filter_report(lat: FiniteLattice, chi: FuzzySet, name: str = "chi"
                         ) -> VerificationReport:
-    """Per-clause filter diagnosis with exact witnesses, for validation output."""
+    """Per-clause filter diagnosis with exact witnesses, for validation output.
+
+    The meet-equality witness is the pair ``classify`` found first.
+    """
     g = chi.grades
-    n = lat.n
     checks: list[Check] = []
 
     top_grade = g[lat.element_index(lat.top)]
@@ -180,28 +182,22 @@ def fuzzy_filter_report(lat: FiniteLattice, chi: FuzzySet, name: str = "chi"
         "" if top_grade == ONE else f"grade of {lat.top!r} is {top_grade}, not 1",
     ))
 
+    cls = classify(lat, chi)
     witness = None
-    for i in range(n):
-        for j in range(n):
-            got = g[lat.meet_table[i][j]]
-            want = min(g[i], g[j])
-            if got != want:
-                witness = {
-                    "pair": [lat.elements[i], lat.elements[j]],
-                    "lhs": str(got),
-                    "rhs": str(want),
-                }
-                break
-        if witness:
-            break
+    if cls.witness is not None:
+        a, b = cls.witness
+        i, j = lat.element_index(a), lat.element_index(b)
+        witness = {
+            "pair": [a, b],
+            "lhs": str(g[lat.meet_table[i][j]]),
+            "rhs": str(min(g[i], g[j])),
+        }
     checks.append(Check(
         f"fuzzy.{name}.meet-equality", witness is None,
         "" if witness is None else
         "grade of a meet differs from the minimum of the grades",
         witness,
     ))
-
-    cls = classify(lat, chi)
     checks.append(Check(f"fuzzy.{name}.is-filter", cls.is_filter))
     return VerificationReport(f"fuzzy-filter:{name}", tuple(checks))
 

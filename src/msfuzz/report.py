@@ -65,10 +65,3 @@ class VerificationReport:
         n_fail = len(self.failed())
         lines.append(f"  {len(self.checks) - n_fail} passed, {n_fail} failed")
         return "\n".join(lines)
-
-
-def merge(title: str, *reports: VerificationReport) -> VerificationReport:
-    checks: list[Check] = []
-    for rep in reports:
-        checks.extend(rep.checks)
-    return VerificationReport(title, tuple(checks))

@@ -3,9 +3,10 @@ exhaustive/randomized counterexample search.
 
 Every law has a string id (``lemma-3.2.1`` and friends).  A law check
 receives an Instance -- an algebra plus a pool of candidate fuzzy
-filters and a grade universe -- and quantifies internally over the pool,
-over reference subsets, and over element pairs, returning the first
-violation as a replayable Witness or None.
+filters and a grade universe -- and returns the first violation as a
+replayable Witness or None.  Most laws are predicates over one (chi, W)
+row; a shared scan visits the rows in one order (chi in pool order, then
+W in mask order) and evaluates each extension once per row.
 
 Instances are generated from a catalog of all bounded distributive
 lattices up to a size cap.  The catalog enumerates posets by repeatedly
@@ -29,13 +30,18 @@ from .errors import (
     SizeCapExceeded,
     UnknownProperty,
 )
-from .extensions import dense_elements, is_fixed_relative
+from .extensions import (
+    dense_elements,
+    fixed_witness_sets,
+    is_fixed_relative,
+    omega_row,
+    upsilon_row,
+)
 from .file_format import document_from_objects, serialize_algebra
 from .fuzzy_core import (
     FuzzySet,
     classify,
     enumerate_fuzzy_filters,
-    fuzzy_union,
     is_prime_fuzzy_filter_bounded,
 )
 from .grades import ONE, ZERO, format_grade
@@ -45,7 +51,12 @@ from .hom_analysis import (
     kernel_characterization,
 )
 from .lattice_core import FiniteLattice, build_lattice, enumerate_filters, is_filter
-from .ms_algebra import MSAlgebra, enumerate_ms_operations, extended_filter_crisp
+from .ms_algebra import (
+    MSAlgebra,
+    enumerate_ms_operations,
+    extended_filter_crisp,
+    verify_derived_identities,
+)
 
 MAX_ELEMENTS_CAP = 8
 
@@ -196,6 +207,8 @@ class SearchConfig:
     require_valid: bool = True
 
     def __post_init__(self):
+        if self.max_elements < 1:
+            raise ValueError("max_elements must be at least 1")
         if self.max_elements > MAX_ELEMENTS_CAP:
             raise SizeCapExceeded(
                 f"max_elements {self.max_elements} exceeds cap {MAX_ELEMENTS_CAP}"
@@ -206,6 +219,8 @@ class SearchConfig:
         object.__setattr__(self, "grade_universe", universe)
         if self.mode not in ("exhaustive", "randomized"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode == "randomized" and self.iterations < 1:
+            raise ValueError("randomized mode needs at least one iteration")
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -315,37 +330,10 @@ def properties() -> tuple[PropertyRecord, ...]:
     return tuple(_REGISTRY.values())
 
 
-def _all_w_sets(inst: Instance) -> tuple[tuple[str, ...], ...]:
-    if inst.w_sets is not None:
-        return inst.w_sets
-    els = inst.ms.lattice.elements
-    n = len(els)
-    return tuple(
-        tuple(els[j] for j in range(n) if mask >> j & 1)
-        for mask in range(1, 1 << n)
-    )
-
-
-def _upsilon_grades(ms: MSAlgebra, chi: FuzzySet, w: tuple[str, ...]
-                    ) -> tuple[Fraction, ...]:
-    dd = ms.dneg_table()
-    base = max(chi.grades[dd[ms.lattice.element_index(x)]] for x in w)
-    return tuple(max(g, base) for g in chi.grades)
-
-
-def _omega_grades(ms: MSAlgebra, chi: FuzzySet, w: tuple[str, ...]
-                  ) -> tuple[Fraction, ...]:
-    lat = ms.lattice
-    dd = ms.dneg_table()
-    w_idx = [lat.element_index(x) for x in w]
-    return tuple(
-        max(chi.grades[lat.join_table[i][dd[v]]] for v in w_idx)
-        for i in range(lat.n)
-    )
-
-
-def _fail(pid: str, inst: Instance, detail: str, *, chis=None, w=None, data=None
-          ) -> Witness:
+def _fail(pid: str, inst: Instance, found, *, chis=None, w=None) -> Witness:
+    """Witness from a detail string or (detail, data), on the instance
+    narrowed to the failing chis and W."""
+    detail, data = (found, None) if isinstance(found, str) else found
     restricted = Instance(
         ms=inst.ms,
         chis=tuple(chis) if chis is not None else inst.chis,
@@ -355,6 +343,149 @@ def _fail(pid: str, inst: Instance, detail: str, *, chis=None, w=None, data=None
     return Witness(pid, restricted, detail, data or {})
 
 
+# ---------------------------------------------------------------------------
+# the law table: every law visits (chi, W) rows in one order
+# ---------------------------------------------------------------------------
+
+def _subsets(items: tuple) -> list[tuple]:
+    """Nonempty sub-tuples in mask order: bit k of the mask keeps items[k]."""
+    return [
+        tuple(x for k, x in enumerate(items) if mask >> k & 1)
+        for mask in range(1, 1 << len(items))
+    ]
+
+
+def _named(lat: FiniteLattice, w) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    return tuple(w), tuple(lat.element_index(x) for x in w)
+
+
+@lru_cache(maxsize=None)
+def _mask_w_sets(lat: FiniteLattice):
+    return tuple(_named(lat, w) for w in _subsets(lat.elements))
+
+
+def _w_sets(inst: Instance, chi: FuzzySet | None = None):
+    """The reference subsets of an instance as (names, indices): the given
+    ``w_sets`` in their order, else every nonempty subset in mask order."""
+    lat = inst.ms.lattice
+    if inst.w_sets is not None:
+        return [_named(lat, w) for w in inst.w_sets]
+    return _mask_w_sets(lat)
+
+
+def _these(pick):
+    """A W source naming the same subsets, ``pick(lattice)``, for every chi."""
+    return lambda inst, chi: [_named(inst.ms.lattice, w) for w in pick(inst.ms.lattice)]
+
+
+_singletons = _these(lambda lat: [(e,) for e in lat.elements])
+
+
+class _Row:
+    """One (chi, W) pair of a scan.  ``ups`` and ``omg`` are the two
+    extensions, evaluated on first use."""
+
+    __slots__ = ("ms", "lat", "dd", "chi", "grades", "w", "w_idx", "_ups", "_omg")
+
+    def __init__(self, ms: MSAlgebra, chi: FuzzySet, w, w_idx):
+        self.ms = ms
+        self.lat = ms.lattice
+        self.dd = ms.dneg_table()
+        self.chi = chi
+        self.grades = chi.grades
+        self.w = w
+        self.w_idx = w_idx
+        self._ups = self._omg = None
+
+    @property
+    def ups(self) -> tuple[Fraction, ...]:
+        if self._ups is None:
+            self._ups = upsilon_row(self.ms, self.grades, self.w_idx)
+        return self._ups
+
+    @property
+    def omg(self) -> tuple[Fraction, ...]:
+        if self._omg is None:
+            self._omg = omega_row(self.ms, self.grades, self.w_idx)
+        return self._omg
+
+
+# The law table: law id -> its stages, in the order they run for each chi.
+# A stage is (test, ws, when): ``test`` maps a row to None, a detail
+# string, or (detail, data); ``ws`` gives the reference subsets for
+# (instance, chi); ``when``, unless None, skips the chis that miss the
+# stage's hypothesis.
+_STAGES: dict[str, list[tuple]] = {}
+
+
+def _scan(pid: str, inst: Instance, *stages: tuple) -> Witness | None:
+    """The first failing row: chi in pool order, then the stages in order,
+    then W in the stage's order."""
+    ms = inst.ms
+    for chi in inst.chis:
+        for test, ws, when in stages:
+            if when is not None and not when(ms, chi):
+                continue
+            for w, w_idx in ws(inst, chi):
+                found = test(_Row(ms, chi, w, w_idx))
+                if found is not None:
+                    return _fail(pid, inst, found, chis=[chi], w=w)
+    return None
+
+
+def _pair_scan(pid: str, inst: Instance, test, when=None) -> Witness | None:
+    """The first failing (chi1, chi2, W), in that nesting order.  Each
+    (chi, W) row is built once per call and shared by all its pairs."""
+    ms = inst.ms
+    ws = _w_sets(inst)
+    rows = [[_Row(ms, chi, w, w_idx) for w, w_idx in ws] for chi in inst.chis]
+    for chi1, rows1 in zip(inst.chis, rows):
+        for chi2, rows2 in zip(inst.chis, rows):
+            if when is not None and not when(chi1, chi2):
+                continue
+            for r1, r2 in zip(rows1, rows2):
+                found = test(r1, r2)
+                if found is not None:
+                    return _fail(pid, inst, found, chis=[chi1, chi2], w=r1.w)
+    return None
+
+
+def _row_law(pid: str, summary: str | None = None, ws=_w_sets, when=None, **kwargs):
+    """Register a row predicate as a law.  Without a summary it becomes
+    the next stage of the law already registered under ``pid``."""
+
+    def decorate(test):
+        if summary is not None:
+            _STAGES[pid] = []
+            _law(pid, summary, **kwargs)(lambda inst: _scan(pid, inst, *_STAGES[pid]))
+        _STAGES[pid].append((test, ws, when))
+        return test
+
+    return decorate
+
+
+def _pair_law(pid: str, summary: str, when=None):
+    """Register a law from its predicate over the two rows of a pair."""
+
+    def decorate(test):
+        _law(pid, summary)(lambda inst: _pair_scan(pid, inst, test, when))
+        return test
+
+    return decorate
+
+
+def _join_hom(ms: MSAlgebra, chi: FuzzySet) -> bool:
+    return hom_report(ms.lattice, chi).is_join_hom
+
+
+_DERIVED_IDENTITY_DETAILS = {
+    "join-de-morgan": "negation of join broke",
+    "double-negation-join": "double negation over join broke",
+    "triple-negation": "triple negation broke",
+    "zero-negation": "bottom does not negate to top",
+}
+
+
 @_law(
     "prop-2.1",
     "derived identities: negation of joins, double negation over joins, "
@@ -362,25 +493,12 @@ def _fail(pid: str, inst: Instance, detail: str, *, chis=None, w=None, data=None
     requires_filters=False,
 )
 def _check_prop_2_1(inst: Instance):
-    ms = inst.ms
-    lat = ms.lattice
-    neg = ms.neg_table
-    n = lat.n
-    for i in range(n):
-        for j in range(n):
-            jo = lat.join_table[i][j]
-            if neg[jo] != lat.meet_table[neg[i]][neg[j]]:
-                return _fail("prop-2.1", inst, "negation of join broke",
-                             data={"pair": [lat.elements[i], lat.elements[j]]})
-            if neg[neg[jo]] != lat.join_table[neg[neg[i]]][neg[neg[j]]]:
-                return _fail("prop-2.1", inst, "double negation over join broke",
-                             data={"pair": [lat.elements[i], lat.elements[j]]})
-        if neg[neg[neg[i]]] != neg[i]:
-            return _fail("prop-2.1", inst, "triple negation broke",
-                         data={"element": lat.elements[i]})
-    if ms.negate(lat.bottom) != lat.top:
-        return _fail("prop-2.1", inst, "bottom does not negate to top")
-    return None
+    failed = verify_derived_identities(inst.ms).failed()
+    if not failed:
+        return None
+    first = failed[0]
+    return _fail("prop-2.1", inst, (_DERIVED_IDENTITY_DETAILS[first.check_id],
+                                    dict(first.witness or {})))
 
 
 @_law(
@@ -392,37 +510,25 @@ def _check_thm_2_3(inst: Instance):
     ms = inst.ms
     lat = ms.lattice
     for filt in enumerate_filters(lat):
-        for w in _all_w_sets(inst):
+        for w, _ in _w_sets(inst):
             ext = extended_filter_crisp(ms, filt, w)
-            verdict = is_filter(lat, ext.members)
-            if not verdict.ok or not filt.members <= ext.members:
+            if not is_filter(lat, ext.members).ok or not filt.members <= ext.members:
                 return _fail(
                     "thm-2.3-extended-filter", inst,
-                    "crisp extension is not a filter containing the source",
+                    ("crisp extension is not a filter containing the source",
+                     {"filter": sorted(filt.members), "result": sorted(ext.members)}),
                     w=w,
-                    data={"filter": sorted(filt.members), "result": sorted(ext.members)},
                 )
     return None
 
 
-@_law(
-    "thm-3.1-filter",
-    "the extension of a fuzzy filter is a fuzzy filter containing it",
-)
-def _check_thm_3_1_filter(inst: Instance):
-    ms = inst.ms
-    lat = ms.lattice
-    for chi in inst.chis:
-        for w in _all_w_sets(inst):
-            ups = _upsilon_grades(ms, chi, w)
-            if any(u < g for u, g in zip(ups, chi.grades)):
-                return _fail("thm-3.1-filter", inst, "extension lost ground",
-                             chis=[chi], w=w)
-            if not classify(lat, FuzzySet(lat, ups)).is_filter:
-                return _fail("thm-3.1-filter", inst,
-                             "extension is not a fuzzy filter",
-                             chis=[chi], w=w, data={"upsilon": list(ups)})
-    return None
+@_row_law("thm-3.1-filter",
+          "the extension of a fuzzy filter is a fuzzy filter containing it")
+def _thm_3_1_filter(r: _Row):
+    if any(u < g for u, g in zip(r.ups, r.grades)):
+        return "extension lost ground"
+    if not classify(r.lat, FuzzySet(r.lat, r.ups)).is_filter:
+        return "extension is not a fuzzy filter", {"upsilon": list(r.ups)}
 
 
 @_law(
@@ -432,479 +538,270 @@ def _check_thm_3_1_filter(inst: Instance):
     search_target=True,
 )
 def _check_thm_3_1_prime(inst: Instance):
-    ms = inst.ms
-    lat = ms.lattice
+    lat = inst.ms.lattice
     universe = tuple(sorted(set(inst.grade_universe) | {ZERO, ONE}))
     pool = _filter_pool(lat, universe)
-    for chi in inst.chis:
-        for w in _all_w_sets(inst):
-            ups = FuzzySet(lat, _upsilon_grades(ms, chi, w))
-            if ups.is_constant():
-                continue  # primality is only defined for proper filters
-            prime, pair = is_prime_fuzzy_filter_bounded(
-                lat, ups, universe, pool=pool
-            )
-            if not prime:
-                phi, psi = pair
-                return _fail(
-                    "thm-3.1-prime", inst,
-                    "extension is a non-prime fuzzy filter",
-                    chis=[chi], w=w,
-                    data={"phi": phi, "psi": psi, "upsilon": ups},
-                )
-    return None
+
+    def test(r: _Row):
+        ups = FuzzySet(lat, r.ups)
+        if ups.is_constant():
+            return None  # primality is only defined for proper filters
+        prime, pair = is_prime_fuzzy_filter_bounded(lat, ups, universe, pool=pool)
+        if not prime:
+            phi, psi = pair
+            return ("extension is a non-prime fuzzy filter",
+                    {"phi": phi, "psi": psi, "upsilon": ups})
+
+    return _scan("thm-3.1-prime", inst, (test, _w_sets, None))
 
 
-@_law("lemma-3.2.1", "monotone in the reference subset")
-def _check_lemma_3_2_1(inst: Instance):
-    ms = inst.ms
-    for chi in inst.chis:
-        for w in _all_w_sets(inst):
-            ups_w = _upsilon_grades(ms, chi, w)
-            members = list(w)
-            for mask in range(1, 1 << len(members)):
-                z = tuple(m for k, m in enumerate(members) if mask >> k & 1)
-                ups_z = _upsilon_grades(ms, chi, z)
-                if any(a > b for a, b in zip(ups_z, ups_w)):
-                    return _fail("lemma-3.2.1", inst,
-                                 "extension shrank when W grew",
-                                 chis=[chi], w=w, data={"z": list(z)})
-    return None
+@_row_law("lemma-3.2.1", "monotone in the reference subset")
+def _lemma_3_2_1(r: _Row):
+    for z in _subsets(r.w_idx):
+        if any(a > b for a, b in zip(upsilon_row(r.ms, r.grades, z), r.ups)):
+            return ("extension shrank when W grew",
+                    {"z": [r.lat.elements[i] for i in z]})
 
 
-@_law("lemma-3.2.2", "monotone in the fuzzy filter")
-def _check_lemma_3_2_2(inst: Instance):
-    ms = inst.ms
-    for chi1 in inst.chis:
-        for chi2 in inst.chis:
-            if not chi1.is_contained_in(chi2):
-                continue
-            for w in _all_w_sets(inst):
-                u1 = _upsilon_grades(ms, chi1, w)
-                u2 = _upsilon_grades(ms, chi2, w)
-                if any(a > b for a, b in zip(u1, u2)):
-                    return _fail("lemma-3.2.2", inst,
-                                 "extension not monotone in the filter",
-                                 chis=[chi1, chi2], w=w)
-    return None
+@_pair_law("lemma-3.2.2", "monotone in the fuzzy filter",
+           when=lambda chi1, chi2: chi1.is_contained_in(chi2))
+def _lemma_3_2_2(r1: _Row, r2: _Row):
+    if any(a > b for a, b in zip(r1.ups, r2.ups)):
+        return "extension not monotone in the filter"
 
 
-@_law("lemma-3.2.3",
-      "no growth at points above the whole double-negation image")
-def _check_lemma_3_2_3(inst: Instance):
-    ms = inst.ms
-    lat = ms.lattice
+@_row_law("lemma-3.2.3", "no growth at points above the whole double-negation image")
+def _lemma_3_2_3(r: _Row):
+    leq = r.lat.leq_table
+    for t in range(r.lat.n):
+        if all(leq[r.dd[v]][t] for v in r.w_idx) and r.ups[t] != r.grades[t]:
+            return "extension moved a dominating point", {"theta": r.lat.elements[t]}
+
+
+@_row_law("lemma-3.2.4",
+          "for injective filters, an unmoved point dominates the image",
+          when=lambda ms, chi: len(set(chi.grades)) == ms.lattice.n)
+def _lemma_3_2_4(r: _Row):
+    leq = r.lat.leq_table
+    for t in range(r.lat.n):
+        if r.ups[t] == r.grades[t] and not all(leq[r.dd[v]][t] for v in r.w_idx):
+            return "unmoved point fails to dominate", {"theta": r.lat.elements[t]}
+
+
+@_row_law("lemma-3.2.5",
+          "a reference element double-negating to the top forces the constant one")
+def _lemma_3_2_5(r: _Row):
+    top_i = r.lat.element_index(r.lat.top)
+    if any(r.dd[v] == top_i for v in r.w_idx) and any(g != ONE for g in r.ups):
+        return "extension missed the constant one"
+
+
+@_row_law("lemma-3.2.6",
+          "extension over the whole carrier, or over the top alone, is constant one",
+          ws=_these(lambda lat: [lat.elements, (lat.top,)]))
+def _lemma_3_2_6(r: _Row):
+    if any(g != ONE for g in r.ups):
+        return "extension over a unit-reaching subset is not one"
+
+
+@_row_law("lemma-3.2.7", "a point of grade one comes from the filter or from the image")
+def _lemma_3_2_7(r: _Row):
+    if any(r.grades[r.dd[v]] == ONE for v in r.w_idx):
+        return None  # the image supplies grade one
+    for t in range(r.lat.n):
+        if r.ups[t] == ONE and r.grades[t] != ONE:
+            return "grade one appeared from nowhere", {"theta": r.lat.elements[t]}
+
+
+@_pair_law("prop-3.3.1", "extension of a union is the join of the extensions")
+def _prop_3_3_1(r1: _Row, r2: _Row):
+    union = tuple(map(max, r1.grades, r2.grades))
+    if tuple(map(max, r1.ups, r2.ups)) != upsilon_row(r1.ms, union, r1.w_idx):
+        return "union and extension do not commute"
+
+
+@_row_law("prop-3.3.2", "the extension maps meets to minima")
+def _prop_3_3_2(r: _Row):
+    ups = r.ups
+    for i in range(r.lat.n):
+        for j in range(r.lat.n):
+            if ups[r.lat.meet_table[i][j]] != min(ups[i], ups[j]):
+                return ("extension broke the meet equality",
+                        {"pair": [r.lat.elements[i], r.lat.elements[j]]})
+
+
+@_row_law("def-3.4-consistency",
+          "both fixedness routes agree, and the canonical subsets never move "
+          "a fuzzy filter")
+def _fixedness_routes_agree(r: _Row):
+    if (r.ups == r.grades) != is_fixed_relative(r.ms, r.chi, r.w):
+        return "fixedness routes disagree"
+
+
+def _canonical_w_sets(inst: Instance, chi: FuzzySet):
+    lat = inst.ms.lattice
+    return [
+        _named(lat, sorted(c.members, key=lat.element_index))
+        for c in fixed_witness_sets(inst.ms, chi) if c.members
+    ]
+
+
+@_row_law("def-3.4-consistency", ws=_canonical_w_sets)
+def _canonical_stays_fixed(r: _Row):
+    if not is_fixed_relative(r.ms, r.chi, r.w):
+        return "a canonical subset moved the filter"
+
+
+@_row_law("prop-3.6", "fixedness is inherited by nonempty subsets of W")
+def _prop_3_6(r: _Row):
+    if r.ups != r.grades:
+        return None
+    for z in _subsets(r.w_idx):
+        if upsilon_row(r.ms, r.grades, z) != r.grades:
+            return ("fixedness not inherited by a subset",
+                    {"z": [r.lat.elements[i] for i in z]})
+
+
+@_pair_law("prop-3.7", "a union of fixed filters is fixed")
+def _prop_3_7(r1: _Row, r2: _Row):
+    if r1.ups == r1.grades and r2.ups == r2.grades:
+        union = tuple(map(max, r1.grades, r2.grades))
+        if upsilon_row(r1.ms, union, r1.w_idx) != union:
+            return "union of fixed filters moved"
+
+
+@_row_law("thm-3.8", "singleton extensions evaluate to a two-way maximum",
+          ws=_singletons)
+def _thm_3_8(r: _Row):
+    image_grade = r.grades[r.dd[r.w_idx[0]]]
+    if r.ups != tuple(max(g, image_grade) for g in r.grades):
+        return "singleton extension is not the two-way maximum"
+
+
+@_row_law("cor-3.9",
+          "a singleton extension value differing from the image grade is the "
+          "original grade",
+          ws=_singletons)
+def _cor_3_9(r: _Row):
+    image_grade = r.grades[r.dd[r.w_idx[0]]]
+    for t in range(r.lat.n):
+        if r.ups[t] != image_grade and r.ups[t] != r.grades[t]:
+            return ("dichotomy of singleton extension broke",
+                    {"theta": r.lat.elements[t]})
+
+
+@_row_law("cor-3.10",
+          "a singleton extension at its own reference point is the image grade",
+          ws=_singletons)
+def _cor_3_10(r: _Row):
+    w_i = r.w_idx[0]
+    if r.ups[w_i] != r.grades[r.dd[w_i]]:
+        return "extension at the reference point is off"
+
+
+@_row_law("def-4.1-consistency",
+          "the strong extension fixes the bottom singleton, grows the source, "
+          "and keeps the unit",
+          ws=_these(lambda lat: [(lat.bottom,)]))
+def _omega_keeps_bottom_fixed(r: _Row):
+    if r.omg != r.grades:
+        return "strong extension over the bottom moved the filter"
+
+
+@_row_law("def-4.1-consistency")
+def _omega_grows_and_keeps_unit(r: _Row):
+    if any(o < g for o, g in zip(r.omg, r.grades)):
+        return "strong extension lost ground"
+    if r.omg[r.lat.element_index(r.lat.top)] != ONE:
+        return "strong extension lost the unit"
+
+
+@_row_law("upsilon-subset-omega", "the extension sits inside the strong extension")
+def _upsilon_subset_omega(r: _Row):
+    if any(u > o for u, o in zip(r.ups, r.omg)):
+        return "extension escaped the strong extension"
+
+
+@_row_law("thm-4.3",
+          "the strong extension of a fuzzy filter is a fuzzy filter "
+          "(refutable for reference subsets with two or more elements: separate "
+          "maxima need not commute with the meet)")
+def _thm_4_3(r: _Row):
+    omg = FuzzySet(r.lat, r.omg)
+    if not classify(r.lat, omg).is_filter:
+        return "strong extension is not a fuzzy filter", {"omega": omg}
+
+
+@_row_law("remark-4.4",
+          "for join-homomorphic filters the two extensions coincide",
+          when=_join_hom)
+def _remark_4_4(r: _Row):
+    if r.ups != r.omg:
+        return "extensions split despite join-homomorphism"
+
+
+@_row_law("thm-4.7", "the extension evaluates through any dense element of the image")
+def _thm_4_7(r: _Row):
+    lat = r.lat
+    image = sorted({r.dd[v] for v in r.w_idx})
+    dense = dense_elements(r.chi, [lat.elements[i] for i in image])
+    for d in dense.members:
+        gd = r.chi(d)
+        for t in range(lat.n):
+            if r.ups[t] != max(r.grades[t], gd):
+                return ("dense-element evaluation is off",
+                        {"dense": d, "theta": lat.elements[t]})
+
+
+@_row_law("thm-4.8",
+          "the strong extension hits a join exactly when that join is dense "
+          "among the candidate joins")
+def _thm_4_8(r: _Row):
+    lat = r.lat
+    for t in range(lat.n):
+        joins = [lat.join_table[t][r.dd[v]] for v in r.w_idx]
+        dense = dense_elements(r.chi, [lat.elements[j] for j in joins])
+        for v, j in zip(r.w_idx, joins):
+            lhs = r.grades[j] == r.omg[t]
+            rhs = lat.elements[j] in dense.members
+            if lhs != rhs:
+                return ("dense reading of the strong extension broke",
+                        {"theta": lat.elements[t], "w": lat.elements[v]})
+
+
+@_row_law("thm-5.1",
+          "join-homomorphic filters extend to lattice homomorphisms, and the "
+          "grade-level double negation is inherited",
+          when=_join_hom)
+def _ups_is_lattice_hom(r: _Row):
+    if not hom_report(r.lat, FuzzySet(r.lat, r.ups)).is_lattice_hom:
+        return "extension is not a lattice homomorphism"
+
+
+def _dd_compatible(ms: MSAlgebra, chi: FuzzySet) -> bool:
     dd = ms.dneg_table()
-    for chi in inst.chis:
-        for w in _all_w_sets(inst):
-            w_idx = [lat.element_index(x) for x in w]
-            for t in range(lat.n):
-                if all(lat.leq_table[dd[v]][t] for v in w_idx):
-                    if _upsilon_grades(ms, chi, w)[t] != chi.grades[t]:
-                        return _fail("lemma-3.2.3", inst,
-                                     "extension moved a dominating point",
-                                     chis=[chi], w=w,
-                                     data={"theta": lat.elements[t]})
-    return None
+    return all(chi.grades[dd[i]] == chi.grades[i] for i in range(ms.lattice.n))
 
 
-@_law("lemma-3.2.4",
-      "for injective filters, an unmoved point dominates the image")
-def _check_lemma_3_2_4(inst: Instance):
-    ms = inst.ms
-    lat = ms.lattice
-    dd = ms.dneg_table()
-    for chi in inst.chis:
-        if len(set(chi.grades)) != lat.n:
-            continue
-        for w in _all_w_sets(inst):
-            w_idx = [lat.element_index(x) for x in w]
-            ups = _upsilon_grades(ms, chi, w)
-            for t in range(lat.n):
-                if ups[t] == chi.grades[t]:
-                    if not all(lat.leq_table[dd[v]][t] for v in w_idx):
-                        return _fail("lemma-3.2.4", inst,
-                                     "unmoved point fails to dominate",
-                                     chis=[chi], w=w,
-                                     data={"theta": lat.elements[t]})
-    return None
+@_row_law("thm-5.1", when=_dd_compatible)
+def _ups_dd_compatible(r: _Row):
+    if any(r.ups[r.dd[i]] != r.ups[i] for i in range(r.lat.n)):
+        return "double-negation compatibility not inherited"
 
 
-@_law("lemma-3.2.5",
-      "a reference element double-negating to the top forces the constant one")
-def _check_lemma_3_2_5(inst: Instance):
-    ms = inst.ms
-    lat = ms.lattice
-    dd = ms.dneg_table()
-    top_i = lat.element_index(lat.top)
-    for chi in inst.chis:
-        for w in _all_w_sets(inst):
-            if any(dd[lat.element_index(x)] == top_i for x in w):
-                if any(g != ONE for g in _upsilon_grades(ms, chi, w)):
-                    return _fail("lemma-3.2.5", inst,
-                                 "extension missed the constant one",
-                                 chis=[chi], w=w)
-    return None
+@_row_law("prop-5.2",
+          "kernel of the extension: killed by the source and the whole image "
+          "killed")
+def _prop_5_2(r: _Row):
+    if not kernel_characterization(r.ms, r.chi, r.w):
+        return "kernel characterization broke"
 
 
-@_law("lemma-3.2.6",
-      "extension over the whole carrier, or over the top alone, is constant one")
-def _check_lemma_3_2_6(inst: Instance):
-    ms = inst.ms
-    lat = ms.lattice
-    for chi in inst.chis:
-        for w in (tuple(lat.elements), (lat.top,)):
-            if any(g != ONE for g in _upsilon_grades(ms, chi, w)):
-                return _fail("lemma-3.2.6", inst,
-                             "extension over a unit-reaching subset is not one",
-                             chis=[chi], w=w)
-    return None
-
-
-@_law("lemma-3.2.7",
-      "a point of grade one comes from the filter or from the image")
-def _check_lemma_3_2_7(inst: Instance):
-    ms = inst.ms
-    lat = ms.lattice
-    dd = ms.dneg_table()
-    for chi in inst.chis:
-        for w in _all_w_sets(inst):
-            ups = _upsilon_grades(ms, chi, w)
-            for t in range(lat.n):
-                if ups[t] == ONE:
-                    if chi.grades[t] != ONE and all(
-                        chi.grades[dd[lat.element_index(x)]] != ONE for x in w
-                    ):
-                        return _fail("lemma-3.2.7", inst,
-                                     "grade one appeared from nowhere",
-                                     chis=[chi], w=w,
-                                     data={"theta": lat.elements[t]})
-    return None
-
-
-@_law("prop-3.3.1", "extension of a union is the join of the extensions")
-def _check_prop_3_3_1(inst: Instance):
-    ms = inst.ms
-    for chi1 in inst.chis:
-        for chi2 in inst.chis:
-            union = fuzzy_union(chi1, chi2)
-            for w in _all_w_sets(inst):
-                lhs = tuple(
-                    max(a, b) for a, b in zip(
-                        _upsilon_grades(ms, chi1, w), _upsilon_grades(ms, chi2, w)
-                    )
-                )
-                if lhs != _upsilon_grades(ms, union, w):
-                    return _fail("prop-3.3.1", inst,
-                                 "union and extension do not commute",
-                                 chis=[chi1, chi2], w=w)
-    return None
-
-
-@_law("prop-3.3.2", "the extension maps meets to minima")
-def _check_prop_3_3_2(inst: Instance):
-    ms = inst.ms
-    lat = ms.lattice
-    for chi in inst.chis:
-        for w in _all_w_sets(inst):
-            ups = _upsilon_grades(ms, chi, w)
-            for i in range(lat.n):
-                for j in range(lat.n):
-                    if ups[lat.meet_table[i][j]] != min(ups[i], ups[j]):
-                        return _fail("prop-3.3.2", inst,
-                                     "extension broke the meet equality",
-                                     chis=[chi], w=w,
-                                     data={"pair": [lat.elements[i],
-                                                    lat.elements[j]]})
-    return None
-
-
-@_law("def-3.4-consistency",
-      "both fixedness routes agree, and the canonical subsets never move "
-      "a fuzzy filter")
-def _check_def_3_4(inst: Instance):
-    ms = inst.ms
-    lat = ms.lattice
-    dd = ms.dneg_table()
-    bot_i = lat.element_index(lat.bottom)
-    for chi in inst.chis:
-        for w in _all_w_sets(inst):
-            pointwise = _upsilon_grades(ms, chi, w) == chi.grades
-            if pointwise != is_fixed_relative(ms, chi, w):
-                return _fail("def-3.4-consistency", inst,
-                             "fixedness routes disagree", chis=[chi], w=w)
-        canonical = [(lat.bottom,)]
-        a_set = tuple(lat.elements[i] for i in range(lat.n) if dd[i] == bot_i)
-        if a_set:
-            canonical.append(a_set)
-        c_set = tuple(
-            lat.elements[i] for i in range(lat.n) if chi.grades[dd[i]] == ZERO
-        )
-        if c_set:
-            canonical.append(c_set)
-        for w in canonical:
-            if not is_fixed_relative(ms, chi, w):
-                return _fail("def-3.4-consistency", inst,
-                             "a canonical subset moved the filter",
-                             chis=[chi], w=w)
-    return None
-
-
-@_law("prop-3.6", "fixedness is inherited by nonempty subsets of W")
-def _check_prop_3_6(inst: Instance):
-    ms = inst.ms
-    for chi in inst.chis:
-        for w in _all_w_sets(inst):
-            if _upsilon_grades(ms, chi, w) != chi.grades:
-                continue
-            members = list(w)
-            for mask in range(1, 1 << len(members)):
-                z = tuple(m for k, m in enumerate(members) if mask >> k & 1)
-                if _upsilon_grades(ms, chi, z) != chi.grades:
-                    return _fail("prop-3.6", inst,
-                                 "fixedness not inherited by a subset",
-                                 chis=[chi], w=w, data={"z": list(z)})
-    return None
-
-
-@_law("prop-3.7", "a union of fixed filters is fixed")
-def _check_prop_3_7(inst: Instance):
-    ms = inst.ms
-    for chi1 in inst.chis:
-        for chi2 in inst.chis:
-            union = fuzzy_union(chi1, chi2)
-            for w in _all_w_sets(inst):
-                if (_upsilon_grades(ms, chi1, w) == chi1.grades
-                        and _upsilon_grades(ms, chi2, w) == chi2.grades):
-                    if _upsilon_grades(ms, union, w) != union.grades:
-                        return _fail("prop-3.7", inst,
-                                     "union of fixed filters moved",
-                                     chis=[chi1, chi2], w=w)
-    return None
-
-
-@_law("thm-3.8", "singleton extensions evaluate to a two-way maximum")
-def _check_thm_3_8(inst: Instance):
-    ms = inst.ms
-    lat = ms.lattice
-    dd = ms.dneg_table()
-    for chi in inst.chis:
-        for w_i, w_el in enumerate(lat.elements):
-            ups = _upsilon_grades(ms, chi, (w_el,))
-            expect = tuple(
-                max(g, chi.grades[dd[w_i]]) for g in chi.grades
-            )
-            if ups != expect:
-                return _fail("thm-3.8", inst,
-                             "singleton extension is not the two-way maximum",
-                             chis=[chi], w=(w_el,))
-    return None
-
-
-@_law("cor-3.9",
-      "a singleton extension value differing from the image grade is the "
-      "original grade")
-def _check_cor_3_9(inst: Instance):
-    ms = inst.ms
-    lat = ms.lattice
-    dd = ms.dneg_table()
-    for chi in inst.chis:
-        for w_i, w_el in enumerate(lat.elements):
-            image_grade = chi.grades[dd[w_i]]
-            ups = _upsilon_grades(ms, chi, (w_el,))
-            for t in range(lat.n):
-                if ups[t] != image_grade and ups[t] != chi.grades[t]:
-                    return _fail("cor-3.9", inst,
-                                 "dichotomy of singleton extension broke",
-                                 chis=[chi], w=(w_el,),
-                                 data={"theta": lat.elements[t]})
-    return None
-
-
-@_law("cor-3.10",
-      "a singleton extension at its own reference point is the image grade")
-def _check_cor_3_10(inst: Instance):
-    ms = inst.ms
-    lat = ms.lattice
-    dd = ms.dneg_table()
-    for chi in inst.chis:
-        for w_i, w_el in enumerate(lat.elements):
-            ups = _upsilon_grades(ms, chi, (w_el,))
-            if ups[w_i] != chi.grades[dd[w_i]]:
-                return _fail("cor-3.10", inst,
-                             "extension at the reference point is off",
-                             chis=[chi], w=(w_el,))
-    return None
-
-
-@_law("def-4.1-consistency",
-      "the strong extension fixes the bottom singleton, grows the source, "
-      "and keeps the unit")
-def _check_def_4_1(inst: Instance):
-    ms = inst.ms
-    lat = ms.lattice
-    top_i = lat.element_index(lat.top)
-    for chi in inst.chis:
-        if _omega_grades(ms, chi, (lat.bottom,)) != chi.grades:
-            return _fail("def-4.1-consistency", inst,
-                         "strong extension over the bottom moved the filter",
-                         chis=[chi], w=(lat.bottom,))
-        for w in _all_w_sets(inst):
-            omg = _omega_grades(ms, chi, w)
-            if any(o < g for o, g in zip(omg, chi.grades)):
-                return _fail("def-4.1-consistency", inst,
-                             "strong extension lost ground", chis=[chi], w=w)
-            if omg[top_i] != ONE:
-                return _fail("def-4.1-consistency", inst,
-                             "strong extension lost the unit", chis=[chi], w=w)
-    return None
-
-
-@_law("upsilon-subset-omega", "the extension sits inside the strong extension")
-def _check_upsilon_subset_omega(inst: Instance):
-    ms = inst.ms
-    for chi in inst.chis:
-        for w in _all_w_sets(inst):
-            ups = _upsilon_grades(ms, chi, w)
-            omg = _omega_grades(ms, chi, w)
-            if any(u > o for u, o in zip(ups, omg)):
-                return _fail("upsilon-subset-omega", inst,
-                             "extension escaped the strong extension",
-                             chis=[chi], w=w)
-    return None
-
-
-@_law("thm-4.3",
-      "the strong extension of a fuzzy filter is a fuzzy filter "
-      "(refutable for reference subsets with two or more elements: separate "
-      "maxima need not commute with the meet)")
-def _check_thm_4_3(inst: Instance):
-    ms = inst.ms
-    lat = ms.lattice
-    for chi in inst.chis:
-        for w in _all_w_sets(inst):
-            omg = FuzzySet(lat, _omega_grades(ms, chi, w))
-            if not classify(lat, omg).is_filter:
-                return _fail("thm-4.3", inst,
-                             "strong extension is not a fuzzy filter",
-                             chis=[chi], w=w, data={"omega": omg})
-    return None
-
-
-@_law("remark-4.4",
-      "for join-homomorphic filters the two extensions coincide")
-def _check_remark_4_4(inst: Instance):
-    ms = inst.ms
-    lat = ms.lattice
-    for chi in inst.chis:
-        if not hom_report(lat, chi).is_join_hom:
-            continue
-        for w in _all_w_sets(inst):
-            if _upsilon_grades(ms, chi, w) != _omega_grades(ms, chi, w):
-                return _fail("remark-4.4", inst,
-                             "extensions split despite join-homomorphism",
-                             chis=[chi], w=w)
-    return None
-
-
-@_law("thm-4.7",
-      "the extension evaluates through any dense element of the image")
-def _check_thm_4_7(inst: Instance):
-    ms = inst.ms
-    lat = ms.lattice
-    dd = ms.dneg_table()
-    for chi in inst.chis:
-        for w in _all_w_sets(inst):
-            image = sorted({dd[lat.element_index(x)] for x in w})
-            dense = dense_elements(chi, [lat.elements[i] for i in image])
-            ups = _upsilon_grades(ms, chi, w)
-            for d in dense.members:
-                gd = chi(d)
-                for t in range(lat.n):
-                    if ups[t] != max(chi.grades[t], gd):
-                        return _fail("thm-4.7", inst,
-                                     "dense-element evaluation is off",
-                                     chis=[chi], w=w,
-                                     data={"dense": d,
-                                           "theta": lat.elements[t]})
-    return None
-
-
-@_law("thm-4.8",
-      "the strong extension hits a join exactly when that join is dense "
-      "among the candidate joins")
-def _check_thm_4_8(inst: Instance):
-    ms = inst.ms
-    lat = ms.lattice
-    dd = ms.dneg_table()
-    for chi in inst.chis:
-        for w in _all_w_sets(inst):
-            w_idx = [lat.element_index(x) for x in w]
-            omega_row = _omega_grades(ms, chi, w)
-            for t in range(lat.n):
-                joins = [lat.join_table[t][dd[v]] for v in w_idx]
-                dense = dense_elements(chi, [lat.elements[j] for j in joins])
-                for v, j in zip(w_idx, joins):
-                    lhs = chi.grades[j] == omega_row[t]
-                    rhs = lat.elements[j] in dense.members
-                    if lhs != rhs:
-                        return _fail("thm-4.8", inst,
-                                     "dense reading of the strong extension "
-                                     "broke",
-                                     chis=[chi], w=w,
-                                     data={"theta": lat.elements[t],
-                                           "w": lat.elements[v]})
-    return None
-
-
-@_law("thm-5.1",
-      "join-homomorphic filters extend to lattice homomorphisms, and the "
-      "grade-level double negation is inherited")
-def _check_thm_5_1(inst: Instance):
-    ms = inst.ms
-    lat = ms.lattice
-    dd = ms.dneg_table()
-    for chi in inst.chis:
-        if hom_report(lat, chi).is_join_hom:
-            for w in _all_w_sets(inst):
-                ups = FuzzySet(lat, _upsilon_grades(ms, chi, w))
-                if not hom_report(lat, ups).is_lattice_hom:
-                    return _fail("thm-5.1", inst,
-                                 "extension is not a lattice homomorphism",
-                                 chis=[chi], w=w)
-        if all(chi.grades[dd[i]] == chi.grades[i] for i in range(lat.n)):
-            for w in _all_w_sets(inst):
-                ups = _upsilon_grades(ms, chi, w)
-                if any(ups[dd[i]] != ups[i] for i in range(lat.n)):
-                    return _fail("thm-5.1", inst,
-                                 "double-negation compatibility not inherited",
-                                 chis=[chi], w=w)
-    return None
-
-
-@_law("prop-5.2",
-      "kernel of the extension: killed by the source and the whole image "
-      "killed")
-def _check_prop_5_2(inst: Instance):
-    ms = inst.ms
-    for chi in inst.chis:
-        for w in _all_w_sets(inst):
-            if not kernel_characterization(ms, chi, w):
-                return _fail("prop-5.2", inst,
-                             "kernel characterization broke", chis=[chi], w=w)
-    return None
-
-
-@_law("prop-5.3",
-      "cokernel of the extension: unit grade at the source or in the image")
-def _check_prop_5_3(inst: Instance):
-    ms = inst.ms
-    for chi in inst.chis:
-        for w in _all_w_sets(inst):
-            if not cokernel_characterization(ms, chi, w):
-                return _fail("prop-5.3", inst,
-                             "cokernel characterization broke", chis=[chi], w=w)
-    return None
+@_row_law("prop-5.3",
+          "cokernel of the extension: unit grade at the source or in the image")
+def _prop_5_3(r: _Row):
+    if not cokernel_characterization(r.ms, r.chi, r.w):
+        return "cokernel characterization broke"
 
 
 def _fibers(grades: tuple[Fraction, ...]) -> list[list[int]]:
@@ -914,51 +811,30 @@ def _fibers(grades: tuple[Fraction, ...]) -> list[list[int]]:
     return list(by_value.values())
 
 
-@_law("lemma-5.4-meet", "fibers of the extension are meet-closed")
-def _check_lemma_5_4_meet(inst: Instance):
-    ms = inst.ms
-    lat = ms.lattice
-    for chi in inst.chis:
-        for w in _all_w_sets(inst):
-            ups = _upsilon_grades(ms, chi, w)
-            for fiber in _fibers(ups):
-                members = set(fiber)
-                for i in fiber:
-                    for j in fiber:
-                        if lat.meet_table[i][j] not in members:
-                            return _fail(
-                                "lemma-5.4-meet", inst,
-                                "a fiber is not meet-closed",
-                                chis=[chi], w=w,
-                                data={"pair": [lat.elements[i],
-                                               lat.elements[j]]},
-                            )
+def _fiber_break(r: _Row, table):
+    """The first pair inside one fiber of the extension whose meet or join
+    (per ``table``) leaves the fiber."""
+    for fiber in _fibers(r.ups):
+        members = set(fiber)
+        for i in fiber:
+            for j in fiber:
+                if table[i][j] not in members:
+                    return [r.lat.elements[i], r.lat.elements[j]]
     return None
 
 
-@_law("lemma-5.4-join",
-      "for join-homomorphic filters, fibers of the extension are join-closed")
-def _check_lemma_5_4_join(inst: Instance):
-    ms = inst.ms
-    lat = ms.lattice
-    for chi in inst.chis:
-        if not hom_report(lat, chi).is_join_hom:
-            continue
-        for w in _all_w_sets(inst):
-            ups = _upsilon_grades(ms, chi, w)
-            for fiber in _fibers(ups):
-                members = set(fiber)
-                for i in fiber:
-                    for j in fiber:
-                        if lat.join_table[i][j] not in members:
-                            return _fail(
-                                "lemma-5.4-join", inst,
-                                "a fiber is not join-closed",
-                                chis=[chi], w=w,
-                                data={"pair": [lat.elements[i],
-                                               lat.elements[j]]},
-                            )
-    return None
+@_row_law("lemma-5.4-meet", "fibers of the extension are meet-closed")
+def _lemma_5_4_meet(r: _Row):
+    pair = _fiber_break(r, r.lat.meet_table)
+    return None if pair is None else ("a fiber is not meet-closed", {"pair": pair})
+
+
+@_row_law("lemma-5.4-join",
+          "for join-homomorphic filters, fibers of the extension are join-closed",
+          when=_join_hom)
+def _lemma_5_4_join(r: _Row):
+    pair = _fiber_break(r, r.lat.join_table)
+    return None if pair is None else ("a fiber is not join-closed", {"pair": pair})
 
 
 @_law(
@@ -979,8 +855,8 @@ def _check_example_4_2(inst: Instance):
         (c for c in failed if c.check_id == "double-negation-above"), failed[0]
     )
     return _fail("example-4.2-validity", inst,
-                 "negation table violates the axioms",
-                 data={"check": pick.check_id, "witness": dict(pick.witness or {})})
+                 ("negation table violates the axioms",
+                  {"check": pick.check_id, "witness": dict(pick.witness or {})}))
 
 
 THEOREM_SUITE: tuple[str, ...] = tuple(
@@ -1140,13 +1016,11 @@ def _neg_closure_stats(inst: Instance) -> tuple[int, int]:
     negation closure is not claimed anywhere and is merely counted.
     """
     ms = inst.ms
-    lat = ms.lattice
     neg = ms.neg_table
     closed = total = 0
     for chi in inst.chis:
-        for w in _all_w_sets(inst):
-            ups = _upsilon_grades(ms, chi, w)
-            for fiber in _fibers(ups):
+        for w, w_idx in _w_sets(inst):
+            for fiber in _fibers(_Row(ms, chi, w, w_idx).ups):
                 members = set(fiber)
                 total += 1
                 if all(neg[i] in members for i in fiber):
@@ -1167,47 +1041,37 @@ def sweep(pids=None, cfg: SearchConfig | None = None) -> SweepReport:
 
     counts = {
         pid: {"instances": 0, "passes": 0, "failures": 0, "skips": 0,
-              "witness": None}
+              "first_witness": None}
         for pid in selected
     }
     closed = total = 0
 
-    fixture_pids = [p for p in selected if _REGISTRY[p].fixture is not None]
-    stream_pids = [p for p in selected if _REGISTRY[p].fixture is None]
-
-    for pid in fixture_pids:
+    def count(pid: str, inst: Instance) -> None:
         row = counts[pid]
+        try:
+            witness = run_property(pid, inst)
+        except HypothesisUnmet:
+            row["skips"] += 1
+            return
         row["instances"] += 1
-        witness = run_property(pid, fixture_instance(_REGISTRY[pid].fixture))
         if witness is None:
             row["passes"] += 1
         else:
             row["failures"] += 1
-            row["witness"] = row["witness"] or witness
+            row["first_witness"] = row["first_witness"] or witness
 
+    for pid in selected:
+        if _REGISTRY[pid].fixture is not None:
+            count(pid, fixture_instance(_REGISTRY[pid].fixture))
+    stream_pids = [p for p in selected if _REGISTRY[p].fixture is None]
     for inst in _instance_stream(cfg):
         for pid in stream_pids:
-            row = counts[pid]
-            try:
-                witness = run_property(pid, inst)
-            except HypothesisUnmet:
-                row["skips"] += 1
-                continue
-            row["instances"] += 1
-            if witness is None:
-                row["passes"] += 1
-            else:
-                row["failures"] += 1
-                row["witness"] = row["witness"] or witness
+            count(pid, inst)
         c, t = _neg_closure_stats(inst)
         closed += c
         total += t
 
-    outcomes = tuple(
-        PropertyOutcome(pid, row["instances"], row["passes"], row["failures"],
-                        row["skips"], row["witness"])
-        for pid, row in counts.items()
-    )
+    outcomes = tuple(PropertyOutcome(pid, **row) for pid, row in counts.items())
     stats = {
         "inverse_class_neg_closed": closed,
         "inverse_class_fibers": total,

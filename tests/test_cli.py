@@ -229,6 +229,22 @@ def test_sweep_bad_grades_usage(runner):
     ).exit_code == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (["sweep", "--max-n", "0"], "max_elements must be at least 1"),
+    (["sweep", "--iters", "-5"], "at least one iteration"),
+    # --iters 0 used to fall back to an exhaustive sweep
+    (["sweep", "--max-n", "2", "--iters", "0"], "at least one iteration"),
+    (["sweep", "--max-n", "2", "--seed", "3"], "--seed needs --iters"),
+    (["search", "--prop", "lemma-3.2.1", "--max-n", "0"],
+     "max_elements must be at least 1"),
+])
+def test_vacuous_runs_are_usage_errors(runner, args, message):
+    """A run that would check nothing exits 2 instead of reporting a pass."""
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 2
+    assert message in result.output
+
+
 def test_search_finds_prime_witness(runner):
     result = runner.invoke(
         cli,

@@ -234,6 +234,14 @@ def test_randomized_beyond_exhaustive_cap():
         assert outcome.failures == 0, outcome.pid
 
 
+def test_config_rejects_vacuous_runs():
+    with pytest.raises(ValueError):
+        SearchConfig(max_elements=0)
+    with pytest.raises(ValueError):
+        SearchConfig(mode="randomized", iterations=0)
+    assert SearchConfig(iterations=0).mode == "exhaustive"  # iterations unused
+
+
 def test_search():
     assert search_counterexample(
         "lemma-3.2.1", SearchConfig(max_elements=4, grade_universe=UNIVERSE2)
