@@ -540,6 +540,7 @@ def _thm_3_1_filter(r: _Row):
 def _check_thm_3_1_prime(inst: Instance):
     lat = inst.ms.lattice
     universe = tuple(sorted(set(inst.grade_universe) | {ZERO, ONE}))
+    # built before any row, so an over-cap universe fails whatever the rows
     pool = _filter_pool(lat, universe)
 
     def test(r: _Row):
