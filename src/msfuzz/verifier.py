@@ -373,12 +373,12 @@ def _w_sets(inst: Instance, chi: FuzzySet | None = None):
     return _mask_w_sets(lat)
 
 
-def _these(pick):
+def _listed_w(pick):
     """A W source naming the same subsets, ``pick(lattice)``, for every chi."""
     return lambda inst, chi: [_named(inst.ms.lattice, w) for w in pick(inst.ms.lattice)]
 
 
-_singletons = _these(lambda lat: [(e,) for e in lat.elements])
+_singletons = _listed_w(lambda lat: [(e,) for e in lat.elements])
 
 
 class _Row:
@@ -599,7 +599,7 @@ def _lemma_3_2_5(r: _Row):
 
 @_row_law("lemma-3.2.6",
           "extension over the whole carrier, or over the top alone, is constant one",
-          ws=_these(lambda lat: [lat.elements, (lat.top,)]))
+          ws=_listed_w(lambda lat: [lat.elements, (lat.top,)]))
 def _lemma_3_2_6(r: _Row):
     if any(g != ONE for g in r.ups):
         return "extension over a unit-reaching subset is not one"
@@ -703,7 +703,7 @@ def _cor_3_10(r: _Row):
 @_row_law("def-4.1-consistency",
           "the strong extension fixes the bottom singleton, grows the source, "
           "and keeps the unit",
-          ws=_these(lambda lat: [(lat.bottom,)]))
+          ws=_listed_w(lambda lat: [(lat.bottom,)]))
 def _omega_keeps_bottom_fixed(r: _Row):
     if r.omg != r.grades:
         return "strong extension over the bottom moved the filter"
