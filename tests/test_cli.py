@@ -387,3 +387,9 @@ def test_golden_sweep_n4_two_grades(runner, golden):
         cli, ["--format", "json", "sweep", "--max-n", "4", "--grades", "0,1"]
     )
     golden("sweep_n4_grades01.json", result.output)
+
+
+def test_golden_sweep_n5(runner, golden):
+    """The default sweep at five elements: every witness of the headline run."""
+    result = runner.invoke(cli, ["--format", "json", "sweep", "--max-n", "5"])
+    golden("sweep_n5.json", result.output)
