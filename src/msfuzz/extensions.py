@@ -58,8 +58,12 @@ class CanonicalFixedSet:
     note: str = ""
 
 
-def _w_indices(ms: MSAlgebra, w_subset) -> list[int]:
+def _w_indices(ms: MSAlgebra, chi: FuzzySet, w_subset) -> list[int]:
+    """The sorted indices of a nonempty W, once chi is known to live on
+    the algebra's lattice."""
     lat = ms.lattice
+    if chi.carrier != lat:
+        raise CarrierMismatch("grade map does not live on the algebra's lattice")
     idx = sorted({lat.element_index(w) for w in w_subset})
     if not idx:
         raise EmptyW("reference subset W is empty")
@@ -91,9 +95,7 @@ def omega_row(ms: MSAlgebra, grades, w_idx) -> tuple[Fraction, ...]:
 def extend(ms: MSAlgebra, chi: FuzzySet, w_subset) -> ExtensionResult:
     """Compute both extensions at once."""
     lat = ms.lattice
-    if chi.carrier != lat:
-        raise CarrierMismatch("grade map does not live on the algebra's lattice")
-    w_idx = _w_indices(ms, w_subset)
+    w_idx = _w_indices(ms, chi, w_subset)
     return ExtensionResult(
         source=chi,
         subset=tuple(lat.elements[i] for i in w_idx),
@@ -121,9 +123,9 @@ def is_fixed_relative(ms: MSAlgebra, chi: FuzzySet, w_subset) -> bool:
     Computed both as pointwise equality of upsilon with chi and as
     base grade <= min grade; the two routes must agree.
     """
-    res = extend(ms, chi, w_subset)
-    pointwise = res.upsilon.grades == chi.grades
-    via_base = res.base_grade <= min(chi.grades)
+    w_idx = _w_indices(ms, chi, w_subset)
+    pointwise = upsilon_row(ms, chi.grades, w_idx) == chi.grades
+    via_base = _base_grade(ms, chi.grades, w_idx) <= min(chi.grades)
     if pointwise != via_base:
         raise InternalInvariantError("fixedness routes disagree")
     return pointwise
@@ -178,7 +180,7 @@ def upsilon_via_dense(ms: MSAlgebra, chi: FuzzySet, w_subset, theta: str
     grade is cross-checked against the direct evaluation.
     """
     lat = ms.lattice
-    w_idx = _w_indices(ms, w_subset)
+    w_idx = _w_indices(ms, chi, w_subset)
     dd = ms.dneg_table()
     image = sorted({dd[w] for w in w_idx})
     dense = dense_elements(chi, [lat.elements[i] for i in image])
@@ -204,7 +206,7 @@ def omega_dense_equivalence(ms: MSAlgebra, chi: FuzzySet, w_subset,
     The equivalence itself is asserted; the common verdict is returned.
     """
     lat = ms.lattice
-    w_idx = _w_indices(ms, w_subset)
+    w_idx = _w_indices(ms, chi, w_subset)
     if lat.element_index(w) not in w_idx:
         raise UnknownElement(f"{w!r} is not a member of W")
     dd = ms.dneg_table()

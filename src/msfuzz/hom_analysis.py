@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import MissingGradeStructure
-from .extensions import extend, upsilon
+from .extensions import _w_indices, upsilon, upsilon_row
 from .fuzzy_core import FuzzySet
 from .grades import ONE, ZERO
 from .lattice_core import FiniteLattice
@@ -92,13 +92,12 @@ def cokernel(mu: FuzzySet) -> frozenset[str]:
 def kernel_characterization(ms: MSAlgebra, chi: FuzzySet, w_subset) -> bool:
     """An element is killed by the extension iff chi kills it and chi
     kills the whole double-negation image of W.  Verified pointwise."""
-    lat = ms.lattice
-    ext = extend(ms, chi, w_subset)
+    w_idx = _w_indices(ms, chi, w_subset)
+    ups = upsilon_row(ms, chi.grades, w_idx)
     dd = ms.dneg_table()
-    w_idx = [lat.element_index(w) for w in ext.subset]
     image_killed = all(chi.grades[dd[w]] == ZERO for w in w_idx)
-    for i in range(lat.n):
-        in_ker = ext.upsilon.grades[i] == ZERO
+    for i in range(ms.lattice.n):
+        in_ker = ups[i] == ZERO
         expected = chi.grades[i] == ZERO and image_killed
         if in_ker != expected:
             return False
@@ -108,13 +107,12 @@ def kernel_characterization(ms: MSAlgebra, chi: FuzzySet, w_subset) -> bool:
 def cokernel_characterization(ms: MSAlgebra, chi: FuzzySet, w_subset) -> bool:
     """An element is sent to one iff chi already sends it to one or some
     double-negated reference element has grade one."""
-    lat = ms.lattice
-    ext = extend(ms, chi, w_subset)
+    w_idx = _w_indices(ms, chi, w_subset)
+    ups = upsilon_row(ms, chi.grades, w_idx)
     dd = ms.dneg_table()
-    w_idx = [lat.element_index(w) for w in ext.subset]
     image_hit = any(chi.grades[dd[w]] == ONE for w in w_idx)
-    for i in range(lat.n):
-        in_coker = ext.upsilon.grades[i] == ONE
+    for i in range(ms.lattice.n):
+        in_coker = ups[i] == ONE
         expected = chi.grades[i] == ONE or image_hit
         if in_coker != expected:
             return False

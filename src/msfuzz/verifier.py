@@ -6,7 +6,7 @@ receives an Instance -- an algebra plus a pool of candidate fuzzy
 filters and a grade universe -- and returns the first violation as a
 replayable Witness or None.  Most laws are predicates over one (chi, W)
 row; a shared scan visits the rows in one order (chi in pool order, then
-W in mask order) and evaluates each extension once per row.
+W in mask order), and skips a row whose key (see ``_STAGES``) has passed.
 
 Instances are generated from a catalog of all bounded distributive
 lattices up to a size cap.  The catalog enumerates posets by repeatedly
@@ -383,7 +383,7 @@ _singletons = _listed_w(lambda lat: [(e,) for e in lat.elements])
 
 class _Row:
     """One (chi, W) pair of a scan.  ``ups`` and ``omg`` are the two
-    extensions, evaluated on first use."""
+    extensions, each evaluated on first use; they and ``image`` are keys."""
 
     __slots__ = ("ms", "lat", "dd", "chi", "grades", "w", "w_idx", "_ups", "_omg")
 
@@ -409,48 +409,64 @@ class _Row:
             self._omg = omega_row(self.ms, self.grades, self.w_idx)
         return self._omg
 
+    @property
+    def image(self) -> frozenset[int]:
+        """{w°° : w in W}: all that ``omg`` and every subset's ``ups`` read of W."""
+        return frozenset(self.dd[v] for v in self.w_idx)
+
 
 # The law table: law id -> its stages, in the order they run for each chi.
-# A stage is (test, ws, when): ``test`` maps a row to None, a detail
+# A stage is (test, ws, when, key): ``test`` maps a row to None, a detail
 # string, or (detail, data); ``ws`` gives the reference subsets for
 # (instance, chi); ``when``, unless None, skips the chis that miss the
-# stage's hypothesis.
+# stage's hypothesis; ``key``, unless None, names the row attribute (``ups``,
+# ``omg`` or ``image``) through which alone ``test`` reads W.
 _STAGES: dict[str, list[tuple]] = {}
+_PAIR_STAGES: dict[str, tuple] = {}  # the same for pair laws: (test, key, when)
+
+
+def _firsts(items, keys):
+    """The first of the items sharing each key, in order."""
+    firsts = {}
+    for item, k in zip(items, keys):
+        firsts.setdefault(k, item)
+    return firsts.values()
 
 
 def _scan(pid: str, inst: Instance, *stages: tuple) -> Witness | None:
     """The first failing row: chi in pool order, then the stages in order,
-    then W in the stage's order."""
+    then W in the stage's order, each key's first row only."""
     ms = inst.ms
     for chi in inst.chis:
-        for test, ws, when in stages:
+        for test, ws, when, key in stages:
             if when is not None and not when(ms, chi):
                 continue
-            for w, w_idx in ws(inst, chi):
-                found = test(_Row(ms, chi, w, w_idx))
+            rows = [_Row(ms, chi, w, w_idx) for w, w_idx in ws(inst, chi)]
+            keys = range(len(rows)) if key is None else [getattr(r, key) for r in rows]
+            for row in _firsts(rows, keys):
+                found = test(row)
                 if found is not None:
-                    return _fail(pid, inst, found, chis=[chi], w=w)
+                    return _fail(pid, inst, found, chis=[chi], w=row.w)
     return None
 
 
-def _pair_scan(pid: str, inst: Instance, test, when=None) -> Witness | None:
-    """The first failing (chi1, chi2, W), in that nesting order.  Each
-    (chi, W) row is built once per call and shared by all its pairs."""
+def _pair_scan(pid: str, inst: Instance, test, key, when) -> Witness | None:
+    """The first failing (chi1, chi2, W), in that order, as in ``_scan``."""
     ms = inst.ms
-    ws = _w_sets(inst)
-    rows = [[_Row(ms, chi, w, w_idx) for w, w_idx in ws] for chi in inst.chis]
-    for chi1, rows1 in zip(inst.chis, rows):
-        for chi2, rows2 in zip(inst.chis, rows):
+    rows = [[_Row(ms, chi, w, w_idx) for w, w_idx in _w_sets(inst)] for chi in inst.chis]
+    keys = [[getattr(r, key) for r in row] for row in rows]
+    for chi1, rows1, keys1 in zip(inst.chis, rows, keys):
+        for chi2, rows2, keys2 in zip(inst.chis, rows, keys):
             if when is not None and not when(chi1, chi2):
                 continue
-            for r1, r2 in zip(rows1, rows2):
+            for r1, r2 in _firsts(zip(rows1, rows2), zip(keys1, keys2)):
                 found = test(r1, r2)
                 if found is not None:
                     return _fail(pid, inst, found, chis=[chi1, chi2], w=r1.w)
     return None
 
 
-def _row_law(pid: str, summary: str | None = None, ws=_w_sets, when=None, **kwargs):
+def _row_law(pid: str, summary=None, ws=_w_sets, when=None, key=None, **kwargs):
     """Register a row predicate as a law.  Without a summary it becomes
     the next stage of the law already registered under ``pid``."""
 
@@ -458,17 +474,18 @@ def _row_law(pid: str, summary: str | None = None, ws=_w_sets, when=None, **kwar
         if summary is not None:
             _STAGES[pid] = []
             _law(pid, summary, **kwargs)(lambda inst: _scan(pid, inst, *_STAGES[pid]))
-        _STAGES[pid].append((test, ws, when))
+        _STAGES[pid].append((test, ws, when, key))
         return test
 
     return decorate
 
 
-def _pair_law(pid: str, summary: str, when=None):
+def _pair_law(pid: str, summary: str, key, when=None):
     """Register a law from its predicate over the two rows of a pair."""
 
     def decorate(test):
-        _law(pid, summary)(lambda inst: _pair_scan(pid, inst, test, when))
+        _PAIR_STAGES[pid] = (test, key, when)
+        _law(pid, summary)(lambda inst: _pair_scan(pid, inst, *_PAIR_STAGES[pid]))
         return test
 
     return decorate
@@ -523,7 +540,8 @@ def _check_thm_2_3(inst: Instance):
 
 
 @_row_law("thm-3.1-filter",
-          "the extension of a fuzzy filter is a fuzzy filter containing it")
+          "the extension of a fuzzy filter is a fuzzy filter containing it",
+          key="ups")
 def _thm_3_1_filter(r: _Row):
     if any(u < g for u, g in zip(r.ups, r.grades)):
         return "extension lost ground"
@@ -531,13 +549,8 @@ def _thm_3_1_filter(r: _Row):
         return "extension is not a fuzzy filter", {"upsilon": list(r.ups)}
 
 
-@_law(
-    "thm-3.1-prime",
-    "the extension of a fuzzy filter is a prime fuzzy filter "
-    "(known-refutable; kept as a search target)",
-    search_target=True,
-)
-def _check_thm_3_1_prime(inst: Instance):
+def _prime_stage(inst: Instance) -> tuple:
+    """The one stage of thm-3.1-prime: its test reads the instance's pool."""
     lat = inst.ms.lattice
     universe = tuple(sorted(set(inst.grade_universe) | {ZERO, ONE}))
     # built before any row, so an over-cap universe fails whatever the rows
@@ -553,10 +566,15 @@ def _check_thm_3_1_prime(inst: Instance):
             return ("extension is a non-prime fuzzy filter",
                     {"phi": phi, "psi": psi, "upsilon": ups})
 
-    return _scan("thm-3.1-prime", inst, (test, _w_sets, None))
+    return test, _w_sets, None, "ups"
 
 
-@_row_law("lemma-3.2.1", "monotone in the reference subset")
+_law("thm-3.1-prime", "the extension of a fuzzy filter is a prime fuzzy filter "
+     "(known-refutable; kept as a search target)", search_target=True,
+     )(lambda inst: _scan("thm-3.1-prime", inst, _prime_stage(inst)))
+
+
+@_row_law("lemma-3.2.1", "monotone in the reference subset", key="image")
 def _lemma_3_2_1(r: _Row):
     for z in _subsets(r.w_idx):
         if any(a > b for a, b in zip(upsilon_row(r.ms, r.grades, z), r.ups)):
@@ -564,14 +582,15 @@ def _lemma_3_2_1(r: _Row):
                     {"z": [r.lat.elements[i] for i in z]})
 
 
-@_pair_law("lemma-3.2.2", "monotone in the fuzzy filter",
+@_pair_law("lemma-3.2.2", "monotone in the fuzzy filter", key="image",
            when=lambda chi1, chi2: chi1.is_contained_in(chi2))
 def _lemma_3_2_2(r1: _Row, r2: _Row):
     if any(a > b for a, b in zip(r1.ups, r2.ups)):
         return "extension not monotone in the filter"
 
 
-@_row_law("lemma-3.2.3", "no growth at points above the whole double-negation image")
+@_row_law("lemma-3.2.3", "no growth at points above the whole double-negation image",
+          key="image")
 def _lemma_3_2_3(r: _Row):
     leq = r.lat.leq_table
     for t in range(r.lat.n):
@@ -581,7 +600,7 @@ def _lemma_3_2_3(r: _Row):
 
 @_row_law("lemma-3.2.4",
           "for injective filters, an unmoved point dominates the image",
-          when=lambda ms, chi: len(set(chi.grades)) == ms.lattice.n)
+          when=lambda ms, chi: len(set(chi.grades)) == ms.lattice.n, key="image")
 def _lemma_3_2_4(r: _Row):
     leq = r.lat.leq_table
     for t in range(r.lat.n):
@@ -590,7 +609,8 @@ def _lemma_3_2_4(r: _Row):
 
 
 @_row_law("lemma-3.2.5",
-          "a reference element double-negating to the top forces the constant one")
+          "a reference element double-negating to the top forces the constant one",
+          key="image")
 def _lemma_3_2_5(r: _Row):
     top_i = r.lat.element_index(r.lat.top)
     if any(r.dd[v] == top_i for v in r.w_idx) and any(g != ONE for g in r.ups):
@@ -605,7 +625,8 @@ def _lemma_3_2_6(r: _Row):
         return "extension over a unit-reaching subset is not one"
 
 
-@_row_law("lemma-3.2.7", "a point of grade one comes from the filter or from the image")
+@_row_law("lemma-3.2.7", "a point of grade one comes from the filter or from the image",
+          key="image")
 def _lemma_3_2_7(r: _Row):
     if any(r.grades[r.dd[v]] == ONE for v in r.w_idx):
         return None  # the image supplies grade one
@@ -614,14 +635,15 @@ def _lemma_3_2_7(r: _Row):
             return "grade one appeared from nowhere", {"theta": r.lat.elements[t]}
 
 
-@_pair_law("prop-3.3.1", "extension of a union is the join of the extensions")
+@_pair_law("prop-3.3.1", "extension of a union is the join of the extensions",
+           key="image")
 def _prop_3_3_1(r1: _Row, r2: _Row):
     union = tuple(map(max, r1.grades, r2.grades))
     if tuple(map(max, r1.ups, r2.ups)) != upsilon_row(r1.ms, union, r1.w_idx):
         return "union and extension do not commute"
 
 
-@_row_law("prop-3.3.2", "the extension maps meets to minima")
+@_row_law("prop-3.3.2", "the extension maps meets to minima", key="ups")
 def _prop_3_3_2(r: _Row):
     ups = r.ups
     for i in range(r.lat.n):
@@ -653,7 +675,7 @@ def _canonical_stays_fixed(r: _Row):
         return "a canonical subset moved the filter"
 
 
-@_row_law("prop-3.6", "fixedness is inherited by nonempty subsets of W")
+@_row_law("prop-3.6", "fixedness is inherited by nonempty subsets of W", key="image")
 def _prop_3_6(r: _Row):
     if r.ups != r.grades:
         return None
@@ -663,7 +685,7 @@ def _prop_3_6(r: _Row):
                     {"z": [r.lat.elements[i] for i in z]})
 
 
-@_pair_law("prop-3.7", "a union of fixed filters is fixed")
+@_pair_law("prop-3.7", "a union of fixed filters is fixed", key="image")
 def _prop_3_7(r1: _Row, r2: _Row):
     if r1.ups == r1.grades and r2.ups == r2.grades:
         union = tuple(map(max, r1.grades, r2.grades))
@@ -709,7 +731,7 @@ def _omega_keeps_bottom_fixed(r: _Row):
         return "strong extension over the bottom moved the filter"
 
 
-@_row_law("def-4.1-consistency")
+@_row_law("def-4.1-consistency", key="omg")
 def _omega_grows_and_keeps_unit(r: _Row):
     if any(o < g for o, g in zip(r.omg, r.grades)):
         return "strong extension lost ground"
@@ -717,7 +739,8 @@ def _omega_grows_and_keeps_unit(r: _Row):
         return "strong extension lost the unit"
 
 
-@_row_law("upsilon-subset-omega", "the extension sits inside the strong extension")
+@_row_law("upsilon-subset-omega", "the extension sits inside the strong extension",
+          key="image")
 def _upsilon_subset_omega(r: _Row):
     if any(u > o for u, o in zip(r.ups, r.omg)):
         return "extension escaped the strong extension"
@@ -726,7 +749,8 @@ def _upsilon_subset_omega(r: _Row):
 @_row_law("thm-4.3",
           "the strong extension of a fuzzy filter is a fuzzy filter "
           "(refutable for reference subsets with two or more elements: separate "
-          "maxima need not commute with the meet)")
+          "maxima need not commute with the meet)",
+          key="omg")
 def _thm_4_3(r: _Row):
     omg = FuzzySet(r.lat, r.omg)
     if not classify(r.lat, omg).is_filter:
@@ -735,13 +759,14 @@ def _thm_4_3(r: _Row):
 
 @_row_law("remark-4.4",
           "for join-homomorphic filters the two extensions coincide",
-          when=_join_hom)
+          when=_join_hom, key="image")
 def _remark_4_4(r: _Row):
     if r.ups != r.omg:
         return "extensions split despite join-homomorphism"
 
 
-@_row_law("thm-4.7", "the extension evaluates through any dense element of the image")
+@_row_law("thm-4.7", "the extension evaluates through any dense element of the image",
+          key="image")
 def _thm_4_7(r: _Row):
     lat = r.lat
     image = sorted({r.dd[v] for v in r.w_idx})
@@ -756,7 +781,8 @@ def _thm_4_7(r: _Row):
 
 @_row_law("thm-4.8",
           "the strong extension hits a join exactly when that join is dense "
-          "among the candidate joins")
+          "among the candidate joins",
+          key="image")
 def _thm_4_8(r: _Row):
     lat = r.lat
     for t in range(lat.n):
@@ -773,7 +799,7 @@ def _thm_4_8(r: _Row):
 @_row_law("thm-5.1",
           "join-homomorphic filters extend to lattice homomorphisms, and the "
           "grade-level double negation is inherited",
-          when=_join_hom)
+          when=_join_hom, key="ups")
 def _ups_is_lattice_hom(r: _Row):
     if not hom_report(r.lat, FuzzySet(r.lat, r.ups)).is_lattice_hom:
         return "extension is not a lattice homomorphism"
@@ -784,7 +810,7 @@ def _dd_compatible(ms: MSAlgebra, chi: FuzzySet) -> bool:
     return all(chi.grades[dd[i]] == chi.grades[i] for i in range(ms.lattice.n))
 
 
-@_row_law("thm-5.1", when=_dd_compatible)
+@_row_law("thm-5.1", when=_dd_compatible, key="ups")
 def _ups_dd_compatible(r: _Row):
     if any(r.ups[r.dd[i]] != r.ups[i] for i in range(r.lat.n)):
         return "double-negation compatibility not inherited"
@@ -824,7 +850,7 @@ def _fiber_break(r: _Row, table):
     return None
 
 
-@_row_law("lemma-5.4-meet", "fibers of the extension are meet-closed")
+@_row_law("lemma-5.4-meet", "fibers of the extension are meet-closed", key="ups")
 def _lemma_5_4_meet(r: _Row):
     pair = _fiber_break(r, r.lat.meet_table)
     return None if pair is None else ("a fiber is not meet-closed", {"pair": pair})
@@ -832,7 +858,7 @@ def _lemma_5_4_meet(r: _Row):
 
 @_row_law("lemma-5.4-join",
           "for join-homomorphic filters, fibers of the extension are join-closed",
-          when=_join_hom)
+          when=_join_hom, key="ups")
 def _lemma_5_4_join(r: _Row):
     pair = _fiber_break(r, r.lat.join_table)
     return None if pair is None else ("a fiber is not join-closed", {"pair": pair})

@@ -351,3 +351,108 @@ def test_golden_law_outcomes(golden):
         for pid in pids
     }
     golden("law_outcomes.json", json.dumps(report, indent=2) + "\n")
+
+
+# -- row keys --------------------------------------------------------------------
+
+def _key_oracle_inputs():
+    """The law-outcome inputs (non-filter maps reach the failure paths),
+    then every catalog instance up to four elements over {0, 1/2, 1}."""
+    from msfuzz.verifier import _instance_stream
+
+    yield from _law_outcome_inputs()
+    yield from _instance_stream(SearchConfig(max_elements=4, grade_universe=UNIVERSE3))
+
+
+def _outcome(call):
+    """``pass``, ``fail`` with what was found, or the raised error's name."""
+    from msfuzz import MsfuzzError
+
+    try:
+        found = call()
+    except MsfuzzError as exc:
+        return type(exc).__name__, None
+    return ("pass" if found is None else "fail"), found
+
+
+class _BruteScan:
+    """Every row of a law, nothing skipped: the first outcome that is not a
+    pass (a witness dict or an error name), and the verdicts grouped by
+    chi (or pair), stage and key."""
+
+    def __init__(self, pid, inst):
+        self.pid, self.inst = pid, inst
+        self.first, self.classes = None, {}
+
+    def visit(self, test, rows, chis, group, w):
+        from msfuzz.verifier import _fail
+
+        verdict, found = _outcome(lambda: test(*rows))
+        if group is not None:
+            self.classes.setdefault(group, set()).add(verdict)
+        if verdict != "pass" and self.first is None:
+            self.first = verdict if found is None else _fail(
+                self.pid, self.inst, found, chis=chis, w=w).to_dict()
+
+    def stages(self, stages):
+        from msfuzz.verifier import _Row
+
+        ms = self.inst.ms
+        for chi in self.inst.chis:
+            for s, (test, ws, when, key) in enumerate(stages):
+                if when is not None and not when(ms, chi):
+                    continue
+                for w, w_idx in ws(self.inst, chi):
+                    row = _Row(ms, chi, w, w_idx)
+                    group = None if key is None else (chi, s, getattr(row, key))
+                    self.visit(test, [row], [chi], group, w)
+        return self
+
+    def pairs(self, test, key, when):
+        from msfuzz.verifier import _Row, _w_sets
+
+        ms = self.inst.ms
+        for chi1 in self.inst.chis:
+            for chi2 in self.inst.chis:
+                if when is not None and not when(chi1, chi2):
+                    continue
+                for w, w_idx in _w_sets(self.inst):
+                    rows = [_Row(ms, chi1, w, w_idx), _Row(ms, chi2, w, w_idx)]
+                    group = (chi1, chi2, *(getattr(r, key) for r in rows))
+                    self.visit(test, rows, [chi1, chi2], group, w)
+        return self
+
+
+def _brute_scan(pid, inst):
+    from msfuzz.verifier import _PAIR_STAGES, _STAGES, _prime_stage
+
+    scan = _BruteScan(pid, inst)
+    if pid in _PAIR_STAGES:
+        return scan.pairs(*_PAIR_STAGES[pid])
+    return scan.stages(_STAGES[pid] if pid in _STAGES else [_prime_stage(inst)])
+
+
+def test_row_keys_agree_with_brute_force():
+    """Each declared key is no wider than what its predicate reads: rows
+    of one chi (or pair) and stage with equal keys share a verdict, and
+    the full scan's first failing row is the skipping scan's witness."""
+    from msfuzz.verifier import _PAIR_STAGES, _STAGES
+
+    pids = [*_STAGES, "thm-3.1-prime", *_PAIR_STAGES]
+    keyed = [pid for pid in _STAGES if any(stage[3] for stage in _STAGES[pid])]
+    assert len(keyed) + 1 + len(_PAIR_STAGES) == 21
+    checked = {"classes": 0, "fail": 0, "error": 0}
+    for inst in _key_oracle_inputs():
+        for pid in pids:
+            verdict, witness = _outcome(lambda: run_property(pid, inst))
+            if verdict == "HypothesisUnmet":
+                continue
+            scan = _brute_scan(pid, inst)
+            mixed = [k for k, verdicts in scan.classes.items() if len(verdicts) > 1]
+            assert not mixed, (pid, mixed[0][-1])
+            expected = witness.to_dict() if witness is not None else (
+                None if verdict == "pass" else verdict)
+            assert scan.first == expected, pid
+            checked["classes"] += len(scan.classes)
+            checked["fail" if witness is not None else "error"] += verdict != "pass"
+    assert all(checked.values()), checked
