@@ -59,8 +59,8 @@ class CanonicalFixedSet:
 
 
 def _w_indices(ms: MSAlgebra, chi: FuzzySet, w_subset) -> list[int]:
-    """The sorted indices of a nonempty W, once chi is known to live on
-    the algebra's lattice."""
+    """The sorted indices of a nonempty W, after checking that chi lives
+    on the algebra's lattice."""
     lat = ms.lattice
     if chi.carrier != lat:
         raise CarrierMismatch("grade map does not live on the algebra's lattice")
