@@ -21,16 +21,16 @@ from .errors import InternalInvariantError, MsfuzzError
 from .extensions import extend as extend_op
 from .extensions import fixed_witness_sets, is_fixed_relative
 from .file_format import AlgebraDocument, document_to_objects, parse_algebra
-from .fuzzy_core import FuzzySet, classify, fuzzy_filter_report
+from .fuzzy_core import FuzzySet, fuzzy_filter_report
 from .grades import format_grade, parse_grade
 from .lattice_core import FiniteLattice, build_lattice
 from .ms_algebra import MSAlgebra
 from .report import Check, VerificationReport
 from .verifier import (
-    Instance,
     SearchConfig,
     SweepReport,
     Witness,
+    document_instance,
     properties,
     run_property,
     search_counterexample,
@@ -307,19 +307,12 @@ def verify(ctx, file, props_text):
     """Run registered laws against the instance in FILE."""
     doc = _load_document(file)
     try:
-        lat, ms, named = document_to_objects(doc)
+        instance = document_instance(doc)
     except MsfuzzError as exc:
         raise click.UsageError(f"{file}: {exc}")
-    chis = tuple(fs for fs in named.values() if classify(lat, fs).is_filter)
-    universe = tuple(sorted(
-        {g for fs in named.values() for g in fs.grades}
-        | {Fraction(0), Fraction(1)}
-    ))
-    instance = Instance(ms=ms, chis=chis, grade_universe=universe)
 
-    if props_text:
-        pids = [tok.strip() for tok in props_text.split(",") if tok.strip()]
-    else:
+    pids = _parse_props(props_text)
+    if pids is None:
         pids = [rec.pid for rec in properties() if rec.fixture is None]
 
     rows = []
@@ -356,6 +349,16 @@ def verify(ctx, file, props_text):
     lines.append("  all laws hold" if all_pass else "  some laws failed or were skipped")
     _emit(ctx, payload, "\n".join(lines))
     ctx.exit(0 if all_pass else 1)
+
+
+def _parse_props(text):
+    """The law ids of ``--props``, or None when it is not given."""
+    if text is None:
+        return None
+    pids = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not pids:
+        raise click.UsageError("--props names no law")
+    return pids
 
 
 def _sweep_config(max_n, grades_text, seed, iters):
@@ -408,11 +411,8 @@ def _sweep_text(report: SweepReport) -> str:
 def sweep_cmd(ctx, max_n, grades_text, props_text, seed, iters):
     """Run laws over every instance up to a size cap."""
     cfg = _sweep_config(max_n, grades_text, seed, iters)
-    pids = None
-    if props_text:
-        pids = [tok.strip() for tok in props_text.split(",") if tok.strip()]
     try:
-        report = run_sweep(pids, cfg)
+        report = run_sweep(_parse_props(props_text), cfg)
     except UnknownProperty as exc:
         raise click.UsageError(str(exc))
     payload = {"schema": SCHEMA, "command": "sweep"}

@@ -10,7 +10,9 @@ only evaluators; everything else here and the law table in the verifier
 call them.  Both are raw: they accept invalid negation tables and
 non-filter grade maps on purpose, so flawed instances still evaluate to
 their exact grades; the law suite in the verifier applies them only to
-validated instances.
+validated instances.  Each helper computes its fact one way; the laws
+that state the equivalences behind them (def-3.4-consistency, thm-4.7,
+thm-4.8) live in the verifier.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CarrierMismatch, EmptyW, InternalInvariantError, UnknownElement
+from .errors import CarrierMismatch, EmptyW, UnknownElement
 from .fuzzy_core import FuzzySet
 from .ms_algebra import MSAlgebra
 
@@ -83,6 +85,13 @@ def upsilon_row(ms: MSAlgebra, grades, w_idx) -> tuple[Fraction, ...]:
     return tuple(base if g < base else g for g in grades)
 
 
+def dense_certificate(ms: MSAlgebra, grades, w_idx) -> int:
+    """The first (in element order) index of the double-negation image of
+    W with the maximal grade there, unchecked like ``upsilon_row``."""
+    dd = ms.dneg_table()
+    return max(sorted({dd[w] for w in w_idx}), key=grades.__getitem__)
+
+
 def omega_row(ms: MSAlgebra, grades, w_idx) -> tuple[Fraction, ...]:
     """omega on element indices, unchecked like ``upsilon_row``."""
     dd = ms.dneg_table()
@@ -118,17 +127,10 @@ def omega(ms: MSAlgebra, chi: FuzzySet, w_subset) -> FuzzySet:
 
 
 def is_fixed_relative(ms: MSAlgebra, chi: FuzzySet, w_subset) -> bool:
-    """True when the extension does not move chi.
-
-    Computed both as pointwise equality of upsilon with chi and as
-    base grade <= min grade; the two routes must agree.
-    """
+    """True when the extension does not move chi: upsilon equals chi
+    pointwise."""
     w_idx = _w_indices(ms, chi, w_subset)
-    pointwise = upsilon_row(ms, chi.grades, w_idx) == chi.grades
-    via_base = _base_grade(ms, chi.grades, w_idx) <= min(chi.grades)
-    if pointwise != via_base:
-        raise InternalInvariantError("fixedness routes disagree")
-    return pointwise
+    return upsilon_row(ms, chi.grades, w_idx) == chi.grades
 
 
 def fixed_witness_sets(ms: MSAlgebra, chi: FuzzySet) -> list[CanonicalFixedSet]:
@@ -176,34 +178,21 @@ def upsilon_via_dense(ms: MSAlgebra, chi: FuzzySet, w_subset, theta: str
     """Evaluate upsilon at one point through a dense element certificate.
 
     Picks the first (in element order) argmax element of chi over the
-    double-negation image of W and returns (grade, certificate).  The
-    grade is cross-checked against the direct evaluation.
+    double-negation image of W and returns (grade, certificate).  That
+    this grade is upsilon's is law thm-4.7.
     """
-    lat = ms.lattice
     w_idx = _w_indices(ms, chi, w_subset)
-    dd = ms.dneg_table()
-    image = sorted({dd[w] for w in w_idx})
-    dense = dense_elements(chi, [lat.elements[i] for i in image])
-    certificate = min(dense.members, key=lat.element_index)
-    value = max(chi(theta), chi(certificate))
-    direct = upsilon(ms, chi, w_subset)(theta)
-    if value != direct:
-        raise InternalInvariantError(
-            f"dense-element evaluation {value} differs from direct {direct}"
-        )
-    return value, certificate
+    d = dense_certificate(ms, chi.grades, w_idx)
+    return max(chi(theta), chi.grades[d]), ms.lattice.elements[d]
 
 
 def omega_dense_equivalence(ms: MSAlgebra, chi: FuzzySet, w_subset,
                             theta: str, w: str) -> bool:
-    """Shared truth value of the two sides of the dense-element reading
-    of omega at one point:
+    """The dense-element reading of omega at one point: whether
+    theta join w'' attains the maximal grade among {theta join v'' : v in W}.
 
-        omega(theta) equals chi(theta join w'')
-        iff theta join w'' attains the maximal grade among
-        {theta join v'' : v in W}.
-
-    The equivalence itself is asserted; the common verdict is returned.
+    Law thm-4.8 states that this holds exactly when omega(theta) equals
+    chi(theta join w'').
     """
     lat = ms.lattice
     w_idx = _w_indices(ms, chi, w_subset)
@@ -213,8 +202,4 @@ def omega_dense_equivalence(ms: MSAlgebra, chi: FuzzySet, w_subset,
     t = lat.element_index(theta)
     join_elements = [lat.elements[lat.join_table[t][dd[v]]] for v in w_idx]
     this_join = lat.elements[lat.join_table[t][dd[lat.element_index(w)]]]
-    lhs = omega(ms, chi, w_subset)(theta) == chi(this_join)
-    rhs = this_join in dense_elements(chi, join_elements).members
-    if lhs != rhs:
-        raise InternalInvariantError("dense-element equivalence broke")
-    return lhs
+    return this_join in dense_elements(chi, join_elements).members

@@ -10,7 +10,6 @@ from fractions import Fraction
 from .errors import (
     CarrierMismatch,
     GradeOutOfRange,
-    InternalInvariantError,
     NotProper,
     SizeCapExceeded,
 )
@@ -81,40 +80,13 @@ def fuzzy_intersection(a: FuzzySet, b: FuzzySet) -> FuzzySet:
     return FuzzySet(a.carrier, tuple(min(x, y) for x, y in zip(a.grades, b.grades)))
 
 
-def _filter_by_definition(lat: FiniteLattice, g: tuple[Fraction, ...]) -> bool:
-    if g[lat.element_index(lat.top)] != ONE:
-        return False
-    n = lat.n
-    for i in range(n):
-        for j in range(n):
-            if g[lat.meet_table[i][j]] < min(g[i], g[j]):
-                return False
-            if g[lat.join_table[i][j]] < max(g[i], g[j]):
-                return False
-    return True
-
-
-def _ideal_by_definition(lat: FiniteLattice, g: tuple[Fraction, ...]) -> bool:
-    if g[lat.element_index(lat.bottom)] != ONE:
-        return False
-    n = lat.n
-    for i in range(n):
-        for j in range(n):
-            if g[lat.meet_table[i][j]] < max(g[i], g[j]):
-                return False
-            if g[lat.join_table[i][j]] < min(g[i], g[j]):
-                return False
-    return True
-
-
 def classify(lat: FiniteLattice, chi: FuzzySet) -> FuzzyClassification:
     """Classify a fuzzy set as sublattice / ideal / filter / proper.
 
-    Filters are decided by the two-clause characterization (unit grade 1
-    and meets mapped to minima); the three-clause definition is evaluated
-    as well and any disagreement raises, since the two are provably
-    equivalent.  Dually for ideals.  The reported witness is the first
-    pair breaking the filter meet equality, scanning in element order.
+    Filters are decided by the two-clause characterization: unit grade 1
+    and meets mapped to minima.  Dually for ideals.  The reported witness
+    is the first pair breaking the filter meet equality, scanning in
+    element order.
     """
     if chi.carrier != lat:
         raise CarrierMismatch("fuzzy set does not live on the given lattice")
@@ -148,15 +120,6 @@ def classify(lat: FiniteLattice, chi: FuzzySet) -> FuzzyClassification:
         for i in range(n) for j in range(n)
     )
     ideal_char = g[lat.element_index(lat.bottom)] == ONE and join_equal
-
-    if filter_char != _filter_by_definition(lat, g):
-        raise InternalInvariantError(
-            "filter definition and characterization disagree"
-        )
-    if ideal_char != _ideal_by_definition(lat, g):
-        raise InternalInvariantError(
-            "ideal definition and characterization disagree"
-        )
 
     return FuzzyClassification(
         is_sublattice=sublattice,

@@ -10,7 +10,7 @@ theorem machinery requires it, the evaluators do not.
 from __future__ import annotations
 
 from .errors import EmptyW, SizeCapExceeded, UnknownElement
-from .lattice_core import FilterSet, FiniteLattice, is_filter
+from .lattice_core import FilterSet, FiniteLattice
 from .report import Check, VerificationReport
 
 MS_ENUM_CAP = 8
@@ -181,8 +181,9 @@ def verify_derived_identities(ms: MSAlgebra) -> VerificationReport:
 
 def extended_filter_crisp(ms: MSAlgebra, filt: FilterSet, w_subset) -> FilterSet:
     """Crisp extension: elements whose join with every double-negated
-    reference element lands in the filter.  Always a filter containing
-    the input (this needs only distributivity, not a valid table)."""
+    reference element lands in the filter.  That it is a filter containing
+    the input (which needs only distributivity, not a valid table) is law
+    thm-2.3-extended-filter."""
     lat = ms.lattice
     w_idx = [lat.element_index(w) for w in w_subset]
     if not w_idx:
@@ -193,9 +194,7 @@ def extended_filter_crisp(ms: MSAlgebra, filt: FilterSet, w_subset) -> FilterSet
     for i in range(lat.n):
         if all(inside[lat.join_table[i][dd[w]]] for w in w_idx):
             members.add(lat.elements[i])
-    result = FilterSet(lat, frozenset(members))
-    assert is_filter(lat, result.members).ok and filt.members <= result.members
-    return result
+    return FilterSet(lat, frozenset(members))
 
 
 def enumerate_ms_operations(lat: FiniteLattice, max_elements: int = MS_ENUM_CAP

@@ -6,7 +6,9 @@ receives an Instance -- an algebra plus a pool of candidate fuzzy
 filters and a grade universe -- and returns the first violation as a
 replayable Witness or None.  Most laws are predicates over one (chi, W)
 row; a shared scan visits the rows in one order (chi in pool order, then
-W in mask order), and skips a row whose key (see ``_STAGES``) has passed.
+W in mask order).  It visits the first W of each double-negation image
+{w°° : w in W}, all that the extensions read of W, and in a stage keyed
+by ``ups`` or ``omg`` (see ``_STAGES``) the first row of each key.
 
 Instances are generated from a catalog of all bounded distributive
 lattices up to a size cap.  The catalog enumerates posets by repeatedly
@@ -31,13 +33,15 @@ from .errors import (
     UnknownProperty,
 )
 from .extensions import (
+    dense_certificate,
     dense_elements,
     fixed_witness_sets,
     is_fixed_relative,
     omega_row,
     upsilon_row,
 )
-from .file_format import document_from_objects, serialize_algebra
+from .file_format import document_from_objects, document_to_objects, serialize_algebra
+from .fixtures import load_fixture
 from .fuzzy_core import (
     FuzzySet,
     classify,
@@ -364,13 +368,31 @@ def _mask_w_sets(lat: FiniteLattice):
     return tuple(_named(lat, w) for w in _subsets(lat.elements))
 
 
+def _every_w(lat: FiniteLattice, w_sets) -> tuple:
+    """The reference subsets as (names, indices): the given ``w_sets`` in
+    their order, else every nonempty subset in mask order."""
+    return _mask_w_sets(lat) if w_sets is None else tuple(_named(lat, w) for w in w_sets)
+
+
+def _firsts(items, keys):
+    """The first of the items sharing each key, in order."""
+    firsts = {}
+    for item, k in zip(items, keys):
+        firsts.setdefault(k, item)
+    return firsts.values()
+
+
+@lru_cache(maxsize=None)
+def _image_w_sets(lat: FiniteLattice, dd: tuple[int, ...], w_sets) -> tuple:
+    """The first reference subset of each double-negation image {w°° : w in
+    W}: all that ``upsilon``, ``omega`` and the crisp extension read of W."""
+    every = _every_w(lat, w_sets)
+    return tuple(_firsts(every, (frozenset(dd[v] for v in w_idx) for _, w_idx in every)))
+
+
 def _w_sets(inst: Instance, chi: FuzzySet | None = None):
-    """The reference subsets of an instance as (names, indices): the given
-    ``w_sets`` in their order, else every nonempty subset in mask order."""
-    lat = inst.ms.lattice
-    if inst.w_sets is not None:
-        return [_named(lat, w) for w in inst.w_sets]
-    return _mask_w_sets(lat)
+    """The default W source: the first W of each double-negation image."""
+    return _image_w_sets(inst.ms.lattice, inst.ms.dneg_table(), inst.w_sets)
 
 
 def _listed_w(pick):
@@ -383,7 +405,7 @@ _singletons = _listed_w(lambda lat: [(e,) for e in lat.elements])
 
 class _Row:
     """One (chi, W) pair of a scan.  ``ups`` and ``omg`` are the two
-    extensions, each evaluated on first use; they and ``image`` are keys."""
+    extensions, each evaluated on first use; they are the keys."""
 
     __slots__ = ("ms", "lat", "dd", "chi", "grades", "w", "w_idx", "_ups", "_omg")
 
@@ -409,28 +431,15 @@ class _Row:
             self._omg = omega_row(self.ms, self.grades, self.w_idx)
         return self._omg
 
-    @property
-    def image(self) -> frozenset[int]:
-        """{w°° : w in W}: all that ``omg`` and every subset's ``ups`` read of W."""
-        return frozenset(self.dd[v] for v in self.w_idx)
-
 
 # The law table: law id -> its stages, in the order they run for each chi.
 # A stage is (test, ws, when, key): ``test`` maps a row to None, a detail
 # string, or (detail, data); ``ws`` gives the reference subsets for
 # (instance, chi); ``when``, unless None, skips the chis that miss the
-# stage's hypothesis; ``key``, unless None, names the row attribute (``ups``,
-# ``omg`` or ``image``) through which alone ``test`` reads W.
+# stage's hypothesis; ``key``, unless None, names the row attribute (``ups``
+# or ``omg``) through which alone ``test`` reads W.
 _STAGES: dict[str, list[tuple]] = {}
-_PAIR_STAGES: dict[str, tuple] = {}  # the same for pair laws: (test, key, when)
-
-
-def _firsts(items, keys):
-    """The first of the items sharing each key, in order."""
-    firsts = {}
-    for item, k in zip(items, keys):
-        firsts.setdefault(k, item)
-    return firsts.values()
+_PAIR_STAGES: dict[str, tuple] = {}  # the same for pair laws: (test, when)
 
 
 def _scan(pid: str, inst: Instance, *stages: tuple) -> Witness | None:
@@ -442,24 +451,24 @@ def _scan(pid: str, inst: Instance, *stages: tuple) -> Witness | None:
             if when is not None and not when(ms, chi):
                 continue
             rows = [_Row(ms, chi, w, w_idx) for w, w_idx in ws(inst, chi)]
-            keys = range(len(rows)) if key is None else [getattr(r, key) for r in rows]
-            for row in _firsts(rows, keys):
+            if key is not None:
+                rows = _firsts(rows, [getattr(r, key) for r in rows])
+            for row in rows:
                 found = test(row)
                 if found is not None:
                     return _fail(pid, inst, found, chis=[chi], w=row.w)
     return None
 
 
-def _pair_scan(pid: str, inst: Instance, test, key, when) -> Witness | None:
+def _pair_scan(pid: str, inst: Instance, test, when) -> Witness | None:
     """The first failing (chi1, chi2, W), in that order, as in ``_scan``."""
     ms = inst.ms
     rows = [[_Row(ms, chi, w, w_idx) for w, w_idx in _w_sets(inst)] for chi in inst.chis]
-    keys = [[getattr(r, key) for r in row] for row in rows]
-    for chi1, rows1, keys1 in zip(inst.chis, rows, keys):
-        for chi2, rows2, keys2 in zip(inst.chis, rows, keys):
+    for chi1, rows1 in zip(inst.chis, rows):
+        for chi2, rows2 in zip(inst.chis, rows):
             if when is not None and not when(chi1, chi2):
                 continue
-            for r1, r2 in _firsts(zip(rows1, rows2), zip(keys1, keys2)):
+            for r1, r2 in zip(rows1, rows2):
                 found = test(r1, r2)
                 if found is not None:
                     return _fail(pid, inst, found, chis=[chi1, chi2], w=r1.w)
@@ -480,11 +489,11 @@ def _row_law(pid: str, summary=None, ws=_w_sets, when=None, key=None, **kwargs):
     return decorate
 
 
-def _pair_law(pid: str, summary: str, key, when=None):
+def _pair_law(pid: str, summary: str, when=None):
     """Register a law from its predicate over the two rows of a pair."""
 
     def decorate(test):
-        _PAIR_STAGES[pid] = (test, key, when)
+        _PAIR_STAGES[pid] = (test, when)
         _law(pid, summary)(lambda inst: _pair_scan(pid, inst, *_PAIR_STAGES[pid]))
         return test
 
@@ -574,7 +583,7 @@ _law("thm-3.1-prime", "the extension of a fuzzy filter is a prime fuzzy filter "
      )(lambda inst: _scan("thm-3.1-prime", inst, _prime_stage(inst)))
 
 
-@_row_law("lemma-3.2.1", "monotone in the reference subset", key="image")
+@_row_law("lemma-3.2.1", "monotone in the reference subset")
 def _lemma_3_2_1(r: _Row):
     for z in _subsets(r.w_idx):
         if any(a > b for a, b in zip(upsilon_row(r.ms, r.grades, z), r.ups)):
@@ -582,15 +591,14 @@ def _lemma_3_2_1(r: _Row):
                     {"z": [r.lat.elements[i] for i in z]})
 
 
-@_pair_law("lemma-3.2.2", "monotone in the fuzzy filter", key="image",
+@_pair_law("lemma-3.2.2", "monotone in the fuzzy filter",
            when=lambda chi1, chi2: chi1.is_contained_in(chi2))
 def _lemma_3_2_2(r1: _Row, r2: _Row):
     if any(a > b for a, b in zip(r1.ups, r2.ups)):
         return "extension not monotone in the filter"
 
 
-@_row_law("lemma-3.2.3", "no growth at points above the whole double-negation image",
-          key="image")
+@_row_law("lemma-3.2.3", "no growth at points above the whole double-negation image")
 def _lemma_3_2_3(r: _Row):
     leq = r.lat.leq_table
     for t in range(r.lat.n):
@@ -600,7 +608,7 @@ def _lemma_3_2_3(r: _Row):
 
 @_row_law("lemma-3.2.4",
           "for injective filters, an unmoved point dominates the image",
-          when=lambda ms, chi: len(set(chi.grades)) == ms.lattice.n, key="image")
+          when=lambda ms, chi: len(set(chi.grades)) == ms.lattice.n)
 def _lemma_3_2_4(r: _Row):
     leq = r.lat.leq_table
     for t in range(r.lat.n):
@@ -609,8 +617,7 @@ def _lemma_3_2_4(r: _Row):
 
 
 @_row_law("lemma-3.2.5",
-          "a reference element double-negating to the top forces the constant one",
-          key="image")
+          "a reference element double-negating to the top forces the constant one")
 def _lemma_3_2_5(r: _Row):
     top_i = r.lat.element_index(r.lat.top)
     if any(r.dd[v] == top_i for v in r.w_idx) and any(g != ONE for g in r.ups):
@@ -625,8 +632,7 @@ def _lemma_3_2_6(r: _Row):
         return "extension over a unit-reaching subset is not one"
 
 
-@_row_law("lemma-3.2.7", "a point of grade one comes from the filter or from the image",
-          key="image")
+@_row_law("lemma-3.2.7", "a point of grade one comes from the filter or from the image")
 def _lemma_3_2_7(r: _Row):
     if any(r.grades[r.dd[v]] == ONE for v in r.w_idx):
         return None  # the image supplies grade one
@@ -635,8 +641,7 @@ def _lemma_3_2_7(r: _Row):
             return "grade one appeared from nowhere", {"theta": r.lat.elements[t]}
 
 
-@_pair_law("prop-3.3.1", "extension of a union is the join of the extensions",
-           key="image")
+@_pair_law("prop-3.3.1", "extension of a union is the join of the extensions")
 def _prop_3_3_1(r1: _Row, r2: _Row):
     union = tuple(map(max, r1.grades, r2.grades))
     if tuple(map(max, r1.ups, r2.ups)) != upsilon_row(r1.ms, union, r1.w_idx):
@@ -657,7 +662,8 @@ def _prop_3_3_2(r: _Row):
           "both fixedness routes agree, and the canonical subsets never move "
           "a fuzzy filter")
 def _fixedness_routes_agree(r: _Row):
-    if (r.ups == r.grades) != is_fixed_relative(r.ms, r.chi, r.w):
+    base = max(r.grades[r.dd[v]] for v in r.w_idx)
+    if (r.ups == r.grades) != (base <= min(r.grades)):
         return "fixedness routes disagree"
 
 
@@ -675,7 +681,7 @@ def _canonical_stays_fixed(r: _Row):
         return "a canonical subset moved the filter"
 
 
-@_row_law("prop-3.6", "fixedness is inherited by nonempty subsets of W", key="image")
+@_row_law("prop-3.6", "fixedness is inherited by nonempty subsets of W")
 def _prop_3_6(r: _Row):
     if r.ups != r.grades:
         return None
@@ -685,7 +691,7 @@ def _prop_3_6(r: _Row):
                     {"z": [r.lat.elements[i] for i in z]})
 
 
-@_pair_law("prop-3.7", "a union of fixed filters is fixed", key="image")
+@_pair_law("prop-3.7", "a union of fixed filters is fixed")
 def _prop_3_7(r1: _Row, r2: _Row):
     if r1.ups == r1.grades and r2.ups == r2.grades:
         union = tuple(map(max, r1.grades, r2.grades))
@@ -739,8 +745,7 @@ def _omega_grows_and_keeps_unit(r: _Row):
         return "strong extension lost the unit"
 
 
-@_row_law("upsilon-subset-omega", "the extension sits inside the strong extension",
-          key="image")
+@_row_law("upsilon-subset-omega", "the extension sits inside the strong extension")
 def _upsilon_subset_omega(r: _Row):
     if any(u > o for u, o in zip(r.ups, r.omg)):
         return "extension escaped the strong extension"
@@ -759,30 +764,24 @@ def _thm_4_3(r: _Row):
 
 @_row_law("remark-4.4",
           "for join-homomorphic filters the two extensions coincide",
-          when=_join_hom, key="image")
+          when=_join_hom)
 def _remark_4_4(r: _Row):
     if r.ups != r.omg:
         return "extensions split despite join-homomorphism"
 
 
-@_row_law("thm-4.7", "the extension evaluates through any dense element of the image",
-          key="image")
+@_row_law("thm-4.7", "the extension evaluates through any dense element of the image")
 def _thm_4_7(r: _Row):
-    lat = r.lat
-    image = sorted({r.dd[v] for v in r.w_idx})
-    dense = dense_elements(r.chi, [lat.elements[i] for i in image])
-    for d in dense.members:
-        gd = r.chi(d)
-        for t in range(lat.n):
-            if r.ups[t] != max(r.grades[t], gd):
-                return ("dense-element evaluation is off",
-                        {"dense": d, "theta": lat.elements[t]})
+    d = dense_certificate(r.ms, r.grades, r.w_idx)  # dense elements share a grade
+    for t in range(r.lat.n):
+        if r.ups[t] != max(r.grades[t], r.grades[d]):
+            return ("dense-element evaluation is off",
+                    {"dense": r.lat.elements[d], "theta": r.lat.elements[t]})
 
 
 @_row_law("thm-4.8",
           "the strong extension hits a join exactly when that join is dense "
-          "among the candidate joins",
-          key="image")
+          "among the candidate joins")
 def _thm_4_8(r: _Row):
     lat = r.lat
     for t in range(lat.n):
@@ -922,18 +921,19 @@ _registry_self_check()
 # running properties
 # ---------------------------------------------------------------------------
 
-def fixture_instance(name: str) -> Instance:
-    from .file_format import document_to_objects
-    from .fixtures import load_fixture
-
-    lat, ms, named = document_to_objects(load_fixture(name))
-    chis = tuple(
-        fs for fs in named.values() if classify(lat, fs).is_filter
-    )
+def document_instance(doc) -> Instance:
+    """The instance a document describes: its named maps that are fuzzy
+    filters, over their grades together with 0 and 1."""
+    lat, ms, named = document_to_objects(doc)
+    chis = tuple(fs for fs in named.values() if classify(lat, fs).is_filter)
     universe = tuple(sorted(
         {g for fs in named.values() for g in fs.grades} | {ZERO, ONE}
     ))
     return Instance(ms=ms, chis=chis, grade_universe=universe)
+
+
+def fixture_instance(name: str) -> Instance:
+    return document_instance(load_fixture(name))
 
 
 def run_property(pid: str, instance: Instance) -> Witness | None:
@@ -1046,7 +1046,7 @@ def _neg_closure_stats(inst: Instance) -> tuple[int, int]:
     neg = ms.neg_table
     closed = total = 0
     for chi in inst.chis:
-        for w, w_idx in _w_sets(inst):
+        for w, w_idx in _every_w(ms.lattice, inst.w_sets):
             for fiber in _fibers(_Row(ms, chi, w, w_idx).ups):
                 members = set(fiber)
                 total += 1

@@ -237,9 +237,13 @@ def test_sweep_bad_grades_usage(runner):
     (["sweep", "--max-n", "2", "--seed", "3"], "--seed needs --iters"),
     (["search", "--prop", "lemma-3.2.1", "--max-n", "0"],
      "max_elements must be at least 1"),
+    (["sweep", "--max-n", "3", "--props", ","], "--props names no law"),
+    (["verify", "--props", ",", "diamond"], "--props names no law"),
 ])
-def test_vacuous_runs_are_usage_errors(runner, args, message):
+def test_vacuous_runs_are_usage_errors(runner, fixture_file, args, message):
     """A run that would check nothing exits 2 instead of reporting a pass."""
+    if args[0] == "verify":
+        args = args[:-1] + [fixture_file(args[-1])]
     result = runner.invoke(cli, args)
     assert result.exit_code == 2
     assert message in result.output

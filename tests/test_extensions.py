@@ -188,6 +188,27 @@ def test_upsilon_via_dense_agrees_everywhere():
                         assert value == upsilon(ms, chi, w)(theta)
 
 
+def test_omega_dense_reading_agrees_with_omega():
+    """Both sides of the dense-element reading, for every (chi, W, theta,
+    w) up to four elements: omega(theta) = chi(theta join w'') exactly when
+    theta join w'' is dense among the joins, and the helper returns it."""
+    for lat in lattice_catalog(4):
+        for neg in enumerate_ms_operations(lat):
+            ms = MSAlgebra(lat, neg)
+            for chi in enumerate_fuzzy_filters(lat, UNIVERSE3):
+                for w_subset in all_w_subsets(lat):
+                    om = omega(ms, chi, w_subset)
+                    for theta in lat.elements:
+                        joins = [lat.join(theta, ms.negate(ms.negate(v)))
+                                 for v in w_subset]
+                        dense = dense_elements(chi, joins).members
+                        for w, join in zip(w_subset, joins):
+                            hit = om(theta) == chi(join)
+                            assert hit == (join in dense)
+                            assert omega_dense_equivalence(
+                                ms, chi, w_subset, theta, w) == hit
+
+
 def test_omega_dense_equivalence(example4_printed):
     lat, ms, chi = example4_printed
     assert omega_dense_equivalence(ms, chi, ["y", "0"], "x", "y") is True

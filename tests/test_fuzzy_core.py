@@ -43,6 +43,19 @@ def filter_by_definition(lat, fs):
     return True
 
 
+def ideal_by_definition(lat, fs):
+    """Oracle: the order dual of ``filter_by_definition``."""
+    if fs(lat.bottom) != 1:
+        return False
+    for a in lat.elements:
+        for b in lat.elements:
+            if fs(lat.join(a, b)) < min(fs(a), fs(b)):
+                return False
+            if fs(lat.meet(a, b)) < max(fs(a), fs(b)):
+                return False
+    return True
+
+
 # -- pointwise algebra ---------------------------------------------------------
 
 def test_union_intersection(diamond):
@@ -119,13 +132,29 @@ def test_filter_characterization_equivalence(lat_builder, diamond):
         assert classify(lat, fs).is_filter == filter_by_definition(lat, fs)
 
 
+def test_classify_matches_definitions_across_catalog():
+    """classify decides filters and ideals by their characterizations; the
+    definitions agree on every grade map over {0, 1/2, 1} up to six elements."""
+    seen = {"filter": 0, "ideal": 0}
+    for lat in lattice_catalog(6):
+        for values in product(UNIVERSE3, repeat=lat.n):
+            fs = FuzzySet(lat, values)
+            cls = classify(lat, fs)
+            assert cls.is_filter == filter_by_definition(lat, fs), values
+            assert cls.is_ideal == ideal_by_definition(lat, fs), values
+            seen["filter"] += cls.is_filter
+            seen["ideal"] += cls.is_ideal
+    assert all(seen.values())
+
+
 @given(st.lists(small_grades, min_size=4, max_size=4))
 def test_classify_never_diverges_on_random_maps(values):
     lat = build_lattice(["0", "a", "b", "1"],
                         [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
     fs = FuzzySet(lat, tuple(values))
-    cls = classify(lat, fs)  # must not raise the internal cross-check
+    cls = classify(lat, fs)
     assert cls.is_filter == filter_by_definition(lat, fs)
+    assert cls.is_ideal == ideal_by_definition(lat, fs)
     if cls.is_filter or cls.is_ideal:
         assert cls.is_sublattice
     if cls.is_filter:

@@ -13,6 +13,7 @@ from msfuzz import (
     enumerate_filters,
     enumerate_ms_operations,
     extended_filter_crisp,
+    is_filter,
     principal_filter,
     verify_derived_identities,
 )
@@ -139,6 +140,7 @@ def test_extended_filter_laws():
             for filt in filters:
                 for w in all_w_subsets(lat):
                     ext = extended_filter_crisp(ms, filt, w)
+                    assert is_filter(lat, ext.members).ok
                     assert filt.members <= ext.members
                     singletons = [
                         extended_filter_crisp(ms, filt, [x]).members for x in w

@@ -375,13 +375,21 @@ def _outcome(call):
     return ("pass" if found is None else "fail"), found
 
 
+def _image(ms, w_idx):
+    return frozenset(ms.dneg_table()[v] for v in w_idx)
+
+
 class _BruteScan:
-    """Every row of a law, nothing skipped: the first outcome that is not a
-    pass (a witness dict or an error name), and the verdicts grouped by
-    chi (or pair), stage and key."""
+    """Every row of a law, nothing skipped, each default-W stage over every
+    W: the first outcome that is not a pass (a witness dict or an error
+    name), and the verdicts grouped as the scans skip rows, by chi (or
+    pair), stage, and the key or else the double-negation image."""
 
     def __init__(self, pid, inst):
+        from msfuzz.verifier import _every_w
+
         self.pid, self.inst = pid, inst
+        self.every = _every_w(inst.ms.lattice, inst.w_sets)
         self.first, self.classes = None, {}
 
     def visit(self, test, rows, chis, group, w):
@@ -395,30 +403,35 @@ class _BruteScan:
                 self.pid, self.inst, found, chis=chis, w=w).to_dict()
 
     def stages(self, stages):
-        from msfuzz.verifier import _Row
+        from msfuzz.verifier import _Row, _w_sets
 
         ms = self.inst.ms
         for chi in self.inst.chis:
             for s, (test, ws, when, key) in enumerate(stages):
                 if when is not None and not when(ms, chi):
                     continue
-                for w, w_idx in ws(self.inst, chi):
+                default = ws is _w_sets
+                for w, w_idx in self.every if default else ws(self.inst, chi):
                     row = _Row(ms, chi, w, w_idx)
-                    group = None if key is None else (chi, s, getattr(row, key))
+                    group = None
+                    if key is not None:
+                        group = (chi, s, key, getattr(row, key))
+                    elif default:
+                        group = (chi, s, "image", _image(ms, w_idx))
                     self.visit(test, [row], [chi], group, w)
         return self
 
-    def pairs(self, test, key, when):
-        from msfuzz.verifier import _Row, _w_sets
+    def pairs(self, test, when):
+        from msfuzz.verifier import _Row
 
         ms = self.inst.ms
         for chi1 in self.inst.chis:
             for chi2 in self.inst.chis:
                 if when is not None and not when(chi1, chi2):
                     continue
-                for w, w_idx in _w_sets(self.inst):
+                for w, w_idx in self.every:
                     rows = [_Row(ms, chi1, w, w_idx), _Row(ms, chi2, w, w_idx)]
-                    group = (chi1, chi2, *(getattr(r, key) for r in rows))
+                    group = (chi1, chi2, _image(ms, w_idx))
                     self.visit(test, rows, [chi1, chi2], group, w)
         return self
 
@@ -432,15 +445,34 @@ def _brute_scan(pid, inst):
     return scan.stages(_STAGES[pid] if pid in _STAGES else [_prime_stage(inst)])
 
 
+def test_crisp_extension_reads_w_through_its_image():
+    """thm-2.3-extended-filter checks the first W of each double-negation
+    image only: every W of one image has the same crisp extension."""
+    from msfuzz import enumerate_filters, enumerate_ms_operations, extended_filter_crisp
+    from msfuzz.verifier import _every_w
+
+    for lat in lattice_catalog(4):
+        for neg in enumerate_ms_operations(lat):
+            ms = MSAlgebra(lat, neg)
+            for filt in enumerate_filters(lat):
+                by_image = {}
+                for w, w_idx in _every_w(lat, None):
+                    ext = extended_filter_crisp(ms, filt, w).members
+                    assert by_image.setdefault(_image(ms, w_idx), ext) == ext
+
+
 def test_row_keys_agree_with_brute_force():
-    """Each declared key is no wider than what its predicate reads: rows
-    of one chi (or pair) and stage with equal keys share a verdict, and
-    the full scan's first failing row is the skipping scan's witness."""
-    from msfuzz.verifier import _PAIR_STAGES, _STAGES
+    """Each W a scan skips would share the verdict of the row it keeps:
+    rows of one chi (or pair) and stage with equal keys, or with equal
+    double-negation images where the stage reads the default W list, share
+    a verdict, and the first failing row over every W is the scan's
+    witness."""
+    from msfuzz.verifier import _PAIR_STAGES, _STAGES, _w_sets
 
     pids = [*_STAGES, "thm-3.1-prime", *_PAIR_STAGES]
-    keyed = [pid for pid in _STAGES if any(stage[3] for stage in _STAGES[pid])]
-    assert len(keyed) + 1 + len(_PAIR_STAGES) == 21
+    skipping = [pid for pid in _STAGES
+                if any(ws is _w_sets or key for _, ws, _, key in _STAGES[pid])]
+    assert len(skipping) + 1 + len(_PAIR_STAGES) == 24
     checked = {"classes": 0, "fail": 0, "error": 0}
     for inst in _key_oracle_inputs():
         for pid in pids:
@@ -449,7 +481,7 @@ def test_row_keys_agree_with_brute_force():
                 continue
             scan = _brute_scan(pid, inst)
             mixed = [k for k, verdicts in scan.classes.items() if len(verdicts) > 1]
-            assert not mixed, (pid, mixed[0][-1])
+            assert not mixed, (pid, mixed[0][1:])
             expected = witness.to_dict() if witness is not None else (
                 None if verdict == "pass" else verdict)
             assert scan.first == expected, pid
