@@ -36,7 +36,7 @@ from .verifier import (
     search_counterexample,
     sweep as run_sweep,
 )
-from .errors import HypothesisUnmet, UnknownProperty
+from .errors import HypothesisUnmet, SizeCapExceeded, UnknownProperty
 
 SCHEMA = "msfuzz.report/1"
 
@@ -413,7 +413,7 @@ def sweep_cmd(ctx, max_n, grades_text, props_text, seed, iters):
     cfg = _sweep_config(max_n, grades_text, seed, iters)
     try:
         report = run_sweep(_parse_props(props_text), cfg)
-    except UnknownProperty as exc:
+    except (UnknownProperty, SizeCapExceeded) as exc:
         raise click.UsageError(str(exc))
     payload = {"schema": SCHEMA, "command": "sweep"}
     payload.update(report.to_dict())
@@ -434,7 +434,7 @@ def search_cmd(ctx, pid, max_n, grades_text, seed, iters):
     cfg = _sweep_config(max_n, grades_text, seed, iters)
     try:
         witness = search_counterexample(pid, cfg)
-    except UnknownProperty as exc:
+    except (UnknownProperty, SizeCapExceeded) as exc:
         raise click.UsageError(str(exc))
     payload = {
         "schema": SCHEMA,

@@ -74,7 +74,6 @@ def parse_algebra(text: str) -> AlgebraDocument:
     fuzzy: list[tuple[str, dict[str, Fraction], int]] = []
     section: str | None = None
     saw_elements = False
-    element_lines_done = False
 
     def require_known(name: str, lineno: int) -> None:
         if name not in elements:
@@ -100,12 +99,12 @@ def parse_algebra(text: str) -> AlgebraDocument:
             elif head == "covers":
                 if len(tokens) != 1:
                     raise AlgebraSyntaxError("covers keyword takes no arguments", lineno)
-                section, element_lines_done = "covers", True
+                section = "covers"
                 continue
             elif head == "neg":
                 if len(tokens) != 1:
                     raise AlgebraSyntaxError("neg keyword takes no arguments", lineno)
-                section, element_lines_done = "neg", True
+                section = "neg"
                 saw_neg = True
                 continue
             else:
@@ -115,7 +114,7 @@ def parse_algebra(text: str) -> AlgebraDocument:
                 if any(name == existing for existing, _, _ in fuzzy):
                     raise AlgebraSyntaxError(f"second fuzzy section {name!r}", lineno)
                 fuzzy.append((name, {}, lineno))
-                section, element_lines_done = "fuzzy", True
+                section = "fuzzy"
                 continue
 
         if section == "elements":

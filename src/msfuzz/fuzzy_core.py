@@ -1,5 +1,7 @@
 """Fuzzy sets with exact rational grades, classification, level cuts,
-bounded enumeration, and the grade-universe-bounded primality check.
+the pool of fuzzy filters over a finite grade universe (one per
+multichain of principal filters), and the grade-universe-bounded
+primality check.
 """
 
 from __future__ import annotations
@@ -172,69 +174,45 @@ def level_cut(mu: FuzzySet, t: Fraction) -> frozenset[str]:
     return frozenset(e for e, g in zip(lat.elements, mu.grades) if g >= t)
 
 
-def enumerate_fuzzy_filters(lat: FiniteLattice, grade_universe,
-                            cap: int = FUZZY_ENUM_CAP) -> list[FuzzySet]:
+def enumerate_fuzzy_filters(lat: FiniteLattice, grade_universe) -> list[FuzzySet]:
     """All fuzzy filters with grades drawn from a finite universe.
 
-    Deterministic: maps are produced in lexicographic order over element
-    positions with grades ascending.  Pruned by isotonicity and by the
-    meet equality on already-assigned prefixes.
+    Over a universe u0 < u1 < ... < uk = 1 a fuzzy filter is its chain of
+    level cuts, and every filter of a finite lattice is principal, so the
+    filters are the multichains a1 <= ... <= ak: each sends x to the
+    largest ui with ai <= x, or to u0 when no ai <= x.  Maps come sorted
+    by grade tuple, lexicographic over element positions.
     """
     universe = sorted(set(Fraction(g) for g in grade_universe))
     for g in universe:
         ensure_grade(g)
     if ONE not in universe:
         raise ValueError("grade universe must contain 1")
-    if lat.n * len(universe) > cap:
+    size = lat.n * len(universe)
+    if size > FUZZY_ENUM_CAP:
         raise SizeCapExceeded(
-            f"|elements| * |grades| = {lat.n * len(universe)} exceeds cap {cap}"
-        )
+            f"|elements| * |grades| = {size} exceeds cap {FUZZY_ENUM_CAP}")
 
-    n = lat.n
-    top_i = lat.element_index(lat.top)
-    grades: list[Fraction | None] = [None] * n
-    out: list[FuzzySet] = []
-
-    def consistent(i: int) -> bool:
-        gi = grades[i]
-        for j in range(n):
-            gj = grades[j]
-            if gj is None:
-                continue
-            if lat.leq_table[i][j] and gi > gj:
-                return False
-            if lat.leq_table[j][i] and gj > gi:
-                return False
-            m = lat.meet_table[i][j]
-            if grades[m] is not None and grades[m] != min(gi, gj):
-                return False
-        return True
-
-    def backtrack(pos: int) -> None:
-        if pos == n:
-            candidate = FuzzySet(lat, tuple(grades))
-            if classify(lat, candidate).is_filter:
-                out.append(candidate)
-            return
-        options = [ONE] if pos == top_i else universe
-        for g in options:
-            grades[pos] = g
-            if consistent(pos):
-                backtrack(pos + 1)
-            grades[pos] = None
-
-    backtrack(0)
-    return out
+    leq = lat.leq_table
+    # (last ai, grades so far); the bottom lies below every first a1
+    chains = [(lat.element_index(lat.bottom), (universe[0],) * lat.n)]
+    for u in universe[1:]:
+        chains = [
+            (b, tuple(u if leq[b][x] else g for x, g in enumerate(gs)))
+            for a, gs in chains
+            for b in range(lat.n) if leq[a][b]
+        ]
+    return [FuzzySet(lat, gs) for gs in sorted(gs for _, gs in chains)]
 
 
 def is_prime_fuzzy_filter_bounded(lat: FiniteLattice, chi: FuzzySet,
-                                  grade_universe=None, cap: int = FUZZY_ENUM_CAP,
-                                  pool=None):
+                                  grade_universe=None, pool=None):
     """Bounded primality: no pair of fuzzy filters over the universe has
     intersection inside ``chi`` while neither factor is inside it.
 
     The universe defaults to the grades of ``chi`` plus {0, 1} and is
-    always widened to include them.  A negative verdict is conclusive; a
+    always widened to include them.  Pairs are drawn, in pool order, from
+    the members not inside ``chi``.  A negative verdict is conclusive; a
     positive one is relative to the universe.  Returns (bool, witness
     pair or None).  ``pool`` short-circuits the filter enumeration when
     the caller already holds it for the same lattice and universe.
@@ -248,13 +226,10 @@ def is_prime_fuzzy_filter_bounded(lat: FiniteLattice, chi: FuzzySet,
     if grade_universe is not None:
         universe |= {Fraction(g) for g in grade_universe}
     if pool is None:
-        pool = enumerate_fuzzy_filters(lat, sorted(universe), cap=cap)
-    for phi in pool:
-        phi_in = phi.is_contained_in(chi)
-        for psi in pool:
-            if not fuzzy_intersection(phi, psi).is_contained_in(chi):
-                continue
-            if phi_in or psi.is_contained_in(chi):
-                continue
-            return False, (phi, psi)
+        pool = enumerate_fuzzy_filters(lat, sorted(universe))
+    outside = [phi for phi in pool if not phi.is_contained_in(chi)]
+    for phi in outside:
+        for psi in outside:
+            if fuzzy_intersection(phi, psi).is_contained_in(chi):
+                return False, (phi, psi)
     return True, None

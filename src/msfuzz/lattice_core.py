@@ -9,7 +9,6 @@ tiny (at most ~20 elements) and every downstream check is table lookups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import (
     DuplicateElement,
@@ -254,25 +253,15 @@ def principal_filter(lat: FiniteLattice, e: str) -> FilterSet:
 
 
 def generated_filter(lat: FiniteLattice, generators) -> FilterSet:
-    """Up-closure of the meet-closure of a nonempty generating set."""
+    """The filter generated by a nonempty set: the principal filter of
+    the meet of the generators."""
     gens = set(generators)
     if not gens:
         raise EmptyGeneratingSet("generating set is empty")
-    closure = {lat.element_index(e) for e in gens}
-    changed = True
-    while changed:
-        changed = False
-        for i, j in combinations(sorted(closure), 2):
-            m = lat.meet_table[i][j]
-            if m not in closure:
-                closure.add(m)
-                changed = True
-    members = set()
-    for i in closure:
-        for j in range(lat.n):
-            if lat.leq_table[i][j]:
-                members.add(lat.elements[j])
-    return FilterSet(lat, frozenset(members))
+    m = lat.top
+    for e in gens:
+        m = lat.meet(m, e)
+    return principal_filter(lat, m)
 
 
 def is_filter(lat: FiniteLattice, subset) -> SubsetVerdict:

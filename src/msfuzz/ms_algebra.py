@@ -197,8 +197,7 @@ def extended_filter_crisp(ms: MSAlgebra, filt: FilterSet, w_subset) -> FilterSet
     return FilterSet(lat, frozenset(members))
 
 
-def enumerate_ms_operations(lat: FiniteLattice, max_elements: int = MS_ENUM_CAP
-                            ) -> list[dict[str, str]]:
+def enumerate_ms_operations(lat: FiniteLattice) -> list[dict[str, str]]:
     """All negation tables satisfying the axioms, in lexicographic order.
 
     Backtracks over elements in input order.  The top element is pinned
@@ -208,8 +207,8 @@ def enumerate_ms_operations(lat: FiniteLattice, max_elements: int = MS_ENUM_CAP
     participating entries are already assigned.
     """
     n = lat.n
-    if n > max_elements:
-        raise SizeCapExceeded(f"{n} elements exceeds cap {max_elements}")
+    if n > MS_ENUM_CAP:
+        raise SizeCapExceeded(f"{n} elements exceeds cap {MS_ENUM_CAP}")
     top_i = lat.element_index(lat.top)
     bot_i = lat.element_index(lat.bottom)
     leq = lat.leq_table

@@ -28,6 +28,7 @@ from itertools import permutations, product
 from typing import Any, Callable
 
 from .errors import (
+    EmptyW,
     HypothesisUnmet,
     SizeCapExceeded,
     UnknownProperty,
@@ -245,13 +246,22 @@ class Instance:
 
     ``chis`` is the pool of candidate fuzzy filters the check quantifies
     over; ``w_sets`` restricts the reference subsets (None means all
-    nonempty subsets of the carrier).
+    nonempty subsets of the carrier; given ones must be nonempty subsets).
     """
 
     ms: MSAlgebra | None
     chis: tuple[FuzzySet, ...]
     grade_universe: tuple[Fraction, ...]
     w_sets: tuple[tuple[str, ...], ...] | None = None
+
+    def __post_init__(self):
+        if self.ms is None or self.w_sets is None:
+            return
+        for w in self.w_sets:
+            if not w:
+                raise EmptyW("reference subset W is empty")
+            for e in w:
+                self.ms.lattice.element_index(e)
 
 
 @dataclass(frozen=True)

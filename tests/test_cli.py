@@ -249,6 +249,22 @@ def test_vacuous_runs_are_usage_errors(runner, fixture_file, args, message):
     assert message in result.output
 
 
+OVER_CAP_GRADES = ",".join(["0"] + [f"{k}/32" for k in range(1, 32)] + ["1"])
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--max-n", "2", "--grades", OVER_CAP_GRADES],
+    ["search", "--prop", "thm-4.3", "--max-n", "2", "--grades", OVER_CAP_GRADES],
+])
+def test_over_cap_runs_are_usage_errors(runner, args):
+    """2 elements x 33 grades is over the filter-pool cap of 64."""
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 2
+    assert "|elements| * |grades| = 66 exceeds cap 64" in result.output
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
 def test_search_finds_prime_witness(runner):
     result = runner.invoke(
         cli,

@@ -204,8 +204,9 @@ def test_enumerate_requires_unit():
 
 
 def test_enumerate_cap():
-    with pytest.raises(SizeCapExceeded):
-        enumerate_fuzzy_filters(chain(4), grades(0, 1), cap=4)
+    enumerate_fuzzy_filters(chain(21), UNIVERSE3)  # 63 is within the cap
+    with pytest.raises(SizeCapExceeded, match="= 66 exceeds cap 64"):
+        enumerate_fuzzy_filters(chain(22), UNIVERSE3)
 
 
 def test_characteristic_bijection():
@@ -217,14 +218,16 @@ def test_characteristic_bijection():
         assert len(twovalued) == len(crisp)
 
 
-def test_enumeration_matches_exhaustive_scan(diamond):
-    got = enumerate_fuzzy_filters(diamond, UNIVERSE3)
-    expected = [
-        FuzzySet(diamond, grades(*values))
-        for values in product([0, HALF, 1], repeat=4)
-        if filter_by_definition(diamond, FuzzySet(diamond, grades(*values)))
-    ]
-    assert got == expected  # same maps, same lexicographic order
+def test_enumeration_matches_exhaustive_scan():
+    for lat in lattice_catalog(5):
+        for universe in (grades(0, 1), UNIVERSE3, grades(HALF, 1), grades(1)):
+            got = enumerate_fuzzy_filters(lat, universe)
+            expected = [
+                FuzzySet(lat, values)
+                for values in product(universe, repeat=lat.n)
+                if filter_by_definition(lat, FuzzySet(lat, values))
+            ]
+            assert got == expected  # same maps, same lexicographic order
 
 
 # -- bounded primality ------------------------------------------------------------
@@ -244,6 +247,28 @@ def test_prime_diamond_refuted(diamond):
     meet = fuzzy_intersection(phi, psi)
     assert meet.is_contained_in(chi)
     assert not phi.is_contained_in(chi) and not psi.is_contained_in(chi)
+
+
+def prime_by_pair_scan(lat, chi, pool):
+    """Oracle: every pair of the pool, in pool order."""
+    for phi in pool:
+        for psi in pool:
+            if (fuzzy_intersection(phi, psi).is_contained_in(chi)
+                    and not phi.is_contained_in(chi)
+                    and not psi.is_contained_in(chi)):
+                return False, (phi, psi)
+    return True, None
+
+
+def test_bounded_primality_matches_pair_scan():
+    third = Fraction(1, 3)
+    for universe, max_n in ((UNIVERSE3, 5), (grades(0, third, 2 * third, 1), 4)):
+        for lat in lattice_catalog(max_n):
+            pool = enumerate_fuzzy_filters(lat, universe)
+            for chi in pool:
+                if not chi.is_constant():
+                    assert is_prime_fuzzy_filter_bounded(lat, chi, universe) == \
+                        prime_by_pair_scan(lat, chi, pool)
 
 
 def test_prime_requires_proper(diamond):

@@ -124,13 +124,13 @@ def test_generated_filter(diamond):
     assert generated_filter(diamond, ["a", "b"]).members == {"0", "a", "b", "1"}
     with pytest.raises(EmptyGeneratingSet):
         generated_filter(diamond, [])
+    with pytest.raises(UnknownElement):
+        generated_filter(diamond, ["a", "zz"])
 
 
-def test_generated_filter_example4():
-    lat = build_lattice(EXAMPLE4_ELS, EXAMPLE4_COVERS)
-    got = generated_filter(lat, ["x", "y"]).members
-    # oracle: up-closure of the meet-closure computed by fixpoint
-    closure = {"x", "y"}
+def filter_by_fixpoint(lat, generators):
+    """Oracle: up-closure of the meet-closure computed by fixpoint."""
+    closure = set(generators)
     changed = True
     while changed:
         changed = False
@@ -139,8 +139,21 @@ def test_generated_filter_example4():
             if m not in closure:
                 closure.add(m)
                 changed = True
-    expected = {e for c in closure for e in lat.up_set(c)}
-    assert got == expected == {"t", "x", "y", "z", "u", "1"}
+    return {e for c in closure for e in lat.up_set(c)}
+
+
+def test_generated_filter_example4():
+    lat = build_lattice(EXAMPLE4_ELS, EXAMPLE4_COVERS)
+    got = generated_filter(lat, ["x", "y"]).members
+    assert got == filter_by_fixpoint(lat, ["x", "y"]) == {"t", "x", "y", "z", "u", "1"}
+
+
+def test_generated_filter_matches_fixpoint_across_catalog():
+    for lat in lattice_catalog(5):
+        for r in range(1, lat.n + 1):
+            for gens in combinations(lat.elements, r):
+                assert generated_filter(lat, gens).members == \
+                    filter_by_fixpoint(lat, gens)
 
 
 def test_is_filter(diamond):

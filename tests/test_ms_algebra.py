@@ -203,4 +203,4 @@ def test_pentagon_needs_flag():
 
 def test_size_cap():
     with pytest.raises(SizeCapExceeded):
-        enumerate_ms_operations(chain(4), max_elements=3)
+        enumerate_ms_operations(chain(9))

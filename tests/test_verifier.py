@@ -5,12 +5,14 @@ from itertools import permutations
 import pytest
 
 from msfuzz import (
+    EmptyW,
     HypothesisUnmet,
     Instance,
     MSAlgebra,
     SearchConfig,
     SizeCapExceeded,
     THEOREM_SUITE,
+    UnknownElement,
     UnknownProperty,
     build_lattice,
     lattice_catalog,
@@ -163,6 +165,16 @@ def test_hypothesis_unmet(example4_printed):
         run_property("prop-2.1", inst)
     with pytest.raises(HypothesisUnmet):
         run_property("lemma-3.2.1", Instance(ms=None, chis=(), grade_universe=UNIVERSE2))
+
+
+def test_instance_rejects_bad_w_sets(diamond):
+    """An empty or foreign W fails where the instance is built."""
+    with pytest.raises(EmptyW):
+        make_instance(diamond, {"0": "1", "a": "a", "b": "b", "1": "0"},
+                      w_sets=(("a",), ()))
+    with pytest.raises(UnknownElement):
+        make_instance(diamond, {"0": "1", "a": "a", "b": "b", "1": "0"},
+                      w_sets=(("a", "zz"),))
 
 
 def test_example_fixture_property_ignores_instance(diamond):
