@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,6 +45,58 @@ def chain(n: int):
     """Chain c0 < c1 < ... < c{n-1}."""
     els = [f"c{i}" for i in range(n)]
     return build_lattice(els, [(els[i], els[i + 1]) for i in range(n - 1)])
+
+
+def chain_order(n: int, prefix: str = "c"):
+    """(elements, covers) of the chain {prefix}0 < ... < {prefix}{n-1}."""
+    els = [f"{prefix}{i}" for i in range(n)]
+    return els, [(els[i], els[i + 1]) for i in range(n - 1)]
+
+
+def grid_order(a: int, b: int):
+    """(elements, covers) of the product of an a-chain and a b-chain."""
+    els = [f"g{i}_{j}" for i in range(a) for j in range(b)]
+    covers = [(f"g{i}_{j}", f"g{i + 1}_{j}") for i in range(a - 1) for j in range(b)]
+    covers += [(f"g{i}_{j}", f"g{i}_{j + 1}") for i in range(a) for j in range(b - 1)]
+    return els, covers
+
+
+def boolean_order(k: int):
+    """(elements, covers) of the Boolean lattice of subsets of k atoms."""
+    els = [f"s{m}" for m in range(1 << k)]
+    covers = [(f"s{m}", f"s{m | 1 << t}")
+              for m in range(1 << k) for t in range(k) if not m >> t & 1]
+    return els, covers
+
+
+SPLICES = {
+    "n5": [("bot", "x"), ("x", "y"), ("y", "top"), ("bot", "z"), ("z", "top")],
+    "m3": [("bot", "x"), ("bot", "y"), ("bot", "z"),
+           ("x", "top"), ("y", "top"), ("z", "top")],
+}
+
+
+def spliced_order(base, splice: str, above: int, seed: int):
+    """Stack N5 or M3 on the top of ``base`` (a bounded lattice whose last
+    element is its top), then a chain of ``above`` elements on top of the
+    splice, and shuffle the element order with ``seed``."""
+    els, covers = list(base[0]), list(base[1])
+    rename = {"bot": els[-1], "x": "sx", "y": "sy", "z": "sz", "top": "stop"}
+    covers += [(rename[a], rename[b]) for a, b in SPLICES[splice]]
+    els += ["sx", "sy", "sz", "stop"]
+    upper, upper_covers = chain_order(above, "u")
+    if upper:
+        covers += [("stop", upper[0])] + upper_covers
+    els += upper
+    random.Random(seed).shuffle(els)
+    return els, covers
+
+
+def document_text(elements, covers) -> str:
+    """An algebra document with only the elements and covers sections."""
+    lines = ["elements " + " ".join(elements), "covers"]
+    lines += [f"  {a} < {b}" for a, b in covers]
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture

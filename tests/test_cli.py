@@ -7,7 +7,7 @@ from click.testing import CliRunner
 from msfuzz import FIXTURE_NAMES
 from msfuzz.cli_io import cli
 
-from .conftest import write_fixture_file
+from .conftest import chain_order, document_text, spliced_order, write_fixture_file
 
 
 @pytest.fixture
@@ -370,6 +370,17 @@ def test_golden_validate(runner, fixture_file, golden, name):
     result = runner.invoke(cli, ["--format", "json", "validate", fixture_file(name)])
     output = re.sub(r'"file": "[^"]*"', '"file": "<fixture>"', result.output)
     golden(f"validate_{name}.json", output)
+
+
+def test_golden_validate_spliced_n5(runner, tmp_path, golden):
+    """A 24-element chain with an N5 spliced in, elements shuffled: the
+    rejection names the first failing triple in element order."""
+    path = tmp_path / "spliced_n5.ms"
+    path.write_text(document_text(*spliced_order(chain_order(10), "n5", 10, seed=20)))
+    result = runner.invoke(cli, ["--format", "json", "validate", str(path)])
+    assert result.exit_code == 1
+    output = re.sub(r'"file": "[^"]*"', '"file": "<fixture>"', result.output)
+    golden("validate_spliced_n5.json", output)
 
 
 def test_golden_extend_example4(runner, fixture_file, golden):

@@ -24,6 +24,9 @@ from .conftest import chain
 PENTAGON = (["0", "a", "b", "c", "1"],
              [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")])
 
+M3 = (["0", "a", "b", "c", "1"],
+      [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")])
+
 EXAMPLE4_ELS = ["0", "t", "x", "y", "z", "u", "1"]
 EXAMPLE4_COVERS = [("0", "t"), ("t", "x"), ("t", "y"), ("x", "z"), ("y", "z"),
                    ("z", "u"), ("u", "1")]
@@ -62,10 +65,26 @@ def test_example4_lattice():
 def test_pentagon_rejected():
     with pytest.raises(NotDistributive) as err:
         build_lattice(*PENTAGON)
+    assert err.value.witness == ("c", "a", "b")
+    assert str(err.value) == (
+        "distributivity fails at (c, a, b): "
+        "c meet (a join b) != (c meet a) join (c meet b)"
+    )
     a, b, c = err.value.witness
     lat = build_lattice(*PENTAGON, allow_nondistributive=True)
     assert lat.meet(a, lat.join(b, c)) != lat.join(lat.meet(a, b), lat.meet(a, c))
     assert not lat.distributive
+
+
+def test_m3_rejected():
+    with pytest.raises(NotDistributive) as err:
+        build_lattice(*M3)
+    assert err.value.witness == ("a", "b", "c")
+    assert str(err.value) == (
+        "distributivity fails at (a, b, c): "
+        "a meet (b join c) != (a meet b) join (a meet c)"
+    )
+    assert not build_lattice(*M3, allow_nondistributive=True).distributive
 
 
 def test_pentagon_distributivity_oracle():
@@ -84,8 +103,9 @@ def test_cycle_rejected():
 
 
 def test_antichain_rejected():
-    with pytest.raises(NotALattice):
+    with pytest.raises(NotALattice) as err:
         build_lattice(["a", "b"], [])
+    assert str(err.value) == "'a' and 'b' have no greatest lower bound"
 
 
 def test_empty_rejected():
