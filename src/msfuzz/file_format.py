@@ -11,8 +11,10 @@ starts a comment, blank lines are ignored.
     fuzzy NAME                one ``a = GRADE`` per line; GRADE is ``p/q``,
                               an integer, or an exact decimal like 0.7
 
-Parsing normalizes entry order to element order, so parse -> serialize ->
-parse is the identity on documents.
+A document declares at most ``MAX_DOCUMENT_ELEMENTS`` elements; a longer
+``elements`` section raises SizeCapExceeded.  Parsing normalizes entry
+order to element order, so parse -> serialize -> parse is the identity on
+documents.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import errors
-from .errors import GradeOutOfRange, MsfuzzError, UnknownElement
+from .errors import GradeOutOfRange, MsfuzzError, SizeCapExceeded, UnknownElement
 from .fuzzy_core import FuzzySet
 from .grades import format_grade, parse_grade
 from .lattice_core import FiniteLattice, build_lattice
@@ -64,19 +66,22 @@ class AlgebraDocument:
 
 _KEYWORDS = ("elements", "covers", "neg", "fuzzy")
 
+MAX_DOCUMENT_ELEMENTS = 1024
+
 
 def parse_algebra(text: str) -> AlgebraDocument:
     """Parse a document, reporting the first error with its line number."""
     elements: list[str] = []
+    known: set[str] = set()
     covers: list[tuple[str, str]] = []
-    neg_entries: list[tuple[str, str]] = []
+    neg_entries: dict[str, str] = {}
     saw_neg = False
     fuzzy: list[tuple[str, dict[str, Fraction], int]] = []
     section: str | None = None
     saw_elements = False
 
     def require_known(name: str, lineno: int) -> None:
-        if name not in elements:
+        if name not in known:
             raise DanglingReference(f"unknown element {name!r}", lineno)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -119,9 +124,13 @@ def parse_algebra(text: str) -> AlgebraDocument:
 
         if section == "elements":
             for tok in tokens:
-                if tok in elements:
+                if tok in known:
                     raise DuplicateElement(f"element {tok!r} declared twice", lineno)
+                if len(elements) == MAX_DOCUMENT_ELEMENTS:
+                    raise SizeCapExceeded(
+                        f"line {lineno}: more than {MAX_DOCUMENT_ELEMENTS} elements")
                 elements.append(tok)
+                known.add(tok)
         elif section == "covers":
             if len(tokens) != 3 or tokens[1] != "<":
                 raise AlgebraSyntaxError("expected: a < b", lineno)
@@ -133,9 +142,9 @@ def parse_algebra(text: str) -> AlgebraDocument:
                 raise AlgebraSyntaxError("expected: a -> b", lineno)
             require_known(tokens[0], lineno)
             require_known(tokens[2], lineno)
-            if any(a == tokens[0] for a, _ in neg_entries):
+            if tokens[0] in neg_entries:
                 raise DuplicateElement(f"negation of {tokens[0]!r} given twice", lineno)
-            neg_entries.append((tokens[0], tokens[2]))
+            neg_entries[tokens[0]] = tokens[2]
         elif section == "fuzzy":
             if len(tokens) != 3 or tokens[1] != "=":
                 raise AlgebraSyntaxError("expected: a = grade", lineno)
@@ -158,7 +167,7 @@ def parse_algebra(text: str) -> AlgebraDocument:
     order = {e: i for i, e in enumerate(elements)}
     if saw_neg:
         for e in elements:
-            if not any(a == e for a, _ in neg_entries):
+            if e not in neg_entries:
                 raise AlgebraSyntaxError(
                     f"neg section is missing an entry for {e!r}", 1
                 )
@@ -177,7 +186,7 @@ def parse_algebra(text: str) -> AlgebraDocument:
     return AlgebraDocument(
         elements=tuple(elements),
         covers=tuple(sorted(covers, key=lambda p: (order[p[0]], order[p[1]]))),
-        neg=tuple(sorted(neg_entries, key=lambda p: order[p[0]])) if saw_neg else None,
+        neg=tuple((e, neg_entries[e]) for e in elements) if saw_neg else None,
         fuzzy=tuple(fuzzy_norm),
     )
 

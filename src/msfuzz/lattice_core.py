@@ -1,18 +1,21 @@
 """Finite bounded distributive lattices and their crisp filters.
 
 A lattice is built from its Hasse diagram (cover pairs); the order is the
-reflexive-transitive closure of the covers.  Meet and join are stored as
-dense index tables computed once at construction, because instances are
-tiny (at most ~20 elements) and every downstream check is table lookups.
+reflexive-transitive closure of the covers.  Construction works on int bit
+masks of up-sets and down-sets, in O(n^2) big-int operations; the order,
+meet and join are then stored as index tables, because every downstream
+check is table lookups.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
     DuplicateElement,
     EmptyGeneratingSet,
+    InternalInvariantError,
     NotALattice,
     NotAPoset,
     NotBounded,
@@ -128,36 +131,19 @@ class SubsetVerdict:
         return self.ok
 
 
-def _transitive_closure(n: int, rows: list[list[bool]]) -> None:
-    for k in range(n):
-        rk = rows[k]
-        for i in range(n):
-            if rows[i][k]:
-                ri = rows[i]
-                for j in range(n):
-                    if rk[j]:
-                        ri[j] = True
-
-
-def _covers_from_leq(elements, leq) -> tuple[tuple[str, str], ...]:
-    n = len(elements)
-    covers = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not leq[i][j]:
-                continue
-            if any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(n)):
-                continue
-            covers.append((elements[i], elements[j]))
-    return tuple(covers)
-
-
 def build_lattice(elements, covers, *, allow_nondistributive: bool = False) -> FiniteLattice:
     """Build and fully validate a bounded distributive lattice.
 
     ``covers`` are Hasse edges (a, b) meaning a is below b.  Raises
-    NotAPoset, NotALattice, NotBounded or NotDistributive on bad input;
-    the distributivity gate can be disabled for counterexample searches.
+    NotAPoset, NotALattice, NotBounded or NotDistributive on bad input,
+    naming the first offending pair or triple in element order; the
+    distributivity gate can be disabled for counterexample searches.
+
+    Sets of elements are int masks (bit k is ``elements[k]``).  The meet
+    of i and j is the element whose down-set is ``down[i] & down[j]``;
+    joins likewise from up-sets.  Distributivity is Birkhoff's test
+    J(x v y) = J(x) | J(y), with J(x) the join-irreducibles (one lower
+    cover) below x; only a failure searches for the witness triple.
     """
     elements = tuple(elements)
     seen = set()
@@ -170,81 +156,89 @@ def build_lattice(elements, covers, *, allow_nondistributive: bool = False) -> F
 
     n = len(elements)
     index = {e: i for i, e in enumerate(elements)}
-    rows = [[i == j for j in range(n)] for i in range(n)]
+    edges = set()
     for a, b in covers:
         if a not in index:
             raise UnknownElement(f"cover references undeclared element {a!r}")
         if b not in index:
             raise UnknownElement(f"cover references undeclared element {b!r}")
-        rows[index[a]][index[b]] = True
-    _transitive_closure(n, rows)
+        edges.add((index[a], index[b]))
+    up = [1 << i for i in range(n)]
+    for i, j in edges:
+        up[i] |= 1 << j
+    for k in range(n):
+        up_k = up[k]
+        for i in range(n):
+            if up[i] >> k & 1:
+                up[i] |= up_k
+    rows = [format(m, f"0{n}b")[::-1] for m in up]
+    down = [int("".join(col)[::-1], 2) for col in zip(*rows)]
 
+    for i in range(n):
+        later = (up[i] & down[i]) >> i + 1
+        if later:
+            j = i + (later & -later).bit_length()
+            raise NotAPoset(f"cycle through {elements[i]!r} and {elements[j]!r}")
+
+    by_down = {m: k for k, m in enumerate(down)}
+    by_up = {m: k for k, m in enumerate(up)}
+    meet = [[i] * n for i in range(n)]
+    join = [[i] * n for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            if rows[i][j] and rows[j][i]:
-                raise NotAPoset(
-                    f"cycle through {elements[i]!r} and {elements[j]!r}"
-                )
-
-    leq = tuple(tuple(r) for r in rows)
-
-    def glb(i, j):
-        lower = [k for k in range(n) if leq[k][i] and leq[k][j]]
-        for m in lower:
-            if all(leq[k][m] for k in lower):
-                return m
-        return None
-
-    def lub(i, j):
-        upper = [k for k in range(n) if leq[i][k] and leq[j][k]]
-        for m in upper:
-            if all(leq[m][k] for k in upper):
-                return m
-        return None
-
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            m = glb(i, j)
+            m = by_down.get(down[i] & down[j])
             if m is None:
                 raise NotALattice(
                     f"{elements[i]!r} and {elements[j]!r} have no greatest lower bound"
                 )
-            u = lub(i, j)
+            u = by_up.get(up[i] & up[j])
             if u is None:
                 raise NotALattice(
                     f"{elements[i]!r} and {elements[j]!r} have no least upper bound"
                 )
-            meet[i][j] = m
-            join[i][j] = u
+            meet[i][j] = meet[j][i] = m
+            join[i][j] = join[j][i] = u
 
-    bottoms = [i for i in range(n) if all(leq[i][j] for j in range(n))]
-    tops = [i for i in range(n) if all(leq[j][i] for j in range(n))]
+    full = (1 << n) - 1
+    bottoms = [i for i in range(n) if up[i] == full]
+    tops = [i for i in range(n) if down[i] == full]
     if len(bottoms) != 1 or len(tops) != 1:
         raise NotBounded("no unique bottom/top element")
 
-    distributive = True
-    witness = None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if meet[i][join[j][k]] != join[meet[i][j]][meet[i][k]]:
-                    distributive = False
-                    witness = (elements[i], elements[j], elements[k])
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    # every covering pair is an input edge, since the order is their closure
+    hasse = [(i, j) for i, j in sorted(edges)
+             if i != j and up[i] & down[j] == 1 << i | 1 << j]
+    lower_covers = Counter(j for _, j in hasse)
+    irreducible = sum(1 << j for j, c in lower_covers.items() if c == 1)
+    below = [d & irreducible for d in down]
+    j_test_fails = [[j for j in range(i + 1, n) if below[join[i][j]] != below[i] | below[j]]
+                    for i in range(n)]
+    distributive = not any(j_test_fails)
     if not distributive and not allow_nondistributive:
-        raise NotDistributive(witness)
+        raise NotDistributive(_first_distributivity_failure(elements, meet, join, j_test_fails))
 
-    meet_t = tuple(tuple(r) for r in meet)
-    join_t = tuple(tuple(r) for r in join)
-    return FiniteLattice(elements, _covers_from_leq(elements, leq), leq,
-                         meet_t, join_t, elements[bottoms[0]],
-                         elements[tops[0]], distributive)
+    return FiniteLattice(
+        elements, tuple((elements[i], elements[j]) for i, j in hasse),
+        tuple(tuple(c == "1" for c in r) for r in rows),
+        tuple(map(tuple, meet)), tuple(map(tuple, join)),
+        elements[bottoms[0]], elements[tops[0]], distributive,
+    )
+
+
+def _first_distributivity_failure(elements, meet, join, j_test_fails) -> tuple[str, str, str]:
+    """The first (a, b, c) in element order with a ^ (b v c) != (a ^ b) v
+    (a ^ c).  Symmetry in b, c puts b first, and only pairs failing the
+    J-test can fail: otherwise each join-irreducible below a ^ (b v c)
+    is below a ^ b or a ^ c, and an element is the join of those below it."""
+    n = len(elements)
+    for i in range(n):
+        meet_i = meet[i]
+        for j in range(n):
+            join_j, join_ij = join[j], join[meet_i[j]]
+            for k in j_test_fails[j]:
+                if meet_i[join_j[k]] != join_ij[meet_i[k]]:
+                    return elements[i], elements[j], elements[k]
+    raise InternalInvariantError("the J-test rejected a distributive lattice")
 
 
 def principal_filter(lat: FiniteLattice, e: str) -> FilterSet:

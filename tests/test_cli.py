@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from msfuzz import FIXTURE_NAMES
 from msfuzz.cli_io import cli
+from msfuzz.file_format import MAX_DOCUMENT_ELEMENTS
 
 from .conftest import chain_order, document_text, spliced_order, write_fixture_file
 
@@ -361,6 +362,19 @@ def test_sweep_text_and_json_verdicts_agree(runner):
             ln.strip().startswith(f"[{mark}] {row['id']} ")
             for ln in text.splitlines()
         ), row["id"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["extend", "--chi", "chi", "--w", "c0"],
+    ["fixed", "--chi", "chi", "--w", "c0"], ["verify"],
+])
+def test_over_cap_document_is_usage_error(runner, tmp_path, argv):
+    path = tmp_path / "long.ms"
+    path.write_text(document_text(*chain_order(MAX_DOCUMENT_ELEMENTS + 1)))
+    result = runner.invoke(cli, argv[:1] + [str(path)] + argv[1:])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert f"{path}: line 1: more than 1024 elements" in result.output
 
 
 # -- golden reports -----------------------------------------------------------------

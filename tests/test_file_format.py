@@ -16,7 +16,8 @@ from msfuzz import (
     parse_algebra,
     serialize_algebra,
 )
-from msfuzz.file_format import DuplicateElement
+from msfuzz.errors import SizeCapExceeded
+from msfuzz.file_format import MAX_DOCUMENT_ELEMENTS, DuplicateElement
 from msfuzz.verifier import lattice_catalog
 
 
@@ -79,6 +80,15 @@ def test_parse_errors(text, error, line):
         parse_algebra(text)
     if line is not None:
         assert getattr(err.value, "line", None) == line or f"line {line}" in str(err.value)
+
+
+def test_element_cap():
+    names = [f"e{i}" for i in range(MAX_DOCUMENT_ELEMENTS)]
+    doc = parse_algebra("elements\n" + "\n".join(names) + "\n")
+    assert doc.elements == tuple(names)
+    with pytest.raises(SizeCapExceeded) as err:
+        parse_algebra("elements\n" + "\n".join(names + ["extra"]) + "\n")
+    assert str(err.value) == "line 1026: more than 1024 elements"
 
 
 def test_comments_and_blank_lines():

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, product
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from msfuzz import (
     DuplicateElement,
     EmptyGeneratingSet,
+    FiniteLattice,
+    MsfuzzError,
     NotALattice,
     NotAPoset,
     NotBounded,
@@ -19,7 +22,7 @@ from msfuzz import (
 )
 from msfuzz.verifier import lattice_catalog
 
-from .conftest import chain
+from .conftest import boolean_order, chain, chain_order, grid_order, spliced_order
 
 PENTAGON = (["0", "a", "b", "c", "1"],
              [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")])
@@ -129,6 +132,183 @@ def test_redundant_cover_normalized(diamond):
     assert withextra == diamond
 
 
+# -- the bitset builder against the dense scan ----------------------------------
+
+def _transitive_closure(n: int, rows: list[list[bool]]) -> None:
+    for k in range(n):
+        rk = rows[k]
+        for i in range(n):
+            if rows[i][k]:
+                ri = rows[i]
+                for j in range(n):
+                    if rk[j]:
+                        ri[j] = True
+
+
+def _covers_from_leq(elements, leq) -> tuple[tuple[str, str], ...]:
+    n = len(elements)
+    covers = []
+    for i in range(n):
+        for j in range(n):
+            if i == j or not leq[i][j]:
+                continue
+            if any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(n)):
+                continue
+            covers.append((elements[i], elements[j]))
+    return tuple(covers)
+
+
+def build_lattice_by_scan(elements, covers, *, allow_nondistributive: bool = False) -> FiniteLattice:
+    """Reference builder: the dense-table construction the bitset
+    builder replaced, kept verbatim as the oracle for its tables,
+    covers, flags, witnesses and messages."""
+    elements = tuple(elements)
+    seen = set()
+    for e in elements:
+        if e in seen:
+            raise DuplicateElement(f"element {e!r} declared twice")
+        seen.add(e)
+    if not elements:
+        raise NotBounded("a bounded lattice needs at least one element")
+
+    n = len(elements)
+    index = {e: i for i, e in enumerate(elements)}
+    rows = [[i == j for j in range(n)] for i in range(n)]
+    for a, b in covers:
+        if a not in index:
+            raise UnknownElement(f"cover references undeclared element {a!r}")
+        if b not in index:
+            raise UnknownElement(f"cover references undeclared element {b!r}")
+        rows[index[a]][index[b]] = True
+    _transitive_closure(n, rows)
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rows[i][j] and rows[j][i]:
+                raise NotAPoset(
+                    f"cycle through {elements[i]!r} and {elements[j]!r}"
+                )
+
+    leq = tuple(tuple(r) for r in rows)
+
+    def glb(i, j):
+        lower = [k for k in range(n) if leq[k][i] and leq[k][j]]
+        for m in lower:
+            if all(leq[k][m] for k in lower):
+                return m
+        return None
+
+    def lub(i, j):
+        upper = [k for k in range(n) if leq[i][k] and leq[j][k]]
+        for m in upper:
+            if all(leq[m][k] for k in upper):
+                return m
+        return None
+
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            m = glb(i, j)
+            if m is None:
+                raise NotALattice(
+                    f"{elements[i]!r} and {elements[j]!r} have no greatest lower bound"
+                )
+            u = lub(i, j)
+            if u is None:
+                raise NotALattice(
+                    f"{elements[i]!r} and {elements[j]!r} have no least upper bound"
+                )
+            meet[i][j] = m
+            join[i][j] = u
+
+    bottoms = [i for i in range(n) if all(leq[i][j] for j in range(n))]
+    tops = [i for i in range(n) if all(leq[j][i] for j in range(n))]
+    if len(bottoms) != 1 or len(tops) != 1:
+        raise NotBounded("no unique bottom/top element")
+
+    distributive = True
+    witness = None
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if meet[i][join[j][k]] != join[meet[i][j]][meet[i][k]]:
+                    distributive = False
+                    witness = (elements[i], elements[j], elements[k])
+                    break
+            if witness:
+                break
+        if witness:
+            break
+    if not distributive and not allow_nondistributive:
+        raise NotDistributive(witness)
+
+    meet_t = tuple(tuple(r) for r in meet)
+    join_t = tuple(tuple(r) for r in join)
+    return FiniteLattice(elements, _covers_from_leq(elements, leq), leq,
+                         meet_t, join_t, elements[bottoms[0]],
+                         elements[tops[0]], distributive)
+
+
+
+def build_outcome(build, elements, covers, allow):
+    """Everything a build exposes: the lattice's tables, or the error."""
+    try:
+        lat = build(elements, covers, allow_nondistributive=allow)
+    except MsfuzzError as exc:
+        return type(exc), str(exc)
+    return (lat.elements, lat.covers, lat.leq_table, lat.meet_table,
+            lat.join_table, lat.bottom, lat.top, lat.distributive)
+
+
+def random_relations(count, seed):
+    """Random cover relations on at most 7 shuffled elements: empty sets, cycles,
+    non-lattices, and (bounded by extra edges half the time) lattices."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, 7)
+        names = [f"e{i}" for i in range(n)]
+        p = rng.uniform(0.15, 0.6)
+        covers = [(names[a], names[b])
+                  for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+        if rng.random() < 0.5:
+            covers += [(names[0], x) for x in names[1:]]
+            covers += [(x, names[-1]) for x in names[:-1]]
+        if covers and rng.random() < 0.1:
+            a, b = rng.choice(covers)
+            covers.append((b, a))
+        rng.shuffle(names)
+        rng.shuffle(covers)
+        yield names, covers
+
+
+def spliced_inputs():
+    """N5 and M3 stacked into 20-70-element chains, grids and Boolean
+    lattices, plus the unspliced bases, all with shuffled element order."""
+    bases = [chain_order(16), grid_order(4, 5), boolean_order(4),
+             chain_order(60), grid_order(6, 8), boolean_order(5)]
+    for seed, base in enumerate(bases):
+        els = list(base[0])
+        random.Random(seed).shuffle(els)
+        yield els, base[1]
+        for splice in ("n5", "m3"):
+            yield spliced_order(base, splice, 6, seed)
+
+
+def test_bitset_builder_matches_dense_scan():
+    kinds = set()
+    inputs = list(random_relations(3000, seed=8))
+    inputs += [(list(lat.elements), list(lat.covers)) for lat in lattice_catalog(8)]
+    inputs += list(spliced_inputs())
+    for elements, covers in inputs:
+        for allow in (False, True):
+            want = build_outcome(build_lattice_by_scan, elements, covers, allow)
+            assert build_outcome(build_lattice, elements, covers, allow) == want, \
+                (elements, covers, allow)
+            kinds.add(want[0] if len(want) == 2 else want[-1])
+    assert kinds == {NotBounded, NotAPoset, NotALattice, NotDistributive, True, False}
+
+
 # -- filters ----------------------------------------------------------------
 
 def test_principal_filter(diamond):
@@ -234,6 +414,29 @@ def test_principal_equals_generated_singleton():
         for e in lat.elements:
             assert principal_filter(lat, e).members == \
                 generated_filter(lat, [e]).members
+
+
+# -- closed forms at scale ------------------------------------------------------
+
+def test_chain_200_closed_form():
+    lat = chain(200)
+    r = range(200)
+    assert lat.leq_table == tuple(tuple(i <= j for j in r) for i in r)
+    assert lat.meet_table == tuple(tuple(min(i, j) for j in r) for i in r)
+    assert lat.join_table == tuple(tuple(max(i, j) for j in r) for i in r)
+    assert lat.covers == tuple((f"c{i}", f"c{i + 1}") for i in range(199))
+    assert (lat.bottom, lat.top, lat.distributive) == ("c0", "c199", True)
+
+
+def test_boolean_2_8_closed_form():
+    lat = build_lattice(*boolean_order(8))
+    r = range(256)
+    assert lat.leq_table == tuple(tuple(i & j == i for j in r) for i in r)
+    assert lat.meet_table == tuple(tuple(i & j for j in r) for i in r)
+    assert lat.join_table == tuple(tuple(i | j for j in r) for i in r)
+    assert lat.covers == tuple((f"s{i}", f"s{j}") for i in r for j in r
+                               if i & j == i and bin(i ^ j).count("1") == 1)
+    assert (lat.bottom, lat.top, lat.distributive) == ("s0", "s255", True)
 
 
 # -- order algebra invariants -------------------------------------------------
