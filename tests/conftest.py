@@ -41,16 +41,15 @@ def golden(request):
     return check
 
 
-def chain(n: int):
-    """Chain c0 < c1 < ... < c{n-1}."""
-    els = [f"c{i}" for i in range(n)]
-    return build_lattice(els, [(els[i], els[i + 1]) for i in range(n - 1)])
-
-
 def chain_order(n: int, prefix: str = "c"):
     """(elements, covers) of the chain {prefix}0 < ... < {prefix}{n-1}."""
     els = [f"{prefix}{i}" for i in range(n)]
     return els, [(els[i], els[i + 1]) for i in range(n - 1)]
+
+
+def chain(n: int):
+    """Chain c0 < c1 < ... < c{n-1}."""
+    return build_lattice(*chain_order(n))
 
 
 def grid_order(a: int, b: int):

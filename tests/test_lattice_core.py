@@ -297,7 +297,9 @@ def spliced_inputs():
 
 def test_bitset_builder_matches_dense_scan():
     kinds = set()
-    inputs = list(random_relations(3000, seed=8))
+    inputs = [(["a", "b", "a"], []), (["a"], [("a", "zz")]), (["a"], [("zz", "a")]),
+              (["0", "a", "1"], [("a", "a"), ("0", "a"), ("0", "1"), ("a", "1")])]
+    inputs += random_relations(3000, seed=8)
     inputs += [(list(lat.elements), list(lat.covers)) for lat in lattice_catalog(8)]
     inputs += list(spliced_inputs())
     for elements, covers in inputs:
@@ -306,7 +308,8 @@ def test_bitset_builder_matches_dense_scan():
             assert build_outcome(build_lattice, elements, covers, allow) == want, \
                 (elements, covers, allow)
             kinds.add(want[0] if len(want) == 2 else want[-1])
-    assert kinds == {NotBounded, NotAPoset, NotALattice, NotDistributive, True, False}
+    assert kinds == {DuplicateElement, UnknownElement, NotBounded, NotAPoset,
+                     NotALattice, NotDistributive, True, False}
 
 
 # -- filters ----------------------------------------------------------------
