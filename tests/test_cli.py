@@ -434,6 +434,18 @@ def test_golden_sweep_n4_two_grades(runner, golden):
     golden("sweep_n4_grades01.json", result.output)
 
 
+@pytest.mark.parametrize("name, grades_text", [
+    ("thirds", "1/3,2/3,1"), ("half_one", "1/2,1"),
+])
+def test_golden_sweep_n4_zero_free(runner, golden, name, grades_text):
+    """Universes without 0, one of them non-dyadic: a grade differs from
+    its position in the universe, so rank and grade cannot be confused."""
+    result = runner.invoke(
+        cli, ["--format", "json", "sweep", "--max-n", "4", "--grades", grades_text]
+    )
+    golden(f"sweep_n4_grades_{name}.json", result.output)
+
+
 def test_golden_sweep_n5(runner, golden):
     """The default sweep at five elements: every witness of the headline run."""
     result = runner.invoke(cli, ["--format", "json", "sweep", "--max-n", "5"])

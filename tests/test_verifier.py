@@ -336,7 +336,7 @@ def _law_outcome_inputs():
                     yield Instance(ms, (FuzzySet(lat, values),), universe)
 
 
-def test_golden_law_outcomes(golden):
+def _law_outcome_digests(inputs):
     """One digest per instance-level law over its run_property outcomes:
     ``pass``, the witness JSON, or the name of the raised exception."""
     import hashlib
@@ -344,7 +344,7 @@ def test_golden_law_outcomes(golden):
     pids = [rec.pid for rec in properties() if rec.fixture is None]
     digests = {pid: hashlib.sha256() for pid in pids}
     tally = {pid: {} for pid in pids}
-    for inst in _law_outcome_inputs():
+    for inst in inputs:
         for pid in pids:
             try:
                 witness = run_property(pid, inst)
@@ -362,7 +362,31 @@ def test_golden_law_outcomes(golden):
               "outcomes": dict(sorted(tally[pid].items()))}
         for pid in pids
     }
-    golden("law_outcomes.json", json.dumps(report, indent=2) + "\n")
+    return json.dumps(report, indent=2) + "\n"
+
+
+def test_golden_law_outcomes(golden):
+    golden("law_outcomes.json", _law_outcome_digests(_law_outcome_inputs()))
+
+
+def _thirds_outcome_inputs():
+    """Every catalog lattice up to three elements, every negation table,
+    and every grade map over {1/3, 2/3, 1}: no grade is 0 and none but 1
+    is its own position in the universe, so a grade and its rank differ."""
+    from itertools import product
+
+    from msfuzz import FuzzySet
+
+    universe = grades(Fraction(1, 3), Fraction(2, 3), 1)
+    for lat in lattice_catalog(3):
+        for images in product(lat.elements, repeat=lat.n):
+            ms = MSAlgebra(lat, dict(zip(lat.elements, images)))
+            for values in product(universe, repeat=lat.n):
+                yield Instance(ms, (FuzzySet(lat, values),), universe)
+
+
+def test_golden_law_outcomes_thirds(golden):
+    golden("law_outcomes_thirds.json", _law_outcome_digests(_thirds_outcome_inputs()))
 
 
 # -- row keys --------------------------------------------------------------------
