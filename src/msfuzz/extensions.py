@@ -7,12 +7,14 @@ Two pointwise operators over a nonempty reference subset W:
 
 where '' is double negation.  ``upsilon_row`` and ``omega_row`` are the
 only evaluators; everything else here and the law table in the verifier
-call them.  Both are raw: they accept invalid negation tables and
-non-filter grade maps on purpose, so flawed instances still evaluate to
-their exact grades; the law suite in the verifier applies them only to
-validated instances.  Each helper computes its fact one way; the laws
-that state the equivalences behind them (def-3.4-consistency, thm-4.7,
-thm-4.8) live in the verifier.
+call them.  Like ``dense_row`` they only compare grades, so they take
+grade tuples and tuples of integer grade ranks alike.  Both are raw:
+they accept invalid negation tables and non-filter grade maps on
+purpose, so flawed instances still evaluate to their exact grades; the
+law suite in the verifier applies them only to validated instances.
+Each helper computes its fact one way; the laws that state the
+equivalences behind them (def-3.4-consistency, thm-4.7, thm-4.8) live
+in the verifier.
 """
 
 from __future__ import annotations
@@ -161,16 +163,22 @@ def fixed_witness_sets(ms: MSAlgebra, chi: FuzzySet) -> list[CanonicalFixedSet]:
     return out
 
 
+def dense_row(grades, idx):
+    """Argmax of a grade tuple over nonempty indices: the threshold and the
+    indices attaining it.  Unchecked like ``upsilon_row``."""
+    threshold = max(grades[i] for i in idx)
+    return threshold, frozenset(i for i in idx if grades[i] == threshold)
+
+
 def dense_elements(mu: FuzzySet, w_subset) -> DenseElements:
     """Argmax of mu within W, with the threshold and its carrier-wide cut."""
     lat = mu.carrier
     idx = sorted({lat.element_index(w) for w in w_subset})
     if not idx:
         raise EmptyW("reference subset W is empty")
-    threshold = max(mu.grades[i] for i in idx)
-    members = frozenset(lat.elements[i] for i in idx if mu.grades[i] == threshold)
+    threshold, members = dense_row(mu.grades, idx)
     cut = frozenset(e for e, g in zip(lat.elements, mu.grades) if g >= threshold)
-    return DenseElements(members, threshold, cut)
+    return DenseElements(frozenset(lat.elements[i] for i in members), threshold, cut)
 
 
 def upsilon_via_dense(ms: MSAlgebra, chi: FuzzySet, w_subset, theta: str

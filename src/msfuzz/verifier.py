@@ -8,7 +8,8 @@ replayable Witness or None.  Most laws are predicates over one (chi, W)
 row; a shared scan visits the rows in one order (chi in pool order, then
 W in mask order).  It visits the first W of each double-negation image
 {w°° : w in W}, all that the extensions read of W, and in a stage keyed
-by ``ups`` or ``omg`` (see ``_STAGES``) the first row of each key.
+by ``ups`` or ``omg`` (see ``_STAGES``) the first row of each key.  Rows
+hold integer grade ranks, which order as the grades do (see ``_Row``).
 
 Instances are generated from a catalog of all bounded distributive
 lattices up to a size cap.  The catalog enumerates posets by repeatedly
@@ -23,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations, product
 from typing import Any, Callable
 
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .extensions import (
     dense_certificate,
-    dense_elements,
+    dense_row,
     fixed_witness_sets,
     is_fixed_relative,
     omega_row,
@@ -263,6 +264,10 @@ class Instance:
             for e in w:
                 self.ms.lattice.element_index(e)
 
+    @cached_property
+    def _ranks(self) -> "_Ranks":
+        return _Ranks(self)
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -413,33 +418,55 @@ def _listed_w(pick):
 _singletons = _listed_w(lambda lat: [(e,) for e in lat.elements])
 
 
+class _Ranks:
+    """The grades of an instance's pool and universe, and 1, sorted; a
+    grade's rank is its position.  ``rows``: each chi's ranks, in order."""
+
+    __slots__ = ("grades", "one", "rows")
+
+    def __init__(self, inst: Instance):
+        pool = {g for chi in inst.chis for g in chi.grades}
+        self.grades = tuple(sorted(pool.union(inst.grade_universe, (ONE,))))
+        rank = {g: k for k, g in enumerate(self.grades)}
+        self.one = rank[ONE]
+        self.rows = [tuple(map(rank.__getitem__, chi.grades)) for chi in inst.chis]
+
+
 class _Row:
-    """One (chi, W) pair of a scan.  ``ups`` and ``omg`` are the two
-    extensions, each evaluated on first use; they are the keys."""
+    """One (chi, W) pair of a scan, on integer grade ranks: ``grades`` is
+    chi's row of ``ranks``; ``ups`` and ``omg``, the two extensions, each
+    evaluated on first use, are the keys.  A law compares ranks with each
+    other or with ``one``, the rank of 1, and turns a row back into grades
+    with ``fuzzy`` before a FuzzySet helper or a witness reads it."""
 
-    __slots__ = ("ms", "lat", "dd", "chi", "grades", "w", "w_idx", "_ups", "_omg")
+    __slots__ = ("ms", "lat", "dd", "scale", "one", "chi", "grades", "w", "w_idx", "_ups", "_omg")
 
-    def __init__(self, ms: MSAlgebra, chi: FuzzySet, w, w_idx):
+    def __init__(self, ms: MSAlgebra, ranks: _Ranks, chi: FuzzySet, grades, w, w_idx):
         self.ms = ms
         self.lat = ms.lattice
         self.dd = ms.dneg_table()
+        self.scale = ranks.grades
+        self.one = ranks.one
         self.chi = chi
-        self.grades = chi.grades
+        self.grades = grades
         self.w = w
         self.w_idx = w_idx
         self._ups = self._omg = None
 
     @property
-    def ups(self) -> tuple[Fraction, ...]:
+    def ups(self) -> tuple[int, ...]:
         if self._ups is None:
             self._ups = upsilon_row(self.ms, self.grades, self.w_idx)
         return self._ups
 
     @property
-    def omg(self) -> tuple[Fraction, ...]:
+    def omg(self) -> tuple[int, ...]:
         if self._omg is None:
             self._omg = omega_row(self.ms, self.grades, self.w_idx)
         return self._omg
+
+    def fuzzy(self, ranks: tuple[int, ...]) -> FuzzySet:
+        return FuzzySet(self.lat, tuple(map(self.scale.__getitem__, ranks)))
 
 
 # The law table: law id -> its stages, in the order they run for each chi.
@@ -449,18 +476,18 @@ class _Row:
 # stage's hypothesis; ``key``, unless None, names the row attribute (``ups``
 # or ``omg``) through which alone ``test`` reads W.
 _STAGES: dict[str, list[tuple]] = {}
-_PAIR_STAGES: dict[str, tuple] = {}  # the same for pair laws: (test, when)
+_PAIR_STAGES: dict[str, tuple] = {}  # pair laws: (test, when on the two rank rows)
 
 
 def _scan(pid: str, inst: Instance, *stages: tuple) -> Witness | None:
     """The first failing row: chi in pool order, then the stages in order,
     then W in the stage's order, each key's first row only."""
-    ms = inst.ms
-    for chi in inst.chis:
+    ms, ranks = inst.ms, inst._ranks
+    for chi, grades in zip(inst.chis, ranks.rows):
         for test, ws, when, key in stages:
             if when is not None and not when(ms, chi):
                 continue
-            rows = [_Row(ms, chi, w, w_idx) for w, w_idx in ws(inst, chi)]
+            rows = [_Row(ms, ranks, chi, grades, w, w_idx) for w, w_idx in ws(inst, chi)]
             if key is not None:
                 rows = _firsts(rows, [getattr(r, key) for r in rows])
             for row in rows:
@@ -472,11 +499,12 @@ def _scan(pid: str, inst: Instance, *stages: tuple) -> Witness | None:
 
 def _pair_scan(pid: str, inst: Instance, test, when) -> Witness | None:
     """The first failing (chi1, chi2, W), in that order, as in ``_scan``."""
-    ms = inst.ms
-    rows = [[_Row(ms, chi, w, w_idx) for w, w_idx in _w_sets(inst)] for chi in inst.chis]
-    for chi1, rows1 in zip(inst.chis, rows):
-        for chi2, rows2 in zip(inst.chis, rows):
-            if when is not None and not when(chi1, chi2):
+    ms, ranks = inst.ms, inst._ranks
+    rows = [[_Row(ms, ranks, chi, grades, w, w_idx) for w, w_idx in _w_sets(inst)]
+            for chi, grades in zip(inst.chis, ranks.rows)]
+    for chi1, g1, rows1 in zip(inst.chis, ranks.rows, rows):
+        for chi2, g2, rows2 in zip(inst.chis, ranks.rows, rows):
+            if when is not None and not when(g1, g2):
                 continue
             for r1, r2 in zip(rows1, rows2):
                 found = test(r1, r2)
@@ -564,19 +592,23 @@ def _check_thm_2_3(inst: Instance):
 def _thm_3_1_filter(r: _Row):
     if any(u < g for u, g in zip(r.ups, r.grades)):
         return "extension lost ground"
-    if not classify(r.lat, FuzzySet(r.lat, r.ups)).is_filter:
-        return "extension is not a fuzzy filter", {"upsilon": list(r.ups)}
+    ups = r.fuzzy(r.ups)
+    if not classify(r.lat, ups).is_filter:
+        return "extension is not a fuzzy filter", {"upsilon": list(ups.grades)}
 
 
 def _prime_stage(inst: Instance) -> tuple:
     """The one stage of thm-3.1-prime: its test reads the instance's pool."""
     lat = inst.ms.lattice
     universe = tuple(sorted(set(inst.grade_universe) | {ZERO, ONE}))
-    # built before any row, so an over-cap universe fails whatever the rows
-    pool = _filter_pool(lat, universe)
+    # built before any row, so an over-cap universe skips whatever the rows
+    try:
+        pool = _filter_pool(lat, universe)
+    except SizeCapExceeded as exc:
+        raise HypothesisUnmet("thm-3.1-prime", str(exc)) from None
 
     def test(r: _Row):
-        ups = FuzzySet(lat, r.ups)
+        ups = r.fuzzy(r.ups)
         if ups.is_constant():
             return None  # primality is only defined for proper filters
         prime, pair = is_prime_fuzzy_filter_bounded(lat, ups, universe, pool=pool)
@@ -602,7 +634,7 @@ def _lemma_3_2_1(r: _Row):
 
 
 @_pair_law("lemma-3.2.2", "monotone in the fuzzy filter",
-           when=lambda chi1, chi2: chi1.is_contained_in(chi2))
+           when=lambda g1, g2: all(a <= b for a, b in zip(g1, g2)))
 def _lemma_3_2_2(r1: _Row, r2: _Row):
     if any(a > b for a, b in zip(r1.ups, r2.ups)):
         return "extension not monotone in the filter"
@@ -630,7 +662,7 @@ def _lemma_3_2_4(r: _Row):
           "a reference element double-negating to the top forces the constant one")
 def _lemma_3_2_5(r: _Row):
     top_i = r.lat.element_index(r.lat.top)
-    if any(r.dd[v] == top_i for v in r.w_idx) and any(g != ONE for g in r.ups):
+    if any(r.dd[v] == top_i for v in r.w_idx) and any(g != r.one for g in r.ups):
         return "extension missed the constant one"
 
 
@@ -638,16 +670,16 @@ def _lemma_3_2_5(r: _Row):
           "extension over the whole carrier, or over the top alone, is constant one",
           ws=_listed_w(lambda lat: [lat.elements, (lat.top,)]))
 def _lemma_3_2_6(r: _Row):
-    if any(g != ONE for g in r.ups):
+    if any(g != r.one for g in r.ups):
         return "extension over a unit-reaching subset is not one"
 
 
 @_row_law("lemma-3.2.7", "a point of grade one comes from the filter or from the image")
 def _lemma_3_2_7(r: _Row):
-    if any(r.grades[r.dd[v]] == ONE for v in r.w_idx):
+    if any(r.grades[r.dd[v]] == r.one for v in r.w_idx):
         return None  # the image supplies grade one
     for t in range(r.lat.n):
-        if r.ups[t] == ONE and r.grades[t] != ONE:
+        if r.ups[t] == r.one and r.grades[t] != r.one:
             return "grade one appeared from nowhere", {"theta": r.lat.elements[t]}
 
 
@@ -751,7 +783,7 @@ def _omega_keeps_bottom_fixed(r: _Row):
 def _omega_grows_and_keeps_unit(r: _Row):
     if any(o < g for o, g in zip(r.omg, r.grades)):
         return "strong extension lost ground"
-    if r.omg[r.lat.element_index(r.lat.top)] != ONE:
+    if r.omg[r.lat.element_index(r.lat.top)] != r.one:
         return "strong extension lost the unit"
 
 
@@ -767,7 +799,7 @@ def _upsilon_subset_omega(r: _Row):
           "maxima need not commute with the meet)",
           key="omg")
 def _thm_4_3(r: _Row):
-    omg = FuzzySet(r.lat, r.omg)
+    omg = r.fuzzy(r.omg)
     if not classify(r.lat, omg).is_filter:
         return "strong extension is not a fuzzy filter", {"omega": omg}
 
@@ -796,11 +828,9 @@ def _thm_4_8(r: _Row):
     lat = r.lat
     for t in range(lat.n):
         joins = [lat.join_table[t][r.dd[v]] for v in r.w_idx]
-        dense = dense_elements(r.chi, [lat.elements[j] for j in joins])
+        _, dense = dense_row(r.grades, joins)
         for v, j in zip(r.w_idx, joins):
-            lhs = r.grades[j] == r.omg[t]
-            rhs = lat.elements[j] in dense.members
-            if lhs != rhs:
+            if (r.grades[j] == r.omg[t]) != (j in dense):
                 return ("dense reading of the strong extension broke",
                         {"theta": lat.elements[t], "w": lat.elements[v]})
 
@@ -810,7 +840,7 @@ def _thm_4_8(r: _Row):
           "grade-level double negation is inherited",
           when=_join_hom, key="ups")
 def _ups_is_lattice_hom(r: _Row):
-    if not hom_report(r.lat, FuzzySet(r.lat, r.ups)).is_lattice_hom:
+    if not hom_report(r.lat, r.fuzzy(r.ups)).is_lattice_hom:
         return "extension is not a lattice homomorphism"
 
 
@@ -840,8 +870,8 @@ def _prop_5_3(r: _Row):
         return "cokernel characterization broke"
 
 
-def _fibers(grades: tuple[Fraction, ...]) -> list[list[int]]:
-    by_value: dict[Fraction, list[int]] = {}
+def _fibers(grades) -> list[list[int]]:
+    by_value: dict[Any, list[int]] = {}
     for i, g in enumerate(grades):
         by_value.setdefault(g, []).append(i)
     return list(by_value.values())
@@ -1055,9 +1085,9 @@ def _neg_closure_stats(inst: Instance) -> tuple[int, int]:
     ms = inst.ms
     neg = ms.neg_table
     closed = total = 0
-    for chi in inst.chis:
-        for w, w_idx in _every_w(ms.lattice, inst.w_sets):
-            for fiber in _fibers(_Row(ms, chi, w, w_idx).ups):
+    for grades in inst._ranks.rows:
+        for _, w_idx in _every_w(ms.lattice, inst.w_sets):
+            for fiber in _fibers(upsilon_row(ms, grades, w_idx)):
                 members = set(fiber)
                 total += 1
                 if all(neg[i] in members for i in fiber):

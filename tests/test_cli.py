@@ -266,6 +266,25 @@ def test_over_cap_runs_are_usage_errors(runner, args):
     assert isinstance(result.exception, SystemExit)
 
 
+def test_over_cap_verify_skips_prime_law(runner, tmp_path):
+    """9 elements x 9 grades is over the filter-pool cap that thm-3.1-prime
+    needs: verify reports that law as unmet and checks every other law."""
+    els, covers = chain_order(9)
+    neg = [f"  {e} -> {els[-1] if i == 0 else els[0]}" for i, e in enumerate(els)]
+    chi = [f"  {e} = {i}/8" for i, e in enumerate(els)]
+    path = tmp_path / "fine_grades.ms"
+    path.write_text(document_text(els, covers) + "\n".join(["neg", *neg, "fuzzy chi", *chi]))
+    result = runner.invoke(cli, ["--format", "json", "verify", str(path)])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    verdicts = {r["id"]: r for r in json.loads(result.output)["properties"]}
+    assert verdicts.pop("thm-3.1-prime") == {
+        "id": "thm-3.1-prime", "verdict": "hypothesis-unmet",
+        "reason": "|elements| * |grades| = 81 exceeds cap 64"}
+    assert len(verdicts) == 29
+    assert {r["verdict"] for r in verdicts.values()} == {"pass"}
+
+
 def test_search_finds_prime_witness(runner):
     result = runner.invoke(
         cli,

@@ -441,14 +441,14 @@ class _BruteScan:
     def stages(self, stages):
         from msfuzz.verifier import _Row, _w_sets
 
-        ms = self.inst.ms
-        for chi in self.inst.chis:
+        ms, ranks = self.inst.ms, self.inst._ranks
+        for chi, grades in zip(self.inst.chis, ranks.rows):
             for s, (test, ws, when, key) in enumerate(stages):
                 if when is not None and not when(ms, chi):
                     continue
                 default = ws is _w_sets
                 for w, w_idx in self.every if default else ws(self.inst, chi):
-                    row = _Row(ms, chi, w, w_idx)
+                    row = _Row(ms, ranks, chi, grades, w, w_idx)
                     group = None
                     if key is not None:
                         group = (chi, s, key, getattr(row, key))
@@ -460,13 +460,14 @@ class _BruteScan:
     def pairs(self, test, when):
         from msfuzz.verifier import _Row
 
-        ms = self.inst.ms
-        for chi1 in self.inst.chis:
-            for chi2 in self.inst.chis:
-                if when is not None and not when(chi1, chi2):
+        ms, ranks = self.inst.ms, self.inst._ranks
+        for chi1, g1 in zip(self.inst.chis, ranks.rows):
+            for chi2, g2 in zip(self.inst.chis, ranks.rows):
+                if when is not None and not when(g1, g2):
                     continue
                 for w, w_idx in self.every:
-                    rows = [_Row(ms, chi1, w, w_idx), _Row(ms, chi2, w, w_idx)]
+                    rows = [_Row(ms, ranks, chi1, g1, w, w_idx),
+                            _Row(ms, ranks, chi2, g2, w, w_idx)]
                     group = (chi1, chi2, _image(ms, w_idx))
                     self.visit(test, rows, [chi1, chi2], group, w)
         return self
