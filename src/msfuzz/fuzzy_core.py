@@ -2,6 +2,11 @@
 the pool of fuzzy filters over a finite grade universe (one per
 multichain of principal filters), and the grade-universe-bounded
 primality check.
+
+``is_filter_row`` is a row kernel like ``lattice_core.first_break``: it
+only compares grades, so it takes grade tuples and tuples of integer
+grade ranks alike (the law scan in the verifier passes ranks, with the
+rank of 1 for ``one``).  ``classify`` wraps ``first_break``.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from .errors import (
     SizeCapExceeded,
 )
 from .grades import ONE, ZERO, ensure_grade
-from .lattice_core import FiniteLattice
+from .lattice_core import FiniteLattice, first_break
 from .report import Check, VerificationReport
 
 FUZZY_ENUM_CAP = 64  # bound on |elements| * |grade universe|
@@ -82,6 +87,13 @@ def fuzzy_intersection(a: FuzzySet, b: FuzzySet) -> FuzzySet:
     return FuzzySet(a.carrier, tuple(min(x, y) for x, y in zip(a.grades, b.grades)))
 
 
+def is_filter_row(lat: FiniteLattice, grades, one) -> bool:
+    """The two-clause filter test on a row: the top has grade ``one`` and
+    meets go to minima."""
+    return (grades[lat.element_index(lat.top)] == one
+            and first_break(lat.meet_table, grades, min) is None)
+
+
 def classify(lat: FiniteLattice, chi: FuzzySet) -> FuzzyClassification:
     """Classify a fuzzy set as sublattice / ideal / filter / proper.
 
@@ -93,42 +105,22 @@ def classify(lat: FiniteLattice, chi: FuzzySet) -> FuzzyClassification:
     if chi.carrier != lat:
         raise CarrierMismatch("fuzzy set does not live on the given lattice")
     g = chi.grades
-    n = lat.n
-
-    sublattice = True
-    for i in range(n):
-        for j in range(n):
-            lo = min(g[i], g[j])
-            if g[lat.meet_table[i][j]] < lo or g[lat.join_table[i][j]] < lo:
-                sublattice = False
-                break
-        if not sublattice:
-            break
-
-    meet_witness = None
-    meet_equal = True
-    for i in range(n):
-        for j in range(n):
-            if g[lat.meet_table[i][j]] != min(g[i], g[j]):
-                meet_equal = False
-                meet_witness = (lat.elements[i], lat.elements[j])
-                break
-        if not meet_equal:
-            break
-    filter_char = g[lat.element_index(lat.top)] == ONE and meet_equal
-
-    join_equal = all(
-        g[lat.join_table[i][j]] == min(g[i], g[j])
-        for i in range(n) for j in range(n)
+    sublattice = all(
+        min(g[i], g[j]) <= min(g[lat.meet_table[i][j]], g[lat.join_table[i][j]])
+        for i in range(lat.n) for j in range(lat.n)
     )
-    ideal_char = g[lat.element_index(lat.bottom)] == ONE and join_equal
+    meet_break = first_break(lat.meet_table, g, min)
+    filter_char = g[lat.element_index(lat.top)] == ONE and meet_break is None
+    ideal_char = (g[lat.element_index(lat.bottom)] == ONE
+                  and first_break(lat.join_table, g, min) is None)
 
     return FuzzyClassification(
         is_sublattice=sublattice,
         is_ideal=ideal_char,
         is_filter=filter_char,
         is_proper=not chi.is_constant(),
-        witness=None if filter_char else meet_witness,
+        witness=None if meet_break is None else
+        (lat.elements[meet_break[0]], lat.elements[meet_break[1]]),
     )
 
 
@@ -136,8 +128,11 @@ def fuzzy_filter_report(lat: FiniteLattice, chi: FuzzySet, name: str = "chi"
                         ) -> VerificationReport:
     """Per-clause filter diagnosis with exact witnesses, for validation output.
 
-    The meet-equality witness is the pair ``classify`` found first.
+    The meet-equality witness is the first pair ``first_break`` finds, the
+    one ``classify`` reports.
     """
+    if chi.carrier != lat:
+        raise CarrierMismatch("fuzzy set does not live on the given lattice")
     g = chi.grades
     checks: list[Check] = []
 
@@ -147,13 +142,12 @@ def fuzzy_filter_report(lat: FiniteLattice, chi: FuzzySet, name: str = "chi"
         "" if top_grade == ONE else f"grade of {lat.top!r} is {top_grade}, not 1",
     ))
 
-    cls = classify(lat, chi)
+    meet_break = first_break(lat.meet_table, g, min)
     witness = None
-    if cls.witness is not None:
-        a, b = cls.witness
-        i, j = lat.element_index(a), lat.element_index(b)
+    if meet_break is not None:
+        i, j = meet_break
         witness = {
-            "pair": [a, b],
+            "pair": [lat.elements[i], lat.elements[j]],
             "lhs": str(g[lat.meet_table[i][j]]),
             "rhs": str(min(g[i], g[j])),
         }
@@ -163,7 +157,7 @@ def fuzzy_filter_report(lat: FiniteLattice, chi: FuzzySet, name: str = "chi"
         "grade of a meet differs from the minimum of the grades",
         witness,
     ))
-    checks.append(Check(f"fuzzy.{name}.is-filter", cls.is_filter))
+    checks.append(Check(f"fuzzy.{name}.is-filter", top_grade == ONE and witness is None))
     return VerificationReport(f"fuzzy-filter:{name}", tuple(checks))
 
 

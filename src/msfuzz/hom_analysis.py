@@ -1,6 +1,12 @@
 """Homomorphism predicates for grade maps, kernel/cokernel
 characterizations of the extension, fibers, and the optional grade-level
 negation structure.
+
+``kernel_row`` and ``cokernel_row`` are row kernels like
+``extensions.upsilon_row``: they only compare grades with each other and
+with the ``zero`` or ``one`` they are given, so the law scan in the
+verifier calls them on integer grade ranks.  ``hom_report`` and the two
+characterizations wrap them and ``lattice_core.first_break`` for FuzzySets.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from .errors import MissingGradeStructure
 from .extensions import _w_indices, upsilon, upsilon_row
 from .fuzzy_core import FuzzySet
 from .grades import ONE, ZERO
-from .lattice_core import FiniteLattice
+from .lattice_core import FiniteLattice, first_break
 from .ms_algebra import MSAlgebra
 
 
@@ -63,20 +69,14 @@ def hom_report(lat: FiniteLattice, mu: FuzzySet) -> HomReport:
     """Does the grade map turn joins into maxima and meets into minima?
 
     Every fuzzy filter passes the meet half; the join half is the extra
-    hypothesis the extension theorems trade on.
+    hypothesis the extension theorems trade on.  The witness is the first
+    pair, in row-major order, that breaks either half.
     """
-    g = mu.grades
-    n = lat.n
-    join_ok, meet_ok, witness = True, True, None
-    for i in range(n):
-        for j in range(n):
-            if g[lat.join_table[i][j]] != max(g[i], g[j]):
-                join_ok = False
-                witness = witness or (lat.elements[i], lat.elements[j])
-            if g[lat.meet_table[i][j]] != min(g[i], g[j]):
-                meet_ok = False
-                witness = witness or (lat.elements[i], lat.elements[j])
-    return HomReport(join_ok, meet_ok, witness)
+    join_break = first_break(lat.join_table, mu.grades, max)
+    meet_break = first_break(lat.meet_table, mu.grades, min)
+    first = min((b for b in (join_break, meet_break) if b is not None), default=None)
+    witness = None if first is None else (lat.elements[first[0]], lat.elements[first[1]])
+    return HomReport(join_break is None, meet_break is None, witness)
 
 
 def kernel(mu: FuzzySet) -> frozenset[str]:
@@ -89,19 +89,30 @@ def cokernel(mu: FuzzySet) -> frozenset[str]:
     return frozenset(e for e, g in zip(mu.carrier.elements, mu.grades) if g == ONE)
 
 
+def kernel_row(ms: MSAlgebra, grades, ups, w_idx, zero) -> bool:
+    """An element has extension grade ``zero`` iff chi gives it ``zero``
+    and chi gives ``zero`` to the whole double-negation image of W; on the
+    rows of chi and of its extension over the indices ``w_idx``."""
+    dd = ms.dneg_table()
+    image_killed = all(grades[dd[w]] == zero for w in w_idx)
+    return all((u == zero) == (g == zero and image_killed) for g, u in zip(grades, ups))
+
+
+def cokernel_row(ms: MSAlgebra, grades, ups, w_idx, one) -> bool:
+    """An element has extension grade ``one`` iff chi gives it ``one`` or
+    some double-negated reference element has grade ``one``; on rows, like
+    ``kernel_row``."""
+    dd = ms.dneg_table()
+    image_hit = any(grades[dd[w]] == one for w in w_idx)
+    return all((u == one) == (g == one or image_hit) for g, u in zip(grades, ups))
+
+
 def kernel_characterization(ms: MSAlgebra, chi: FuzzySet, w_subset) -> bool:
     """An element is killed by the extension iff chi kills it and chi
     kills the whole double-negation image of W.  Verified pointwise."""
     w_idx = _w_indices(ms, chi, w_subset)
     ups = upsilon_row(ms, chi.grades, w_idx)
-    dd = ms.dneg_table()
-    image_killed = all(chi.grades[dd[w]] == ZERO for w in w_idx)
-    for i in range(ms.lattice.n):
-        in_ker = ups[i] == ZERO
-        expected = chi.grades[i] == ZERO and image_killed
-        if in_ker != expected:
-            return False
-    return True
+    return kernel_row(ms, chi.grades, ups, w_idx, ZERO)
 
 
 def cokernel_characterization(ms: MSAlgebra, chi: FuzzySet, w_subset) -> bool:
@@ -109,14 +120,7 @@ def cokernel_characterization(ms: MSAlgebra, chi: FuzzySet, w_subset) -> bool:
     double-negated reference element has grade one."""
     w_idx = _w_indices(ms, chi, w_subset)
     ups = upsilon_row(ms, chi.grades, w_idx)
-    dd = ms.dneg_table()
-    image_hit = any(chi.grades[dd[w]] == ONE for w in w_idx)
-    for i in range(ms.lattice.n):
-        in_coker = ups[i] == ONE
-        expected = chi.grades[i] == ONE or image_hit
-        if in_coker != expected:
-            return False
-    return True
+    return cokernel_row(ms, chi.grades, ups, w_idx, ONE)
 
 
 def inverse_class(ms: MSAlgebra, chi: FuzzySet, w_subset, theta: str

@@ -4,7 +4,8 @@ A lattice is built from its Hasse diagram (cover pairs); the order is the
 reflexive-transitive closure of the covers.  Construction works on int bit
 masks of up-sets and down-sets, in O(n^2) big-int operations; the order,
 meet and join are then stored as index tables, because every downstream
-check is table lookups.
+check is table lookups.  ``first_break`` is the one scan for a map on
+element indices that must carry one of these tables to an operation.
 """
 
 from __future__ import annotations
@@ -239,6 +240,20 @@ def _first_distributivity_failure(elements, meet, join, j_test_fails) -> tuple[s
                 if meet_i[join_j[k]] != join_ij[meet_i[k]]:
                     return elements[i], elements[j], elements[k]
     raise InternalInvariantError("the J-test rejected a distributive lattice")
+
+
+def first_break(table, grades, op):
+    """The first ``(i, j)``, in row-major order, where
+    ``grades[table[i][j]] != op(grades[i], grades[j])``, or None: where the
+    map ``grades`` on element indices fails to carry the meet or join
+    ``table`` to ``op``.  It only compares values, so ``grades`` may hold
+    grades, integer grade ranks or element indices."""
+    for i, row in enumerate(table):
+        gi = grades[i]
+        for j, k in enumerate(row):
+            if grades[k] != op(gi, grades[j]):
+                return i, j
+    return None
 
 
 def principal_filter(lat: FiniteLattice, e: str) -> FilterSet:

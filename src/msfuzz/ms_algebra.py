@@ -10,7 +10,7 @@ theorem machinery requires it, the evaluators do not.
 from __future__ import annotations
 
 from .errors import EmptyW, SizeCapExceeded, UnknownElement
-from .lattice_core import FilterSet, FiniteLattice
+from .lattice_core import FilterSet, FiniteLattice, first_break
 from .report import Check, VerificationReport
 
 MS_ENUM_CAP = 8
@@ -103,19 +103,14 @@ def check_ms_axioms(lat: FiniteLattice, neg: dict[str, str]) -> VerificationRepo
     ))
 
     witness = None
-    for i in range(n):
-        for j in range(n):
-            lhs = table[lat.meet_table[i][j]]
-            rhs = lat.join_table[table[i]][table[j]]
-            if lhs != rhs:
-                witness = {
-                    "pair": [lat.elements[i], lat.elements[j]],
-                    "lhs": lat.elements[lhs],
-                    "rhs": lat.elements[rhs],
-                }
-                break
-        if witness:
-            break
+    pair = first_break(lat.meet_table, table, lambda a, b: lat.join_table[a][b])
+    if pair is not None:
+        i, j = pair
+        witness = {
+            "pair": [lat.elements[i], lat.elements[j]],
+            "lhs": lat.elements[table[lat.meet_table[i][j]]],
+            "rhs": lat.elements[lat.join_table[table[i]][table[j]]],
+        }
     checks.append(Check(
         "meet-de-morgan", witness is None,
         "" if witness is None else "negation of a meet differs from join of negations",
@@ -150,19 +145,15 @@ def verify_derived_identities(ms: MSAlgebra) -> VerificationReport:
     n = lat.n
     checks: list[Check] = []
 
-    def scan_pairs(pred):
-        for i in range(n):
-            for j in range(n):
-                if not pred(i, j):
-                    return {"pair": [lat.elements[i], lat.elements[j]]}
-        return None
+    def join_break(f, target):
+        """The first pair whose join ``f`` does not send to ``target`` of the images."""
+        pair = first_break(lat.join_table, f, lambda a, b: target[a][b])
+        return None if pair is None else {"pair": [lat.elements[k] for k in pair]}
 
-    w = scan_pairs(lambda i, j: neg[lat.join_table[i][j]] == lat.meet_table[neg[i]][neg[j]])
+    w = join_break(neg, lat.meet_table)
     checks.append(Check("join-de-morgan", w is None, "", w))
 
-    w = scan_pairs(
-        lambda i, j: neg[neg[lat.join_table[i][j]]] == lat.join_table[neg[neg[i]]][neg[neg[j]]]
-    )
+    w = join_break(ms.dneg_table(), lat.join_table)
     checks.append(Check("double-negation-join", w is None, "", w))
 
     w = None

@@ -9,7 +9,11 @@ row; a shared scan visits the rows in one order (chi in pool order, then
 W in mask order).  It visits the first W of each double-negation image
 {w°° : w in W}, all that the extensions read of W, and in a stage keyed
 by ``ups`` or ``omg`` (see ``_STAGES``) the first row of each key.  Rows
-hold integer grade ranks, which order as the grades do (see ``_Row``).
+and guards see only integer grade ranks, which order as the grades do
+(see ``_Ranks``), and test them with the row kernels of ``lattice_core``,
+``fuzzy_core``, ``extensions`` and ``hom_analysis``; grades come back only in witness
+data and in thm-3.1-prime, whose outcomes come from the FuzzySet
+primality check.
 
 Instances are generated from a catalog of all bounded distributive
 lattices up to a size cap.  The catalog enumerates posets by repeatedly
@@ -38,7 +42,6 @@ from .extensions import (
     dense_certificate,
     dense_row,
     fixed_witness_sets,
-    is_fixed_relative,
     omega_row,
     upsilon_row,
 )
@@ -48,15 +51,12 @@ from .fuzzy_core import (
     FuzzySet,
     classify,
     enumerate_fuzzy_filters,
+    is_filter_row,
     is_prime_fuzzy_filter_bounded,
 )
 from .grades import ONE, ZERO, format_grade
-from .hom_analysis import (
-    cokernel_characterization,
-    hom_report,
-    kernel_characterization,
-)
-from .lattice_core import FiniteLattice, build_lattice, enumerate_filters, is_filter
+from .hom_analysis import cokernel_row, kernel_row
+from .lattice_core import FiniteLattice, build_lattice, enumerate_filters, first_break, is_filter
 from .ms_algebra import (
     MSAlgebra,
     enumerate_ms_operations,
@@ -210,7 +210,6 @@ class SearchConfig:
     mode: str = "exhaustive"  # or "randomized"
     seed: int = 0
     iterations: int = 0
-    require_valid: bool = True
 
     def __post_init__(self):
         if self.max_elements < 1:
@@ -233,7 +232,7 @@ class SearchConfig:
             "max_elements": self.max_elements,
             "grade_universe": [format_grade(g) for g in self.grade_universe],
             "mode": self.mode,
-            "require_valid": self.require_valid,
+            "require_valid": True,  # every swept table is valid; reports keep the key
         }
         if self.mode == "randomized":
             out["seed"] = self.seed
@@ -419,35 +418,36 @@ _singletons = _listed_w(lambda lat: [(e,) for e in lat.elements])
 
 
 class _Ranks:
-    """The grades of an instance's pool and universe, and 1, sorted; a
-    grade's rank is its position.  ``rows``: each chi's ranks, in order."""
+    """The grades of an instance's pool and universe, 0 and 1, sorted; a
+    grade's rank is its position, so rank 0 is grade 0 and ``one`` is the
+    rank of 1.  ``rows``: each chi's ranks, in order."""
 
     __slots__ = ("grades", "one", "rows")
 
     def __init__(self, inst: Instance):
         pool = {g for chi in inst.chis for g in chi.grades}
-        self.grades = tuple(sorted(pool.union(inst.grade_universe, (ONE,))))
+        self.grades = tuple(sorted(pool.union(inst.grade_universe, (ZERO, ONE))))
         rank = {g: k for k, g in enumerate(self.grades)}
         self.one = rank[ONE]
         self.rows = [tuple(map(rank.__getitem__, chi.grades)) for chi in inst.chis]
 
 
 class _Row:
-    """One (chi, W) pair of a scan, on integer grade ranks: ``grades`` is
-    chi's row of ``ranks``; ``ups`` and ``omg``, the two extensions, each
+    """One (chi, W) pair of a scan, on integer grade ranks only: ``grades``
+    is chi's row of ``ranks``; ``ups`` and ``omg``, the two extensions, each
     evaluated on first use, are the keys.  A law compares ranks with each
-    other or with ``one``, the rank of 1, and turns a row back into grades
-    with ``fuzzy`` before a FuzzySet helper or a witness reads it."""
+    other, with ``one``, the rank of 1, or with 0, the rank of 0, and
+    passes rows to the row kernels; ``fuzzy`` turns a row back into grades
+    for witness data."""
 
-    __slots__ = ("ms", "lat", "dd", "scale", "one", "chi", "grades", "w", "w_idx", "_ups", "_omg")
+    __slots__ = ("ms", "lat", "dd", "scale", "one", "grades", "w", "w_idx", "_ups", "_omg")
 
-    def __init__(self, ms: MSAlgebra, ranks: _Ranks, chi: FuzzySet, grades, w, w_idx):
+    def __init__(self, ms: MSAlgebra, ranks: _Ranks, grades, w, w_idx):
         self.ms = ms
         self.lat = ms.lattice
         self.dd = ms.dneg_table()
         self.scale = ranks.grades
         self.one = ranks.one
-        self.chi = chi
         self.grades = grades
         self.w = w
         self.w_idx = w_idx
@@ -472,9 +472,10 @@ class _Row:
 # The law table: law id -> its stages, in the order they run for each chi.
 # A stage is (test, ws, when, key): ``test`` maps a row to None, a detail
 # string, or (detail, data); ``ws`` gives the reference subsets for
-# (instance, chi); ``when``, unless None, skips the chis that miss the
-# stage's hypothesis; ``key``, unless None, names the row attribute (``ups``
-# or ``omg``) through which alone ``test`` reads W.
+# (instance, chi); ``when``, unless None, is given (algebra, chi's rank
+# row) and skips the chis that miss the stage's hypothesis; ``key``, unless
+# None, names the row attribute (``ups`` or ``omg``) through which alone
+# ``test`` reads W.
 _STAGES: dict[str, list[tuple]] = {}
 _PAIR_STAGES: dict[str, tuple] = {}  # pair laws: (test, when on the two rank rows)
 
@@ -485,9 +486,9 @@ def _scan(pid: str, inst: Instance, *stages: tuple) -> Witness | None:
     ms, ranks = inst.ms, inst._ranks
     for chi, grades in zip(inst.chis, ranks.rows):
         for test, ws, when, key in stages:
-            if when is not None and not when(ms, chi):
+            if when is not None and not when(ms, grades):
                 continue
-            rows = [_Row(ms, ranks, chi, grades, w, w_idx) for w, w_idx in ws(inst, chi)]
+            rows = [_Row(ms, ranks, grades, w, w_idx) for w, w_idx in ws(inst, chi)]
             if key is not None:
                 rows = _firsts(rows, [getattr(r, key) for r in rows])
             for row in rows:
@@ -500,8 +501,8 @@ def _scan(pid: str, inst: Instance, *stages: tuple) -> Witness | None:
 def _pair_scan(pid: str, inst: Instance, test, when) -> Witness | None:
     """The first failing (chi1, chi2, W), in that order, as in ``_scan``."""
     ms, ranks = inst.ms, inst._ranks
-    rows = [[_Row(ms, ranks, chi, grades, w, w_idx) for w, w_idx in _w_sets(inst)]
-            for chi, grades in zip(inst.chis, ranks.rows)]
+    rows = [[_Row(ms, ranks, grades, w, w_idx) for w, w_idx in _w_sets(inst)]
+            for grades in ranks.rows]
     for chi1, g1, rows1 in zip(inst.chis, ranks.rows, rows):
         for chi2, g2, rows2 in zip(inst.chis, ranks.rows, rows):
             if when is not None and not when(g1, g2):
@@ -538,8 +539,8 @@ def _pair_law(pid: str, summary: str, when=None):
     return decorate
 
 
-def _join_hom(ms: MSAlgebra, chi: FuzzySet) -> bool:
-    return hom_report(ms.lattice, chi).is_join_hom
+def _join_hom(ms: MSAlgebra, grades) -> bool:
+    return first_break(ms.lattice.join_table, grades, max) is None
 
 
 _DERIVED_IDENTITY_DETAILS = {
@@ -592,9 +593,8 @@ def _check_thm_2_3(inst: Instance):
 def _thm_3_1_filter(r: _Row):
     if any(u < g for u, g in zip(r.ups, r.grades)):
         return "extension lost ground"
-    ups = r.fuzzy(r.ups)
-    if not classify(r.lat, ups).is_filter:
-        return "extension is not a fuzzy filter", {"upsilon": list(ups.grades)}
+    if not is_filter_row(r.lat, r.ups, r.one):
+        return "extension is not a fuzzy filter", {"upsilon": list(r.fuzzy(r.ups).grades)}
 
 
 def _prime_stage(inst: Instance) -> tuple:
@@ -650,7 +650,7 @@ def _lemma_3_2_3(r: _Row):
 
 @_row_law("lemma-3.2.4",
           "for injective filters, an unmoved point dominates the image",
-          when=lambda ms, chi: len(set(chi.grades)) == ms.lattice.n)
+          when=lambda ms, grades: len(set(grades)) == ms.lattice.n)
 def _lemma_3_2_4(r: _Row):
     leq = r.lat.leq_table
     for t in range(r.lat.n):
@@ -692,12 +692,9 @@ def _prop_3_3_1(r1: _Row, r2: _Row):
 
 @_row_law("prop-3.3.2", "the extension maps meets to minima", key="ups")
 def _prop_3_3_2(r: _Row):
-    ups = r.ups
-    for i in range(r.lat.n):
-        for j in range(r.lat.n):
-            if ups[r.lat.meet_table[i][j]] != min(ups[i], ups[j]):
-                return ("extension broke the meet equality",
-                        {"pair": [r.lat.elements[i], r.lat.elements[j]]})
+    pair = first_break(r.lat.meet_table, r.ups, min)
+    if pair is not None:
+        return "extension broke the meet equality", {"pair": [r.lat.elements[k] for k in pair]}
 
 
 @_row_law("def-3.4-consistency",
@@ -719,7 +716,7 @@ def _canonical_w_sets(inst: Instance, chi: FuzzySet):
 
 @_row_law("def-3.4-consistency", ws=_canonical_w_sets)
 def _canonical_stays_fixed(r: _Row):
-    if not is_fixed_relative(r.ms, r.chi, r.w):
+    if r.ups != r.grades:
         return "a canonical subset moved the filter"
 
 
@@ -799,9 +796,8 @@ def _upsilon_subset_omega(r: _Row):
           "maxima need not commute with the meet)",
           key="omg")
 def _thm_4_3(r: _Row):
-    omg = r.fuzzy(r.omg)
-    if not classify(r.lat, omg).is_filter:
-        return "strong extension is not a fuzzy filter", {"omega": omg}
+    if not is_filter_row(r.lat, r.omg, r.one):
+        return "strong extension is not a fuzzy filter", {"omega": r.fuzzy(r.omg)}
 
 
 @_row_law("remark-4.4",
@@ -840,13 +836,13 @@ def _thm_4_8(r: _Row):
           "grade-level double negation is inherited",
           when=_join_hom, key="ups")
 def _ups_is_lattice_hom(r: _Row):
-    if not hom_report(r.lat, r.fuzzy(r.ups)).is_lattice_hom:
+    if not (_join_hom(r.ms, r.ups) and first_break(r.lat.meet_table, r.ups, min) is None):
         return "extension is not a lattice homomorphism"
 
 
-def _dd_compatible(ms: MSAlgebra, chi: FuzzySet) -> bool:
+def _dd_compatible(ms: MSAlgebra, grades) -> bool:
     dd = ms.dneg_table()
-    return all(chi.grades[dd[i]] == chi.grades[i] for i in range(ms.lattice.n))
+    return all(grades[dd[i]] == grades[i] for i in range(ms.lattice.n))
 
 
 @_row_law("thm-5.1", when=_dd_compatible, key="ups")
@@ -859,14 +855,14 @@ def _ups_dd_compatible(r: _Row):
           "kernel of the extension: killed by the source and the whole image "
           "killed")
 def _prop_5_2(r: _Row):
-    if not kernel_characterization(r.ms, r.chi, r.w):
+    if not kernel_row(r.ms, r.grades, r.ups, r.w_idx, 0):
         return "kernel characterization broke"
 
 
 @_row_law("prop-5.3",
           "cokernel of the extension: unit grade at the source or in the image")
 def _prop_5_3(r: _Row):
-    if not cokernel_characterization(r.ms, r.chi, r.w):
+    if not cokernel_row(r.ms, r.grades, r.ups, r.w_idx, r.one):
         return "cokernel characterization broke"
 
 
@@ -929,32 +925,6 @@ THEOREM_SUITE: tuple[str, ...] = tuple(
     rec.pid for rec in _REGISTRY.values()
     if not rec.search_target and rec.fixture is None
 )
-
-REQUIRED_IDS: tuple[str, ...] = (
-    "prop-2.1", "thm-2.3-extended-filter",
-    "thm-3.1-filter", "thm-3.1-prime",
-    "lemma-3.2.1", "lemma-3.2.2", "lemma-3.2.3", "lemma-3.2.4",
-    "lemma-3.2.5", "lemma-3.2.6", "lemma-3.2.7",
-    "prop-3.3.1", "prop-3.3.2",
-    "def-3.4-consistency", "prop-3.6", "prop-3.7",
-    "thm-3.8", "cor-3.9", "cor-3.10",
-    "def-4.1-consistency", "upsilon-subset-omega", "thm-4.3", "remark-4.4",
-    "thm-4.7", "thm-4.8",
-    "thm-5.1", "prop-5.2", "prop-5.3",
-    "lemma-5.4-meet", "lemma-5.4-join",
-    "example-4.2-validity",
-)
-
-
-def _registry_self_check() -> None:
-    missing = [pid for pid in REQUIRED_IDS if pid not in _REGISTRY]
-    if missing:
-        from .errors import InternalInvariantError
-
-        raise InternalInvariantError(f"unregistered law ids: {missing}")
-
-
-_registry_self_check()
 
 
 # ---------------------------------------------------------------------------
@@ -1043,25 +1013,11 @@ class SweepReport:
         }
 
 
-def _all_neg_tables(lat: FiniteLattice) -> list[dict[str, str]]:
-    if lat.n ** lat.n > 4 ** 4:
-        raise SizeCapExceeded(
-            "require_valid=False enumerates every table; too many here"
-        )
-    out = []
-    for images in product(lat.elements, repeat=lat.n):
-        out.append(dict(zip(lat.elements, images)))
-    return out
-
-
 def _instance_stream(cfg: SearchConfig):
     if cfg.mode == "exhaustive":
         for lat in lattice_catalog(cfg.max_elements):
-            tables = (
-                _ms_operations(lat) if cfg.require_valid else _all_neg_tables(lat)
-            )
             pool = _filter_pool(lat, cfg.grade_universe)
-            for neg in tables:
+            for neg in _ms_operations(lat):
                 yield Instance(MSAlgebra(lat, dict(neg)), pool, cfg.grade_universe)
     else:
         rng = random.Random(cfg.seed)

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -79,6 +80,15 @@ def test_derived_identities(diamond_ms):
     report = verify_derived_identities(ms)
     assert report.ok
     assert report.find("zero-negation").passed
+
+
+def test_derived_identity_witnesses(diamond):
+    """On an invalid table each join identity reports its first failing
+    pair in row-major element order."""
+    report = verify_derived_identities(
+        MSAlgebra(diamond, {"0": "1", "a": "0", "b": "0", "1": "a"}))
+    assert report.find("join-de-morgan").witness == {"pair": ["a", "b"]}
+    assert report.find("double-negation-join").witness == {"pair": ["0", "1"]}
 
 
 def test_derived_identities_all_enumerated():
@@ -189,10 +199,16 @@ def test_diamond_operations(diamond):
 
 @pytest.mark.parametrize("lat_index", range(5))
 def test_enumeration_matches_brute_force(lat_index):
+    """On the catalog lattice and on ten shuffles of its element order: the
+    backtracker assigns in element order, and on some orders its pruning
+    alone lets tables through that the leaf axiom check must reject."""
     lat = lattice_catalog(4)[lat_index]
-    got = enumerate_ms_operations(lat)
-    expected = brute_ms_operations(lat)
-    assert got == expected  # same tables, same lexicographic order
+    rng = random.Random(lat_index)
+    orders = [list(lat.elements)] + [rng.sample(lat.elements, lat.n) for _ in range(10)]
+    for order in orders:
+        shuffled = build_lattice(order, lat.covers)
+        got = enumerate_ms_operations(shuffled)
+        assert got == brute_ms_operations(shuffled), order  # same order too
 
 
 def test_pentagon_needs_flag():

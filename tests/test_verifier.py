@@ -21,7 +21,7 @@ from msfuzz import (
     search_counterexample,
     sweep,
 )
-from msfuzz.verifier import REQUIRED_IDS, fixture_instance
+from msfuzz.verifier import fixture_instance
 
 from .conftest import fuzzy, grades
 
@@ -111,6 +111,22 @@ def test_catalog_cap():
 
 
 # -- registry --------------------------------------------------------------------
+
+REQUIRED_IDS = (
+    "prop-2.1", "thm-2.3-extended-filter",
+    "thm-3.1-filter", "thm-3.1-prime",
+    "lemma-3.2.1", "lemma-3.2.2", "lemma-3.2.3", "lemma-3.2.4",
+    "lemma-3.2.5", "lemma-3.2.6", "lemma-3.2.7",
+    "prop-3.3.1", "prop-3.3.2",
+    "def-3.4-consistency", "prop-3.6", "prop-3.7",
+    "thm-3.8", "cor-3.9", "cor-3.10",
+    "def-4.1-consistency", "upsilon-subset-omega", "thm-4.3", "remark-4.4",
+    "thm-4.7", "thm-4.8",
+    "thm-5.1", "prop-5.2", "prop-5.3",
+    "lemma-5.4-meet", "lemma-5.4-join",
+    "example-4.2-validity",
+)
+
 
 def test_registry_covers_required_ids():
     have = {rec.pid for rec in properties()}
@@ -288,12 +304,14 @@ def test_search_fixture_property():
 
 
 def test_invalid_tables_are_skipped_not_counted():
-    cfg = SearchConfig(max_elements=3, grade_universe=UNIVERSE2,
-                       require_valid=False)
-    report = sweep(("prop-2.1",), cfg)
-    outcome = report.outcome("prop-2.1")
-    assert outcome.skips > 0
-    assert outcome.failures == 0
+    """A sweep streams valid tables only, so what it skips is an unmet
+    hypothesis, and a skip is not counted as an instance's verdict: here
+    the stream pool over 32 grades fits the cap on two elements
+    (2 * 32 = 64), but thm-3.1-prime's pool adds grade 0 and does not."""
+    cfg = SearchConfig(max_elements=2,
+                       grade_universe=[Fraction(k, 32) for k in range(1, 33)])
+    outcome = sweep(("thm-3.1-prime",), cfg).outcome("thm-3.1-prime")
+    assert (outcome.instances, outcome.skips, outcome.failures) == (1, 1, 0)
 
 
 def test_witness_document_roundtrip():
@@ -444,11 +462,11 @@ class _BruteScan:
         ms, ranks = self.inst.ms, self.inst._ranks
         for chi, grades in zip(self.inst.chis, ranks.rows):
             for s, (test, ws, when, key) in enumerate(stages):
-                if when is not None and not when(ms, chi):
+                if when is not None and not when(ms, grades):
                     continue
                 default = ws is _w_sets
                 for w, w_idx in self.every if default else ws(self.inst, chi):
-                    row = _Row(ms, ranks, chi, grades, w, w_idx)
+                    row = _Row(ms, ranks, grades, w, w_idx)
                     group = None
                     if key is not None:
                         group = (chi, s, key, getattr(row, key))
@@ -466,8 +484,7 @@ class _BruteScan:
                 if when is not None and not when(g1, g2):
                     continue
                 for w, w_idx in self.every:
-                    rows = [_Row(ms, ranks, chi1, g1, w, w_idx),
-                            _Row(ms, ranks, chi2, g2, w, w_idx)]
+                    rows = [_Row(ms, ranks, g1, w, w_idx), _Row(ms, ranks, g2, w, w_idx)]
                     group = (chi1, chi2, _image(ms, w_idx))
                     self.visit(test, rows, [chi1, chi2], group, w)
         return self
