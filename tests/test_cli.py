@@ -469,3 +469,9 @@ def test_golden_sweep_n5(runner, golden):
     """The default sweep at five elements: every witness of the headline run."""
     result = runner.invoke(cli, ["--format", "json", "sweep", "--max-n", "5"])
     golden("sweep_n5.json", result.output)
+
+
+def test_golden_sweep_n6(runner, golden):
+    """The default sweep at six elements, the largest that tier-1 pins."""
+    result = runner.invoke(cli, ["--format", "json", "sweep", "--max-n", "6"])
+    golden("sweep_n6.json", result.output)
