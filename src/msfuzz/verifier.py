@@ -8,12 +8,13 @@ replayable Witness or None.  Most laws are predicates over one (chi, W)
 row; a shared scan visits the rows in one order (chi in pool order, then
 W in mask order).  It visits the first W of each double-negation image
 {w°° : w in W}, all that the extensions read of W, and in a stage keyed
-by ``ups`` or ``omg`` (see ``_STAGES``) the first row of each key.  Rows
-and guards see only integer grade ranks, which order as the grades do
-(see ``_Ranks``), and test them with the row kernels of ``lattice_core``,
-``fuzzy_core``, ``extensions`` and ``hom_analysis``; grades come back only in witness
-data and in thm-3.1-prime, whose outcomes come from the FuzzySet
-primality check.
+by ``ups`` or ``omg`` (see ``_STAGES``) the first row of each key; pair
+laws visit the first W of each pair of base grades.  Each instance
+builds these rows once, in a table every law reads.  Rows and guards see
+only integer grade ranks, which order as the grades do (see ``_Ranks``),
+and test them with the row kernels of ``lattice_core``, ``fuzzy_core``,
+``extensions`` and ``hom_analysis``; grades come back only in witness
+data and in thm-3.1-prime for the rows that its rank gate does not pass.
 
 Instances are generated from a catalog of all bounded distributive
 lattices up to a size cap.  The catalog enumerates posets by repeatedly
@@ -39,6 +40,7 @@ from .errors import (
     UnknownProperty,
 )
 from .extensions import (
+    _base_grade,
     dense_certificate,
     dense_row,
     fixed_witness_sets,
@@ -253,6 +255,8 @@ class Instance:
     chis: tuple[FuzzySet, ...]
     grade_universe: tuple[Fraction, ...]
     w_sets: tuple[tuple[str, ...], ...] | None = None
+    # the row table that ``_stage_rows`` fills, shared by every law run on the instance
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ms is None or self.w_sets is None:
@@ -434,13 +438,14 @@ class _Ranks:
 
 class _Row:
     """One (chi, W) pair of a scan, on integer grade ranks only: ``grades``
-    is chi's row of ``ranks``; ``ups`` and ``omg``, the two extensions, each
-    evaluated on first use, are the keys.  A law compares ranks with each
-    other, with ``one``, the rank of 1, or with 0, the rank of 0, and
-    passes rows to the row kernels; ``fuzzy`` turns a row back into grades
-    for witness data."""
+    is chi's row of ``ranks``; ``base``, the rank of max chi(w°°) over W, and
+    ``ups`` and ``omg``, the two extensions, are each evaluated on first use
+    and serve as keys.  A law compares ranks with each other, with ``one``,
+    the rank of 1, or with 0, the rank of 0, and passes rows to the row
+    kernels; ``fuzzy`` turns a row back into grades for witness data."""
 
-    __slots__ = ("ms", "lat", "dd", "scale", "one", "grades", "w", "w_idx", "_ups", "_omg")
+    __slots__ = ("ms", "lat", "dd", "scale", "one", "grades", "w", "w_idx",
+                 "_base", "_ups", "_omg")
 
     def __init__(self, ms: MSAlgebra, ranks: _Ranks, grades, w, w_idx):
         self.ms = ms
@@ -451,7 +456,13 @@ class _Row:
         self.grades = grades
         self.w = w
         self.w_idx = w_idx
-        self._ups = self._omg = None
+        self._base = self._ups = self._omg = None
+
+    @property
+    def base(self) -> int:
+        if self._base is None:
+            self._base = _base_grade(self.ms, self.grades, self.w_idx)
+        return self._base
 
     @property
     def ups(self) -> tuple[int, ...]:
@@ -480,18 +491,29 @@ _STAGES: dict[str, list[tuple]] = {}
 _PAIR_STAGES: dict[str, tuple] = {}  # pair laws: (test, when on the two rank rows)
 
 
+def _stage_rows(inst: Instance, i: int, ws, key=None) -> list[_Row]:
+    """Chi ``i``'s rows for a stage, each key's first only: on the default
+    W source from the instance's row table, (chi, key) -> rows; on a listed
+    one built afresh."""
+    table = inst._rows if ws is _w_sets else {}
+    if (i, None) not in table:
+        table[i, None] = [_Row(inst.ms, inst._ranks, inst._ranks.rows[i], w, w_idx)
+                          for w, w_idx in ws(inst, inst.chis[i])]
+    if (i, key) not in table:
+        rows = table[i, None]
+        table[i, key] = list(_firsts(rows, [getattr(r, key) for r in rows]))
+    return table[i, key]
+
+
 def _scan(pid: str, inst: Instance, *stages: tuple) -> Witness | None:
     """The first failing row: chi in pool order, then the stages in order,
     then W in the stage's order, each key's first row only."""
     ms, ranks = inst.ms, inst._ranks
-    for chi, grades in zip(inst.chis, ranks.rows):
+    for i, (chi, grades) in enumerate(zip(inst.chis, ranks.rows)):
         for test, ws, when, key in stages:
             if when is not None and not when(ms, grades):
                 continue
-            rows = [_Row(ms, ranks, grades, w, w_idx) for w, w_idx in ws(inst, chi)]
-            if key is not None:
-                rows = _firsts(rows, [getattr(r, key) for r in rows])
-            for row in rows:
+            for row in _stage_rows(inst, i, ws, key):
                 found = test(row)
                 if found is not None:
                     return _fail(pid, inst, found, chis=[chi], w=row.w)
@@ -499,18 +521,19 @@ def _scan(pid: str, inst: Instance, *stages: tuple) -> Witness | None:
 
 
 def _pair_scan(pid: str, inst: Instance, test, when) -> Witness | None:
-    """The first failing (chi1, chi2, W), in that order, as in ``_scan``."""
-    ms, ranks = inst.ms, inst._ranks
-    rows = [[_Row(ms, ranks, grades, w, w_idx) for w, w_idx in _w_sets(inst)]
-            for grades in ranks.rows]
-    for chi1, g1, rows1 in zip(inst.chis, ranks.rows, rows):
-        for chi2, g2, rows2 in zip(inst.chis, ranks.rows, rows):
+    """The first failing (chi1, chi2, W), in that order, as in ``_scan``, on
+    the first W of each pair of base grades (b1, b2): all the pair laws read
+    of W, as the union's extension is max(union, max(b1, b2))."""
+    rows = [_stage_rows(inst, i, _w_sets) for i in range(len(inst.chis))]
+    bases = [[r.base for r in rs] for rs in rows]
+    for chi1, g1, rows1, b1 in zip(inst.chis, inst._ranks.rows, rows, bases):
+        for chi2, g2, rows2, b2 in zip(inst.chis, inst._ranks.rows, rows, bases):
             if when is not None and not when(g1, g2):
                 continue
-            for r1, r2 in zip(rows1, rows2):
-                found = test(r1, r2)
+            for k in _firsts(range(len(b1)), zip(b1, b2)):
+                found = test(rows1[k], rows2[k])
                 if found is not None:
-                    return _fail(pid, inst, found, chis=[chi1, chi2], w=r1.w)
+                    return _fail(pid, inst, found, chis=[chi1, chi2], w=rows1[k].w)
     return None
 
 
@@ -597,6 +620,15 @@ def _thm_3_1_filter(r: _Row):
         return "extension is not a fuzzy filter", {"upsilon": list(r.fuzzy(r.ups).grades)}
 
 
+def _prime_by_cut(lat: FiniteLattice, ups, one) -> bool:
+    """Prime relative to any universe: a filter row with values {a, one} whose
+    1-cut P is prime (joins keep the larger rank).  If min(phi, psi) <= ups
+    with phi(x), psi(y) above it, x, y and x ∨ y lie outside P, where the
+    monotone phi and psi both exceed a."""
+    return (len(set(ups)) == 2 and is_filter_row(lat, ups, one)
+            and first_break(lat.join_table, ups, max) is None)
+
+
 def _prime_stage(inst: Instance) -> tuple:
     """The one stage of thm-3.1-prime: its test reads the instance's pool."""
     lat = inst.ms.lattice
@@ -608,9 +640,9 @@ def _prime_stage(inst: Instance) -> tuple:
         raise HypothesisUnmet("thm-3.1-prime", str(exc)) from None
 
     def test(r: _Row):
+        if len(set(r.ups)) == 1 or _prime_by_cut(lat, r.ups, r.one):
+            return None  # not a proper filter, or prime by its 1-cut
         ups = r.fuzzy(r.ups)
-        if ups.is_constant():
-            return None  # primality is only defined for proper filters
         prime, pair = is_prime_fuzzy_filter_bounded(lat, ups, universe, pool=pool)
         if not prime:
             phi, psi = pair
@@ -625,9 +657,15 @@ _law("thm-3.1-prime", "the extension of a fuzzy filter is a prime fuzzy filter "
      )(lambda inst: _scan("thm-3.1-prime", inst, _prime_stage(inst)))
 
 
+def _base_subsets(r: _Row):
+    """The first z ⊆ W in mask order of each base grade, all ``upsilon_row``
+    reads of z: the singleton of the first w in W of that image grade."""
+    return _firsts([(v,) for v in r.w_idx], [r.grades[r.dd[v]] for v in r.w_idx])
+
+
 @_row_law("lemma-3.2.1", "monotone in the reference subset")
 def _lemma_3_2_1(r: _Row):
-    for z in _subsets(r.w_idx):
+    for z in _base_subsets(r):
         if any(a > b for a, b in zip(upsilon_row(r.ms, r.grades, z), r.ups)):
             return ("extension shrank when W grew",
                     {"z": [r.lat.elements[i] for i in z]})
@@ -701,8 +739,7 @@ def _prop_3_3_2(r: _Row):
           "both fixedness routes agree, and the canonical subsets never move "
           "a fuzzy filter")
 def _fixedness_routes_agree(r: _Row):
-    base = max(r.grades[r.dd[v]] for v in r.w_idx)
-    if (r.ups == r.grades) != (base <= min(r.grades)):
+    if (r.ups == r.grades) != (r.base <= min(r.grades)):
         return "fixedness routes disagree"
 
 
@@ -724,7 +761,7 @@ def _canonical_stays_fixed(r: _Row):
 def _prop_3_6(r: _Row):
     if r.ups != r.grades:
         return None
-    for z in _subsets(r.w_idx):
+    for z in _base_subsets(r):
         if upsilon_row(r.ms, r.grades, z) != r.grades:
             return ("fixedness not inherited by a subset",
                     {"z": [r.lat.elements[i] for i in z]})
@@ -1033,21 +1070,24 @@ def _instance_stream(cfg: SearchConfig):
 
 
 def _neg_closure_stats(inst: Instance) -> tuple[int, int]:
-    """How often fibers of the extension are closed under negation.
+    """How often fibers of the extension are closed under negation, over
+    every chi and nonempty W (a sweep lists no W).  The extension is
+    max(chi, b) for the base grade b of W, so it is read once per (chi, b),
+    from the row table, and weighs 2^#{w : chi(w°°) <= b} - 2^#{w : chi(w°°) < b},
+    the number of W with base b.
 
     Observational only: the meet/join closure of fibers is a law, the
     negation closure is not claimed anywhere and is merely counted.
     """
-    ms = inst.ms
-    neg = ms.neg_table
+    neg, dd = inst.ms.neg_table, inst.ms.dneg_table()
     closed = total = 0
-    for grades in inst._ranks.rows:
-        for _, w_idx in _every_w(ms.lattice, inst.w_sets):
-            for fiber in _fibers(upsilon_row(ms, grades, w_idx)):
-                members = set(fiber)
-                total += 1
-                if all(neg[i] in members for i in fiber):
-                    closed += 1
+    for k, grades in enumerate(inst._ranks.rows):
+        image = [grades[d] for d in dd]
+        for r in _stage_rows(inst, k, _w_sets, "base"):
+            weight = (1 << sum(g <= r.base for g in image)) - (1 << sum(g < r.base for g in image))
+            for fiber in _fibers(r.ups):
+                total += weight
+                closed += weight * all(neg[i] in fiber for i in fiber)
     return closed, total
 
 

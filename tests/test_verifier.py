@@ -87,8 +87,8 @@ def test_catalog_counts_match_direct_enumeration(max_n, expected):
 
 
 def test_catalog_grows():
-    assert len(lattice_catalog(5)) == 8
-    assert len(lattice_catalog(6)) == 13
+    """Cumulative counts of distributive lattices, OEIS A006982."""
+    assert [len(lattice_catalog(n)) for n in range(5, 9)] == [8, 13, 21, 36]
 
 
 def test_catalog_members_are_valid_and_nonisomorphic():
@@ -437,7 +437,9 @@ class _BruteScan:
     """Every row of a law, nothing skipped, each default-W stage over every
     W: the first outcome that is not a pass (a witness dict or an error
     name), and the verdicts grouped as the scans skip rows, by chi (or
-    pair), stage, and the key or else the double-negation image."""
+    pair), stage, and the key (for a pair, its two base grades) or else the
+    double-negation image.  Rows are built fresh, not read from the
+    instance's row table."""
 
     def __init__(self, pid, inst):
         from msfuzz.verifier import _every_w
@@ -476,18 +478,44 @@ class _BruteScan:
         return self
 
     def pairs(self, test, when):
+        """Pairs grouped by their two base grades, the key of ``_pair_scan``.
+        ``reads`` collects, per class, what the pair laws read of W: both
+        extensions and the extension of the union; ``firsts`` lists the
+        first W of each class, pair by pair, as the scan should visit them."""
+        from msfuzz.extensions import upsilon_row
         from msfuzz.verifier import _Row
 
         ms, ranks = self.inst.ms, self.inst._ranks
+        self.reads, self.firsts = {}, []
         for chi1, g1 in zip(self.inst.chis, ranks.rows):
             for chi2, g2 in zip(self.inst.chis, ranks.rows):
                 if when is not None and not when(g1, g2):
                     continue
+                union, firsts = tuple(map(max, g1, g2)), {}
                 for w, w_idx in self.every:
                     rows = [_Row(ms, ranks, g1, w, w_idx), _Row(ms, ranks, g2, w, w_idx)]
-                    group = (chi1, chi2, _image(ms, w_idx))
+                    key = (_base(ms, g1, w_idx), _base(ms, g2, w_idx))
+                    group = (chi1, chi2, key)
+                    firsts.setdefault(key, w)
+                    self.reads.setdefault(group, set()).add(
+                        (rows[0].ups, rows[1].ups, upsilon_row(ms, union, w_idx)))
                     self.visit(test, rows, [chi1, chi2], group, w)
+                self.firsts += [(g1, g2, w) for w in firsts.values()]
         return self
+
+
+def _base(ms, grades, w_idx):
+    return max(grades[ms.dneg_table()[v]] for v in w_idx)
+
+
+def _pair_visits(pid, inst):
+    """The (chi1, chi2, W) rows on which ``_pair_scan`` runs a pair law."""
+    from msfuzz.verifier import _PAIR_STAGES, _pair_scan
+
+    seen = []
+    _pair_scan(pid, inst, lambda r1, r2: seen.append((r1.grades, r2.grades, r1.w)),
+               _PAIR_STAGES[pid][1])
+    return seen
 
 
 def _brute_scan(pid, inst):
@@ -520,7 +548,9 @@ def test_row_keys_agree_with_brute_force():
     rows of one chi (or pair) and stage with equal keys, or with equal
     double-negation images where the stage reads the default W list, share
     a verdict, and the first failing row over every W is the scan's
-    witness."""
+    witness.  The pair laws pass on every input, so for them the test also
+    asserts that each (b1, b2) class reads the same of W and that the scan
+    visits exactly the first W of each class."""
     from msfuzz.verifier import _PAIR_STAGES, _STAGES, _w_sets
 
     pids = [*_STAGES, "thm-3.1-prime", *_PAIR_STAGES]
@@ -534,6 +564,9 @@ def test_row_keys_agree_with_brute_force():
             if verdict == "HypothesisUnmet":
                 continue
             scan = _brute_scan(pid, inst)
+            if pid in _PAIR_STAGES:
+                assert all(len(r) == 1 for r in scan.reads.values()), pid
+                assert _pair_visits(pid, inst) == scan.firsts, pid
             mixed = [k for k, verdicts in scan.classes.items() if len(verdicts) > 1]
             assert not mixed, (pid, mixed[0][1:])
             expected = witness.to_dict() if witness is not None else (
@@ -542,3 +575,91 @@ def test_row_keys_agree_with_brute_force():
             checked["classes"] += len(scan.classes)
             checked["fail" if witness is not None else "error"] += verdict != "pass"
     assert all(checked.values()), checked
+
+
+def test_subset_keys_agree_with_every_subset():
+    """lemma-3.2.1 and prop-3.6 read each nonempty z ⊆ W only through
+    upsilon_row(z): every z of one base grade has the same extension, and
+    their loop visits the first z of each base grade in mask order, so the
+    witness z is the first failing one of all."""
+    from msfuzz.extensions import upsilon_row
+    from msfuzz.verifier import _base_subsets, _every_w, _Row, _subsets
+
+    classes = 0
+    for inst in _key_oracle_inputs():
+        ms, ranks = inst.ms, inst._ranks
+        for grades in ranks.rows:
+            for w, w_idx in _every_w(ms.lattice, inst.w_sets):
+                reads, firsts = {}, {}
+                for z in _subsets(w_idx):
+                    firsts.setdefault(_base(ms, grades, z), z)
+                    reads.setdefault(_base(ms, grades, z), set()).add(
+                        upsilon_row(ms, grades, z))
+                assert all(len(r) == 1 for r in reads.values())
+                row = _Row(ms, ranks, grades, w, w_idx)
+                assert list(_base_subsets(row)) == list(firsts.values())
+                classes += len(firsts)
+    assert classes
+
+
+# -- closed forms ----------------------------------------------------------------
+
+THIRDS = grades(Fraction(1, 3), Fraction(2, 3), 1)
+THIRDS0 = grades(0, Fraction(1, 3), Fraction(2, 3), 1)
+
+
+def _neg_closure_by_every_w(inst):
+    """Oracle: the fiber counts with one extension per (chi, W)."""
+    from msfuzz.extensions import upsilon_row
+    from msfuzz.verifier import _every_w, _fibers
+
+    ms = inst.ms
+    neg = ms.neg_table
+    closed = total = 0
+    for grades_ in inst._ranks.rows:
+        for _, w_idx in _every_w(ms.lattice, inst.w_sets):
+            for fiber in _fibers(upsilon_row(ms, grades_, w_idx)):
+                members = set(fiber)
+                total += 1
+                if all(neg[i] in members for i in fiber):
+                    closed += 1
+    return closed, total
+
+
+@pytest.mark.parametrize("universe", [UNIVERSE3, THIRDS0, THIRDS],
+                         ids=["halves", "thirds0", "thirds"])
+def test_neg_closure_counts_match_every_w(universe):
+    """The weighted count per (chi, base grade) equals the count over
+    every W, on every catalog instance up to five elements."""
+    from msfuzz.verifier import _instance_stream, _neg_closure_stats
+
+    sums = [0, 0]
+    for inst in _instance_stream(SearchConfig(max_elements=5, grade_universe=universe)):
+        counts = _neg_closure_stats(inst)
+        assert counts == _neg_closure_by_every_w(inst)
+        sums = [a + b for a, b in zip(sums, counts)]
+    assert 0 < sums[0] < sums[1]
+
+
+@pytest.mark.parametrize("universe, max_n", [(UNIVERSE3, 6), (THIRDS0, 5), (THIRDS, 5)],
+                         ids=["halves", "thirds0", "thirds"])
+def test_prime_cut_gate_implies_bounded_primality(universe, max_n):
+    """Every proper fuzzy filter of the catalog that thm-3.1-prime passes
+    on ranks, two-valued with a prime 1-cut, is prime by the bounded pair
+    search over the universe with 0 and 1."""
+    from msfuzz import enumerate_fuzzy_filters, is_prime_fuzzy_filter_bounded
+    from msfuzz.verifier import _prime_by_cut
+
+    scale = tuple(sorted(set(universe) | {Fraction(0), Fraction(1)}))
+    rank = {g: k for k, g in enumerate(scale)}
+    tally = {True: 0, False: 0}
+    for lat in lattice_catalog(max_n):
+        pool = enumerate_fuzzy_filters(lat, scale)
+        for chi in enumerate_fuzzy_filters(lat, universe):
+            if chi.is_constant():
+                continue
+            gate = _prime_by_cut(lat, tuple(map(rank.__getitem__, chi.grades)), rank[1])
+            if gate:
+                assert is_prime_fuzzy_filter_bounded(lat, chi, scale, pool=pool)[0]
+            tally[gate] += 1
+    assert all(tally.values()), tally
