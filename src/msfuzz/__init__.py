@@ -4,12 +4,10 @@ with an executable registry of the algebraic laws they satisfy."""
 from .errors import (
     CarrierMismatch,
     DuplicateElement,
-    EmptyGeneratingSet,
     EmptyW,
     GradeOutOfRange,
     HypothesisUnmet,
     InternalInvariantError,
-    MissingGradeStructure,
     MsfuzzError,
     NotALattice,
     NotAPoset,
@@ -29,9 +27,7 @@ from .extensions import (
     fixed_witness_sets,
     is_fixed_relative,
     omega,
-    omega_dense_equivalence,
     upsilon,
-    upsilon_via_dense,
 )
 from .file_format import (
     AlgebraDocument,
@@ -50,21 +46,15 @@ from .fuzzy_core import (
     enumerate_fuzzy_filters,
     fuzzy_filter_report,
     fuzzy_intersection,
-    fuzzy_union,
     is_prime_fuzzy_filter_bounded,
     level_cut,
 )
 from .grades import Grade, format_grade, parse_grade
 from .hom_analysis import (
-    GradeStructure,
     HomReport,
     cokernel,
-    cokernel_characterization,
-    grade_ms_hom_check,
     hom_report,
-    inverse_class,
     kernel,
-    kernel_characterization,
 )
 from .lattice_core import (
     FilterSet,
@@ -72,7 +62,6 @@ from .lattice_core import (
     SubsetVerdict,
     build_lattice,
     enumerate_filters,
-    generated_filter,
     is_filter,
     is_prime_filter,
     principal_filter,
@@ -80,7 +69,6 @@ from .lattice_core import (
 from .ms_algebra import (
     MSAlgebra,
     check_ms_axioms,
-    double_neg,
     enumerate_ms_operations,
     extended_filter_crisp,
     verify_derived_identities,

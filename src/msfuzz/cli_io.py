@@ -352,10 +352,11 @@ def verify(ctx, file, props_text):
 
 
 def _parse_props(text):
-    """The law ids of ``--props``, or None when it is not given."""
+    """The law ids of ``--props``, each once in order, or None when it is
+    not given."""
     if text is None:
         return None
-    pids = [tok.strip() for tok in text.split(",") if tok.strip()]
+    pids = list(dict.fromkeys(tok.strip() for tok in text.split(",") if tok.strip()))
     if not pids:
         raise click.UsageError("--props names no law")
     return pids

@@ -41,10 +41,6 @@ class UnknownElement(MsfuzzError):
     """An identifier does not belong to the carrier."""
 
 
-class EmptyGeneratingSet(MsfuzzError):
-    """A generated filter needs at least one generator."""
-
-
 class EmptyW(MsfuzzError):
     """Extension operators require a nonempty reference subset."""
 
@@ -61,10 +57,6 @@ class CarrierMismatch(MsfuzzError):
 
 class NotProper(MsfuzzError):
     """A constant fuzzy filter where a proper one is required."""
-
-
-class MissingGradeStructure(MsfuzzError):
-    """No (or incomplete) grade negation map was supplied."""
 
 
 # -- enumeration and search -------------------------------------------------

@@ -12,9 +12,10 @@ grade tuples and tuples of integer grade ranks alike.  Both are raw:
 they accept invalid negation tables and non-filter grade maps on
 purpose, so flawed instances still evaluate to their exact grades; the
 law suite in the verifier applies them only to validated instances.
-Each helper computes its fact one way; the laws that state the
-equivalences behind them (def-3.4-consistency, thm-4.7, thm-4.8) live
-in the verifier.
+Each helper computes its fact one way.  The equivalences behind them
+are laws in the verifier and nowhere else: the two fixedness routes
+(def-3.4-consistency) and the dense-element readings of upsilon and
+omega (thm-4.7, thm-4.8).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CarrierMismatch, EmptyW, UnknownElement
+from .errors import CarrierMismatch, EmptyW
 from .fuzzy_core import FuzzySet
 from .ms_algebra import MSAlgebra
 
@@ -180,34 +181,3 @@ def dense_elements(mu: FuzzySet, w_subset) -> DenseElements:
     cut = frozenset(e for e, g in zip(lat.elements, mu.grades) if g >= threshold)
     return DenseElements(frozenset(lat.elements[i] for i in members), threshold, cut)
 
-
-def upsilon_via_dense(ms: MSAlgebra, chi: FuzzySet, w_subset, theta: str
-                      ) -> tuple[Fraction, str]:
-    """Evaluate upsilon at one point through a dense element certificate.
-
-    Picks the first (in element order) argmax element of chi over the
-    double-negation image of W and returns (grade, certificate).  That
-    this grade is upsilon's is law thm-4.7.
-    """
-    w_idx = _w_indices(ms, chi, w_subset)
-    d = dense_certificate(ms, chi.grades, w_idx)
-    return max(chi(theta), chi.grades[d]), ms.lattice.elements[d]
-
-
-def omega_dense_equivalence(ms: MSAlgebra, chi: FuzzySet, w_subset,
-                            theta: str, w: str) -> bool:
-    """The dense-element reading of omega at one point: whether
-    theta join w'' attains the maximal grade among {theta join v'' : v in W}.
-
-    Law thm-4.8 states that this holds exactly when omega(theta) equals
-    chi(theta join w'').
-    """
-    lat = ms.lattice
-    w_idx = _w_indices(ms, chi, w_subset)
-    if lat.element_index(w) not in w_idx:
-        raise UnknownElement(f"{w!r} is not a member of W")
-    dd = ms.dneg_table()
-    t = lat.element_index(theta)
-    join_elements = [lat.elements[lat.join_table[t][dd[v]]] for v in w_idx]
-    this_join = lat.elements[lat.join_table[t][dd[lat.element_index(w)]]]
-    return this_join in dense_elements(chi, join_elements).members

@@ -75,12 +75,6 @@ def _same_carrier(a: FuzzySet, b: FuzzySet) -> None:
         raise CarrierMismatch("fuzzy sets live on different carriers")
 
 
-def fuzzy_union(a: FuzzySet, b: FuzzySet) -> FuzzySet:
-    """Pointwise maximum."""
-    _same_carrier(a, b)
-    return FuzzySet(a.carrier, tuple(max(x, y) for x, y in zip(a.grades, b.grades)))
-
-
 def fuzzy_intersection(a: FuzzySet, b: FuzzySet) -> FuzzySet:
     """Pointwise minimum."""
     _same_carrier(a, b)

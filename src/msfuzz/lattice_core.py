@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .errors import (
     DuplicateElement,
-    EmptyGeneratingSet,
     InternalInvariantError,
     NotALattice,
     NotAPoset,
@@ -259,18 +258,6 @@ def first_break(table, grades, op):
 def principal_filter(lat: FiniteLattice, e: str) -> FilterSet:
     """The up-set of a single element."""
     return FilterSet(lat, lat.up_set(e))
-
-
-def generated_filter(lat: FiniteLattice, generators) -> FilterSet:
-    """The filter generated by a nonempty set: the principal filter of
-    the meet of the generators."""
-    gens = set(generators)
-    if not gens:
-        raise EmptyGeneratingSet("generating set is empty")
-    m = lat.top
-    for e in gens:
-        m = lat.meet(m, e)
-    return principal_filter(lat, m)
 
 
 def is_filter(lat: FiniteLattice, subset) -> SubsetVerdict:

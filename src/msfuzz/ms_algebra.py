@@ -75,11 +75,6 @@ class MSAlgebra:
         )
 
 
-def double_neg(ms: MSAlgebra, e: str) -> str:
-    """Double negation of one element."""
-    return ms.negate(ms.negate(e))
-
-
 def check_ms_axioms(lat: FiniteLattice, neg: dict[str, str]) -> VerificationReport:
     """Check the three defining axioms, reporting a witness per failure."""
     n = lat.n

@@ -492,17 +492,16 @@ _PAIR_STAGES: dict[str, tuple] = {}  # pair laws: (test, when on the two rank ro
 
 
 def _stage_rows(inst: Instance, i: int, ws, key=None) -> list[_Row]:
-    """Chi ``i``'s rows for a stage, each key's first only: on the default
-    W source from the instance's row table, (chi, key) -> rows; on a listed
-    one built afresh."""
-    table = inst._rows if ws is _w_sets else {}
-    if (i, None) not in table:
-        table[i, None] = [_Row(inst.ms, inst._ranks, inst._ranks.rows[i], w, w_idx)
-                          for w, w_idx in ws(inst, inst.chis[i])]
-    if (i, key) not in table:
-        rows = table[i, None]
-        table[i, key] = list(_firsts(rows, [getattr(r, key) for r in rows]))
-    return table[i, key]
+    """Chi ``i``'s rows for a stage over the W source ``ws``, each key's
+    first only, from the instance's row table: (ws, chi, key) -> rows."""
+    table = inst._rows
+    if (ws, i, None) not in table:
+        table[ws, i, None] = [_Row(inst.ms, inst._ranks, inst._ranks.rows[i], w, w_idx)
+                              for w, w_idx in ws(inst, inst.chis[i])]
+    if (ws, i, key) not in table:
+        rows = table[ws, i, None]
+        table[ws, i, key] = list(_firsts(rows, [getattr(r, key) for r in rows]))
+    return table[ws, i, key]
 
 
 def _scan(pid: str, inst: Instance, *stages: tuple) -> Witness | None:
@@ -1097,7 +1096,7 @@ def sweep(pids=None, cfg: SearchConfig | None = None) -> SweepReport:
     if pids is None:
         selected = [r.pid for r in _REGISTRY.values() if r.fixture is None]
     else:
-        selected = list(pids)
+        selected = list(dict.fromkeys(pids))  # a repeated id runs once
         for pid in selected:
             if pid not in _REGISTRY:
                 raise UnknownProperty(f"no law registered under {pid!r}")

@@ -211,6 +211,17 @@ def test_sweep_selected_props_pass(runner):
     assert result.exit_code == 0
 
 
+def test_repeated_law_id_runs_once(runner, fixture_file):
+    """A law named twice in --props is reported once, byte for byte as if
+    named once, by sweep and by verify."""
+    for args in (["sweep", "--max-n", "3"], ["verify", fixture_file("diamond")]):
+        once = runner.invoke(cli, ["--format", "json", *args, "--props", "thm-4.3"])
+        twice = runner.invoke(cli, ["--format", "json", *args,
+                                    "--props", "thm-4.3,thm-4.3"])
+        assert once.exit_code == twice.exit_code == 0
+        assert twice.output == once.output
+
+
 def test_sweep_default_finds_prime_failure(runner):
     result = runner.invoke(
         cli, ["--format", "json", "sweep", "--max-n", "4", "--grades", "0,1"]

@@ -15,10 +15,9 @@ from msfuzz import (
     fixed_witness_sets,
     is_fixed_relative,
     omega,
-    omega_dense_equivalence,
     upsilon,
-    upsilon_via_dense,
 )
+from msfuzz.extensions import dense_certificate
 from msfuzz.ms_algebra import MSAlgebra
 from msfuzz.verifier import lattice_catalog
 
@@ -163,35 +162,46 @@ def test_dense_tie(diamond_fixture):
     assert dense.level_cut == set(lat.elements)
 
 
+def _dense_certificate(ms, chi, w_subset):
+    lat = ms.lattice
+    w_idx = [lat.element_index(w) for w in w_subset]
+    return lat.elements[dense_certificate(ms, chi.grades, w_idx)]
+
+
 def test_upsilon_via_dense(example4_printed, example4_corrected, diamond_fixture):
+    """Thm 4.7 on the fixtures: upsilon(theta) is max(chi(theta), chi(d)) for
+    the dense certificate d, the first argmax of chi over the image of W."""
     lat, ms, chi = example4_printed
-    value, cert = upsilon_via_dense(ms, chi, ["y"], "x")
-    assert (value, cert) == (Fraction(3, 5), "y")
+    assert _dense_certificate(ms, chi, ["y"]) == "y"
+    assert upsilon(ms, chi, ["y"])("x") == max(chi("x"), chi("y")) == Fraction(3, 5)
     lat, ms, chi = example4_corrected  # unit grade 1, so the top dominates
-    value, cert = upsilon_via_dense(ms, chi, ["0", "1"], "x")
-    assert (value, cert) == (Fraction(1), "1")
+    assert _dense_certificate(ms, chi, ["0", "1"]) == "1"
+    assert upsilon(ms, chi, ["0", "1"])("x") == 1
 
     lat, ms, chi = diamond_fixture
-    value, cert = upsilon_via_dense(ms, chi, ["0", "xi"], "theta")
-    assert value == max(chi("theta"), HALF)
-    assert cert in {"0", "xi"}
+    assert _dense_certificate(ms, chi, ["0", "xi"]) in {"0", "xi"}
+    assert upsilon(ms, chi, ["0", "xi"])("theta") == max(chi("theta"), HALF)
 
 
 def test_upsilon_via_dense_agrees_everywhere():
+    """Thm 4.7 for every dense element, not only the law's first one, for
+    every (chi, W, theta) up to four elements."""
     for lat in lattice_catalog(4):
         for neg in enumerate_ms_operations(lat):
             ms = MSAlgebra(lat, neg)
             for chi in enumerate_fuzzy_filters(lat, UNIVERSE3):
                 for w in all_w_subsets(lat):
-                    for theta in lat.elements:
-                        value, _ = upsilon_via_dense(ms, chi, w, theta)
-                        assert value == upsilon(ms, chi, w)(theta)
+                    ups = upsilon(ms, chi, w)
+                    image = [ms.negate(ms.negate(v)) for v in w]
+                    for d in dense_elements(chi, image).members:
+                        for theta in lat.elements:
+                            assert ups(theta) == max(chi(theta), chi(d))
 
 
 def test_omega_dense_reading_agrees_with_omega():
     """Both sides of the dense-element reading, for every (chi, W, theta,
     w) up to four elements: omega(theta) = chi(theta join w'') exactly when
-    theta join w'' is dense among the joins, and the helper returns it."""
+    theta join w'' is dense among the joins."""
     for lat in lattice_catalog(4):
         for neg in enumerate_ms_operations(lat):
             ms = MSAlgebra(lat, neg)
@@ -202,20 +212,19 @@ def test_omega_dense_reading_agrees_with_omega():
                         joins = [lat.join(theta, ms.negate(ms.negate(v)))
                                  for v in w_subset]
                         dense = dense_elements(chi, joins).members
-                        for w, join in zip(w_subset, joins):
-                            hit = om(theta) == chi(join)
-                            assert hit == (join in dense)
-                            assert omega_dense_equivalence(
-                                ms, chi, w_subset, theta, w) == hit
+                        for join in joins:
+                            assert (om(theta) == chi(join)) == (join in dense)
 
 
 def test_omega_dense_equivalence(example4_printed):
+    """Thm 4.8's reading at x on the printed fixture: the join with y'' is
+    the dense one and attains omega(x); the join with 0'' does neither."""
     lat, ms, chi = example4_printed
-    assert omega_dense_equivalence(ms, chi, ["y", "0"], "x", "y") is True
-    assert omega_dense_equivalence(ms, chi, ["y", "0"], "x", "0") is False
-    assert omega_dense_equivalence(ms, chi, ["y"], "x", "y") is True  # singleton
-    with pytest.raises(UnknownElement):
-        omega_dense_equivalence(ms, chi, ["y"], "x", "0")
+    om = omega(ms, chi, ["y", "0"])
+    join_y, join_0 = (lat.join("x", ms.negate(ms.negate(v))) for v in ("y", "0"))
+    assert dense_elements(chi, [join_y, join_0]).members == {join_y}
+    assert om("x") == chi(join_y) != chi(join_0)
+    assert omega(ms, chi, ["y"])("x") == chi(join_y)  # singleton
 
 
 # -- law-level invariants (exhaustive at small sizes) -------------------------------

@@ -15,12 +15,11 @@ from msfuzz import (
     enumerate_filters,
     enumerate_fuzzy_filters,
     fuzzy_intersection,
-    fuzzy_union,
     is_filter,
     is_prime_fuzzy_filter_bounded,
     level_cut,
 )
-from msfuzz.verifier import lattice_catalog
+from msfuzz.verifier import Instance, lattice_catalog, run_property
 
 from .conftest import chain, fuzzy, grades
 
@@ -58,19 +57,22 @@ def ideal_by_definition(lat, fs):
 
 # -- pointwise algebra ---------------------------------------------------------
 
-def test_union_intersection(diamond):
+def test_union_intersection(diamond, diamond_ms):
+    """Intersection is the pointwise minimum; the pointwise-maximum union
+    is read by laws prop-3.3.1 and prop-3.7."""
     phi = fuzzy(diamond, 0, 1, 0, 1)
     psi = fuzzy(diamond, 0, 0, 1, 1)
-    assert fuzzy_union(phi, psi).grades == grades(0, 1, 1, 1)
     assert fuzzy_intersection(phi, psi).grades == grades(0, 0, 0, 1)
-    assert fuzzy_union(phi, phi).grades == phi.grades
     assert fuzzy_intersection(phi, phi).grades == phi.grades
+    inst = Instance(diamond_ms, (phi, psi), grades(0, 1))
+    assert run_property("prop-3.3.1", inst) is None
+    assert run_property("prop-3.7", inst) is None
 
 
 def test_carrier_mismatch(diamond):
     other = chain(4)
     with pytest.raises(CarrierMismatch):
-        fuzzy_union(fuzzy(diamond, 0, 0, 0, 1), fuzzy(other, 0, 0, 0, 1))
+        fuzzy_intersection(fuzzy(diamond, 0, 0, 0, 1), fuzzy(other, 0, 0, 0, 1))
 
 
 def test_grade_validation(diamond):

@@ -1,22 +1,16 @@
 from fractions import Fraction
 from itertools import product
 
-import pytest
-
 from msfuzz import (
     FuzzySet,
-    GradeStructure,
-    MissingGradeStructure,
+    Instance,
     cokernel,
-    cokernel_characterization,
     enumerate_fuzzy_filters,
     enumerate_ms_operations,
-    grade_ms_hom_check,
     hom_report,
-    inverse_class,
     is_prime_filter,
     kernel,
-    kernel_characterization,
+    run_property,
     upsilon,
 )
 from msfuzz.extensions import omega_row, upsilon_row
@@ -37,6 +31,10 @@ def all_w_subsets(lat):
     els = lat.elements
     for mask in range(1, 1 << len(els)):
         yield tuple(els[i] for i in range(len(els)) if mask >> i & 1)
+
+
+def _w_index_sets(lat):
+    return [tuple(i for i in range(lat.n) if mask >> i & 1) for mask in range(1, 1 << lat.n)]
 
 
 def test_hom_report_diamond_fixture(diamond_fixture):
@@ -87,8 +85,8 @@ def test_kernel_characterization_examples(diamond_ms):
     char_top = fuzzy(lat, 0, 0, 0, 1)
     assert kernel(upsilon(diamond_ms, char_top, ["0"])) == {"0", "a", "b"}
     assert kernel(upsilon(diamond_ms, char_top, ["a"])) == {"0", "a", "b"}
-    assert kernel_characterization(diamond_ms, char_top, ["0"])
-    assert kernel_characterization(diamond_ms, char_top, ["a"])
+    assert run_property("prop-5.2", Instance(diamond_ms, (char_top,), UNIVERSE3,
+                                             w_sets=(("0",), ("a",)))) is None
     # any reference element with positive image grade empties the kernel
     chi = fuzzy(lat, 0, HALF, HALF, 1)
     assert kernel(upsilon(diamond_ms, chi, ["a"])) == frozenset()
@@ -98,22 +96,22 @@ def test_cokernel_characterization_examples(diamond_fixture):
     lat, ms, chi = diamond_fixture
     assert cokernel(upsilon(ms, chi, ["1"])) == set(lat.elements)
     assert cokernel(upsilon(ms, chi, ["0", "xi"])) == cokernel(chi) == {"theta", "1"}
-    assert cokernel_characterization(ms, chi, ["0", "xi"])
-    assert cokernel_characterization(ms, chi, ["1"])
+    assert run_property("prop-5.3", Instance(ms, (chi,), UNIVERSE3,
+                                             w_sets=(("0", "xi"), ("1",)))) is None
 
 
 def test_characterizations_hold_everywhere():
+    """The row kernels of prop-5.2 and prop-5.3 hold for every fuzzy filter
+    and every W, not only the first W of each double-negation image that
+    the laws visit, up to four elements."""
     for lat in lattice_catalog(4):
         for neg in enumerate_ms_operations(lat):
             ms = MSAlgebra(lat, neg)
             for chi in enumerate_fuzzy_filters(lat, UNIVERSE3):
-                for w in all_w_subsets(lat):
-                    assert kernel_characterization(ms, chi, w)
-                    assert cokernel_characterization(ms, chi, w)
-
-
-def _w_index_sets(lat):
-    return [tuple(i for i in range(lat.n) if mask >> i & 1) for mask in range(1, 1 << lat.n)]
+                for w_idx in _w_index_sets(lat):
+                    ups = upsilon_row(ms, chi.grades, w_idx)
+                    assert kernel_row(ms, chi.grades, ups, w_idx, ZERO)
+                    assert cokernel_row(ms, chi.grades, ups, w_idx, ONE)
 
 
 def test_row_kernels_agree_on_ranks_and_grades():
@@ -200,37 +198,23 @@ def test_hom_report_matches_the_pair_loop():
     assert witnesses
 
 
-def test_inverse_class(example4_printed, diamond_fixture):
-    lat, ms, chi = example4_printed
-    assert inverse_class(ms, chi, ["y"], "x") == {"0", "t", "x", "y"}
-    lat, ms, chi = diamond_fixture
-    assert inverse_class(ms, chi, ["0", "xi"], "xi") == {"0", "xi"}
-    assert inverse_class(ms, chi, ["1"], "xi") == set(lat.elements)
-    for theta in lat.elements:
-        assert theta in inverse_class(ms, chi, ["0", "xi"], theta)
+def _dd_compatible(ms, mu):
+    """chi(e'') = chi(e) for every element: the grade-level double negation
+    of thm-5.1, with the involutive 1 - x on grades, whose double is the
+    identity."""
+    return all(mu(ms.negate(ms.negate(e))) == mu(e) for e in ms.lattice.elements)
 
 
 def test_grade_ms_hom_check(diamond_fixture, example4_printed):
+    """thm-5.1's double-negation stage on the fixtures: the diamond's chi
+    is compatible and every extension inherits it; on the printed fixture
+    z'' = y but the grades of z and y differ."""
     lat, ms, chi = diamond_fixture
-    gs = GradeStructure.involutive(chi.grades)
-    assert grade_ms_hom_check(ms, chi, gs) is True
+    assert _dd_compatible(ms, chi)
+    for w in all_w_subsets(lat):
+        assert _dd_compatible(ms, upsilon(ms, chi, w))
+    assert run_property("thm-5.1", Instance(ms, (chi,), UNIVERSE3)) is None
 
     lat4, ms4, chi4 = example4_printed
-    gs4 = GradeStructure.involutive(chi4.grades)
-    # z'' = y but the grades of z and y differ, so the condition fails
-    assert grade_ms_hom_check(ms4, chi4, gs4) is False
-
-
-def test_grade_structure_errors(diamond_fixture):
-    lat, ms, chi = diamond_fixture
-    with pytest.raises(MissingGradeStructure):
-        grade_ms_hom_check(ms, chi, GradeStructure())
-    partial = GradeStructure(neg_grade={Fraction(1): Fraction(0)})
-    with pytest.raises(MissingGradeStructure):
-        grade_ms_hom_check(ms, chi, partial)
-
-
-def test_identity_grade_structure(diamond_fixture):
-    lat, ms, chi = diamond_fixture
-    identity = GradeStructure(neg_grade={g: g for g in set(chi.grades)})
-    assert grade_ms_hom_check(ms, chi, identity) is True
+    assert ms4.negate(ms4.negate("z")) == "y"
+    assert not _dd_compatible(ms4, chi4)

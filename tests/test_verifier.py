@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -28,6 +29,8 @@ from .conftest import fuzzy, grades
 HALF = Fraction(1, 2)
 UNIVERSE2 = grades(0, 1)
 UNIVERSE3 = grades(0, HALF, 1)
+THIRDS = grades(Fraction(1, 3), Fraction(2, 3), 1)
+THIRDS0 = grades(0, Fraction(1, 3), Fraction(2, 3), 1)
 
 # thm-4.3 is honestly refutable (see test_search_thm_4_3_counterexample), so
 # zero-failure assertions over lattices containing the diamond exclude it
@@ -243,6 +246,13 @@ def test_sweep_determinism():
     assert a == b
 
 
+def test_sweep_runs_a_repeated_id_once():
+    cfg = SearchConfig(max_elements=3)
+    once = sweep(["thm-4.3", "prop-5.2"], cfg).to_dict()
+    assert sweep(["thm-4.3", "prop-5.2", "thm-4.3"], cfg).to_dict() == once
+    assert once["properties"][0]["instances"] == 4
+
+
 def test_randomized_mode_deterministic_per_seed():
     cfg = SearchConfig(max_elements=5, grade_universe=UNIVERSE2,
                        mode="randomized", seed=7, iterations=30)
@@ -405,6 +415,63 @@ def _thirds_outcome_inputs():
 
 def test_golden_law_outcomes_thirds(golden):
     golden("law_outcomes_thirds.json", _law_outcome_digests(_thirds_outcome_inputs()))
+
+
+def test_law_order_does_not_change_outcomes():
+    """The row table an instance shares across laws gives every law the
+    same outcome, witness bytes included, whichever laws ran before it:
+    registry order on one instance, reverse order on a second, and each
+    law alone on an instance of its own."""
+    pids = [rec.pid for rec in properties() if rec.fixture is None]
+
+    def outcome(pid, inst):
+        verdict, witness = _outcome(lambda: run_property(pid, inst))
+        return verdict, witness and witness.to_dict()
+
+    def fresh(inst):
+        return Instance(inst.ms, inst.chis, inst.grade_universe, inst.w_sets)
+
+    for inst in _law_outcome_inputs():
+        forward = {pid: outcome(pid, inst) for pid in pids}
+        backward = fresh(inst)
+        assert {pid: outcome(pid, backward) for pid in reversed(pids)} == forward
+        assert {pid: outcome(pid, fresh(inst)) for pid in pids} == forward
+
+
+# -- rank invariance -------------------------------------------------------------
+
+def _relabelled(value, relabel):
+    """A report with every grade string renamed by ``relabel``, in witness
+    fields and in the grade lines of embedded documents alike."""
+    if isinstance(value, dict):
+        return {k: re.sub(r"(?m)(= )(\S+)$", lambda m: m[1] + relabel[m[2]], v)
+                if k == "document" else _relabelled(v, relabel)
+                for k, v in value.items()}
+    if isinstance(value, list):
+        return [_relabelled(v, relabel) for v in value]
+    return relabel.get(value, value) if isinstance(value, str) else value
+
+
+@pytest.mark.parametrize("first, second", [
+    (THIRDS0, grades(0, Fraction(1, 10), Fraction(9, 10), 1)),
+    (THIRDS, grades(Fraction(1, 7), HALF, 1)),
+], ids=["with-zero", "zero-free"])
+def test_sweep_depends_on_the_universe_only_through_its_shape(first, second):
+    """Laws compare only grade ranks, so two universes of one size that
+    both hold 0 or both lack it give the same sweep up to n = 4, once the
+    grades are renamed in order (0 and 1 included, as the prime law's pool
+    adds them)."""
+    from msfuzz.grades import format_grade
+
+    def report(universe):
+        out = sweep(None, SearchConfig(max_elements=4, grade_universe=universe)).to_dict()
+        return {"properties": out["properties"], "stats": out["stats"]}
+
+    scale = [sorted(set(u) | {Fraction(0), Fraction(1)}) for u in (first, second)]
+    relabel = {format_grade(a): format_grade(b) for a, b in zip(*scale)}
+    got = report(first)
+    assert any("first_witness" in p for p in got["properties"])
+    assert _relabelled(got, relabel) == report(second)
 
 
 # -- row keys --------------------------------------------------------------------
@@ -603,10 +670,6 @@ def test_subset_keys_agree_with_every_subset():
 
 
 # -- closed forms ----------------------------------------------------------------
-
-THIRDS = grades(Fraction(1, 3), Fraction(2, 3), 1)
-THIRDS0 = grades(0, Fraction(1, 3), Fraction(2, 3), 1)
-
 
 def _neg_closure_by_every_w(inst):
     """Oracle: the fiber counts with one extension per (chi, W)."""
