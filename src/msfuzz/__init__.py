@@ -1,5 +1,12 @@
 """Finite MS-algebras, fuzzy filters, and their extension operators,
-with an executable registry of the algebraic laws they satisfy."""
+with an executable registry of the algebraic laws they satisfy.
+
+The names of the law registry (``verifier``), of ``hom_analysis`` and of
+the shipped ``fixtures`` load on first use (PEP 562), so that a program
+that only builds algebras and evaluates extensions never imports them.
+"""
+
+from importlib import import_module
 
 from .errors import (
     CarrierMismatch,
@@ -38,7 +45,6 @@ from .file_format import (
     parse_algebra,
     serialize_algebra,
 )
-from .fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 from .fuzzy_core import (
     FuzzyClassification,
     FuzzySet,
@@ -50,12 +56,6 @@ from .fuzzy_core import (
     level_cut,
 )
 from .grades import Grade, format_grade, parse_grade
-from .hom_analysis import (
-    HomReport,
-    cokernel,
-    hom_report,
-    kernel,
-)
 from .lattice_core import (
     FilterSet,
     FiniteLattice,
@@ -74,18 +74,62 @@ from .ms_algebra import (
     verify_derived_identities,
 )
 from .report import Check, VerificationReport
-from .verifier import (
-    Instance,
-    PropertyOutcome,
-    SearchConfig,
-    SweepReport,
-    THEOREM_SUITE,
-    Witness,
-    lattice_catalog,
-    properties,
-    run_property,
-    search_counterexample,
-    sweep,
-)
+
+# name -> the submodule that defines it, imported on first access
+_LAZY = {
+    "FIXTURE_NAMES": "fixtures",
+    "fixture_text": "fixtures",
+    "load_fixture": "fixtures",
+    "HomReport": "hom_analysis",
+    "cokernel": "hom_analysis",
+    "hom_report": "hom_analysis",
+    "kernel": "hom_analysis",
+    "Instance": "verifier",
+    "PropertyOutcome": "verifier",
+    "SearchConfig": "verifier",
+    "SweepReport": "verifier",
+    "THEOREM_SUITE": "verifier",
+    "Witness": "verifier",
+    "lattice_catalog": "verifier",
+    "properties": "verifier",
+    "run_property": "verifier",
+    "search_counterexample": "verifier",
+    "sweep": "verifier",
+}
+
+__all__ = [
+    "CarrierMismatch", "DuplicateElement", "EmptyW", "GradeOutOfRange",
+    "HypothesisUnmet", "InternalInvariantError", "MsfuzzError", "NotALattice",
+    "NotAPoset", "NotBounded", "NotDistributive", "NotProper",
+    "SizeCapExceeded", "UnknownElement", "UnknownProperty",
+    "CanonicalFixedSet", "DenseElements", "ExtensionResult", "dense_elements",
+    "extend", "fixed_witness_sets", "is_fixed_relative", "omega", "upsilon",
+    "AlgebraDocument", "AlgebraSyntaxError", "DanglingReference",
+    "document_from_objects", "document_to_objects", "parse_algebra",
+    "serialize_algebra",
+    "FuzzyClassification", "FuzzySet", "classify", "enumerate_fuzzy_filters",
+    "fuzzy_filter_report", "fuzzy_intersection",
+    "is_prime_fuzzy_filter_bounded", "level_cut",
+    "Grade", "format_grade", "parse_grade",
+    "FilterSet", "FiniteLattice", "SubsetVerdict", "build_lattice",
+    "enumerate_filters", "is_filter", "is_prime_filter", "principal_filter",
+    "MSAlgebra", "check_ms_axioms", "enumerate_ms_operations",
+    "extended_filter_crisp", "verify_derived_identities",
+    "Check", "VerificationReport",
+    *_LAZY,
+]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"

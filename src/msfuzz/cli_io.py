@@ -7,6 +7,10 @@ Exit codes: 0 success, 1 failed checks, 2 usage or input errors,
 
 JSON reports are deliberately free of wall-clock data so that identical
 configurations produce byte-identical bytes.
+
+The law registry (``verifier``) is imported by ``verify``, ``sweep`` and
+``search`` when they run, so ``validate``, ``extend`` and ``fixed`` load
+only the document path.
 """
 
 from __future__ import annotations
@@ -14,10 +18,17 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import click
 
-from .errors import InternalInvariantError, MsfuzzError
+from .errors import (
+    HypothesisUnmet,
+    InternalInvariantError,
+    MsfuzzError,
+    SizeCapExceeded,
+    UnknownProperty,
+)
 from .extensions import extend as extend_op
 from .extensions import fixed_witness_sets, is_fixed_relative
 from .file_format import AlgebraDocument, document_to_objects, parse_algebra
@@ -26,17 +37,9 @@ from .grades import format_grade, parse_grade
 from .lattice_core import FiniteLattice, build_lattice
 from .ms_algebra import MSAlgebra
 from .report import Check, VerificationReport
-from .verifier import (
-    SearchConfig,
-    SweepReport,
-    Witness,
-    document_instance,
-    properties,
-    run_property,
-    search_counterexample,
-    sweep as run_sweep,
-)
-from .errors import HypothesisUnmet, SizeCapExceeded, UnknownProperty
+
+if TYPE_CHECKING:
+    from .verifier import SweepReport
 
 SCHEMA = "msfuzz.report/1"
 
@@ -293,10 +296,6 @@ def fixed_cmd(ctx, file, chi_name, w_text):
 # verify / sweep / search
 # ---------------------------------------------------------------------------
 
-def _witness_payload(witness: Witness | None):
-    return witness.to_dict() if witness is not None else None
-
-
 @cli.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--props", "props_text", default=None,
@@ -305,6 +304,8 @@ def _witness_payload(witness: Witness | None):
 @_guard
 def verify(ctx, file, props_text):
     """Run registered laws against the instance in FILE."""
+    from .verifier import document_instance, properties, run_property
+
     doc = _load_document(file)
     try:
         instance = document_instance(doc)
@@ -363,6 +364,8 @@ def _parse_props(text):
 
 
 def _sweep_config(max_n, grades_text, seed, iters):
+    from .verifier import SearchConfig
+
     universe = _parse_grades(grades_text)
     if seed is not None and iters is None:
         raise click.UsageError("--seed needs --iters (randomized mode)")
@@ -384,7 +387,7 @@ def _sweep_text(report: SweepReport) -> str:
         f"mode={cfg.mode}"
     ]
     for o in report.outcomes:
-        mark = "PASS" if o.failures == 0 else "FAIL"
+        mark = "SKIP" if o.instances == 0 else "PASS" if o.failures == 0 else "FAIL"
         lines.append(
             f"  [{mark}] {o.pid}  instances={o.instances} passes={o.passes} "
             f"failures={o.failures} skips={o.skips}"
@@ -396,7 +399,12 @@ def _sweep_text(report: SweepReport) -> str:
         f"{report.stats['inverse_class_neg_closed']}"
         f"/{report.stats['inverse_class_fibers']} (observational)"
     )
-    lines.append("  all laws hold" if report.ok else "  some laws failed")
+    if report.ok:
+        lines.append("  all laws hold")
+    elif any(o.instances == 0 for o in report.outcomes):
+        lines.append("  some laws failed or were skipped")
+    else:
+        lines.append("  some laws failed")
     return "\n".join(lines)
 
 
@@ -410,7 +418,11 @@ def _sweep_text(report: SweepReport) -> str:
 @click.pass_context
 @_guard
 def sweep_cmd(ctx, max_n, grades_text, props_text, seed, iters):
-    """Run laws over every instance up to a size cap."""
+    """Run laws over every instance up to a size cap; a law that no
+    instance meets the hypotheses of is reported as skipped and fails the
+    run."""
+    from .verifier import sweep as run_sweep
+
     cfg = _sweep_config(max_n, grades_text, seed, iters)
     try:
         report = run_sweep(_parse_props(props_text), cfg)
@@ -431,18 +443,23 @@ def sweep_cmd(ctx, max_n, grades_text, props_text, seed, iters):
 @click.pass_context
 @_guard
 def search_cmd(ctx, pid, max_n, grades_text, seed, iters):
-    """Search for a counterexample; exit 10 when one is found."""
+    """Search for a counterexample; exit 10 when one is found, and 2 when
+    no instance meets the law's hypotheses."""
+    from .verifier import search_counterexample
+
     cfg = _sweep_config(max_n, grades_text, seed, iters)
     try:
         witness = search_counterexample(pid, cfg)
     except (UnknownProperty, SizeCapExceeded) as exc:
         raise click.UsageError(str(exc))
+    except HypothesisUnmet as exc:
+        raise click.UsageError(f"no instance within bounds meets the hypotheses: {exc}")
     payload = {
         "schema": SCHEMA,
         "command": "search",
         "property": pid,
         "config": cfg.to_dict(),
-        "witness": _witness_payload(witness),
+        "witness": witness.to_dict() if witness is not None else None,
     }
     if witness is None:
         text = f"search {pid}: no counterexample within bounds"

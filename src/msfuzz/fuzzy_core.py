@@ -6,7 +6,9 @@ primality check.
 ``is_filter_row`` is a row kernel like ``lattice_core.first_break``: it
 only compares grades, so it takes grade tuples and tuples of integer
 grade ranks alike (the law scan in the verifier passes ranks, with the
-rank of 1 for ``one``).  ``classify`` wraps ``first_break``.
+rank of 1 for ``one``).  ``classify`` and ``fuzzy_filter_report`` map a
+grade row to ranks once (``_rank_row``) and run ``first_break`` on them;
+grades come back only in their witnesses.
 """
 
 from __future__ import annotations
@@ -88,6 +90,13 @@ def is_filter_row(lat: FiniteLattice, grades, one) -> bool:
             and first_break(lat.meet_table, grades, min) is None)
 
 
+def _rank_row(grades) -> tuple[int, ...]:
+    """Each grade's position among the row's distinct grades: ranks order
+    and compare as the grades do, so a row kernel finds the same pairs."""
+    rank = {g: k for k, g in enumerate(sorted(set(grades)))}
+    return tuple(map(rank.__getitem__, grades))
+
+
 def classify(lat: FiniteLattice, chi: FuzzySet) -> FuzzyClassification:
     """Classify a fuzzy set as sublattice / ideal / filter / proper.
 
@@ -99,14 +108,15 @@ def classify(lat: FiniteLattice, chi: FuzzySet) -> FuzzyClassification:
     if chi.carrier != lat:
         raise CarrierMismatch("fuzzy set does not live on the given lattice")
     g = chi.grades
+    r = _rank_row(g)
     sublattice = all(
-        min(g[i], g[j]) <= min(g[lat.meet_table[i][j]], g[lat.join_table[i][j]])
+        min(r[i], r[j]) <= min(r[lat.meet_table[i][j]], r[lat.join_table[i][j]])
         for i in range(lat.n) for j in range(lat.n)
     )
-    meet_break = first_break(lat.meet_table, g, min)
+    meet_break = first_break(lat.meet_table, r, min)
     filter_char = g[lat.element_index(lat.top)] == ONE and meet_break is None
     ideal_char = (g[lat.element_index(lat.bottom)] == ONE
-                  and first_break(lat.join_table, g, min) is None)
+                  and first_break(lat.join_table, r, min) is None)
 
     return FuzzyClassification(
         is_sublattice=sublattice,
@@ -136,7 +146,7 @@ def fuzzy_filter_report(lat: FiniteLattice, chi: FuzzySet, name: str = "chi"
         "" if top_grade == ONE else f"grade of {lat.top!r} is {top_grade}, not 1",
     ))
 
-    meet_break = first_break(lat.meet_table, g, min)
+    meet_break = first_break(lat.meet_table, _rank_row(g), min)
     witness = None
     if meet_break is not None:
         i, j = meet_break

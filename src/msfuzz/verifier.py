@@ -488,7 +488,7 @@ class _Row:
 # None, names the row attribute (``ups`` or ``omg``) through which alone
 # ``test`` reads W.
 _STAGES: dict[str, list[tuple]] = {}
-_PAIR_STAGES: dict[str, tuple] = {}  # pair laws: (test, when on the two rank rows)
+_PAIR_STAGES: dict[str, tuple] = {}  # pair laws: (test, when on the two rank rows, symmetric)
 
 
 def _stage_rows(inst: Instance, i: int, ws, key=None) -> list[_Row]:
@@ -519,14 +519,17 @@ def _scan(pid: str, inst: Instance, *stages: tuple) -> Witness | None:
     return None
 
 
-def _pair_scan(pid: str, inst: Instance, test, when) -> Witness | None:
+def _pair_scan(pid: str, inst: Instance, test, when, symmetric) -> Witness | None:
     """The first failing (chi1, chi2, W), in that order, as in ``_scan``, on
     the first W of each pair of base grades (b1, b2): all the pair laws read
-    of W, as the union's extension is max(union, max(b1, b2))."""
+    of W, as the union's extension is max(union, max(b1, b2)).  A symmetric
+    test visits only chi2 at or after chi1: (chi2, chi1) picks the same W
+    and verdict as (chi1, chi2), and comes later in row-major order."""
     rows = [_stage_rows(inst, i, _w_sets) for i in range(len(inst.chis))]
     bases = [[r.base for r in rs] for rs in rows]
-    for chi1, g1, rows1, b1 in zip(inst.chis, inst._ranks.rows, rows, bases):
-        for chi2, g2, rows2, b2 in zip(inst.chis, inst._ranks.rows, rows, bases):
+    pool = list(zip(inst.chis, inst._ranks.rows, rows, bases))
+    for i, (chi1, g1, rows1, b1) in enumerate(pool):
+        for chi2, g2, rows2, b2 in pool[i if symmetric else 0:]:
             if when is not None and not when(g1, g2):
                 continue
             for k in _firsts(range(len(b1)), zip(b1, b2)):
@@ -550,11 +553,12 @@ def _row_law(pid: str, summary=None, ws=_w_sets, when=None, key=None, **kwargs):
     return decorate
 
 
-def _pair_law(pid: str, summary: str, when=None):
-    """Register a law from its predicate over the two rows of a pair."""
+def _pair_law(pid: str, summary: str, when=None, symmetric=False):
+    """Register a law from its predicate over the two rows of a pair;
+    ``symmetric`` when swapping the two rows never changes its verdict."""
 
     def decorate(test):
-        _PAIR_STAGES[pid] = (test, when)
+        _PAIR_STAGES[pid] = (test, when, symmetric)
         _law(pid, summary)(lambda inst: _pair_scan(pid, inst, *_PAIR_STAGES[pid]))
         return test
 
@@ -720,7 +724,8 @@ def _lemma_3_2_7(r: _Row):
             return "grade one appeared from nowhere", {"theta": r.lat.elements[t]}
 
 
-@_pair_law("prop-3.3.1", "extension of a union is the join of the extensions")
+@_pair_law("prop-3.3.1", "extension of a union is the join of the extensions",
+           symmetric=True)
 def _prop_3_3_1(r1: _Row, r2: _Row):
     union = tuple(map(max, r1.grades, r2.grades))
     if tuple(map(max, r1.ups, r2.ups)) != upsilon_row(r1.ms, union, r1.w_idx):
@@ -766,7 +771,7 @@ def _prop_3_6(r: _Row):
                     {"z": [r.lat.elements[i] for i in z]})
 
 
-@_pair_law("prop-3.7", "a union of fixed filters is fixed")
+@_pair_law("prop-3.7", "a union of fixed filters is fixed", symmetric=True)
 def _prop_3_7(r1: _Row, r2: _Row):
     if r1.ups == r1.grades and r2.ups == r2.grades:
         union = tuple(map(max, r1.grades, r2.grades))
@@ -1032,7 +1037,8 @@ class SweepReport:
 
     @property
     def ok(self) -> bool:
-        return all(o.failures == 0 for o in self.outcomes)
+        """Every law checked at least one instance and none failed."""
+        return all(o.failures == 0 and o.instances > 0 for o in self.outcomes)
 
     def outcome(self, pid: str) -> PropertyOutcome:
         for o in self.outcomes:
@@ -1143,18 +1149,25 @@ def sweep(pids=None, cfg: SearchConfig | None = None) -> SweepReport:
 
 def search_counterexample(pid: str, cfg: SearchConfig | None = None
                           ) -> Witness | None:
-    """First witness refuting one law within the config bounds, or None."""
+    """First witness refuting one law within the config bounds, or None.
+    Raises the first HypothesisUnmet when no instance meets the law's
+    hypotheses, so that checking nothing is never reported as a pass."""
     cfg = cfg or SearchConfig()
     record = _REGISTRY.get(pid)
     if record is None:
         raise UnknownProperty(f"no law registered under {pid!r}")
     if record.fixture is not None:
         return run_property(pid, fixture_instance(record.fixture))
+    unmet, checked = None, False
     for inst in _instance_stream(cfg):
         try:
             witness = run_property(pid, inst)
-        except HypothesisUnmet:
+        except HypothesisUnmet as exc:
+            unmet = unmet or exc
             continue
         if witness is not None:
             return witness
+        checked = True
+    if not checked:
+        raise unmet or HypothesisUnmet(pid, "no instance within the bounds")
     return None

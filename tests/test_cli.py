@@ -296,6 +296,35 @@ def test_over_cap_verify_skips_prime_law(runner, tmp_path):
     assert {r["verdict"] for r in verdicts.values()} == {"pass"}
 
 
+GRADES_64 = ",".join(f"{k}/64" for k in range(1, 65))
+
+
+def test_sweep_law_no_instance_meets_is_skipped(runner):
+    """1 element x 64 grades fits the stream pool, but thm-3.1-prime adds
+    grade 0 to its own pool and skips the only instance: the law checked
+    nothing, so it is reported as skipped and the sweep fails."""
+    args = ["sweep", "--max-n", "1", "--grades", GRADES_64,
+            "--props", "thm-3.1-prime,lemma-3.2.1"]
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 1
+    assert "[SKIP] thm-3.1-prime  instances=0" in result.output
+    assert "[PASS] lemma-3.2.1  instances=1" in result.output
+    assert "all laws hold" not in result.output
+    as_json = runner.invoke(cli, ["--format", "json", *args])
+    assert as_json.exit_code == 1
+    assert json.loads(as_json.output)["ok"] is False
+
+
+def test_search_no_instance_meets_is_usage_error(runner):
+    """The same bounds leave search nothing to check: exit 2 with the
+    unmet hypothesis, not "no counterexample" with exit 0."""
+    result = runner.invoke(cli, ["search", "--prop", "thm-3.1-prime",
+                                 "--max-n", "1", "--grades", GRADES_64])
+    assert result.exit_code == 2
+    assert "thm-3.1-prime: |elements| * |grades| = 65 exceeds cap 64" in result.output
+    assert "no counterexample" not in result.output
+
+
 def test_search_finds_prime_witness(runner):
     result = runner.invoke(
         cli,

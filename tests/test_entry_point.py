@@ -1,0 +1,123 @@
+"""The real entry point, ``python -m msfuzz.cli_io``, run in fresh
+interpreters: exit codes, report bytes, and which msfuzz modules each
+command imports (read from ``-X importtime``).  Bytecode writing is off,
+as in the benchmark's children, so every module a command imports is
+compiled again."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+import msfuzz
+from msfuzz.cli_io import cli
+
+from .conftest import GOLDEN_DIR, write_fixture_file
+
+SRC = str(Path(msfuzz.__file__).resolve().parents[1])
+REGISTRY_SIDE = {"msfuzz.verifier", "msfuzz.hom_analysis", "msfuzz.fixtures"}
+
+
+def _env():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("MSFUZZ_FORMAT", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_entry_point(args):
+    """(exit code, stdout, msfuzz modules imported) of one CLI child."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "msfuzz.cli_io", "--format", "json", *args],
+        capture_output=True, text=True, env=_env(), timeout=120,
+    )
+    modules = {line.rsplit("|", 1)[-1].strip()
+               for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return proc.returncode, proc.stdout, {m for m in modules if m.startswith("msfuzz")}
+
+
+def _masked(output: str) -> str:
+    return re.sub(r'"file": "[^"]*"', '"file": "<fixture>"', output)
+
+
+# (argv after the fixture path, fixture, golden file or None, exit code)
+DOCUMENT_COMMANDS = [
+    (["validate"], "diamond", "validate_diamond.json", 0),
+    (["validate"], "example4_printed", "validate_example4_printed.json", 1),
+    (["extend", "--chi", "chi", "--w", "y"], "example4_printed",
+     "extend_example4_printed.json", 0),
+    (["fixed", "--chi", "chi", "--w", "0,xi"], "diamond", "fixed_diamond.json", 0),
+    (["fixed", "--chi", "chi", "--w", "1"], "diamond", None, 1),
+]
+
+
+@pytest.mark.parametrize("argv, fixture, golden_name, code", DOCUMENT_COMMANDS,
+                         ids=["validate", "validate-fails", "extend", "fixed", "fixed-fails"])
+def test_document_commands_load_only_the_document_path(tmp_path, argv, fixture,
+                                                       golden_name, code):
+    path = write_fixture_file(tmp_path, fixture)
+    args = [argv[0], path, *argv[1:]]
+    exit_code, stdout, modules = run_entry_point(args)
+    assert exit_code == code
+    if golden_name is not None:
+        assert _masked(stdout) == (GOLDEN_DIR / golden_name).read_text()
+    assert stdout == CliRunner().invoke(cli, ["--format", "json", *args]).output
+    assert "msfuzz.lattice_core" in modules
+    assert not modules & REGISTRY_SIDE, modules & REGISTRY_SIDE
+
+
+@pytest.mark.parametrize("args, code", [
+    (["verify", "<three_chain_stone>"], 1),
+    (["sweep", "--max-n", "3", "--grades", "0,1/2,1"], 1),
+    (["search", "--prop", "thm-3.1-prime", "--max-n", "4", "--grades", "0,1"], 10),
+], ids=["verify", "sweep", "search"])
+def test_law_commands_load_the_registry(tmp_path, args, code):
+    args = [write_fixture_file(tmp_path, a[1:-1]) if a.startswith("<") else a for a in args]
+    exit_code, stdout, modules = run_entry_point(args)
+    assert exit_code == code
+    assert stdout == CliRunner().invoke(cli, ["--format", "json", *args]).output
+    if args[0] == "sweep":
+        assert stdout == (GOLDEN_DIR / "sweep_n3.json").read_text()
+    assert "msfuzz.verifier" in modules
+
+
+# every name that msfuzz exported when it imported all of its submodules
+PACKAGE_NAMES = """
+CarrierMismatch DuplicateElement EmptyW GradeOutOfRange HypothesisUnmet
+InternalInvariantError MsfuzzError NotALattice NotAPoset NotBounded
+NotDistributive NotProper SizeCapExceeded UnknownElement UnknownProperty
+CanonicalFixedSet DenseElements ExtensionResult dense_elements extend
+fixed_witness_sets is_fixed_relative omega upsilon AlgebraDocument
+AlgebraSyntaxError DanglingReference document_from_objects document_to_objects
+parse_algebra serialize_algebra FIXTURE_NAMES fixture_text load_fixture
+FuzzyClassification FuzzySet classify enumerate_fuzzy_filters
+fuzzy_filter_report fuzzy_intersection is_prime_fuzzy_filter_bounded level_cut
+Grade format_grade parse_grade HomReport cokernel hom_report kernel FilterSet
+FiniteLattice SubsetVerdict build_lattice enumerate_filters is_filter
+is_prime_filter principal_filter MSAlgebra check_ms_axioms
+enumerate_ms_operations extended_filter_crisp verify_derived_identities Check
+VerificationReport Instance PropertyOutcome SearchConfig SweepReport
+THEOREM_SUITE Witness lattice_catalog properties run_property
+search_counterexample sweep
+""".split()
+
+
+def test_package_namespace_is_unchanged():
+    """Every name resolves, from the submodule that defines it, and is
+    listed by dir() and __all__; an unknown name is an AttributeError."""
+    import importlib
+
+    assert sorted(msfuzz.__all__) == sorted(PACKAGE_NAMES)
+    names = dir(msfuzz)
+    for name in PACKAGE_NAMES:
+        value = getattr(msfuzz, name)
+        assert name in names
+        if hasattr(value, "__module__") and value.__module__.startswith("msfuzz."):
+            module = importlib.import_module(value.__module__)
+            assert getattr(module, name) is value
+    with pytest.raises(AttributeError):
+        msfuzz.no_such_name

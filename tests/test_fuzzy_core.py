@@ -166,6 +166,72 @@ def test_classify_never_diverges_on_random_maps(values):
                     assert fs(a) <= fs(b)  # fuzzy filters are isotone
 
 
+# -- the rank route against the grade route --------------------------------------
+
+def classify_by_grades(lat, chi):
+    """Oracle: ``classify`` as it ran on the Fraction grades themselves,
+    before it mapped them to ranks."""
+    from msfuzz import FuzzyClassification
+    from msfuzz.lattice_core import first_break
+
+    g = chi.grades
+    sublattice = all(
+        min(g[i], g[j]) <= min(g[lat.meet_table[i][j]], g[lat.join_table[i][j]])
+        for i in range(lat.n) for j in range(lat.n)
+    )
+    meet_break = first_break(lat.meet_table, g, min)
+    return FuzzyClassification(
+        is_sublattice=sublattice,
+        is_ideal=(g[lat.element_index(lat.bottom)] == 1
+                  and first_break(lat.join_table, g, min) is None),
+        is_filter=g[lat.element_index(lat.top)] == 1 and meet_break is None,
+        is_proper=not chi.is_constant(),
+        witness=None if meet_break is None else
+        (lat.elements[meet_break[0]], lat.elements[meet_break[1]]),
+    )
+
+
+def filter_report_by_grades(lat, chi, name):
+    """Oracle: ``fuzzy_filter_report`` as it ran on the Fraction grades."""
+    from msfuzz import Check, VerificationReport
+    from msfuzz.lattice_core import first_break
+
+    g = chi.grades
+    top_grade = g[lat.element_index(lat.top)]
+    meet_break = first_break(lat.meet_table, g, min)
+    witness = None
+    if meet_break is not None:
+        i, j = meet_break
+        witness = {"pair": [lat.elements[i], lat.elements[j]],
+                   "lhs": str(g[lat.meet_table[i][j]]), "rhs": str(min(g[i], g[j]))}
+    return VerificationReport(f"fuzzy-filter:{name}", (
+        Check(f"fuzzy.{name}.unit", top_grade == 1,
+              "" if top_grade == 1 else f"grade of {lat.top!r} is {top_grade}, not 1"),
+        Check(f"fuzzy.{name}.meet-equality", witness is None,
+              "" if witness is None else
+              "grade of a meet differs from the minimum of the grades", witness),
+        Check(f"fuzzy.{name}.is-filter", top_grade == 1 and witness is None),
+    ))
+
+
+@pytest.mark.parametrize("universe", [UNIVERSE3, grades(Fraction(1, 3), Fraction(2, 3), 1)])
+def test_rank_route_matches_grade_route(universe):
+    """classify and fuzzy_filter_report scan integer ranks; on every grade
+    map over the universe, on every catalog lattice up to four elements,
+    their verdicts and witnesses equal those of the scan on grades."""
+    from msfuzz import fuzzy_filter_report
+
+    broken = 0
+    for lat in lattice_catalog(4):
+        for values in product(universe, repeat=lat.n):
+            fs = FuzzySet(lat, values)
+            assert classify(lat, fs) == classify_by_grades(lat, fs), values
+            report = fuzzy_filter_report(lat, fs, "chi")
+            assert report == filter_report_by_grades(lat, fs, "chi"), values
+            broken += report.find("fuzzy.chi.meet-equality").witness is not None
+    assert broken
+
+
 # -- level cuts -----------------------------------------------------------------
 
 def test_level_cut_basics(diamond_fixture):

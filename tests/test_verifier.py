@@ -324,6 +324,20 @@ def test_invalid_tables_are_skipped_not_counted():
     assert (outcome.instances, outcome.skips, outcome.failures) == (1, 1, 0)
 
 
+def test_checking_nothing_is_not_a_pass():
+    """A law that no instance meets the hypotheses of fails the sweep, and
+    a search over such bounds raises the unmet hypothesis."""
+    cfg = SearchConfig(max_elements=1,
+                       grade_universe=[Fraction(k, 64) for k in range(1, 65)])
+    report = sweep(("thm-3.1-prime", "lemma-3.2.1"), cfg)
+    assert report.outcome("thm-3.1-prime").instances == 0
+    assert report.outcome("lemma-3.2.1").passes == 1
+    assert not report.ok
+    with pytest.raises(HypothesisUnmet, match="exceeds cap 64"):
+        search_counterexample("thm-3.1-prime", cfg)
+    assert search_counterexample("lemma-3.2.1", cfg) is None
+
+
 def test_witness_document_roundtrip():
     witness = search_counterexample(
         "thm-3.1-prime", SearchConfig(max_elements=4, grade_universe=UNIVERSE2)
@@ -544,18 +558,20 @@ class _BruteScan:
                     self.visit(test, [row], [chi], group, w)
         return self
 
-    def pairs(self, test, when):
+    def pairs(self, test, when, symmetric):
         """Pairs grouped by their two base grades, the key of ``_pair_scan``.
         ``reads`` collects, per class, what the pair laws read of W: both
         extensions and the extension of the union; ``firsts`` lists the
-        first W of each class, pair by pair, as the scan should visit them."""
+        first W of each class, pair by pair, as the scan should visit them
+        (for a symmetric law, only the pairs with chi2 at or after chi1).
+        Every ordered pair is still run for the first outcome."""
         from msfuzz.extensions import upsilon_row
         from msfuzz.verifier import _Row
 
         ms, ranks = self.inst.ms, self.inst._ranks
         self.reads, self.firsts = {}, []
-        for chi1, g1 in zip(self.inst.chis, ranks.rows):
-            for chi2, g2 in zip(self.inst.chis, ranks.rows):
+        for i, (chi1, g1) in enumerate(zip(self.inst.chis, ranks.rows)):
+            for j, (chi2, g2) in enumerate(zip(self.inst.chis, ranks.rows)):
                 if when is not None and not when(g1, g2):
                     continue
                 union, firsts = tuple(map(max, g1, g2)), {}
@@ -567,7 +583,8 @@ class _BruteScan:
                     self.reads.setdefault(group, set()).add(
                         (rows[0].ups, rows[1].ups, upsilon_row(ms, union, w_idx)))
                     self.visit(test, rows, [chi1, chi2], group, w)
-                self.firsts += [(g1, g2, w) for w in firsts.values()]
+                if j >= i or not symmetric:
+                    self.firsts += [(g1, g2, w) for w in firsts.values()]
         return self
 
 
@@ -581,7 +598,7 @@ def _pair_visits(pid, inst):
 
     seen = []
     _pair_scan(pid, inst, lambda r1, r2: seen.append((r1.grades, r2.grades, r1.w)),
-               _PAIR_STAGES[pid][1])
+               *_PAIR_STAGES[pid][1:])
     return seen
 
 
@@ -667,6 +684,77 @@ def test_subset_keys_agree_with_every_subset():
                 assert list(_base_subsets(row)) == list(firsts.values())
                 classes += len(firsts)
     assert classes
+
+
+def _pair_oracle_inputs():
+    """Every catalog instance up to four elements, over {0, 1/2, 1} and
+    over {1/3, 2/3, 1}."""
+    from msfuzz.verifier import _instance_stream
+
+    for universe in (UNIVERSE3, THIRDS):
+        yield from _instance_stream(SearchConfig(max_elements=4, grade_universe=universe))
+
+
+def _union_moved(r1, r2):
+    from msfuzz.extensions import upsilon_row
+
+    union = tuple(map(max, r1.grades, r2.grades))
+    if upsilon_row(r1.ms, union, r1.w_idx) != union:
+        return "union moved", {"base": max(r1.base, r2.base)}
+
+
+# symmetric pair predicates that fail on some pairs: off the diagonal only,
+# on it too, and reading the rows beyond their base grades
+_SYMMETRIC_PREDICATES = (
+    lambda r1, r2: "bases differ" if r1.base != r2.base else None,
+    _union_moved,
+    lambda r1, r2: ("rows differ under a top image"
+                    if r1.grades != r2.grades and max(r1.base, r2.base) == r1.one
+                    else None),
+)
+
+
+def test_symmetric_half_scan_matches_full_scan():
+    """For a symmetric predicate, visiting only chi2 at or after chi1 finds
+    the witness (chis, W, detail) of the full ordered scan; an asymmetric
+    one shows that the half scan alone would differ."""
+    from msfuzz.verifier import _pair_scan
+
+    def scan(test, symmetric):
+        found = _pair_scan("prop-3.3.1", inst, test, None, symmetric)
+        return None if found is None else found.to_dict()
+
+    failed = off_diagonal = asymmetric_differs = 0
+    for inst in _pair_oracle_inputs():
+        for test in _SYMMETRIC_PREDICATES:
+            full = scan(test, False)
+            assert scan(test, True) == full
+            failed += full is not None
+            off_diagonal += full is not None and full["fuzzy"]["chi"] != full["fuzzy"]["chi2"]
+        smaller = lambda r1, r2: "base dropped" if r1.base > r2.base else None
+        asymmetric_differs += scan(smaller, True) != scan(smaller, False)
+    assert failed and off_diagonal and asymmetric_differs
+
+
+def test_flagged_pair_laws_are_symmetric():
+    """Each pair law marked symmetric gives the same verdict on (r1, r2) as
+    on (r2, r1), for every pair of pool rows and every W."""
+    from msfuzz.verifier import _PAIR_STAGES, _Row, _every_w
+
+    flagged = sorted(pid for pid, (_, _, symmetric) in _PAIR_STAGES.items() if symmetric)
+    assert flagged == ["prop-3.3.1", "prop-3.7"]
+    pairs = 0
+    for inst in _pair_oracle_inputs():
+        ms, ranks = inst.ms, inst._ranks
+        for w, w_idx in _every_w(ms.lattice, inst.w_sets):
+            rows = [_Row(ms, ranks, g, w, w_idx) for g in ranks.rows]
+            for r1 in rows:
+                for r2 in rows:
+                    for pid in flagged:
+                        test = _PAIR_STAGES[pid][0]
+                        assert test(r1, r2) == test(r2, r1), (pid, r1.grades, r2.grades, w)
+                    pairs += 1
+    assert pairs
 
 
 # -- closed forms ----------------------------------------------------------------
