@@ -395,6 +395,89 @@ def test_missing_file_usage_error(runner):
     assert runner.invoke(cli, ["validate", "/nonexistent.ms"]).exit_code == 2
 
 
+# -- usage errors and help: exit codes and the message text a user reads -----------
+
+FILE_COMMANDS = {
+    "validate": [], "extend": ["--chi", "chi", "--w", "0"],
+    "fixed": ["--chi", "chi", "--w", "0"], "verify": [],
+}
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+@pytest.mark.parametrize("kind, message", [
+    ("missing", "does not exist"), ("directory", "is a directory"),
+])
+def test_unreadable_file_is_usage_error(runner, tmp_path, command, kind, message):
+    path = tmp_path / "missing.ms" if kind == "missing" else tmp_path
+    result = runner.invoke(cli, [command, str(path), *FILE_COMMANDS[command]])
+    assert result.exit_code == 2
+    assert f"'{path}' {message}" in result.output
+    assert "FILE" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_unknown_format_is_usage_error(runner, fixture_file, monkeypatch):
+    """--format and MSFUZZ_FORMAT are checked against the same choices."""
+    path = fixture_file("diamond")
+    for env in (None, "xml"):
+        if env is not None:
+            monkeypatch.setenv("MSFUZZ_FORMAT", env)
+        result = runner.invoke(cli, ([] if env else ["--format", "xml"]) + ["validate", path])
+        assert result.exit_code == 2
+        assert "--format" in result.output
+        assert "'xml' is not one of 'text', 'json'" in result.output
+        assert "schema" not in result.output
+
+
+def test_format_option_overrides_env(runner, fixture_file, monkeypatch):
+    monkeypatch.setenv("MSFUZZ_FORMAT", "json")
+    result = runner.invoke(cli, ["--format", "text", "validate", fixture_file("diamond")])
+    assert result.exit_code == 0
+    assert result.output.startswith("validate ")
+
+
+def test_unknown_subcommand_is_usage_error(runner):
+    result = runner.invoke(cli, ["frob"])
+    assert result.exit_code == 2
+    assert "'frob'" in result.output
+
+
+def test_top_level_help(runner):
+    result = runner.invoke(cli, ["--help"], prog_name="msfuzz")
+    assert result.exit_code == 0
+    for text in ("msfuzz", "--format", "--out", "MSFUZZ_FORMAT", *COMMAND_OPTIONS):
+        assert text in result.output
+
+
+COMMAND_OPTIONS = {
+    "validate": ["FILE"],
+    "extend": ["FILE", "--chi", "--w", "--omega", "--no-omega"],
+    "fixed": ["FILE", "--chi", "--w"],
+    "verify": ["FILE", "--props"],
+    "sweep": ["--max-n", "--grades", "--props", "--seed", "--iters"],
+    "search": ["--prop", "--max-n", "--grades", "--seed", "--iters"],
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_OPTIONS)
+def test_subcommand_help(runner, command):
+    result = runner.invoke(cli, [command, "--help"], prog_name="msfuzz")
+    assert result.exit_code == 0
+    assert f"msfuzz {command}" in result.output
+    for text in ["--help", *COMMAND_OPTIONS[command]]:
+        assert text in result.output
+
+
+def test_out_to_directory_is_usage_error(runner, fixture_file, tmp_path):
+    result = runner.invoke(
+        cli, ["--format", "json", "--out", str(tmp_path), "validate", fixture_file("diamond")]
+    )
+    assert result.exit_code == 2
+    assert "--out" in result.output
+    assert f"'{tmp_path}' is a directory" in result.output
+    assert "schema" not in result.output
+
+
 def test_internal_invariant_exits_70(runner, fixture_file, monkeypatch):
     from msfuzz.errors import InternalInvariantError
     import msfuzz.cli_io as cli_io
