@@ -1,26 +1,30 @@
 """Command-line surface and report emission.
 
 Subcommands: validate, extend, fixed, verify, sweep, search.  Global
-options ``--format text|json`` (env: MSFUZZ_FORMAT) and ``--out PATH``.
-Exit codes: 0 success, 1 failed checks, 2 usage or input errors,
-10 counterexample found (search), 70 internal invariant violation.
+options, given before the subcommand: ``--format text|json`` (env:
+MSFUZZ_FORMAT) and ``--out PATH``.  Exit codes: 0 success, 1 failed
+checks, 2 usage or input errors, 10 counterexample found (search),
+70 internal invariant violation.  ``main(argv)`` returns the exit code;
+``--help`` and usage errors leave through SystemExit, as in argparse.
 
 JSON reports are deliberately free of wall-clock data so that identical
 configurations produce byte-identical bytes.
 
-The law registry (``verifier``) is imported by ``verify``, ``sweep`` and
-``search`` when they run, so ``validate``, ``extend`` and ``fixed`` load
+A document command costs little more than interpreter start-up and
+imports, so the parser is the standard library's ``argparse``, and the
+law registry (``verifier``) is imported by ``verify``, ``sweep`` and
+``search`` when they run: ``validate``, ``extend`` and ``fixed`` load
 only the document path.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
-
-import click
 
 from .errors import (
     HypothesisUnmet,
@@ -42,35 +46,24 @@ if TYPE_CHECKING:
     from .verifier import SweepReport
 
 SCHEMA = "msfuzz.report/1"
+FORMATS = ("text", "json")
 
 
-def main():
-    cli(prog_name="msfuzz")
+class UsageError(Exception):
+    """Bad arguments or input: the command exits 2 with this message."""
 
 
-@click.group()
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]),
-              default=None, envvar="MSFUZZ_FORMAT",
-              help="Output format (default text; env MSFUZZ_FORMAT).")
-@click.option("--out", "out_path", type=click.Path(dir_okay=False),
-              default=None, help="Write the report to a file instead of stdout.")
-@click.pass_context
-def cli(ctx, fmt, out_path):
-    """Finite MS-algebras, fuzzy filters, and their extension operators."""
-    ctx.obj = {"format": fmt or "text", "out": out_path}
-
-
-def _emit(ctx, payload: dict, text: str) -> None:
+def _emit(args, payload: dict, text: str) -> None:
     rendered = (
         json.dumps(payload, indent=2) + "\n"
-        if ctx.obj["format"] == "json"
+        if args.format == "json"
         else text if text.endswith("\n") else text + "\n"
     )
-    if ctx.obj["out"]:
-        with open(ctx.obj["out"], "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(rendered)
     else:
-        click.echo(rendered, nl=False)
+        sys.stdout.write(rendered)
 
 
 def _load_document(path: str) -> AlgebraDocument:
@@ -78,30 +71,30 @@ def _load_document(path: str) -> AlgebraDocument:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
     try:
         return parse_algebra(text)
     except MsfuzzError as exc:
-        raise click.UsageError(f"{path}: {exc}")
+        raise UsageError(f"{path}: {exc}")
 
 
 def _need_algebra(doc: AlgebraDocument, path: str):
     try:
         lat, ms, named = document_to_objects(doc)
     except MsfuzzError as exc:
-        raise click.UsageError(f"{path}: {exc}")
+        raise UsageError(f"{path}: {exc}")
     if ms is None:
-        raise click.UsageError(f"{path}: file has no negation table")
+        raise UsageError(f"{path}: file has no negation table")
     return lat, ms, named
 
 
 def _parse_w(lat: FiniteLattice, w_text: str) -> tuple[str, ...]:
     members = [tok.strip() for tok in w_text.split(",") if tok.strip()]
     if not members:
-        raise click.UsageError("--w needs at least one element")
+        raise UsageError("--w needs at least one element")
     for m in members:
         if m not in lat.index:
-            raise click.UsageError(f"--w references unknown element {m!r}")
+            raise UsageError(f"--w references unknown element {m!r}")
     return lat.sorted_subset(members)
 
 
@@ -109,26 +102,11 @@ def _parse_grades(text: str) -> tuple[Fraction, ...]:
     try:
         return tuple(parse_grade(tok) for tok in text.split(",") if tok.strip())
     except MsfuzzError as exc:
-        raise click.UsageError(f"--grades: {exc}")
+        raise UsageError(f"--grades: {exc}")
 
 
 def _grade_map(fs: FuzzySet) -> dict[str, str]:
     return {e: format_grade(g) for e, g in zip(fs.carrier.elements, fs.grades)}
-
-
-def _guard(fn):
-    """Translate internal invariant violations into exit code 70."""
-
-    def wrapped(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except InternalInvariantError as exc:
-            click.echo(f"internal invariant violation: {exc}", err=True)
-            sys.exit(70)
-
-    wrapped.__name__ = fn.__name__
-    wrapped.__doc__ = fn.__doc__
-    return wrapped
 
 
 # ---------------------------------------------------------------------------
@@ -171,43 +149,32 @@ def _validate_document(doc: AlgebraDocument, title: str = "validate"
     return VerificationReport(title, tuple(checks))
 
 
-@cli.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.pass_context
-@_guard
-def validate(ctx, file):
+def validate(args) -> int:
     """Check the lattice axioms, the negation axioms, and that every
     named grade map is a fuzzy filter."""
+    file = args.file
     doc = _load_document(file)
     report = _validate_document(doc, title=f"validate {file}")
     payload = {"schema": SCHEMA, "command": "validate", "file": file}
     body = report.to_dict()
     body.pop("title")  # duplicates command + file
     payload.update(body)
-    _emit(ctx, payload, report.render_text())
-    ctx.exit(0 if report.ok else 1)
+    _emit(args, payload, report.render_text())
+    return 0 if report.ok else 1
 
 
 # ---------------------------------------------------------------------------
 # extend / fixed
 # ---------------------------------------------------------------------------
 
-@cli.command("extend")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--chi", "chi_name", required=True, help="Fuzzy section to extend.")
-@click.option("--w", "w_text", required=True,
-              help="Comma-separated reference subset.")
-@click.option("--omega/--no-omega", "with_omega", default=True,
-              help="Also print the strong extension (default on).")
-@click.pass_context
-@_guard
-def extend_cmd(ctx, file, chi_name, w_text, with_omega):
+def extend_cmd(args) -> int:
     """Print the extension (and strong extension) of a grade map."""
+    file, chi_name, with_omega = args.file, args.chi, args.omega
     doc = _load_document(file)
     lat, ms, named = _need_algebra(doc, file)
     if chi_name not in named:
-        raise click.UsageError(f"no fuzzy section named {chi_name!r}")
-    w = _parse_w(lat, w_text)
+        raise UsageError(f"no fuzzy section named {chi_name!r}")
+    w = _parse_w(lat, args.w)
     result = extend_op(ms, named[chi_name], w)
 
     payload = {
@@ -234,24 +201,20 @@ def extend_cmd(ctx, file, chi_name, w_text, with_omega):
     lines += ["  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row))
               for row in rows]
     lines.append(f"base grade: {format_grade(result.base_grade)}")
-    _emit(ctx, payload, "\n".join(lines))
+    _emit(args, payload, "\n".join(lines))
+    return 0
 
 
-@cli.command("fixed")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--chi", "chi_name", required=True)
-@click.option("--w", "w_text", required=True)
-@click.pass_context
-@_guard
-def fixed_cmd(ctx, file, chi_name, w_text):
+def fixed_cmd(args) -> int:
     """Report whether the extension moves the grade map, plus the
     canonical subsets that never move it."""
+    file, chi_name = args.file, args.chi
     doc = _load_document(file)
     lat, ms, named = _need_algebra(doc, file)
     if chi_name not in named:
-        raise click.UsageError(f"no fuzzy section named {chi_name!r}")
+        raise UsageError(f"no fuzzy section named {chi_name!r}")
     chi = named[chi_name]
-    w = _parse_w(lat, w_text)
+    w = _parse_w(lat, args.w)
     verdict = is_fixed_relative(ms, chi, w)
 
     canonical = []
@@ -288,31 +251,26 @@ def fixed_cmd(ctx, file, chi_name, w_text):
             lines.append(
                 f"    {entry['name']}: {{{members}}} fixed={'yes' if entry['fixed'] else 'no'}"
             )
-    _emit(ctx, payload, "\n".join(lines))
-    ctx.exit(0 if verdict else 1)
+    _emit(args, payload, "\n".join(lines))
+    return 0 if verdict else 1
 
 
 # ---------------------------------------------------------------------------
 # verify / sweep / search
 # ---------------------------------------------------------------------------
 
-@cli.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--props", "props_text", default=None,
-              help="Comma-separated law ids (default: every instance-level law).")
-@click.pass_context
-@_guard
-def verify(ctx, file, props_text):
+def verify(args) -> int:
     """Run registered laws against the instance in FILE."""
     from .verifier import document_instance, properties, run_property
 
+    file = args.file
     doc = _load_document(file)
     try:
         instance = document_instance(doc)
     except MsfuzzError as exc:
-        raise click.UsageError(f"{file}: {exc}")
+        raise UsageError(f"{file}: {exc}")
 
-    pids = _parse_props(props_text)
+    pids = _parse_props(args.props)
     if pids is None:
         pids = [rec.pid for rec in properties() if rec.fixture is None]
 
@@ -322,7 +280,7 @@ def verify(ctx, file, props_text):
         try:
             witness = run_property(pid, instance)
         except UnknownProperty as exc:
-            raise click.UsageError(str(exc))
+            raise UsageError(str(exc))
         except HypothesisUnmet as exc:
             rows.append({"id": pid, "verdict": "hypothesis-unmet",
                          "reason": exc.reason})
@@ -348,8 +306,8 @@ def verify(ctx, file, props_text):
             extra = "  " + row["reason"]
         lines.append(f"  [{mark}] {row['id']}{extra}")
     lines.append("  all laws hold" if all_pass else "  some laws failed or were skipped")
-    _emit(ctx, payload, "\n".join(lines))
-    ctx.exit(0 if all_pass else 1)
+    _emit(args, payload, "\n".join(lines))
+    return 0 if all_pass else 1
 
 
 def _parse_props(text):
@@ -359,16 +317,17 @@ def _parse_props(text):
         return None
     pids = list(dict.fromkeys(tok.strip() for tok in text.split(",") if tok.strip()))
     if not pids:
-        raise click.UsageError("--props names no law")
+        raise UsageError("--props names no law")
     return pids
 
 
-def _sweep_config(max_n, grades_text, seed, iters):
+def _sweep_config(args):
     from .verifier import SearchConfig
 
-    universe = _parse_grades(grades_text)
+    max_n, seed, iters = args.max_n, args.seed, args.iters
+    universe = _parse_grades(args.grades)
     if seed is not None and iters is None:
-        raise click.UsageError("--seed needs --iters (randomized mode)")
+        raise UsageError("--seed needs --iters (randomized mode)")
     try:
         if iters is not None:
             return SearchConfig(max_elements=max_n, grade_universe=universe,
@@ -376,7 +335,7 @@ def _sweep_config(max_n, grades_text, seed, iters):
                                 iterations=iters)
         return SearchConfig(max_elements=max_n, grade_universe=universe)
     except (MsfuzzError, ValueError) as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
 
 
 def _sweep_text(report: SweepReport) -> str:
@@ -408,52 +367,36 @@ def _sweep_text(report: SweepReport) -> str:
     return "\n".join(lines)
 
 
-@cli.command("sweep")
-@click.option("--max-n", type=int, default=4, show_default=True)
-@click.option("--grades", "grades_text", default="0,1/2,1", show_default=True)
-@click.option("--props", "props_text", default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--iters", type=int, default=None,
-              help="Randomized mode: number of sampled instances.")
-@click.pass_context
-@_guard
-def sweep_cmd(ctx, max_n, grades_text, props_text, seed, iters):
+def sweep_cmd(args) -> int:
     """Run laws over every instance up to a size cap; a law that no
     instance meets the hypotheses of is reported as skipped and fails the
     run."""
     from .verifier import sweep as run_sweep
 
-    cfg = _sweep_config(max_n, grades_text, seed, iters)
+    cfg = _sweep_config(args)
     try:
-        report = run_sweep(_parse_props(props_text), cfg)
+        report = run_sweep(_parse_props(args.props), cfg)
     except (UnknownProperty, SizeCapExceeded) as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
     payload = {"schema": SCHEMA, "command": "sweep"}
     payload.update(report.to_dict())
-    _emit(ctx, payload, _sweep_text(report))
-    ctx.exit(0 if report.ok else 1)
+    _emit(args, payload, _sweep_text(report))
+    return 0 if report.ok else 1
 
 
-@cli.command("search")
-@click.option("--prop", "pid", required=True, help="Law id to refute.")
-@click.option("--max-n", type=int, default=4, show_default=True)
-@click.option("--grades", "grades_text", default="0,1/2,1", show_default=True)
-@click.option("--seed", type=int, default=None)
-@click.option("--iters", type=int, default=None)
-@click.pass_context
-@_guard
-def search_cmd(ctx, pid, max_n, grades_text, seed, iters):
+def search_cmd(args) -> int:
     """Search for a counterexample; exit 10 when one is found, and 2 when
     no instance meets the law's hypotheses."""
     from .verifier import search_counterexample
 
-    cfg = _sweep_config(max_n, grades_text, seed, iters)
+    pid = args.prop
+    cfg = _sweep_config(args)
     try:
         witness = search_counterexample(pid, cfg)
     except (UnknownProperty, SizeCapExceeded) as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
     except HypothesisUnmet as exc:
-        raise click.UsageError(f"no instance within bounds meets the hypotheses: {exc}")
+        raise UsageError(f"no instance within bounds meets the hypotheses: {exc}")
     payload = {
         "schema": SCHEMA,
         "command": "search",
@@ -473,9 +416,117 @@ def search_cmd(ctx, pid, max_n, grades_text, seed, iters):
                 "  W = {" + ", ".join(", ".join(w) for w in d["w_sets"]) + "}"
             )
         text = "\n".join(lines)
-    _emit(ctx, payload, text)
-    ctx.exit(10 if witness is not None else 0)
+    _emit(args, payload, text)
+    return 10 if witness is not None else 0
+
+
+# ---------------------------------------------------------------------------
+# the parser
+# ---------------------------------------------------------------------------
+
+def _format(value: str) -> str:
+    if value not in FORMATS:
+        raise argparse.ArgumentTypeError(
+            f"'{value}' is not one of {', '.join(map(repr, FORMATS))}.")
+    return value
+
+
+def _file(path: str) -> str:
+    """``--out``: a path that is not a directory."""
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"File '{path}' is a directory.")
+    return path
+
+
+def _existing_file(path: str) -> str:
+    """``FILE``: a path that exists and is not a directory."""
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"File '{path}' does not exist.")
+    return _file(path)
+
+
+def _with_help(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """Give a parser built with ``add_help=False`` its one help option."""
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser
+
+
+def _file_argument(parser) -> None:
+    parser.add_argument("file", metavar="FILE", type=_existing_file,
+                        help="An algebra document.")
+
+
+def _bounds_arguments(parser) -> None:
+    parser.add_argument("--max-n", type=int, default=4, help="(default: %(default)s)")
+    parser.add_argument("--grades", default="0,1/2,1", help="(default: %(default)s)")
+
+
+def _seed_arguments(parser) -> None:
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--iters", type=int,
+                        help="Randomized mode: number of sampled instances.")
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The ``msfuzz`` parser: no abbreviated options, ``--help`` as the
+    only help option, and ``--format`` falling back to MSFUZZ_FORMAT as it
+    is when the parser is built."""
+    parser = _with_help(argparse.ArgumentParser(
+        prog="msfuzz", add_help=False, allow_abbrev=False,
+        description="Finite MS-algebras, fuzzy filters, and their extension operators."))
+    parser.add_argument("--format", type=_format, metavar="{text,json}",
+                        default=os.environ.get("MSFUZZ_FORMAT") or "text",
+                        help="Output format (default text; env MSFUZZ_FORMAT).")
+    parser.add_argument("--out", type=_file, metavar="FILE",
+                        help="Write the report to a file instead of stdout.")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+    def command(name, run):
+        doc = " ".join(run.__doc__.split())
+        sub = _with_help(commands.add_parser(name, help=doc, description=doc,
+                                             add_help=False, allow_abbrev=False))
+        sub.set_defaults(run=run, parser=sub)
+        return sub
+
+    _file_argument(command("validate", validate))
+    for name, run in (("extend", extend_cmd), ("fixed", fixed_cmd)):
+        sub = command(name, run)
+        _file_argument(sub)
+        sub.add_argument("--chi", required=True, help="Name of a fuzzy section.")
+        sub.add_argument("--w", required=True, help="Comma-separated reference subset.")
+        if name == "extend":
+            sub.add_argument("--omega", action=argparse.BooleanOptionalAction,
+                             default=True,
+                             help="Also print the strong extension (default on).")
+
+    sub = command("verify", verify)
+    _file_argument(sub)
+    sub.add_argument("--props", help="Comma-separated law ids "
+                                     "(default: every instance-level law).")
+
+    sub = command("sweep", sweep_cmd)
+    _bounds_arguments(sub)
+    sub.add_argument("--props", help="Comma-separated law ids (default: every law).")
+    _seed_arguments(sub)
+
+    sub = command("search", search_cmd)
+    sub.add_argument("--prop", required=True, help="Law id to refute.")
+    _bounds_arguments(sub)
+    _seed_arguments(sub)
+    return parser
+
+
+def main(argv=None) -> int:
+    """Run one command and return its exit code."""
+    args = _parser().parse_args(argv)
+    try:
+        return args.run(args)
+    except UsageError as exc:
+        args.parser.error(str(exc))
+    except InternalInvariantError as exc:
+        print(f"internal invariant violation: {exc}", file=sys.stderr)
+        return 70
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

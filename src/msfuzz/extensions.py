@@ -20,16 +20,15 @@ omega (thm-4.7, thm-4.8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CarrierMismatch, EmptyW
 from .fuzzy_core import FuzzySet
 from .ms_algebra import MSAlgebra
+from .report import Record
 
 
-@dataclass(frozen=True)
-class ExtensionResult:
+class ExtensionResult(Record):
     """Both extensions of one (chi, W) pair, plus the shared base grade."""
 
     source: FuzzySet
@@ -39,8 +38,7 @@ class ExtensionResult:
     base_grade: Fraction
 
 
-@dataclass(frozen=True)
-class DenseElements:
+class DenseElements(Record):
     """Argmax of a grade map restricted to a subset.
 
     ``members`` is the primary notion: the elements of W attaining the
@@ -54,8 +52,7 @@ class DenseElements:
     level_cut: frozenset[str]
 
 
-@dataclass(frozen=True)
-class CanonicalFixedSet:
+class CanonicalFixedSet(Record):
     """One canonical reference subset relative to which chi cannot grow."""
 
     name: str

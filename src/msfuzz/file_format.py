@@ -19,7 +19,6 @@ documents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import errors
@@ -28,6 +27,7 @@ from .fuzzy_core import FuzzySet
 from .grades import format_grade, parse_grade
 from .lattice_core import FiniteLattice, build_lattice
 from .ms_algebra import MSAlgebra
+from .report import Record
 
 
 class AlgebraSyntaxError(MsfuzzError):
@@ -48,14 +48,11 @@ class DanglingReference(MsfuzzError):
         super().__init__(f"line {line}: {message}")
 
 
-@dataclass(frozen=True)
-class AlgebraDocument:
+class AlgebraDocument(Record):
     elements: tuple[str, ...]
     covers: tuple[tuple[str, str], ...]
     neg: tuple[tuple[str, str], ...] | None = None
-    fuzzy: tuple[tuple[str, tuple[tuple[str, Fraction], ...]], ...] = field(
-        default_factory=tuple
-    )
+    fuzzy: tuple[tuple[str, tuple[tuple[str, Fraction], ...]], ...] = ()
 
     def fuzzy_section(self, name: str) -> dict[str, Fraction]:
         for sec_name, entries in self.fuzzy:

@@ -13,7 +13,6 @@ grades come back only in their witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -24,13 +23,12 @@ from .errors import (
 )
 from .grades import ONE, ZERO, ensure_grade
 from .lattice_core import FiniteLattice, first_break
-from .report import Check, VerificationReport
+from .report import Check, Record, VerificationReport
 
 FUZZY_ENUM_CAP = 64  # bound on |elements| * |grade universe|
 
 
-@dataclass(frozen=True)
-class FuzzySet:
+class FuzzySet(Record):
     """Total map from carrier elements to grades, stored in element order."""
 
     carrier: FiniteLattice
@@ -63,8 +61,7 @@ class FuzzySet:
         return len(set(self.grades)) <= 1
 
 
-@dataclass(frozen=True)
-class FuzzyClassification:
+class FuzzyClassification(Record):
     is_sublattice: bool
     is_ideal: bool
     is_filter: bool

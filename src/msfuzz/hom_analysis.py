@@ -11,16 +11,14 @@ laws prop-5.2 and prop-5.3 in the verifier; ``hom_report`` wraps
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .fuzzy_core import FuzzySet
 from .grades import ONE, ZERO
 from .lattice_core import FiniteLattice, first_break
 from .ms_algebra import MSAlgebra
+from .report import Record
 
 
-@dataclass(frozen=True)
-class HomReport:
+class HomReport(Record):
     is_join_hom: bool
     is_meet_hom: bool
     witness: tuple[str, str] | None = None

@@ -11,7 +11,6 @@ element indices that must carry one of these tables to an operation.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import (
     DuplicateElement,
@@ -22,6 +21,7 @@ from .errors import (
     NotDistributive,
     UnknownElement,
 )
+from .report import Record
 
 
 class FiniteLattice:
@@ -99,8 +99,7 @@ class FiniteLattice:
         return tuple(self.elements[i] for i in idx)
 
 
-@dataclass(frozen=True)
-class FilterSet:
+class FilterSet(Record):
     """A crisp filter: nonempty, up-closed, meet-closed subset."""
 
     carrier: FiniteLattice
@@ -119,8 +118,7 @@ class FilterSet:
         return len(self.members) < self.carrier.n
 
 
-@dataclass(frozen=True)
-class SubsetVerdict:
+class SubsetVerdict(Record):
     """Boolean verdict plus the first violating pair, if any."""
 
     ok: bool

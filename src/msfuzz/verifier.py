@@ -27,11 +27,11 @@ distributive lattices, one per poset).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import permutations, product
-from typing import Any, Callable
+from types import MappingProxyType
+from typing import Any, Callable, Mapping
 
 from .errors import (
     EmptyW,
@@ -42,7 +42,6 @@ from .errors import (
 from .extensions import (
     _base_grade,
     dense_certificate,
-    dense_row,
     fixed_witness_sets,
     omega_row,
     upsilon_row,
@@ -65,6 +64,7 @@ from .ms_algebra import (
     extended_filter_crisp,
     verify_derived_identities,
 )
+from .report import Record
 
 MAX_ELEMENTS_CAP = 8
 
@@ -205,8 +205,7 @@ def _filter_pool(lat: FiniteLattice, universe: tuple[Fraction, ...]
 # configuration, instances, witnesses
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(Record):
     max_elements: int = 4
     grade_universe: tuple[Fraction, ...] = (ZERO, Fraction(1, 2), ONE)
     mode: str = "exhaustive"  # or "randomized"
@@ -242,8 +241,7 @@ class SearchConfig:
         return out
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Record):
     """What a law check runs against.
 
     ``chis`` is the pool of candidate fuzzy filters the check quantifies
@@ -255,8 +253,6 @@ class Instance:
     chis: tuple[FuzzySet, ...]
     grade_universe: tuple[Fraction, ...]
     w_sets: tuple[tuple[str, ...], ...] | None = None
-    # the row table that ``_stage_rows`` fills, shared by every law run on the instance
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ms is None or self.w_sets is None:
@@ -271,16 +267,21 @@ class Instance:
     def _ranks(self) -> "_Ranks":
         return _Ranks(self)
 
+    @cached_property
+    def _rows(self) -> dict:
+        """The row table that ``_stage_rows`` fills, shared by every law run
+        on the instance."""
+        return {}
 
-@dataclass(frozen=True)
-class Witness:
+
+class Witness(Record):
     """A replayable refutation: rerunning the property on ``instance``
     reproduces the failure."""
 
     property_id: str
     instance: Instance
     detail: str
-    data: dict[str, Any] = field(default_factory=dict)
+    data: Mapping[str, Any] = MappingProxyType({})
 
     def to_dict(self) -> dict[str, Any]:
         ms = self.instance.ms
@@ -326,8 +327,7 @@ def _jsonable(value):
 # property registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PropertyRecord:
+class PropertyRecord(Record):
     pid: str
     summary: str
     check: Callable[[Instance], Witness | None]
@@ -592,25 +592,42 @@ def _check_prop_2_1(inst: Instance):
                                     dict(first.witness or {})))
 
 
+def _crisp_scan(pid: str, inst: Instance, test) -> Witness | None:
+    """The first (filter, W) on which ``test(lattice, filter, extension)``
+    fails: filters in ``enumerate_filters`` order, then W in ``_w_sets``
+    order, on the first W of each meet m of its double-negation image D.
+    In a distributive lattice x ∨ d lies in a filter F for every d in D
+    exactly when x ∨ m does (F is up-closed and meet-closed, and the meet
+    of the x ∨ d is x ∨ m), so the crisp extension reads W only through m;
+    a lattice built with ``allow_nondistributive`` keeps every image."""
+    ms = inst.ms
+    lat, dd = ms.lattice, ms.dneg_table()
+    ws = _w_sets(inst)
+    if lat.distributive:
+        meet = lat.meet_table
+        ws = _firsts(ws, [reduce(lambda a, b: meet[a][b], (dd[v] for v in w_idx))
+                          for _, w_idx in ws])
+    for filt in enumerate_filters(lat):
+        for w, _ in ws:
+            found = test(lat, filt, extended_filter_crisp(ms, filt, w))
+            if found is not None:
+                return _fail(pid, inst, found, w=w)
+    return None
+
+
+def _filter_containing_source(lat: FiniteLattice, filt, ext):
+    if not is_filter(lat, ext.members).ok or not filt.members <= ext.members:
+        return ("crisp extension is not a filter containing the source",
+                {"filter": sorted(filt.members), "result": sorted(ext.members)})
+
+
 @_law(
     "thm-2.3-extended-filter",
     "the crisp extension of a filter is a filter containing it",
     requires_filters=False,
 )
 def _check_thm_2_3(inst: Instance):
-    ms = inst.ms
-    lat = ms.lattice
-    for filt in enumerate_filters(lat):
-        for w, _ in _w_sets(inst):
-            ext = extended_filter_crisp(ms, filt, w)
-            if not is_filter(lat, ext.members).ok or not filt.members <= ext.members:
-                return _fail(
-                    "thm-2.3-extended-filter", inst,
-                    ("crisp extension is not a filter containing the source",
-                     {"filter": sorted(filt.members), "result": sorted(ext.members)}),
-                    w=w,
-                )
-    return None
+    return _crisp_scan("thm-2.3-extended-filter", inst, _filter_containing_source)
 
 
 @_row_law("thm-3.1-filter",
@@ -862,12 +879,13 @@ def _thm_4_7(r: _Row):
           "the strong extension hits a join exactly when that join is dense "
           "among the candidate joins")
 def _thm_4_8(r: _Row):
-    lat = r.lat
-    for t in range(lat.n):
-        joins = [lat.join_table[t][r.dd[v]] for v in r.w_idx]
-        _, dense = dense_row(r.grades, joins)
-        for v, j in zip(r.w_idx, joins):
-            if (r.grades[j] == r.omg[t]) != (j in dense):
+    lat, grades = r.lat, r.grades
+    for t, row in enumerate(lat.join_table):
+        joins = [grades[row[r.dd[v]]] for v in r.w_idx]
+        top, hit = max(joins), r.omg[t]
+        for v, g in zip(r.w_idx, joins):
+            # the join is dense among the candidate joins when its grade is the top one
+            if (g == hit) != (g == top):
                 return ("dense reading of the strong extension broke",
                         {"theta": lat.elements[t], "w": lat.elements[v]})
 
@@ -1007,8 +1025,7 @@ def run_property(pid: str, instance: Instance) -> Witness | None:
 # sweeping and searching
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PropertyOutcome:
+class PropertyOutcome(Record):
     pid: str
     instances: int
     passes: int
@@ -1029,8 +1046,7 @@ class PropertyOutcome:
         return out
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(Record):
     config: SearchConfig
     outcomes: tuple[PropertyOutcome, ...]
     stats: dict[str, int]

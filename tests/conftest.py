@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import io
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
+from msfuzz import cli_io
 from msfuzz import (
     FuzzySet,
     MSAlgebra,
@@ -152,5 +156,21 @@ def write_fixture_file(tmp_path, name: str) -> str:
     return str(path)
 
 
-def json_out(result) -> dict:
-    return json.loads(result.output)
+class CliResult(NamedTuple):
+    exit_code: int
+    output: str  # stdout and stderr, interleaved as written
+    exception: BaseException | None  # what ended the run, SystemExit included
+
+
+def run_cli(argv) -> CliResult:
+    """Run ``msfuzz ARGV`` in this process through ``cli_io.main``."""
+    out = io.StringIO()
+    exception = None
+    with redirect_stdout(out), redirect_stderr(out):
+        try:
+            code = cli_io.main(list(argv))
+        except SystemExit as exc:
+            exception, code = exc, exc.code
+        except Exception as exc:
+            exception, code = exc, 1
+    return CliResult(code, out.getvalue(), exception)

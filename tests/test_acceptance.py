@@ -13,7 +13,6 @@ import time
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
 from msfuzz import (
     FuzzySet,
@@ -32,9 +31,8 @@ from msfuzz import (
     sweep,
     upsilon,
 )
-from msfuzz.cli_io import cli
 
-from .conftest import write_fixture_file
+from .conftest import run_cli, write_fixture_file
 
 ONE = Fraction(1)
 UNIVERSE2 = (Fraction(0), ONE)
@@ -55,8 +53,8 @@ def all_w_subsets(lat):
 def test_c1_printed_table_reproduction(tmp_path):
     start = time.perf_counter()
     path = write_fixture_file(tmp_path, "example4_printed")
-    result = CliRunner().invoke(
-        cli, ["--format", "json", "extend", path, "--chi", "chi", "--w", "y"]
+    result = run_cli(
+        ["--format", "json", "extend", path, "--chi", "chi", "--w", "y"]
     )
     payload = json.loads(result.output)
     ok = (result.exit_code == 0
@@ -76,8 +74,8 @@ def test_c2_diamond_fixedness(tmp_path, diamond_fixture):
     fixed = is_fixed_relative(ms, chi, w)
     pointwise = upsilon(ms, chi, w).grades == chi.grades
     path = write_fixture_file(tmp_path, "diamond")
-    result = CliRunner().invoke(
-        cli, ["fixed", path, "--chi", "chi", "--w", "0,xi"]
+    result = run_cli(
+        ["fixed", path, "--chi", "chi", "--w", "0,xi"]
     )
     ok = fixed and pointwise and result.exit_code == 0
     elapsed = time.perf_counter() - start
@@ -90,7 +88,7 @@ def test_c2_diamond_fixedness(tmp_path, diamond_fixture):
 def test_c3_flaw_detection(tmp_path):
     start = time.perf_counter()
     path = write_fixture_file(tmp_path, "example4_printed")
-    result = CliRunner().invoke(cli, ["--format", "json", "validate", path])
+    result = run_cli(["--format", "json", "validate", path])
     checks = {c["id"]: c for c in json.loads(result.output)["checks"]}
     axiom = checks["ms.double-negation-above"]
     meet = checks["fuzzy.chi.meet-equality"]
@@ -141,8 +139,8 @@ def test_c4_theorem_sweep():
 
 def test_c5_prime_refutation():
     start = time.perf_counter()
-    result = CliRunner().invoke(
-        cli, ["--format", "json", "search", "--prop", "thm-3.1-prime",
+    result = run_cli(
+        ["--format", "json", "search", "--prop", "thm-3.1-prime",
               "--max-n", "4", "--grades", "0,1"],
     )
     witness_json = json.loads(result.output)["witness"]
@@ -231,8 +229,8 @@ def test_c7_determinism():
     start = time.perf_counter()
     args = ["--format", "json", "sweep", "--max-n", "4",
             "--grades", "0,1/2,1"]
-    first = CliRunner().invoke(cli, args).output.encode()
-    second = CliRunner().invoke(cli, args).output.encode()
+    first = run_cli(args).output.encode()
+    second = run_cli(args).output.encode()
     ok = first == second and len(first) > 0
     elapsed = time.perf_counter() - start
     announce("C7", ok, elapsed,

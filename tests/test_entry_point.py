@@ -1,8 +1,8 @@
 """The real entry point, ``python -m msfuzz.cli_io``, run in fresh
-interpreters: exit codes, report bytes, and which msfuzz modules each
-command imports (read from ``-X importtime``).  Bytecode writing is off,
-as in the benchmark's children, so every module a command imports is
-compiled again."""
+interpreters: exit codes, report bytes, and which modules each command
+imports (read from ``-X importtime``).  Bytecode writing is off, as in the
+benchmark's children, so every module a command imports is compiled
+again."""
 
 import os
 import re
@@ -11,15 +11,15 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import msfuzz
-from msfuzz.cli_io import cli
 
-from .conftest import GOLDEN_DIR, write_fixture_file
+from .conftest import GOLDEN_DIR, run_cli, write_fixture_file
 
 SRC = str(Path(msfuzz.__file__).resolve().parents[1])
 REGISTRY_SIDE = {"msfuzz.verifier", "msfuzz.hom_analysis", "msfuzz.fixtures"}
+# start-up layers no command needs: click, and dataclasses with the inspect it loads
+HEAVY = {"click", "dataclasses", "inspect"}
 
 
 def _env():
@@ -30,13 +30,16 @@ def _env():
 
 
 def run_entry_point(args):
-    """(exit code, stdout, msfuzz modules imported) of one CLI child."""
+    """(exit code, stdout, msfuzz modules imported) of one CLI child, which
+    imports none of the HEAVY packages."""
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "msfuzz.cli_io", "--format", "json", *args],
         capture_output=True, text=True, env=_env(), timeout=120,
     )
     modules = {line.rsplit("|", 1)[-1].strip()
                for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    heavy = {m for m in modules if m.split(".")[0] in HEAVY}
+    assert not heavy, heavy
     return proc.returncode, proc.stdout, {m for m in modules if m.startswith("msfuzz")}
 
 
@@ -65,7 +68,7 @@ def test_document_commands_load_only_the_document_path(tmp_path, argv, fixture,
     assert exit_code == code
     if golden_name is not None:
         assert _masked(stdout) == (GOLDEN_DIR / golden_name).read_text()
-    assert stdout == CliRunner().invoke(cli, ["--format", "json", *args]).output
+    assert stdout == run_cli(["--format", "json", *args]).output
     assert "msfuzz.lattice_core" in modules
     assert not modules & REGISTRY_SIDE, modules & REGISTRY_SIDE
 
@@ -79,7 +82,7 @@ def test_law_commands_load_the_registry(tmp_path, args, code):
     args = [write_fixture_file(tmp_path, a[1:-1]) if a.startswith("<") else a for a in args]
     exit_code, stdout, modules = run_entry_point(args)
     assert exit_code == code
-    assert stdout == CliRunner().invoke(cli, ["--format", "json", *args]).output
+    assert stdout == run_cli(["--format", "json", *args]).output
     if args[0] == "sweep":
         assert stdout == (GOLDEN_DIR / "sweep_n3.json").read_text()
     assert "msfuzz.verifier" in modules

@@ -627,6 +627,120 @@ def test_crisp_extension_reads_w_through_its_image():
                     assert by_image.setdefault(_image(ms, w_idx), ext) == ext
 
 
+def _meet_of_image(ms, w_idx):
+    """The greatest lower bound of {w°° : w in W}, read off the order."""
+    leq, dd = ms.lattice.leq_table, ms.dneg_table()
+    lower = [x for x in range(ms.lattice.n) if all(leq[x][dd[v]] for v in w_idx)]
+    return next(x for x in lower if all(leq[y][x] for y in lower))
+
+
+NONDISTRIBUTIVE = {
+    "N5": (["0", "a", "b", "c", "1"], [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")]),
+    "M3": (["0", "a", "b", "c", "1"],
+           [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")]),
+}
+
+
+def _crisp_oracle_algebras():
+    """Every catalog algebra up to five elements, then every valid negation
+    on N5 and M3 (built with allow_nondistributive)."""
+    from msfuzz import enumerate_ms_operations
+
+    for lat in lattice_catalog(5):
+        for neg in enumerate_ms_operations(lat):
+            yield MSAlgebra(lat, neg)
+    for order in NONDISTRIBUTIVE.values():
+        lat = build_lattice(*order, allow_nondistributive=True)
+        for neg in enumerate_ms_operations(lat):
+            yield MSAlgebra(lat, neg)
+
+
+def _meet_classes(ms):
+    """Per filter, the crisp extensions of every W grouped by the meet of
+    W's double-negation image, and how many images share each meet."""
+    from msfuzz import enumerate_filters, extended_filter_crisp
+    from msfuzz.verifier import _every_w
+
+    lat = ms.lattice
+    images = {}
+    for _, w_idx in _every_w(lat, None):
+        images.setdefault(_meet_of_image(ms, w_idx), set()).add(_image(ms, w_idx))
+    classes = []
+    for filt in enumerate_filters(lat):
+        by_meet = {}
+        for w, w_idx in _every_w(lat, None):
+            by_meet.setdefault(_meet_of_image(ms, w_idx), set()).add(
+                extended_filter_crisp(ms, filt, w).members)
+        classes.append(by_meet)
+    return images, classes
+
+
+def test_crisp_extension_reads_w_through_its_meet():
+    """On a distributive lattice every W whose double-negation image has
+    one meet has the same crisp extension, for every filter, and the meet
+    joins distinct images; on N5 and M3 it does not, which is why the scan
+    keeps every image there."""
+    merged = split = 0
+    for ms in _crisp_oracle_algebras():
+        images, classes = _meet_classes(ms)
+        same = all(len(exts) == 1 for by_meet in classes for exts in by_meet.values())
+        assert same == ms.lattice.distributive
+        merged += ms.lattice.distributive and any(len(i) > 1 for i in images.values())
+        split += not same
+    assert merged and split
+
+
+# predicates of (lattice, filter, extension) that fail on some filters and W
+_CRISP_PROBES = (
+    lambda lat, filt, ext: "grew" if ext.members != filt.members else None,
+    lambda lat, filt, ext: (("odd size", {"result": sorted(ext.members)})
+                            if len(ext.members) % 2 else None),
+)
+
+
+def _hits(extensions):
+    """A predicate per extension that fails exactly where it comes out."""
+    return [lambda lat, filt, ext, s=s: "hit" if ext.members == s else None
+            for s in extensions]
+
+
+def test_crisp_scan_matches_every_w():
+    """The thm-2.3 scan, keyed by the meet of the image on distributive
+    lattices, finds the witness (W, detail, data) of a scan over every W,
+    for the law's own predicate and for predicates that fail, one of them
+    on each extension that comes out.  The law holds on every distributive
+    algebra and fails on some of N5 and M3."""
+    from msfuzz import enumerate_filters, extended_filter_crisp
+    from msfuzz.verifier import _crisp_scan, _every_w, _fail, _filter_containing_source
+
+    pid = "thm-2.3-extended-filter"
+
+    def every_w(inst, test):
+        lat = inst.ms.lattice
+        for filt in enumerate_filters(lat):
+            for w, _ in _every_w(lat, None):
+                found = test(lat, filt, extended_filter_crisp(inst.ms, filt, w))
+                if found is not None:
+                    return _fail(pid, inst, found, w=w).to_dict()
+        return None
+
+    failed = later_w = law_failed = 0
+    for ms in _crisp_oracle_algebras():
+        inst = Instance(ms, (), UNIVERSE3)
+        _, classes = _meet_classes(ms)
+        extensions = {e for by_meet in classes for exts in by_meet.values() for e in exts}
+        for test in (_filter_containing_source, *_CRISP_PROBES, *_hits(extensions)):
+            full = every_w(inst, test)
+            keyed = _crisp_scan(pid, inst, test)
+            assert (None if keyed is None else keyed.to_dict()) == full
+            failed += full is not None
+            later_w += full is not None and full["w_sets"] != [[ms.lattice.elements[0]]]
+        holds = run_property(pid, inst) is None
+        assert holds or not ms.lattice.distributive
+        law_failed += not holds
+    assert failed and later_w and law_failed
+
+
 def test_row_keys_agree_with_brute_force():
     """Each W a scan skips would share the verdict of the row it keeps:
     rows of one chi (or pair) and stage with equal keys, or with equal
@@ -659,6 +773,45 @@ def test_row_keys_agree_with_brute_force():
             checked["classes"] += len(scan.classes)
             checked["fail" if witness is not None else "error"] += verdict != "pass"
     assert all(checked.values()), checked
+
+
+def _thm_4_8_by_dense_sets(r):
+    """thm-4.8 as stated: per theta, the dense set of the candidate joins
+    theta ∨ w°° (``dense_row``), then membership of each join in it."""
+    from msfuzz.extensions import dense_row
+
+    lat = r.lat
+    for t in range(lat.n):
+        joins = [lat.join_table[t][r.dd[v]] for v in r.w_idx]
+        _, dense = dense_row(r.grades, joins)
+        for v, j in zip(r.w_idx, joins):
+            if (r.grades[j] == r.omg[t]) != (j in dense):
+                return ("dense reading of the strong extension broke",
+                        {"theta": lat.elements[t], "w": lat.elements[v]})
+
+
+def test_thm_4_8_compares_grades_with_the_top_join():
+    """The thm-4.8 predicate, which compares each join's grade with the
+    largest, gives the dense-set reading's result (detail and first theta,
+    then first w) on every row, also when omega is replaced by another
+    row so that the predicate fails."""
+    from msfuzz.verifier import _Row, _every_w, _thm_4_8
+
+    failed = 0
+    for inst in _key_oracle_inputs():
+        ms, ranks = inst.ms, inst._ranks
+        if not ms.is_valid:
+            continue
+        for grades in ranks.rows:
+            for w, w_idx in _every_w(ms.lattice, inst.w_sets):
+                for swap in (None, "ups", "grades"):
+                    row = _Row(ms, ranks, grades, w, w_idx)
+                    if swap is not None:
+                        row._omg = getattr(row, swap)
+                    found = _thm_4_8(row)
+                    assert found == _thm_4_8_by_dense_sets(row)
+                    failed += found is not None
+    assert failed
 
 
 def test_subset_keys_agree_with_every_subset():
