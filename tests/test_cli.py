@@ -585,3 +585,12 @@ def test_golden_sweep_n6(golden):
     """The default sweep at six elements, the largest that tier-1 pins."""
     result = run_cli(["--format", "json", "sweep", "--max-n", "6"])
     golden("sweep_n6.json", result.output)
+
+
+def test_golden_sweep_n4_randomized(golden):
+    """A seeded randomized sweep: its config block carries mode, seed and
+    iterations, which no exhaustive golden has."""
+    result = run_cli(["--format", "json", "sweep", "--max-n", "4",
+                      "--iters", "30", "--seed", "7"])
+    assert result.exit_code == 1
+    golden("sweep_n4_iters30_seed7.json", result.output)

@@ -272,6 +272,15 @@ def test_randomized_beyond_exhaustive_cap():
         assert outcome.failures == 0, outcome.pid
 
 
+def test_randomized_config_to_dict():
+    """The config block of a randomized report, key order included."""
+    cfg = SearchConfig(max_elements=5, grade_universe=UNIVERSE2,
+                       mode="randomized", seed=7, iterations=30)
+    assert list(cfg.to_dict().items()) == [
+        ("max_elements", 5), ("grade_universe", ["0", "1"]), ("mode", "randomized"),
+        ("require_valid", True), ("seed", 7), ("iterations", 30)]
+
+
 def test_config_rejects_vacuous_runs():
     with pytest.raises(ValueError):
         SearchConfig(max_elements=0)
