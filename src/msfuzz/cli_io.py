@@ -329,11 +329,8 @@ def _sweep_config(args):
     if seed is not None and iters is None:
         raise UsageError("--seed needs --iters (randomized mode)")
     try:
-        if iters is not None:
-            return SearchConfig(max_elements=max_n, grade_universe=universe,
-                                mode="randomized", seed=seed or 0,
-                                iterations=iters)
-        return SearchConfig(max_elements=max_n, grade_universe=universe)
+        return SearchConfig(max_elements=max_n, grade_universe=universe,
+                            seed=seed or 0, iterations=iters)
     except (MsfuzzError, ValueError) as exc:
         raise UsageError(str(exc))
 
@@ -397,17 +394,17 @@ def search_cmd(args) -> int:
         raise UsageError(str(exc))
     except HypothesisUnmet as exc:
         raise UsageError(f"no instance within bounds meets the hypotheses: {exc}")
+    d = witness.to_dict() if witness is not None else None
     payload = {
         "schema": SCHEMA,
         "command": "search",
         "property": pid,
         "config": cfg.to_dict(),
-        "witness": witness.to_dict() if witness is not None else None,
+        "witness": d,
     }
     if witness is None:
         text = f"search {pid}: no counterexample within bounds"
     else:
-        d = witness.to_dict()
         lines = [f"search {pid}: counterexample found",
                  f"  {witness.detail}"]
         lines.append("  " + d["document"].replace("\n", "\n  ").rstrip())

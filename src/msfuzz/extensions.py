@@ -7,11 +7,13 @@ Two pointwise operators over a nonempty reference subset W:
 
 where '' is double negation.  ``upsilon_row`` and ``omega_row`` are the
 only evaluators; everything else here and the law table in the verifier
-call them.  Like ``dense_row`` they only compare grades, so they take
-grade tuples and tuples of integer grade ranks alike.  Both are raw:
-they accept invalid negation tables and non-filter grade maps on
-purpose, so flawed instances still evaluate to their exact grades; the
-law suite in the verifier applies them only to validated instances.
+calls them, or ``_raise_to``, upsilon's body, when it already holds the
+base grade max chi(w'').  Like ``dense_row`` they only compare grades,
+so they take grade tuples and tuples of integer grade ranks alike.
+Both are raw: they accept invalid negation tables and non-filter grade
+maps on purpose, so flawed instances still evaluate to their exact
+grades; the law suite in the verifier applies them only to validated
+instances.
 Each helper computes its fact one way.  The equivalences behind them
 are laws in the verifier and nowhere else: the two fixedness routes
 (def-3.4-consistency) and the dense-element readings of upsilon and
@@ -77,19 +79,16 @@ def _base_grade(ms: MSAlgebra, grades, w_idx) -> Fraction:
     return max(grades[dd[w]] for w in w_idx)
 
 
+def _raise_to(grades, base) -> tuple:
+    """upsilon from the base grade of W: each grade raised to at least it."""
+    return tuple(base if g < base else g for g in grades)
+
+
 def upsilon_row(ms: MSAlgebra, grades, w_idx) -> tuple[Fraction, ...]:
     """upsilon on element indices: the grade tuple of chi and the indices
     of a nonempty W in, the grade tuple of the extension out.  Unchecked,
     so the law scans can call it once per (chi, W) row."""
-    base = _base_grade(ms, grades, w_idx)
-    return tuple(base if g < base else g for g in grades)
-
-
-def dense_certificate(ms: MSAlgebra, grades, w_idx) -> int:
-    """The first (in element order) index of the double-negation image of
-    W with the maximal grade there, unchecked like ``upsilon_row``."""
-    dd = ms.dneg_table()
-    return max(sorted({dd[w] for w in w_idx}), key=grades.__getitem__)
+    return _raise_to(grades, _base_grade(ms, grades, w_idx))
 
 
 def omega_row(ms: MSAlgebra, grades, w_idx) -> tuple[Fraction, ...]:
@@ -105,25 +104,26 @@ def extend(ms: MSAlgebra, chi: FuzzySet, w_subset) -> ExtensionResult:
     """Compute both extensions at once."""
     lat = ms.lattice
     w_idx = _w_indices(ms, chi, w_subset)
+    base = _base_grade(ms, chi.grades, w_idx)
     return ExtensionResult(
         source=chi,
         subset=tuple(lat.elements[i] for i in w_idx),
-        upsilon=FuzzySet(lat, upsilon_row(ms, chi.grades, w_idx)),
+        upsilon=FuzzySet(lat, _raise_to(chi.grades, base)),
         omega=FuzzySet(lat, omega_row(ms, chi.grades, w_idx)),
-        base_grade=_base_grade(ms, chi.grades, w_idx),
+        base_grade=base,
     )
 
 
 def upsilon(ms: MSAlgebra, chi: FuzzySet, w_subset) -> FuzzySet:
     """Pointwise max of chi with the best grade of a double-negated
     reference element."""
-    return extend(ms, chi, w_subset).upsilon
+    return FuzzySet(ms.lattice, upsilon_row(ms, chi.grades, _w_indices(ms, chi, w_subset)))
 
 
 def omega(ms: MSAlgebra, chi: FuzzySet, w_subset) -> FuzzySet:
     """Pointwise best grade of the join with a double-negated reference
     element; contains upsilon whenever chi is a fuzzy filter."""
-    return extend(ms, chi, w_subset).omega
+    return FuzzySet(ms.lattice, omega_row(ms, chi.grades, _w_indices(ms, chi, w_subset)))
 
 
 def is_fixed_relative(ms: MSAlgebra, chi: FuzzySet, w_subset) -> bool:

@@ -1,7 +1,7 @@
 """Fuzzy sets with exact rational grades, classification, level cuts,
 the pool of fuzzy filters over a finite grade universe (one per
 multichain of principal filters), and the grade-universe-bounded
-primality check.
+primality check, which reads that pool.
 
 ``is_filter_row`` is a row kernel like ``lattice_core.first_break``: it
 only compares grades, so it takes grade tuples and tuples of integer
@@ -14,6 +14,7 @@ grades come back only in their witnesses.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     CarrierMismatch,
@@ -49,9 +50,6 @@ class FuzzySet(Record):
 
     def __call__(self, e: str) -> Fraction:
         return self.grades[self.carrier.element_index(e)]
-
-    def as_dict(self) -> dict[str, Fraction]:
-        return dict(zip(self.carrier.elements, self.grades))
 
     def is_contained_in(self, other: "FuzzySet") -> bool:
         _same_carrier(self, other)
@@ -200,8 +198,16 @@ def enumerate_fuzzy_filters(lat: FiniteLattice, grade_universe) -> list[FuzzySet
     return [FuzzySet(lat, gs) for gs in sorted(gs for _, gs in chains)]
 
 
+@lru_cache(maxsize=None)
+def filter_pool(lat: FiniteLattice, universe: tuple[Fraction, ...]
+                ) -> tuple[FuzzySet, ...]:
+    """``enumerate_fuzzy_filters`` as a tuple, built once per lattice and
+    universe."""
+    return tuple(enumerate_fuzzy_filters(lat, universe))
+
+
 def is_prime_fuzzy_filter_bounded(lat: FiniteLattice, chi: FuzzySet,
-                                  grade_universe=None, pool=None):
+                                  grade_universe=None):
     """Bounded primality: no pair of fuzzy filters over the universe has
     intersection inside ``chi`` while neither factor is inside it.
 
@@ -209,8 +215,7 @@ def is_prime_fuzzy_filter_bounded(lat: FiniteLattice, chi: FuzzySet,
     always widened to include them.  Pairs are drawn, in pool order, from
     the members not inside ``chi``.  A negative verdict is conclusive; a
     positive one is relative to the universe.  Returns (bool, witness
-    pair or None).  ``pool`` short-circuits the filter enumeration when
-    the caller already holds it for the same lattice and universe.
+    pair or None).
     """
     cls = classify(lat, chi)
     if not cls.is_filter:
@@ -220,8 +225,7 @@ def is_prime_fuzzy_filter_bounded(lat: FiniteLattice, chi: FuzzySet,
     universe = set(chi.grades) | {ZERO, ONE}
     if grade_universe is not None:
         universe |= {Fraction(g) for g in grade_universe}
-    if pool is None:
-        pool = enumerate_fuzzy_filters(lat, sorted(universe))
+    pool = filter_pool(lat, tuple(sorted(universe)))
     outside = [phi for phi in pool if not phi.is_contained_in(chi)]
     for phi in outside:
         for psi in outside:

@@ -34,16 +34,15 @@ class FiniteLattice:
         leq_table   leq_table[i][j] is True iff elements[i] <= elements[j]
         meet_table, join_table   index-valued operation tables
         bottom, top distinguished identifiers
-        distributive  False only when built with allow_nondistributive
     """
 
     __slots__ = (
         "elements", "index", "covers", "leq_table",
-        "meet_table", "join_table", "bottom", "top", "distributive",
+        "meet_table", "join_table", "bottom", "top",
     )
 
     def __init__(self, elements, covers, leq_table, meet_table, join_table,
-                 bottom, top, distributive):
+                 bottom, top):
         self.elements = elements
         self.index = {e: i for i, e in enumerate(elements)}
         self.covers = covers
@@ -52,7 +51,6 @@ class FiniteLattice:
         self.join_table = join_table
         self.bottom = bottom
         self.top = top
-        self.distributive = distributive
 
     # identity is structural: same elements in the same order, same order relation
     def __eq__(self, other):
@@ -129,13 +127,12 @@ class SubsetVerdict(Record):
         return self.ok
 
 
-def build_lattice(elements, covers, *, allow_nondistributive: bool = False) -> FiniteLattice:
+def build_lattice(elements, covers) -> FiniteLattice:
     """Build and fully validate a bounded distributive lattice.
 
     ``covers`` are Hasse edges (a, b) meaning a is below b.  Raises
     NotAPoset, NotALattice, NotBounded or NotDistributive on bad input,
-    naming the first offending pair or triple in element order; the
-    distributivity gate can be disabled for counterexample searches.
+    naming the first offending pair or triple in element order.
 
     Sets of elements are int masks (bit k is ``elements[k]``).  The meet
     of i and j is the element whose down-set is ``down[i] & down[j]``;
@@ -211,15 +208,14 @@ def build_lattice(elements, covers, *, allow_nondistributive: bool = False) -> F
     below = [d & irreducible for d in down]
     j_test_fails = [[j for j in range(i + 1, n) if below[join[i][j]] != below[i] | below[j]]
                     for i in range(n)]
-    distributive = not any(j_test_fails)
-    if not distributive and not allow_nondistributive:
+    if any(j_test_fails):
         raise NotDistributive(_first_distributivity_failure(elements, meet, join, j_test_fails))
 
     return FiniteLattice(
         elements, tuple((elements[i], elements[j]) for i, j in hasse),
         tuple(tuple(c == "1" for c in r) for r in rows),
         tuple(map(tuple, meet)), tuple(map(tuple, join)),
-        elements[bottoms[0]], elements[tops[0]], distributive,
+        elements[bottoms[0]], elements[tops[0]],
     )
 
 

@@ -41,7 +41,8 @@ from .errors import (
 )
 from .extensions import (
     _base_grade,
-    dense_certificate,
+    _raise_to,
+    dense_row,
     fixed_witness_sets,
     omega_row,
     upsilon_row,
@@ -51,7 +52,7 @@ from .fixtures import load_fixture
 from .fuzzy_core import (
     FuzzySet,
     classify,
-    enumerate_fuzzy_filters,
+    filter_pool,
     is_filter_row,
     is_prime_fuzzy_filter_bounded,
 )
@@ -142,7 +143,6 @@ def _canonical_poset(down: tuple[int, ...]) -> tuple:
     return best
 
 
-@lru_cache(maxsize=None)
 def _poset_reps(max_lattice_size: int) -> tuple[tuple[int, ...], ...]:
     """Posets (up to iso) whose down-set lattice has at most the given size."""
     reps: dict[tuple, tuple[int, ...]] = {(): ()}
@@ -184,8 +184,9 @@ def lattice_catalog(max_elements: int) -> tuple[FiniteLattice, ...]:
         raise SizeCapExceeded(
             f"max_elements {max_elements} exceeds cap {MAX_ELEMENTS_CAP}"
         )
+    if max_elements < 1:
+        raise ValueError("max_elements must be at least 1")
     lattices = [_lattice_from_poset(p) for p in _poset_reps(max_elements)]
-    lattices = [lat for lat in lattices if lat.n <= max_elements]
     lattices.sort(key=lambda lat: (lat.n, lat.leq_table))
     return tuple(lattices)
 
@@ -195,22 +196,18 @@ def _ms_operations(lat: FiniteLattice) -> tuple[dict, ...]:
     return tuple(enumerate_ms_operations(lat))
 
 
-@lru_cache(maxsize=None)
-def _filter_pool(lat: FiniteLattice, universe: tuple[Fraction, ...]
-                 ) -> tuple[FuzzySet, ...]:
-    return tuple(enumerate_fuzzy_filters(lat, universe))
-
-
 # ---------------------------------------------------------------------------
 # configuration, instances, witnesses
 # ---------------------------------------------------------------------------
 
 class SearchConfig(Record):
+    """Every catalog algebra up to ``max_elements`` elements, or, when
+    ``iterations`` is given, that many drawn at random by ``seed``."""
+
     max_elements: int = 4
     grade_universe: tuple[Fraction, ...] = (ZERO, Fraction(1, 2), ONE)
-    mode: str = "exhaustive"  # or "randomized"
     seed: int = 0
-    iterations: int = 0
+    iterations: int | None = None
 
     def __post_init__(self):
         if self.max_elements < 1:
@@ -223,10 +220,12 @@ class SearchConfig(Record):
         if ONE not in universe:
             raise ValueError("grade universe must contain 1")
         object.__setattr__(self, "grade_universe", universe)
-        if self.mode not in ("exhaustive", "randomized"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "randomized" and self.iterations < 1:
+        if self.iterations is not None and self.iterations < 1:
             raise ValueError("randomized mode needs at least one iteration")
+
+    @property
+    def mode(self) -> str:
+        return "exhaustive" if self.iterations is None else "randomized"
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -235,7 +234,7 @@ class SearchConfig(Record):
             "mode": self.mode,
             "require_valid": True,  # every swept table is valid; reports keep the key
         }
-        if self.mode == "randomized":
+        if self.iterations is not None:
             out["seed"] = self.seed
             out["iterations"] = self.iterations
         return out
@@ -467,7 +466,7 @@ class _Row:
     @property
     def ups(self) -> tuple[int, ...]:
         if self._ups is None:
-            self._ups = upsilon_row(self.ms, self.grades, self.w_idx)
+            self._ups = _raise_to(self.grades, self.base)
         return self._ups
 
     @property
@@ -596,17 +595,15 @@ def _crisp_scan(pid: str, inst: Instance, test) -> Witness | None:
     """The first (filter, W) on which ``test(lattice, filter, extension)``
     fails: filters in ``enumerate_filters`` order, then W in ``_w_sets``
     order, on the first W of each meet m of its double-negation image D.
-    In a distributive lattice x ∨ d lies in a filter F for every d in D
-    exactly when x ∨ m does (F is up-closed and meet-closed, and the meet
-    of the x ∨ d is x ∨ m), so the crisp extension reads W only through m;
-    a lattice built with ``allow_nondistributive`` keeps every image."""
+    In a distributive lattice, and ``build_lattice`` builds no other, x ∨ d
+    lies in a filter F for every d in D exactly when x ∨ m does (F is
+    up-closed and meet-closed, and the meet of the x ∨ d is x ∨ m), so the
+    crisp extension reads W only through m."""
     ms = inst.ms
-    lat, dd = ms.lattice, ms.dneg_table()
+    lat, dd, meet = ms.lattice, ms.dneg_table(), ms.lattice.meet_table
     ws = _w_sets(inst)
-    if lat.distributive:
-        meet = lat.meet_table
-        ws = _firsts(ws, [reduce(lambda a, b: meet[a][b], (dd[v] for v in w_idx))
-                          for _, w_idx in ws])
+    ws = _firsts(ws, [reduce(lambda a, b: meet[a][b], (dd[v] for v in w_idx))
+                      for _, w_idx in ws])
     for filt in enumerate_filters(lat):
         for w, _ in ws:
             found = test(lat, filt, extended_filter_crisp(ms, filt, w))
@@ -650,12 +647,13 @@ def _prime_by_cut(lat: FiniteLattice, ups, one) -> bool:
 
 
 def _prime_stage(inst: Instance) -> tuple:
-    """The one stage of thm-3.1-prime: its test reads the instance's pool."""
+    """The one stage of thm-3.1-prime: its test reads the filter pool over
+    the instance's grades, 0 and 1, which hold every extension's grades."""
     lat = inst.ms.lattice
-    universe = tuple(sorted(set(inst.grade_universe) | {ZERO, ONE}))
+    universe = inst._ranks.grades
     # built before any row, so an over-cap universe skips whatever the rows
     try:
-        pool = _filter_pool(lat, universe)
+        filter_pool(lat, universe)
     except SizeCapExceeded as exc:
         raise HypothesisUnmet("thm-3.1-prime", str(exc)) from None
 
@@ -663,7 +661,7 @@ def _prime_stage(inst: Instance) -> tuple:
         if len(set(r.ups)) == 1 or _prime_by_cut(lat, r.ups, r.one):
             return None  # not a proper filter, or prime by its 1-cut
         ups = r.fuzzy(r.ups)
-        prime, pair = is_prime_fuzzy_filter_bounded(lat, ups, universe, pool=pool)
+        prime, pair = is_prime_fuzzy_filter_bounded(lat, ups, universe)
         if not prime:
             phi, psi = pair
             return ("extension is a non-prime fuzzy filter",
@@ -868,7 +866,7 @@ def _remark_4_4(r: _Row):
 
 @_row_law("thm-4.7", "the extension evaluates through any dense element of the image")
 def _thm_4_7(r: _Row):
-    d = dense_certificate(r.ms, r.grades, r.w_idx)  # dense elements share a grade
+    d = min(dense_row(r.grades, {r.dd[v] for v in r.w_idx})[1])  # dense elements share a grade
     for t in range(r.lat.n):
         if r.ups[t] != max(r.grades[t], r.grades[d]):
             return ("dense-element evaluation is off",
@@ -1072,9 +1070,9 @@ class SweepReport(Record):
 
 
 def _instance_stream(cfg: SearchConfig):
-    if cfg.mode == "exhaustive":
+    if cfg.iterations is None:
         for lat in lattice_catalog(cfg.max_elements):
-            pool = _filter_pool(lat, cfg.grade_universe)
+            pool = filter_pool(lat, cfg.grade_universe)
             for neg in _ms_operations(lat):
                 yield Instance(MSAlgebra(lat, dict(neg)), pool, cfg.grade_universe)
     else:
@@ -1086,7 +1084,7 @@ def _instance_stream(cfg: SearchConfig):
         for _ in range(cfg.iterations):
             lat = rng.choice(candidates)
             neg = rng.choice(_ms_operations(lat))
-            pool = _filter_pool(lat, cfg.grade_universe)
+            pool = filter_pool(lat, cfg.grade_universe)
             yield Instance(MSAlgebra(lat, dict(neg)), pool, cfg.grade_universe)
 
 
@@ -1119,6 +1117,8 @@ def sweep(pids=None, cfg: SearchConfig | None = None) -> SweepReport:
         selected = [r.pid for r in _REGISTRY.values() if r.fixture is None]
     else:
         selected = list(dict.fromkeys(pids))  # a repeated id runs once
+        if not selected:
+            raise UnknownProperty("no law selected")
         for pid in selected:
             if pid not in _REGISTRY:
                 raise UnknownProperty(f"no law registered under {pid!r}")

@@ -17,7 +17,7 @@ from msfuzz import (
     omega,
     upsilon,
 )
-from msfuzz.extensions import dense_certificate
+from msfuzz.extensions import dense_row
 from msfuzz.ms_algebra import MSAlgebra
 from msfuzz.verifier import lattice_catalog
 
@@ -163,9 +163,11 @@ def test_dense_tie(diamond_fixture):
 
 
 def _dense_certificate(ms, chi, w_subset):
-    lat = ms.lattice
-    w_idx = [lat.element_index(w) for w in w_subset]
-    return lat.elements[dense_certificate(ms, chi.grades, w_idx)]
+    """thm-4.7's dense element: the first, in element order, of the
+    argmax of chi over the double-negation image of W."""
+    lat, dd = ms.lattice, ms.dneg_table()
+    image = {dd[lat.element_index(w)] for w in w_subset}
+    return lat.elements[min(dense_row(chi.grades, image)[1])]
 
 
 def test_upsilon_via_dense(example4_printed, example4_corrected, diamond_fixture):

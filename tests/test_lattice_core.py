@@ -73,9 +73,8 @@ def test_pentagon_rejected():
         "c meet (a join b) != (c meet a) join (c meet b)"
     )
     a, b, c = err.value.witness
-    lat = build_lattice(*PENTAGON, allow_nondistributive=True)
+    lat = build_lattice_by_scan(*PENTAGON, allow_nondistributive=True)
     assert lat.meet(a, lat.join(b, c)) != lat.join(lat.meet(a, b), lat.meet(a, c))
-    assert not lat.distributive
 
 
 def test_m3_rejected():
@@ -86,11 +85,13 @@ def test_m3_rejected():
         "distributivity fails at (a, b, c): "
         "a meet (b join c) != (a meet b) join (a meet c)"
     )
-    assert not build_lattice(*M3, allow_nondistributive=True).distributive
+    a, b, c = err.value.witness
+    lat = build_lattice_by_scan(*M3, allow_nondistributive=True)
+    assert lat.meet(a, lat.join(b, c)) != lat.join(lat.meet(a, b), lat.meet(a, c))
 
 
 def test_pentagon_distributivity_oracle():
-    lat = build_lattice(*PENTAGON, allow_nondistributive=True)
+    lat = build_lattice_by_scan(*PENTAGON, allow_nondistributive=True)
     bad = [
         (a, b, c)
         for a, b, c in product(lat.elements, repeat=3)
@@ -159,8 +160,10 @@ def _covers_from_leq(elements, leq) -> tuple[tuple[str, str], ...]:
 
 def build_lattice_by_scan(elements, covers, *, allow_nondistributive: bool = False) -> FiniteLattice:
     """Reference builder: the dense-table construction the bitset
-    builder replaced, kept verbatim as the oracle for its tables,
-    covers, flags, witnesses and messages."""
+    builder replaced, kept as the oracle for its tables, covers,
+    witnesses and messages.  ``allow_nondistributive`` lets it build N5
+    and M3, which ``build_lattice`` rejects, for tests of the laws that
+    need distributivity."""
     elements = tuple(elements)
     seen = set()
     for e in elements:
@@ -246,18 +249,18 @@ def build_lattice_by_scan(elements, covers, *, allow_nondistributive: bool = Fal
     join_t = tuple(tuple(r) for r in join)
     return FiniteLattice(elements, _covers_from_leq(elements, leq), leq,
                          meet_t, join_t, elements[bottoms[0]],
-                         elements[tops[0]], distributive)
+                         elements[tops[0]])
 
 
 
-def build_outcome(build, elements, covers, allow):
+def build_outcome(build, elements, covers):
     """Everything a build exposes: the lattice's tables, or the error."""
     try:
-        lat = build(elements, covers, allow_nondistributive=allow)
+        lat = build(elements, covers)
     except MsfuzzError as exc:
         return type(exc), str(exc)
     return (lat.elements, lat.covers, lat.leq_table, lat.meet_table,
-            lat.join_table, lat.bottom, lat.top, lat.distributive)
+            lat.join_table, lat.bottom, lat.top)
 
 
 def random_relations(count, seed):
@@ -302,13 +305,11 @@ def test_bitset_builder_matches_dense_scan():
     inputs += [(list(lat.elements), list(lat.covers)) for lat in lattice_catalog(8)]
     inputs += list(spliced_inputs())
     for elements, covers in inputs:
-        for allow in (False, True):
-            want = build_outcome(build_lattice_by_scan, elements, covers, allow)
-            assert build_outcome(build_lattice, elements, covers, allow) == want, \
-                (elements, covers, allow)
-            kinds.add(want[0] if len(want) == 2 else want[-1])
+        want = build_outcome(build_lattice_by_scan, elements, covers)
+        assert build_outcome(build_lattice, elements, covers) == want, (elements, covers)
+        kinds.add(want[0] if len(want) == 2 else FiniteLattice)
     assert kinds == {DuplicateElement, UnknownElement, NotBounded, NotAPoset,
-                     NotALattice, NotDistributive, True, False}
+                     NotALattice, NotDistributive, FiniteLattice}
 
 
 # -- filters ----------------------------------------------------------------
@@ -430,7 +431,7 @@ def test_chain_200_closed_form():
     assert lat.meet_table == tuple(tuple(min(i, j) for j in r) for i in r)
     assert lat.join_table == tuple(tuple(max(i, j) for j in r) for i in r)
     assert lat.covers == tuple((f"c{i}", f"c{i + 1}") for i in range(199))
-    assert (lat.bottom, lat.top, lat.distributive) == ("c0", "c199", True)
+    assert (lat.bottom, lat.top) == ("c0", "c199")
 
 
 def test_boolean_2_8_closed_form():
@@ -441,7 +442,7 @@ def test_boolean_2_8_closed_form():
     assert lat.join_table == tuple(tuple(i | j for j in r) for i in r)
     assert lat.covers == tuple((f"s{i}", f"s{j}") for i in r for j in r
                                if i & j == i and bin(i ^ j).count("1") == 1)
-    assert (lat.bottom, lat.top, lat.distributive) == ("s0", "s255", True)
+    assert (lat.bottom, lat.top) == ("s0", "s255")
 
 
 # -- order algebra invariants -------------------------------------------------

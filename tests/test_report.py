@@ -26,7 +26,7 @@ def test_fields_follow_the_annotations_in_order():
     assert Check._fields == ("check_id", "passed", "detail", "witness")
     assert Instance._fields == ("ms", "chis", "grade_universe", "w_sets")
     assert SearchConfig._fields == (
-        "max_elements", "grade_universe", "mode", "seed", "iterations")
+        "max_elements", "grade_universe", "seed", "iterations")
 
 
 def test_positional_keyword_and_default_arguments():
@@ -35,7 +35,7 @@ def test_positional_keyword_and_default_arguments():
     assert VerificationReport("t").checks == ()
     cfg = SearchConfig(max_elements=3)
     assert (cfg.grade_universe, cfg.mode, cfg.seed, cfg.iterations) == (
-        grades(0, Fraction(1, 2), 1), "exhaustive", 0, 0)
+        grades(0, Fraction(1, 2), 1), "exhaustive", 0, None)
 
 
 @pytest.mark.parametrize("args, kwargs, message", [

@@ -1,7 +1,7 @@
 import json
 import re
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -25,6 +25,7 @@ from msfuzz import (
 from msfuzz.verifier import fixture_instance
 
 from .conftest import fuzzy, grades
+from .test_lattice_core import M3, PENTAGON, build_lattice_by_scan
 
 HALF = Fraction(1, 2)
 UNIVERSE2 = grades(0, 1)
@@ -97,7 +98,8 @@ def test_catalog_grows():
 def test_catalog_members_are_valid_and_nonisomorphic():
     cat = lattice_catalog(5)
     for lat in cat:
-        assert lat.distributive
+        for a, b, c in product(lat.elements, repeat=3):
+            assert lat.meet(a, lat.join(b, c)) == lat.join(lat.meet(a, b), lat.meet(a, c))
     # pairwise distinct sizes-or-structures: compare invariants
     profiles = []
     for lat in cat:
@@ -111,6 +113,8 @@ def test_catalog_members_are_valid_and_nonisomorphic():
 def test_catalog_cap():
     with pytest.raises(SizeCapExceeded):
         lattice_catalog(9)
+    with pytest.raises(ValueError, match="at least 1"):
+        lattice_catalog(0)
 
 
 # -- registry --------------------------------------------------------------------
@@ -254,19 +258,16 @@ def test_sweep_runs_a_repeated_id_once():
 
 
 def test_randomized_mode_deterministic_per_seed():
-    cfg = SearchConfig(max_elements=5, grade_universe=UNIVERSE2,
-                       mode="randomized", seed=7, iterations=30)
+    cfg = SearchConfig(max_elements=5, grade_universe=UNIVERSE2, seed=7, iterations=30)
     a = json.dumps(sweep(("lemma-3.2.1", "thm-3.8"), cfg).to_dict())
     b = json.dumps(sweep(("lemma-3.2.1", "thm-3.8"), cfg).to_dict())
     assert a == b
-    other = SearchConfig(max_elements=5, grade_universe=UNIVERSE2,
-                         mode="randomized", seed=8, iterations=30)
+    other = SearchConfig(max_elements=5, grade_universe=UNIVERSE2, seed=8, iterations=30)
     assert sweep(("lemma-3.2.1",), other).outcome("lemma-3.2.1").failures == 0
 
 
 def test_randomized_beyond_exhaustive_cap():
-    cfg = SearchConfig(max_elements=6, grade_universe=UNIVERSE2,
-                       mode="randomized", seed=2026, iterations=10)
+    cfg = SearchConfig(max_elements=6, grade_universe=UNIVERSE2, seed=2026, iterations=10)
     report = sweep(SOUND_SUITE, cfg)
     for outcome in report.outcomes:
         assert outcome.failures == 0, outcome.pid
@@ -274,8 +275,7 @@ def test_randomized_beyond_exhaustive_cap():
 
 def test_randomized_config_to_dict():
     """The config block of a randomized report, key order included."""
-    cfg = SearchConfig(max_elements=5, grade_universe=UNIVERSE2,
-                       mode="randomized", seed=7, iterations=30)
+    cfg = SearchConfig(max_elements=5, grade_universe=UNIVERSE2, seed=7, iterations=30)
     assert list(cfg.to_dict().items()) == [
         ("max_elements", 5), ("grade_universe", ["0", "1"]), ("mode", "randomized"),
         ("require_valid", True), ("seed", 7), ("iterations", 30)]
@@ -284,9 +284,16 @@ def test_randomized_config_to_dict():
 def test_config_rejects_vacuous_runs():
     with pytest.raises(ValueError):
         SearchConfig(max_elements=0)
-    with pytest.raises(ValueError):
-        SearchConfig(mode="randomized", iterations=0)
-    assert SearchConfig(iterations=0).mode == "exhaustive"  # iterations unused
+    with pytest.raises(ValueError, match="at least one iteration"):
+        SearchConfig(iterations=0)
+    # randomized exactly when iterations is given
+    assert (SearchConfig().mode, SearchConfig(iterations=1).mode) == ("exhaustive", "randomized")
+
+
+def test_sweep_rejects_an_empty_selection():
+    """An empty list of laws is not a sweep that passed."""
+    with pytest.raises(UnknownProperty, match="no law selected"):
+        sweep([], SearchConfig(max_elements=2))
 
 
 def test_search():
@@ -643,25 +650,20 @@ def _meet_of_image(ms, w_idx):
     return next(x for x in lower if all(leq[y][x] for y in lower))
 
 
-NONDISTRIBUTIVE = {
-    "N5": (["0", "a", "b", "c", "1"], [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")]),
-    "M3": (["0", "a", "b", "c", "1"],
-           [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")]),
-}
-
-
-def _crisp_oracle_algebras():
-    """Every catalog algebra up to five elements, then every valid negation
-    on N5 and M3 (built with allow_nondistributive)."""
+def _algebras(lattices):
+    """Every valid negation on each lattice."""
     from msfuzz import enumerate_ms_operations
 
-    for lat in lattice_catalog(5):
+    for lat in lattices:
         for neg in enumerate_ms_operations(lat):
             yield MSAlgebra(lat, neg)
-    for order in NONDISTRIBUTIVE.values():
-        lat = build_lattice(*order, allow_nondistributive=True)
-        for neg in enumerate_ms_operations(lat):
-            yield MSAlgebra(lat, neg)
+
+
+def _nondistributive_algebras():
+    """Every valid negation on N5 and M3, built by the reference builder,
+    since ``build_lattice`` rejects both."""
+    return _algebras(build_lattice_by_scan(*order, allow_nondistributive=True)
+                     for order in (PENTAGON, M3))
 
 
 def _meet_classes(ms):
@@ -684,19 +686,24 @@ def _meet_classes(ms):
     return images, classes
 
 
+def _one_extension_per_meet(classes):
+    return all(len(exts) == 1 for by_meet in classes for exts in by_meet.values())
+
+
 def test_crisp_extension_reads_w_through_its_meet():
     """On a distributive lattice every W whose double-negation image has
     one meet has the same crisp extension, for every filter, and the meet
-    joins distinct images; on N5 and M3 it does not, which is why the scan
-    keeps every image there."""
-    merged = split = 0
-    for ms in _crisp_oracle_algebras():
+    joins distinct images; on N5 and M3 it does not, so the meet key of
+    the thm-2.3 scan is sound only because ``build_lattice`` builds no
+    other lattices."""
+    merged = 0
+    for ms in _algebras(lattice_catalog(5)):
         images, classes = _meet_classes(ms)
-        same = all(len(exts) == 1 for by_meet in classes for exts in by_meet.values())
-        assert same == ms.lattice.distributive
-        merged += ms.lattice.distributive and any(len(i) > 1 for i in images.values())
-        split += not same
-    assert merged and split
+        assert _one_extension_per_meet(classes)
+        merged += any(len(i) > 1 for i in images.values())
+    assert merged
+    for ms in _nondistributive_algebras():
+        assert not _one_extension_per_meet(_meet_classes(ms)[1])
 
 
 # predicates of (lattice, filter, extension) that fail on some filters and W
@@ -714,11 +721,11 @@ def _hits(extensions):
 
 
 def test_crisp_scan_matches_every_w():
-    """The thm-2.3 scan, keyed by the meet of the image on distributive
-    lattices, finds the witness (W, detail, data) of a scan over every W,
-    for the law's own predicate and for predicates that fail, one of them
-    on each extension that comes out.  The law holds on every distributive
-    algebra and fails on some of N5 and M3."""
+    """The thm-2.3 scan, keyed by the meet of the image, finds the witness
+    (W, detail, data) of a scan over every W, for the law's own predicate
+    and for predicates that fail, one of them on each extension that comes
+    out.  The law holds on every catalog algebra; over every W it fails on
+    some of N5 and M3."""
     from msfuzz import enumerate_filters, extended_filter_crisp
     from msfuzz.verifier import _crisp_scan, _every_w, _fail, _filter_containing_source
 
@@ -733,8 +740,8 @@ def test_crisp_scan_matches_every_w():
                     return _fail(pid, inst, found, w=w).to_dict()
         return None
 
-    failed = later_w = law_failed = 0
-    for ms in _crisp_oracle_algebras():
+    failed = later_w = 0
+    for ms in _algebras(lattice_catalog(5)):
         inst = Instance(ms, (), UNIVERSE3)
         _, classes = _meet_classes(ms)
         extensions = {e for by_meet in classes for exts in by_meet.values() for e in exts}
@@ -744,10 +751,10 @@ def test_crisp_scan_matches_every_w():
             assert (None if keyed is None else keyed.to_dict()) == full
             failed += full is not None
             later_w += full is not None and full["w_sets"] != [[ms.lattice.elements[0]]]
-        holds = run_property(pid, inst) is None
-        assert holds or not ms.lattice.distributive
-        law_failed += not holds
-    assert failed and later_w and law_failed
+        assert run_property(pid, inst) is None
+    assert failed and later_w
+    assert any(every_w(Instance(ms, (), UNIVERSE3), _filter_containing_source)
+               for ms in _nondistributive_algebras())
 
 
 def test_row_keys_agree_with_brute_force():
@@ -967,12 +974,11 @@ def test_prime_cut_gate_implies_bounded_primality(universe, max_n):
     rank = {g: k for k, g in enumerate(scale)}
     tally = {True: 0, False: 0}
     for lat in lattice_catalog(max_n):
-        pool = enumerate_fuzzy_filters(lat, scale)
         for chi in enumerate_fuzzy_filters(lat, universe):
             if chi.is_constant():
                 continue
             gate = _prime_by_cut(lat, tuple(map(rank.__getitem__, chi.grades)), rank[1])
             if gate:
-                assert is_prime_fuzzy_filter_bounded(lat, chi, scale, pool=pool)[0]
+                assert is_prime_fuzzy_filter_bounded(lat, chi, scale)[0]
             tally[gate] += 1
     assert all(tally.values()), tally
