@@ -724,8 +724,10 @@ def test_crisp_scan_matches_every_w():
     """The thm-2.3 scan, keyed by the meet of the image, finds the witness
     (W, detail, data) of a scan over every W, for the law's own predicate
     and for predicates that fail, one of them on each extension that comes
-    out.  The law holds on every catalog algebra; over every W it fails on
-    some of N5 and M3."""
+    out, with W in mask order and reversed (a key that merges W with
+    different extensions can hide behind mask order, where singletons come
+    first).  The law holds on every catalog algebra; over every W it fails
+    on some of N5 and M3."""
     from msfuzz import enumerate_filters, extended_filter_crisp
     from msfuzz.verifier import _crisp_scan, _every_w, _fail, _filter_containing_source
 
@@ -734,7 +736,7 @@ def test_crisp_scan_matches_every_w():
     def every_w(inst, test):
         lat = inst.ms.lattice
         for filt in enumerate_filters(lat):
-            for w, _ in _every_w(lat, None):
+            for w, _ in _every_w(lat, inst.w_sets):
                 found = test(lat, filt, extended_filter_crisp(inst.ms, filt, w))
                 if found is not None:
                     return _fail(pid, inst, found, w=w).to_dict()
@@ -742,16 +744,17 @@ def test_crisp_scan_matches_every_w():
 
     failed = later_w = 0
     for ms in _algebras(lattice_catalog(5)):
-        inst = Instance(ms, (), UNIVERSE3)
         _, classes = _meet_classes(ms)
         extensions = {e for by_meet in classes for exts in by_meet.values() for e in exts}
-        for test in (_filter_containing_source, *_CRISP_PROBES, *_hits(extensions)):
-            full = every_w(inst, test)
-            keyed = _crisp_scan(pid, inst, test)
-            assert (None if keyed is None else keyed.to_dict()) == full
-            failed += full is not None
-            later_w += full is not None and full["w_sets"] != [[ms.lattice.elements[0]]]
-        assert run_property(pid, inst) is None
+        reverse = tuple(w for w, _ in reversed(_every_w(ms.lattice, None)))
+        for inst in (Instance(ms, (), UNIVERSE3), Instance(ms, (), UNIVERSE3, reverse)):
+            for test in (_filter_containing_source, *_CRISP_PROBES, *_hits(extensions)):
+                full = every_w(inst, test)
+                keyed = _crisp_scan(pid, inst, test)
+                assert (None if keyed is None else keyed.to_dict()) == full
+                failed += full is not None
+                later_w += full is not None and len(full["w_sets"][0]) > 1
+            assert run_property(pid, inst) is None
     assert failed and later_w
     assert any(every_w(Instance(ms, (), UNIVERSE3), _filter_containing_source)
                for ms in _nondistributive_algebras())
