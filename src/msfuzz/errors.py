@@ -79,4 +79,5 @@ class HypothesisUnmet(MsfuzzError):
 
 
 class InternalInvariantError(MsfuzzError):
-    """A cross-check that can only fail on an implementation bug fired."""
+    """A cross-check that can only fail on an implementation bug fired, or
+    a sweep worker failed."""

@@ -26,7 +26,9 @@ distributive lattices, one per poset).
 
 from __future__ import annotations
 
+import os
 import random
+import struct
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import permutations, product
@@ -36,6 +38,7 @@ from typing import Any, Callable, Mapping
 from .errors import (
     EmptyW,
     HypothesisUnmet,
+    InternalInvariantError,
     SizeCapExceeded,
     UnknownProperty,
 )
@@ -202,7 +205,8 @@ def _ms_operations(lat: FiniteLattice) -> tuple[dict, ...]:
 
 class SearchConfig(Record):
     """Every catalog algebra up to ``max_elements`` elements, or, when
-    ``iterations`` is given, that many drawn at random by ``seed``."""
+    ``iterations`` is given, that many drawn at random by ``seed``.  A
+    nonzero ``seed`` without ``iterations`` is refused, not dropped."""
 
     max_elements: int = 4
     grade_universe: tuple[Fraction, ...] = (ZERO, Fraction(1, 2), ONE)
@@ -222,6 +226,8 @@ class SearchConfig(Record):
         object.__setattr__(self, "grade_universe", universe)
         if self.iterations is not None and self.iterations < 1:
             raise ValueError("randomized mode needs at least one iteration")
+        if self.seed and self.iterations is None:
+            raise ValueError("a seed needs iterations (randomized mode)")
 
     @property
     def mode(self) -> str:
@@ -1110,8 +1116,112 @@ def _neg_closure_stats(inst: Instance) -> tuple[int, int]:
     return closed, total
 
 
+def _tally(row: list[int], pid: str, inst: Instance, k: int) -> None:
+    """Count one verdict of a law on instance ``k`` into ``row``: instances,
+    passes, failures, skips and the lowest failing index."""
+    try:
+        witness = run_property(pid, inst)
+    except HypothesisUnmet:
+        row[3] += 1
+        return
+    row[0] += 1
+    if witness is None:
+        row[1] += 1
+    else:
+        row[2] += 1
+        row[4] = min(row[4], k)
+
+
+def _sweep_part(pids: list[str], stream: list[Instance], j: int, parts: int
+                ) -> list[int]:
+    """Part ``j`` of ``parts`` of a sweep: the instances whose index is j mod
+    parts.  Integers only: a ``_tally`` row per law (the lowest failing
+    index is len(stream) when none failed), then the two closure sums."""
+    rows = [[0, 0, 0, 0, len(stream)] for _ in pids]
+    closed = total = 0
+    for k in range(j, len(stream), parts):
+        s = stream[k]
+        inst = Instance(s.ms, s.chis, s.grade_universe)  # its row table is dropped with it
+        for row, pid in zip(rows, pids):
+            _tally(row, pid, inst, k)
+        c, t = _neg_closure_stats(inst)
+        closed += c
+        total += t
+    return [x for row in rows for x in row] + [closed, total]
+
+
+def _sweep_worker(fd: int, pids, stream, j: int, parts: int):
+    """Body of a forked sweep worker: write part ``j`` to the pipe ``fd`` as
+    native 64-bit integers.  It leaves only through ``os._exit``, so it runs
+    no atexit handler and flushes no stdio buffer inherited from the parent."""
+    status = 1
+    try:
+        with open(fd, "wb") as pipe:
+            ints = _sweep_part(pids, stream, j, parts)
+            pipe.write(struct.pack(f"{len(ints)}q", *ints))
+        status = 0
+    except BaseException:
+        import traceback  # only a failing worker pays for the import
+
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(status)
+
+
+def _split_sweep(pids: list[str], stream: list[Instance]) -> list[int]:
+    """``_sweep_part`` over the whole stream, split across the CPUs this
+    process may run on: part 0 runs here, each other part in a forked
+    worker that sends back its integers.  Counts add up and lowest failing
+    indices take their minimum, so the result does not depend on the
+    split.  Workers are forked, not spawned, so they inherit the stream and
+    the filled catalog caches instead of rebuilding them; nothing in
+    msfuzz starts a thread.  A worker that raises, dies or sends short
+    makes this raise; no worker outlives the call."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    parts = max(1, min(cpus, len(stream)))
+    fmt = f"{5 * len(pids) + 2}q"
+    size = struct.calcsize(fmt)
+    workers, reaped = [], set()
+    try:
+        for j in range(1, parts):
+            read_fd, write_fd = os.pipe()
+            child = os.fork()
+            if child == 0:
+                os.close(read_fd)
+                _sweep_worker(write_fd, pids, stream, j, parts)
+            os.close(write_fd)
+            workers.append((child, read_fd))
+        results = [_sweep_part(pids, stream, 0, parts)]
+        for j, (child, read_fd) in enumerate(workers, 1):
+            with open(read_fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(child, 0)[1])
+            reaped.add(child)
+            if code != 0 or len(data) != size:
+                raise InternalInvariantError(
+                    f"sweep worker {j} of {parts - 1} exited with code {code} "
+                    f"after sending {len(data)} of {size} bytes"
+                )
+            results.append(struct.unpack(fmt, data))
+    finally:
+        for child, read_fd in workers:
+            os.close(read_fd)
+            if child not in reaped:
+                import signal  # only a sweep that failed pays for the import
+
+                os.kill(child, signal.SIGKILL)
+                os.waitpid(child, 0)
+    merged = [sum(col) for col in zip(*results)]
+    for i in range(4, 5 * len(pids), 5):
+        merged[i] = min(r[i] for r in results)
+    return merged
+
+
 def sweep(pids=None, cfg: SearchConfig | None = None) -> SweepReport:
-    """Run a set of laws over the whole instance space of a config."""
+    """Run a set of laws over the whole instance space of a config.  The
+    instances are split across the usable CPUs (see ``_split_sweep``); the
+    first witness of a law is replayed at its lowest failing index, so the
+    report is the same for every split."""
     cfg = cfg or SearchConfig()
     if pids is None:
         selected = [r.pid for r in _REGISTRY.values() if r.fixture is None]
@@ -1123,44 +1233,33 @@ def sweep(pids=None, cfg: SearchConfig | None = None) -> SweepReport:
             if pid not in _REGISTRY:
                 raise UnknownProperty(f"no law registered under {pid!r}")
 
-    counts = {
-        pid: {"instances": 0, "passes": 0, "failures": 0, "skips": 0,
-              "first_witness": None}
-        for pid in selected
-    }
-    closed = total = 0
+    rows, runs_on = {}, {}
+    for pid in selected:  # fixture laws run first, in this process
+        fixture = _REGISTRY[pid].fixture
+        if fixture is not None:
+            runs_on[pid] = [fixture_instance(fixture)]
+            rows[pid] = [0, 0, 0, 0, 1]
+            _tally(rows[pid], pid, runs_on[pid][0], 0)
+    stream_pids = [p for p in selected if p not in rows]
+    stream = list(_instance_stream(cfg))
+    merged = _split_sweep(stream_pids, stream)
+    for i, pid in enumerate(stream_pids):
+        runs_on[pid], rows[pid] = stream, merged[5 * i:5 * i + 5]
 
-    def count(pid: str, inst: Instance) -> None:
-        row = counts[pid]
-        try:
-            witness = run_property(pid, inst)
-        except HypothesisUnmet:
-            row["skips"] += 1
-            return
-        row["instances"] += 1
-        if witness is None:
-            row["passes"] += 1
-        else:
-            row["failures"] += 1
-            row["first_witness"] = row["first_witness"] or witness
-
+    outcomes = []
     for pid in selected:
-        if _REGISTRY[pid].fixture is not None:
-            count(pid, fixture_instance(_REGISTRY[pid].fixture))
-    stream_pids = [p for p in selected if _REGISTRY[p].fixture is None]
-    for inst in _instance_stream(cfg):
-        for pid in stream_pids:
-            count(pid, inst)
-        c, t = _neg_closure_stats(inst)
-        closed += c
-        total += t
-
-    outcomes = tuple(PropertyOutcome(pid, **row) for pid, row in counts.items())
+        instances, passes, failures, skips, first = rows[pid]
+        witness = run_property(pid, runs_on[pid][first]) if failures else None
+        if failures and witness is None:
+            raise InternalInvariantError(f"{pid}: a counted failure did not replay")
+        outcomes.append(
+            PropertyOutcome(pid, instances, passes, failures, skips, witness)
+        )
     stats = {
-        "inverse_class_neg_closed": closed,
-        "inverse_class_fibers": total,
+        "inverse_class_neg_closed": merged[-2],
+        "inverse_class_fibers": merged[-1],
     }
-    return SweepReport(cfg, outcomes, stats)
+    return SweepReport(cfg, tuple(outcomes), stats)
 
 
 def search_counterexample(pid: str, cfg: SearchConfig | None = None

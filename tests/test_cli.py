@@ -239,6 +239,8 @@ def test_sweep_bad_grades_usage():
      "max_elements must be at least 1"),
     (["sweep", "--max-n", "3", "--props", ","], "--props names no law"),
     (["verify", "--props", ",", "diamond"], "--props names no law"),
+    # SearchConfig takes seed 0 without iterations; the option is still refused
+    (["sweep", "--max-n", "2", "--seed", "0"], "--seed needs --iters"),
 ])
 def test_vacuous_runs_are_usage_errors(fixture_file, args, message):
     """A run that would check nothing exits 2 instead of reporting a pass."""

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import signal
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -22,6 +24,8 @@ from msfuzz import (
     search_counterexample,
     sweep,
 )
+from msfuzz import verifier
+from msfuzz.errors import InternalInvariantError
 from msfuzz.verifier import fixture_instance
 
 from .conftest import fuzzy, grades
@@ -290,10 +294,128 @@ def test_config_rejects_vacuous_runs():
     assert (SearchConfig().mode, SearchConfig(iterations=1).mode) == ("exhaustive", "randomized")
 
 
+def test_config_rejects_a_seed_without_iterations():
+    """An exhaustive config has no use for a seed, so a nonzero one is an
+    error rather than dropped from the report; seed 0 is the default."""
+    with pytest.raises(ValueError, match="seed needs iterations"):
+        SearchConfig(max_elements=3, seed=5)
+    assert SearchConfig(max_elements=3, seed=0) == SearchConfig(max_elements=3)
+
+
 def test_sweep_rejects_an_empty_selection():
     """An empty list of laws is not a sweep that passed."""
     with pytest.raises(UnknownProperty, match="no law selected"):
         sweep([], SearchConfig(max_elements=2))
+
+
+# -- splitting a sweep across CPUs ----------------------------------------------
+
+def _on_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+@pytest.mark.parametrize("pids, cfg", [
+    (None, SearchConfig(max_elements=5)),
+    (None, SearchConfig(max_elements=4, iterations=30, seed=7)),
+    (["thm-4.3", "example-4.2-validity", "prop-2.1", "thm-3.1-prime"],
+     SearchConfig(max_elements=5)),
+], ids=["n5", "n4-iters30-seed7", "subset-with-fixture"])
+def test_sweep_report_does_not_depend_on_the_split(monkeypatch, pids, cfg):
+    """Counts add up across parts and each first witness is replayed at the
+    lowest failing index, so 1, 2, 3 and 5 parts give one report."""
+    reports = []
+    for cpus in (1, 2, 3, 5):
+        _on_cpus(monkeypatch, cpus)
+        reports.append(json.dumps(sweep(pids, cfg).to_dict(), indent=2))
+    assert reports == reports[:1] * 4
+
+
+def test_first_witnesses_come_from_workers_too():
+    """The split test is not vacuous: at n = 5 the lowest failing indices
+    are 2 and 4, outside part 0 of a 3- or 5-way split."""
+    pids = [rec.pid for rec in properties() if rec.fixture is None]
+    stream = list(verifier._instance_stream(SearchConfig(max_elements=5)))
+    row = verifier._sweep_part(pids, stream, 0, 1)
+    firsts = {pid: row[5 * i + 4] for i, pid in enumerate(pids) if row[5 * i + 2]}
+    assert firsts == {"thm-3.1-prime": 2, "thm-4.3": 4}
+
+
+def test_one_cpu_forks_nothing(monkeypatch):
+    _on_cpus(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", None)
+    assert sweep(None, SearchConfig(max_elements=4)).outcome("thm-4.3").failures > 0
+
+
+def _raise():
+    raise RuntimeError("law broke in a worker")
+
+
+@pytest.mark.parametrize("action, code", [
+    (_raise, 1),
+    (lambda: os._exit(3), 3),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+], ids=["raises", "exits", "killed"])
+def test_a_failing_worker_fails_the_sweep(monkeypatch, capfd, action, code):
+    """A worker that raises, exits or dies makes the sweep raise instead of
+    returning a partial report, and leaves no child behind."""
+    parent, inner = os.getpid(), verifier.run_property
+
+    def run(pid, inst):
+        if os.getpid() != parent:
+            action()
+        return inner(pid, inst)
+
+    monkeypatch.setattr(verifier, "run_property", run)
+    _on_cpus(monkeypatch, 3)
+    with pytest.raises(InternalInvariantError, match=f"exited with code {code} "):
+        sweep(None, SearchConfig(max_elements=4))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    if action is _raise:
+        assert "law broke in a worker" in capfd.readouterr().err
+
+
+def test_a_short_worker_result_fails_the_sweep(monkeypatch):
+    parent, inner = os.getpid(), verifier._sweep_part
+
+    def part(*args):
+        out = inner(*args)
+        return out if os.getpid() == parent else out[:-1]
+
+    monkeypatch.setattr(verifier, "_sweep_part", part)
+    _on_cpus(monkeypatch, 2)
+    with pytest.raises(InternalInvariantError, match="exited with code 0 after sending"):
+        sweep(None, SearchConfig(max_elements=4))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_witness_that_does_not_replay_fails_the_sweep(monkeypatch):
+    """The parent rebuilds each first witness by running the law again;
+    a law that passes there after failing in a worker is caught."""
+    parent, inner = os.getpid(), verifier.run_property
+    monkeypatch.setattr(verifier, "run_property", lambda pid, inst: (
+        None if os.getpid() == parent else inner(pid, inst)))
+    _on_cpus(monkeypatch, 3)
+    with pytest.raises(InternalInvariantError, match="thm-4.3: a counted failure did not"):
+        sweep(["thm-4.3"], SearchConfig(max_elements=5))
+
+
+def test_a_failure_in_part_0_stops_the_workers(monkeypatch):
+    """The parent's own part raising kills and reaps every worker."""
+    parent, inner = os.getpid(), verifier.run_property
+
+    def run(pid, inst):
+        if os.getpid() == parent:
+            raise RuntimeError("law broke in part 0")
+        return inner(pid, inst)
+
+    monkeypatch.setattr(verifier, "run_property", run)
+    _on_cpus(monkeypatch, 3)
+    with pytest.raises(RuntimeError, match="part 0"):
+        sweep(None, SearchConfig(max_elements=5))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_search():
