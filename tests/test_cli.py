@@ -583,6 +583,14 @@ def test_golden_sweep_n5(golden):
     golden("sweep_n5.json", result.output)
 
 
+def test_golden_sweep_n5_four_grades(golden):
+    """Five elements over {0, 1/3, 2/3, 1}: four grades give the pair laws
+    the most distinct pairs of base grades of any pinned sweep."""
+    result = run_cli(["--format", "json", "sweep", "--max-n", "5",
+                      "--grades", "0,1/3,2/3,1"])
+    golden("sweep_n5_grades_thirds0.json", result.output)
+
+
 def test_golden_sweep_n6(golden):
     """The default sweep at six elements, the largest that tier-1 pins."""
     result = run_cli(["--format", "json", "sweep", "--max-n", "6"])
