@@ -32,6 +32,7 @@ import struct
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import permutations, product
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
@@ -71,6 +72,7 @@ from .ms_algebra import (
 from .report import Record
 
 MAX_ELEMENTS_CAP = 8
+SKELETON_CAP = 12  # bound on |S| for the scans over the subsets of the skeleton S
 
 
 # ---------------------------------------------------------------------------
@@ -84,16 +86,6 @@ def _bits(mask: int):
             yield i
         mask >>= 1
         i += 1
-
-
-def _down_sets(down: tuple[int, ...]) -> list[int]:
-    """All down-closed subsets of a poset given per-element down masks."""
-    k = len(down)
-    out = []
-    for mask in range(1 << k):
-        if all(down[i] & ~mask == 0 for i in _bits(mask)):
-            out.append(mask)
-    return out
 
 
 def _canonical_poset(down: tuple[int, ...]) -> tuple:
@@ -146,29 +138,33 @@ def _canonical_poset(down: tuple[int, ...]) -> tuple:
     return best
 
 
-def _poset_reps(max_lattice_size: int) -> tuple[tuple[int, ...], ...]:
-    """Posets (up to iso) whose down-set lattice has at most the given size."""
-    reps: dict[tuple, tuple[int, ...]] = {(): ()}
-    frontier: list[tuple[int, ...]] = [()]
+def _poset_reps(max_lattice_size: int) -> tuple[tuple, ...]:
+    """Posets (up to iso) whose down-set lattice has at most the given size,
+    each as (per-element down masks, down-set masks).  A poset grows by a
+    new maximal element k above a down-set d: its down-sets are the old ones
+    and, for each old one containing d, that one with k."""
+    reps: dict[tuple, tuple] = {(): ((), [0])}
+    frontier = [reps[()]]
     while frontier:
         next_frontier = []
-        for down in frontier:
+        for down, ds in frontier:
             k = len(down)
-            for d_mask in _down_sets(down):
-                extended = down + (d_mask | (1 << k),)
-                if len(_down_sets(extended)) > max_lattice_size:
+            for d_mask in ds:
+                grown = [m | 1 << k for m in ds if m & d_mask == d_mask]
+                if len(ds) + len(grown) > max_lattice_size:
                     continue
+                extended = down + (d_mask | 1 << k,)
                 canon = _canonical_poset(extended)
                 if canon not in reps:
-                    reps[canon] = extended
-                    next_frontier.append(extended)
+                    reps[canon] = (extended, ds + grown)
+                    next_frontier.append(reps[canon])
         frontier = next_frontier
     return tuple(reps[c] for c in sorted(reps, key=repr))
 
 
-def _lattice_from_poset(down: tuple[int, ...]) -> FiniteLattice:
-    ds = _down_sets(down)
-    ds.sort(key=lambda m: (bin(m).count("1"), tuple(_bits(m))))
+def _lattice_from_poset(ds: list[int]) -> FiniteLattice:
+    """The lattice of the down-sets ``ds`` of a poset, ordered by inclusion."""
+    ds = sorted(ds, key=lambda m: (bin(m).count("1"), tuple(_bits(m))))
     names = {mask: f"e{i}" for i, mask in enumerate(ds)}
     covers = [
         (names[s], names[t])
@@ -189,7 +185,7 @@ def lattice_catalog(max_elements: int) -> tuple[FiniteLattice, ...]:
         )
     if max_elements < 1:
         raise ValueError("max_elements must be at least 1")
-    lattices = [_lattice_from_poset(p) for p in _poset_reps(max_elements)]
+    lattices = [_lattice_from_poset(ds) for _, ds in _poset_reps(max_elements)]
     lattices.sort(key=lambda lat: (lat.n, lat.leq_table))
     return tuple(lattices)
 
@@ -374,53 +370,59 @@ def _fail(pid: str, inst: Instance, found, *, chis=None, w=None) -> Witness:
 # the law table: every law visits (chi, W) rows in one order
 # ---------------------------------------------------------------------------
 
-def _subsets(items: tuple) -> list[tuple]:
-    """Nonempty sub-tuples in mask order: bit k of the mask keeps items[k]."""
-    return [
-        tuple(x for k, x in enumerate(items) if mask >> k & 1)
-        for mask in range(1, 1 << len(items))
-    ]
-
-
 def _named(lat: FiniteLattice, w) -> tuple[tuple[str, ...], tuple[int, ...]]:
     return tuple(w), tuple(lat.element_index(x) for x in w)
 
 
-@lru_cache(maxsize=None)
-def _mask_w_sets(lat: FiniteLattice):
-    return tuple(_named(lat, w) for w in _subsets(lat.elements))
+def _skeleton_images(lat: FiniteLattice, dd: tuple[int, ...]) -> list[tuple]:
+    """Each double-negation image D, a nonempty subset of the skeleton
+    S = {x°°}, by its first W in mask order: the lowest preimage of each d
+    in D.  With S ordered by lowest preimage, D in mask order over S keeps
+    its W in mask order.  Entry k is the D of mask k + 1: (W's names, W's
+    indices, the entry of D less its first element d or -1, d, the join
+    and the meet of D, whether D holds the top)."""
+    low: dict[int, int] = {}
+    for w in range(lat.n):
+        low.setdefault(dd[w], w)
+    if len(low) > SKELETON_CAP:
+        raise SizeCapExceeded(f"|skeleton| = {len(low)} exceeds cap {SKELETON_CAP}")
+    skeleton, top, join, meet = list(low), lat.element_index(lat.top), lat.join_table, lat.meet_table
+    images: list[tuple] = []
+    for mask in range(1, 1 << len(skeleton)):
+        rest = (mask & (mask - 1)) - 1
+        d = skeleton[(mask & -mask).bit_length() - 1]
+        names, idx, _, _, j, m, t = images[rest] if rest >= 0 else ((), (), 0, 0, d, d, False)
+        images.append(((lat.elements[low[d]], *names), (low[d], *idx), rest, d,
+                       join[j][d], meet[m][d], t or d == top))
+    return images
 
 
-def _every_w(lat: FiniteLattice, w_sets) -> tuple:
-    """The reference subsets as (names, indices): the given ``w_sets`` in
-    their order, else every nonempty subset in mask order."""
-    return _mask_w_sets(lat) if w_sets is None else tuple(_named(lat, w) for w in w_sets)
+def _listed(ms: MSAlgebra, ws) -> list[tuple]:
+    """Entries as in ``_skeleton_images`` for listed (names, indices)."""
+    lat, dd = ms.lattice, ms.dneg_table()
+    join, meet, top = lat.join_table, lat.meet_table, lat.element_index(lat.top)
+    out = []
+    for names, idx in ws:
+        image = [dd[v] for v in idx]
+        out.append((names, idx, None, None, reduce(lambda a, b: join[a][b], image),
+                    reduce(lambda a, b: meet[a][b], image), top in image))
+    return out
 
 
-def _firsts(items, keys):
-    """The first of the items sharing each key, in order."""
-    firsts = {}
-    for item, k in zip(items, keys):
-        firsts.setdefault(k, item)
-    return firsts.values()
-
-
-@lru_cache(maxsize=None)
-def _image_w_sets(lat: FiniteLattice, dd: tuple[int, ...], w_sets) -> tuple:
-    """The first reference subset of each double-negation image {w°° : w in
-    W}: all that ``upsilon``, ``omega`` and the crisp extension read of W."""
-    every = _every_w(lat, w_sets)
-    return tuple(_firsts(every, (frozenset(dd[v] for v in w_idx) for _, w_idx in every)))
-
-
-def _w_sets(inst: Instance, chi: FuzzySet | None = None):
-    """The default W source: the first W of each double-negation image."""
-    return _image_w_sets(inst.ms.lattice, inst.ms.dneg_table(), inst.w_sets)
+def _w_sets(inst: Instance, chi: FuzzySet | None = None) -> list[tuple]:
+    """The default W source: the given ``w_sets``, or the first W of each
+    double-negation image, all that the extensions read of W."""
+    if "images" not in inst._rows:
+        lat, dd = inst.ms.lattice, inst.ms.dneg_table()
+        inst._rows["images"] = _skeleton_images(lat, dd) if inst.w_sets is None else (
+            _listed(inst.ms, [_named(lat, w) for w in inst.w_sets]))
+    return inst._rows["images"]
 
 
 def _listed_w(pick):
     """A W source naming the same subsets, ``pick(lattice)``, for every chi."""
-    return lambda inst, chi: [_named(inst.ms.lattice, w) for w in pick(inst.ms.lattice)]
+    return lambda inst, chi: _listed(
+        inst.ms, [_named(inst.ms.lattice, w) for w in pick(inst.ms.lattice)])
 
 
 _singletons = _listed_w(lambda lat: [(e,) for e in lat.elements])
@@ -443,46 +445,68 @@ class _Ranks:
 
 class _Row:
     """One (chi, W) pair of a scan, on integer grade ranks only: ``grades``
-    is chi's row of ``ranks``; ``base``, the rank of max chi(w°°) over W, and
-    ``ups`` and ``omg``, the two extensions, are each evaluated on first use
-    and serve as keys.  A law compares ranks with each other, with ``one``,
-    the rank of 1, or with 0, the rank of 0, and passes rows to the row
-    kernels; ``fuzzy`` turns a row back into grades for witness data."""
+    is chi's row of ranks, ``base`` the rank of max chi(w°°) over W, ``ups``
+    and ``omg`` the two extensions, ``join`` the join of the image of W and
+    ``top`` whether it holds the top.  A law compares ranks with each other,
+    with ``one``, the rank of 1, or with 0, the rank of 0, and passes rows
+    to the row kernels; ``fuzzy`` turns ranks back into grades."""
 
     __slots__ = ("ms", "lat", "dd", "scale", "one", "grades", "w", "w_idx",
-                 "_base", "_ups", "_omg")
+                 "base", "ups", "omg", "join", "top")
 
-    def __init__(self, ms: MSAlgebra, ranks: _Ranks, grades, w, w_idx):
-        self.ms = ms
-        self.lat = ms.lattice
-        self.dd = ms.dneg_table()
-        self.scale = ranks.grades
-        self.one = ranks.one
-        self.grades = grades
-        self.w = w
-        self.w_idx = w_idx
-        self._base = self._ups = self._omg = None
-
-    @property
-    def base(self) -> int:
-        if self._base is None:
-            self._base = _base_grade(self.ms, self.grades, self.w_idx)
-        return self._base
-
-    @property
-    def ups(self) -> tuple[int, ...]:
-        if self._ups is None:
-            self._ups = _raise_to(self.grades, self.base)
-        return self._ups
-
-    @property
-    def omg(self) -> tuple[int, ...]:
-        if self._omg is None:
-            self._omg = omega_row(self.ms, self.grades, self.w_idx)
-        return self._omg
+    def __init__(self, ctx: tuple, grades, image: tuple, base: int, ups, omg):
+        self.ms, self.lat, self.dd, self.scale, self.one = ctx
+        self.w, self.w_idx, _, _, self.join, _, self.top = image
+        self.grades, self.base, self.ups, self.omg = grades, base, ups, omg
 
     def fuzzy(self, ranks: tuple[int, ...]) -> FuzzySet:
         return FuzzySet(self.lat, tuple(map(self.scale.__getitem__, ranks)))
+
+
+def _bases(images: list[tuple], grades) -> list[int]:
+    """Each skeleton image's base: base(D ∪ {d}) = max(base(D), chi(d))."""
+    out: list[int] = []
+    for _, _, rest, d, *_ in images:
+        out.append(max(out[rest], grades[d]) if rest >= 0 else grades[d])
+    return out
+
+
+def _omegas(images: list[tuple], join, grades) -> list[tuple]:
+    """Each skeleton image's omega: omg(D ∪ {d})(t) = max(omg(D)(t), chi(t ∨ d))."""
+    out: list[tuple] = []
+    single: dict[int, tuple] = {}
+    for _, _, rest, d, *_ in images:
+        if rest < 0:
+            single[d] = tuple(grades[row[d]] for row in join)
+        out.append(tuple(map(max, out[rest], single[d])) if rest >= 0 else single[d])
+    return out
+
+
+def _rows(inst: Instance, grades, images: list[tuple]) -> list[_Row]:
+    """Chi's rows over ``images``: by the recurrences over skeleton images,
+    by ``_base_grade`` and ``omega_row`` over listed ones."""
+    ms = inst.ms
+    if images and images[0][2] is not None:
+        bases, omgs = _bases(images, grades), _omegas(images, ms.lattice.join_table, grades)
+    else:
+        bases = [_base_grade(ms, grades, idx) for _, idx, *_ in images]
+        omgs = [omega_row(ms, grades, idx) for _, idx, *_ in images]
+    ups = {b: _raise_to(grades, b) for b in set(bases)}
+    ctx = (ms, ms.lattice, ms.dneg_table(), inst._ranks.grades, inst._ranks.one)
+    return [_Row(ctx, grades, image, b, ups[b], o) for image, b, o in zip(images, bases, omgs)]
+
+
+# Keys: what a stage's verdict reads of W.  When the verdict is a function
+# of its key, the first failing row is the first row of its key, so a stage
+# visits those only and its witness keeps its bytes.
+_by_base, _by_ups, _by_omg = attrgetter("base"), attrgetter("ups"), attrgetter("omg")
+_by_join, _by_top = attrgetter("base", "join"), attrgetter("base", "top")
+_by_base_omg = attrgetter("base", "omg")
+
+
+def _by_grades(r: _Row) -> frozenset:
+    """The set of image grades, whose maximum is the base."""
+    return frozenset(r.grades[r.dd[v]] for v in r.w_idx)
 
 
 # The law table: law id -> its stages, in the order they run for each chi.
@@ -490,38 +514,72 @@ class _Row:
 # string, or (detail, data); ``ws`` gives the reference subsets for
 # (instance, chi); ``when``, unless None, is given (algebra, chi's rank
 # row) and skips the chis that miss the stage's hypothesis; ``key``, unless
-# None, names the row attribute (``ups`` or ``omg``) through which alone
-# ``test`` reads W.
+# None, is the function of a row (``_by_base`` and friends) through which
+# alone ``test`` reads W.
 _STAGES: dict[str, list[tuple]] = {}
 _PAIR_STAGES: dict[str, tuple] = {}  # pair laws: (test, when on the two rank rows, symmetric)
 
 
 def _stage_rows(inst: Instance, i: int, ws, key=None) -> list[_Row]:
     """Chi ``i``'s rows for a stage over the W source ``ws``, each key's
-    first only, from the instance's row table: (ws, chi, key) -> rows."""
+    first only, from the instance's row table: (ws, chi, key) -> rows.  Over
+    skeleton images the first row of a base b is the singleton {w°°} for the
+    lowest w with chi(w°°) = b, so base and ``ups`` keys scan singletons."""
     table = inst._rows
-    if (ws, i, None) not in table:
-        table[ws, i, None] = [_Row(inst.ms, inst._ranks, inst._ranks.rows[i], w, w_idx)
-                              for w, w_idx in ws(inst, inst.chis[i])]
     if (ws, i, key) not in table:
+        if (ws, i, None) not in table:
+            table[ws, i, None] = _rows(inst, inst._ranks.rows[i], ws(inst, inst.chis[i]))
         rows = table[ws, i, None]
-        table[ws, i, key] = list(_firsts(rows, [getattr(r, key) for r in rows]))
+        if key is not None:
+            if (key is _by_base or key is _by_ups) and ws is _w_sets and inst.w_sets is None:
+                rows = [rows[(1 << j) - 1] for j in range(len(rows).bit_length())]
+            firsts: dict = {}
+            for r in rows:
+                firsts.setdefault(key(r), r)
+            rows = list(firsts.values())
+        table[ws, i, key] = rows
     return table[ws, i, key]
+
+
+def _holds(inst: Instance, when, i: int) -> bool:
+    """``when`` on chi ``i``, evaluated once per instance."""
+    if (when, i) not in inst._rows:
+        inst._rows[when, i] = when(inst.ms, inst._ranks.rows[i])
+    return inst._rows[when, i]
 
 
 def _scan(pid: str, inst: Instance, *stages: tuple) -> Witness | None:
     """The first failing row: chi in pool order, then the stages in order,
     then W in the stage's order, each key's first row only."""
-    ms, ranks = inst.ms, inst._ranks
-    for i, (chi, grades) in enumerate(zip(inst.chis, ranks.rows)):
+    if any(ws is _w_sets for _, ws, _, _ in stages):
+        _w_sets(inst)  # refuses a skeleton over the cap, whichever chis the stages skip
+    for i, chi in enumerate(inst.chis):
         for test, ws, when, key in stages:
-            if when is not None and not when(ms, grades):
+            if when is not None and not _holds(inst, when, i):
                 continue
             for row in _stage_rows(inst, i, ws, key):
                 found = test(row)
                 if found is not None:
                     return _fail(pid, inst, found, chis=[chi], w=row.w)
     return None
+
+
+def _pair_keys(inst: Instance, i: int, j: int) -> list[int]:
+    """The index of the first W of each pair of base grades (b1, b2) of
+    chis i and j, ascending: the lowest bit of the index masks of b1 for i
+    and of b2 for j.  One table per instance, shared by the pair laws."""
+    table = inst._rows
+    for k in (i, j):
+        if ("masks", k) not in table:
+            masks: dict[int, int] = {}
+            for n, r in enumerate(_stage_rows(inst, k, _w_sets)):
+                masks[r.base] = masks.get(r.base, 0) | 1 << n
+            table["masks", k] = list(masks.values())
+    if ("pairs", i, j) not in table:
+        table["pairs", i, j] = table["pairs", j, i] = sorted(
+            (both & -both).bit_length() - 1
+            for m1 in table["masks", i] for m2 in table["masks", j] if (both := m1 & m2))
+    return table["pairs", i, j]
 
 
 def _pair_scan(pid: str, inst: Instance, test, when, symmetric) -> Witness | None:
@@ -531,16 +589,16 @@ def _pair_scan(pid: str, inst: Instance, test, when, symmetric) -> Witness | Non
     test visits only chi2 at or after chi1: (chi2, chi1) picks the same W
     and verdict as (chi1, chi2), and comes later in row-major order."""
     rows = [_stage_rows(inst, i, _w_sets) for i in range(len(inst.chis))]
-    bases = [[r.base for r in rs] for rs in rows]
-    pool = list(zip(inst.chis, inst._ranks.rows, rows, bases))
-    for i, (chi1, g1, rows1, b1) in enumerate(pool):
-        for chi2, g2, rows2, b2 in pool[i if symmetric else 0:]:
+    pool = list(zip(inst.chis, inst._ranks.rows))
+    for i, (chi1, g1) in enumerate(pool):
+        for j in range(i if symmetric else 0, len(pool)):
+            chi2, g2 = pool[j]
             if when is not None and not when(g1, g2):
                 continue
-            for k in _firsts(range(len(b1)), zip(b1, b2)):
-                found = test(rows1[k], rows2[k])
+            for k in _pair_keys(inst, i, j):
+                found = test(rows[i][k], rows[j][k])
                 if found is not None:
-                    return _fail(pid, inst, found, chis=[chi1, chi2], w=rows1[k].w)
+                    return _fail(pid, inst, found, chis=[chi1, chi2], w=rows[i][k].w)
     return None
 
 
@@ -606,12 +664,11 @@ def _crisp_scan(pid: str, inst: Instance, test) -> Witness | None:
     up-closed and meet-closed, and the meet of the x ∨ d is x ∨ m), so the
     crisp extension reads W only through m."""
     ms = inst.ms
-    lat, dd, meet = ms.lattice, ms.dneg_table(), ms.lattice.meet_table
-    ws = _w_sets(inst)
-    ws = _firsts(ws, [reduce(lambda a, b: meet[a][b], (dd[v] for v in w_idx))
-                      for _, w_idx in ws])
+    lat, ws = ms.lattice, {}
+    for w, _, _, _, _, meet, _ in _w_sets(inst):
+        ws.setdefault(meet, w)
     for filt in enumerate_filters(lat):
-        for w, _ in ws:
+        for w in ws.values():
             found = test(lat, filt, extended_filter_crisp(ms, filt, w))
             if found is not None:
                 return _fail(pid, inst, found, w=w)
@@ -635,7 +692,7 @@ def _check_thm_2_3(inst: Instance):
 
 @_row_law("thm-3.1-filter",
           "the extension of a fuzzy filter is a fuzzy filter containing it",
-          key="ups")
+          key=_by_ups)
 def _thm_3_1_filter(r: _Row):
     if any(u < g for u, g in zip(r.ups, r.grades)):
         return "extension lost ground"
@@ -657,11 +714,7 @@ def _prime_stage(inst: Instance) -> tuple:
     the instance's grades, 0 and 1, which hold every extension's grades."""
     lat = inst.ms.lattice
     universe = inst._ranks.grades
-    # built before any row, so an over-cap universe skips whatever the rows
-    try:
-        filter_pool(lat, universe)
-    except SizeCapExceeded as exc:
-        raise HypothesisUnmet("thm-3.1-prime", str(exc)) from None
+    filter_pool(lat, universe)  # before any row, so an over-cap universe skips whatever the rows
 
     def test(r: _Row):
         if len(set(r.ups)) == 1 or _prime_by_cut(lat, r.ups, r.one):
@@ -673,7 +726,7 @@ def _prime_stage(inst: Instance) -> tuple:
             return ("extension is a non-prime fuzzy filter",
                     {"phi": phi, "psi": psi, "upsilon": ups})
 
-    return test, _w_sets, None, "ups"
+    return test, _w_sets, None, _by_ups
 
 
 _law("thm-3.1-prime", "the extension of a fuzzy filter is a prime fuzzy filter "
@@ -684,10 +737,13 @@ _law("thm-3.1-prime", "the extension of a fuzzy filter is a prime fuzzy filter "
 def _base_subsets(r: _Row):
     """The first z ⊆ W in mask order of each base grade, all ``upsilon_row``
     reads of z: the singleton of the first w in W of that image grade."""
-    return _firsts([(v,) for v in r.w_idx], [r.grades[r.dd[v]] for v in r.w_idx])
+    firsts: dict[int, tuple[int]] = {}
+    for v in r.w_idx:
+        firsts.setdefault(r.grades[r.dd[v]], (v,))
+    return firsts.values()
 
 
-@_row_law("lemma-3.2.1", "monotone in the reference subset")
+@_row_law("lemma-3.2.1", "monotone in the reference subset", key=_by_grades)
 def _lemma_3_2_1(r: _Row):
     for z in _base_subsets(r):
         if any(a > b for a, b in zip(upsilon_row(r.ms, r.grades, z), r.ups)):
@@ -702,7 +758,8 @@ def _lemma_3_2_2(r1: _Row, r2: _Row):
         return "extension not monotone in the filter"
 
 
-@_row_law("lemma-3.2.3", "no growth at points above the whole double-negation image")
+@_row_law("lemma-3.2.3", "no growth at points above the whole double-negation image",
+          key=_by_join)
 def _lemma_3_2_3(r: _Row):
     leq = r.lat.leq_table
     for t in range(r.lat.n):
@@ -712,7 +769,7 @@ def _lemma_3_2_3(r: _Row):
 
 @_row_law("lemma-3.2.4",
           "for injective filters, an unmoved point dominates the image",
-          when=lambda ms, grades: len(set(grades)) == ms.lattice.n)
+          when=lambda ms, grades: len(set(grades)) == ms.lattice.n, key=_by_join)
 def _lemma_3_2_4(r: _Row):
     leq = r.lat.leq_table
     for t in range(r.lat.n):
@@ -721,7 +778,8 @@ def _lemma_3_2_4(r: _Row):
 
 
 @_row_law("lemma-3.2.5",
-          "a reference element double-negating to the top forces the constant one")
+          "a reference element double-negating to the top forces the constant one",
+          key=_by_top)
 def _lemma_3_2_5(r: _Row):
     top_i = r.lat.element_index(r.lat.top)
     if any(r.dd[v] == top_i for v in r.w_idx) and any(g != r.one for g in r.ups):
@@ -736,7 +794,8 @@ def _lemma_3_2_6(r: _Row):
         return "extension over a unit-reaching subset is not one"
 
 
-@_row_law("lemma-3.2.7", "a point of grade one comes from the filter or from the image")
+@_row_law("lemma-3.2.7", "a point of grade one comes from the filter or from the image",
+          key=_by_base)
 def _lemma_3_2_7(r: _Row):
     if any(r.grades[r.dd[v]] == r.one for v in r.w_idx):
         return None  # the image supplies grade one
@@ -753,7 +812,7 @@ def _prop_3_3_1(r1: _Row, r2: _Row):
         return "union and extension do not commute"
 
 
-@_row_law("prop-3.3.2", "the extension maps meets to minima", key="ups")
+@_row_law("prop-3.3.2", "the extension maps meets to minima", key=_by_ups)
 def _prop_3_3_2(r: _Row):
     pair = first_break(r.lat.meet_table, r.ups, min)
     if pair is not None:
@@ -762,7 +821,7 @@ def _prop_3_3_2(r: _Row):
 
 @_row_law("def-3.4-consistency",
           "both fixedness routes agree, and the canonical subsets never move "
-          "a fuzzy filter")
+          "a fuzzy filter", key=_by_base)
 def _fixedness_routes_agree(r: _Row):
     if (r.ups == r.grades) != (r.base <= min(r.grades)):
         return "fixedness routes disagree"
@@ -770,10 +829,10 @@ def _fixedness_routes_agree(r: _Row):
 
 def _canonical_w_sets(inst: Instance, chi: FuzzySet):
     lat = inst.ms.lattice
-    return [
+    return _listed(inst.ms, [
         _named(lat, sorted(c.members, key=lat.element_index))
         for c in fixed_witness_sets(inst.ms, chi) if c.members
-    ]
+    ])
 
 
 @_row_law("def-3.4-consistency", ws=_canonical_w_sets)
@@ -782,7 +841,7 @@ def _canonical_stays_fixed(r: _Row):
         return "a canonical subset moved the filter"
 
 
-@_row_law("prop-3.6", "fixedness is inherited by nonempty subsets of W")
+@_row_law("prop-3.6", "fixedness is inherited by nonempty subsets of W", key=_by_grades)
 def _prop_3_6(r: _Row):
     if r.ups != r.grades:
         return None
@@ -801,7 +860,7 @@ def _prop_3_7(r1: _Row, r2: _Row):
 
 
 @_row_law("thm-3.8", "singleton extensions evaluate to a two-way maximum",
-          ws=_singletons)
+          ws=_singletons, key=_by_base)
 def _thm_3_8(r: _Row):
     image_grade = r.grades[r.dd[r.w_idx[0]]]
     if r.ups != tuple(max(g, image_grade) for g in r.grades):
@@ -811,7 +870,7 @@ def _thm_3_8(r: _Row):
 @_row_law("cor-3.9",
           "a singleton extension value differing from the image grade is the "
           "original grade",
-          ws=_singletons)
+          ws=_singletons, key=_by_base)
 def _cor_3_9(r: _Row):
     image_grade = r.grades[r.dd[r.w_idx[0]]]
     for t in range(r.lat.n):
@@ -838,7 +897,7 @@ def _omega_keeps_bottom_fixed(r: _Row):
         return "strong extension over the bottom moved the filter"
 
 
-@_row_law("def-4.1-consistency", key="omg")
+@_row_law("def-4.1-consistency", key=_by_omg)
 def _omega_grows_and_keeps_unit(r: _Row):
     if any(o < g for o, g in zip(r.omg, r.grades)):
         return "strong extension lost ground"
@@ -846,7 +905,8 @@ def _omega_grows_and_keeps_unit(r: _Row):
         return "strong extension lost the unit"
 
 
-@_row_law("upsilon-subset-omega", "the extension sits inside the strong extension")
+@_row_law("upsilon-subset-omega", "the extension sits inside the strong extension",
+          key=_by_base_omg)
 def _upsilon_subset_omega(r: _Row):
     if any(u > o for u, o in zip(r.ups, r.omg)):
         return "extension escaped the strong extension"
@@ -856,7 +916,7 @@ def _upsilon_subset_omega(r: _Row):
           "the strong extension of a fuzzy filter is a fuzzy filter "
           "(refutable for reference subsets with two or more elements: separate "
           "maxima need not commute with the meet)",
-          key="omg")
+          key=_by_omg)
 def _thm_4_3(r: _Row):
     if not is_filter_row(r.lat, r.omg, r.one):
         return "strong extension is not a fuzzy filter", {"omega": r.fuzzy(r.omg)}
@@ -864,13 +924,14 @@ def _thm_4_3(r: _Row):
 
 @_row_law("remark-4.4",
           "for join-homomorphic filters the two extensions coincide",
-          when=_join_hom)
+          when=_join_hom, key=_by_base_omg)
 def _remark_4_4(r: _Row):
     if r.ups != r.omg:
         return "extensions split despite join-homomorphism"
 
 
-@_row_law("thm-4.7", "the extension evaluates through any dense element of the image")
+@_row_law("thm-4.7", "the extension evaluates through any dense element of the image",
+          key=_by_base)
 def _thm_4_7(r: _Row):
     d = min(dense_row(r.grades, {r.dd[v] for v in r.w_idx})[1])  # dense elements share a grade
     for t in range(r.lat.n):
@@ -884,9 +945,12 @@ def _thm_4_7(r: _Row):
           "among the candidate joins")
 def _thm_4_8(r: _Row):
     lat, grades = r.lat, r.grades
+    image = [r.dd[v] for v in r.w_idx]
     for t, row in enumerate(lat.join_table):
-        joins = [grades[row[r.dd[v]]] for v in r.w_idx]
+        joins = [grades[row[d]] for d in image]
         top, hit = max(joins), r.omg[t]
+        if hit == top:
+            continue  # then each join's grade is the hit exactly when it is the top
         for v, g in zip(r.w_idx, joins):
             # the join is dense among the candidate joins when its grade is the top one
             if (g == hit) != (g == top):
@@ -897,7 +961,7 @@ def _thm_4_8(r: _Row):
 @_row_law("thm-5.1",
           "join-homomorphic filters extend to lattice homomorphisms, and the "
           "grade-level double negation is inherited",
-          when=_join_hom, key="ups")
+          when=_join_hom, key=_by_ups)
 def _ups_is_lattice_hom(r: _Row):
     if not (_join_hom(r.ms, r.ups) and first_break(r.lat.meet_table, r.ups, min) is None):
         return "extension is not a lattice homomorphism"
@@ -908,7 +972,7 @@ def _dd_compatible(ms: MSAlgebra, grades) -> bool:
     return all(grades[dd[i]] == grades[i] for i in range(ms.lattice.n))
 
 
-@_row_law("thm-5.1", when=_dd_compatible, key="ups")
+@_row_law("thm-5.1", when=_dd_compatible, key=_by_ups)
 def _ups_dd_compatible(r: _Row):
     if any(r.ups[r.dd[i]] != r.ups[i] for i in range(r.lat.n)):
         return "double-negation compatibility not inherited"
@@ -916,14 +980,15 @@ def _ups_dd_compatible(r: _Row):
 
 @_row_law("prop-5.2",
           "kernel of the extension: killed by the source and the whole image "
-          "killed")
+          "killed", key=_by_base)
 def _prop_5_2(r: _Row):
     if not kernel_row(r.ms, r.grades, r.ups, r.w_idx, 0):
         return "kernel characterization broke"
 
 
 @_row_law("prop-5.3",
-          "cokernel of the extension: unit grade at the source or in the image")
+          "cokernel of the extension: unit grade at the source or in the image",
+          key=_by_base)
 def _prop_5_3(r: _Row):
     if not cokernel_row(r.ms, r.grades, r.ups, r.w_idx, r.one):
         return "cokernel characterization broke"
@@ -948,7 +1013,7 @@ def _fiber_break(r: _Row, table):
     return None
 
 
-@_row_law("lemma-5.4-meet", "fibers of the extension are meet-closed", key="ups")
+@_row_law("lemma-5.4-meet", "fibers of the extension are meet-closed", key=_by_ups)
 def _lemma_5_4_meet(r: _Row):
     pair = _fiber_break(r, r.lat.meet_table)
     return None if pair is None else ("a fiber is not meet-closed", {"pair": pair})
@@ -956,7 +1021,7 @@ def _lemma_5_4_meet(r: _Row):
 
 @_row_law("lemma-5.4-join",
           "for join-homomorphic filters, fibers of the extension are join-closed",
-          when=_join_hom, key="ups")
+          when=_join_hom, key=_by_ups)
 def _lemma_5_4_join(r: _Row):
     pair = _fiber_break(r, r.lat.join_table)
     return None if pair is None else ("a fiber is not join-closed", {"pair": pair})
@@ -1022,7 +1087,10 @@ def run_property(pid: str, instance: Instance) -> Witness | None:
         raise HypothesisUnmet(pid, "negation table violates the axioms")
     if record.requires_filters and not instance.chis:
         raise HypothesisUnmet(pid, "no fuzzy filters available on the instance")
-    return record.check(instance)
+    try:
+        return record.check(instance)
+    except SizeCapExceeded as exc:  # a filter pool or a skeleton too large to scan
+        raise HypothesisUnmet(pid, str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -1108,7 +1176,7 @@ def _neg_closure_stats(inst: Instance) -> tuple[int, int]:
     closed = total = 0
     for k, grades in enumerate(inst._ranks.rows):
         image = [grades[d] for d in dd]
-        for r in _stage_rows(inst, k, _w_sets, "base"):
+        for r in _stage_rows(inst, k, _w_sets, _by_base):
             weight = (1 << sum(g <= r.base for g in image)) - (1 << sum(g < r.base for g in image))
             for fiber in _fibers(r.ups):
                 total += weight

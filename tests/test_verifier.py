@@ -114,6 +114,43 @@ def test_catalog_members_are_valid_and_nonisomorphic():
     assert len(set(profiles)) == len(cat)
 
 
+def _down_sets(down):
+    """All down-closed subsets of a poset given per-element down masks."""
+    return [mask for mask in range(1 << len(down))
+            if all(down[i] & ~mask == 0 for i in range(len(down)) if mask >> i & 1)]
+
+
+def _catalog_by_re_enumeration(max_n):
+    """The catalog as built before down-sets were counted from the parent
+    poset: every extension's down-sets enumerated over all its masks."""
+    from msfuzz.verifier import _canonical_poset, _lattice_from_poset
+
+    reps, frontier = {(): ()}, [()]
+    while frontier:
+        next_frontier = []
+        for down in frontier:
+            for d_mask in _down_sets(down):
+                extended = down + (d_mask | 1 << len(down),)
+                if len(_down_sets(extended)) > max_n:
+                    continue
+                canon = _canonical_poset(extended)
+                if canon not in reps:
+                    reps[canon] = extended
+                    next_frontier.append(extended)
+        frontier = next_frontier
+    lattices = [_lattice_from_poset(_down_sets(reps[c])) for c in sorted(reps, key=repr)]
+    return sorted(lattices, key=lambda lat: (lat.n, lat.leq_table))
+
+
+def test_catalog_matches_re_enumerated_down_sets():
+    """Counting an extension's down-sets from its parent's gives the same
+    catalog, lattice by lattice, as enumerating every mask, up to the cap."""
+    for n in range(1, 9):
+        got, expected = lattice_catalog(n), _catalog_by_re_enumeration(n)
+        assert [(lat.elements, lat.covers, lat.leq_table) for lat in got] == [
+            (lat.elements, lat.covers, lat.leq_table) for lat in expected]
+
+
 def test_catalog_cap():
     with pytest.raises(SizeCapExceeded):
         lattice_catalog(9)
@@ -652,6 +689,46 @@ def _image(ms, w_idx):
     return frozenset(ms.dneg_table()[v] for v in w_idx)
 
 
+# The W routes the scans took before they built rows from the skeleton,
+# kept as brute-force references: every nonempty subset of the carrier in
+# mask order, and the first W of each double-negation image among them.
+
+def _subsets(items):
+    """Nonempty sub-tuples in mask order: bit k of the mask keeps items[k]."""
+    return [tuple(x for k, x in enumerate(items) if mask >> k & 1)
+            for mask in range(1, 1 << len(items))]
+
+
+def _every_w(lat, w_sets):
+    """The reference subsets as (names, indices): the given ``w_sets`` in
+    their order, else every nonempty subset in mask order."""
+    listed = _subsets(lat.elements) if w_sets is None else w_sets
+    return tuple((tuple(w), tuple(lat.element_index(x) for x in w)) for w in listed)
+
+
+def _image_w_sets(lat, dd, w_sets):
+    """The first reference subset of each double-negation image."""
+    firsts = {}
+    for w, w_idx in _every_w(lat, w_sets):
+        firsts.setdefault(frozenset(dd[v] for v in w_idx), (w, w_idx))
+    return list(firsts.values())
+
+
+def _row(inst, grades, w, w_idx):
+    """A row with every field computed directly from its W."""
+    from msfuzz.verifier import _listed, _rows
+
+    return _rows(inst, grades, _listed(inst.ms, [(w, w_idx)]))[0]
+
+
+def _reversed_w(inst):
+    """The instance with every nonempty W listed, in reverse mask order, so
+    that a scan meets a W of two or more elements first."""
+    lat = inst.ms.lattice
+    return Instance(inst.ms, inst.chis, inst.grade_universe,
+                    tuple(w for w, _ in reversed(_every_w(lat, None))))
+
+
 class _BruteScan:
     """Every row of a law, nothing skipped, each default-W stage over every
     W: the first outcome that is not a pass (a witness dict or an error
@@ -661,8 +738,6 @@ class _BruteScan:
     instance's row table."""
 
     def __init__(self, pid, inst):
-        from msfuzz.verifier import _every_w
-
         self.pid, self.inst = pid, inst
         self.every = _every_w(inst.ms.lattice, inst.w_sets)
         self.first, self.classes = None, {}
@@ -678,7 +753,7 @@ class _BruteScan:
                 self.pid, self.inst, found, chis=chis, w=w).to_dict()
 
     def stages(self, stages):
-        from msfuzz.verifier import _Row, _w_sets
+        from msfuzz.verifier import _w_sets
 
         ms, ranks = self.inst.ms, self.inst._ranks
         for chi, grades in zip(self.inst.chis, ranks.rows):
@@ -686,11 +761,12 @@ class _BruteScan:
                 if when is not None and not when(ms, grades):
                     continue
                 default = ws is _w_sets
-                for w, w_idx in self.every if default else ws(self.inst, chi):
-                    row = _Row(ms, ranks, grades, w, w_idx)
+                listed = [img[:2] for img in ws(self.inst, chi)]
+                for w, w_idx in self.every if default else listed:
+                    row = _row(self.inst, grades, w, w_idx)
                     group = None
                     if key is not None:
-                        group = (chi, s, key, getattr(row, key))
+                        group = (chi, s, key, key(row))
                     elif default:
                         group = (chi, s, "image", _image(ms, w_idx))
                     self.visit(test, [row], [chi], group, w)
@@ -704,7 +780,6 @@ class _BruteScan:
         (for a symmetric law, only the pairs with chi2 at or after chi1).
         Every ordered pair is still run for the first outcome."""
         from msfuzz.extensions import upsilon_row
-        from msfuzz.verifier import _Row
 
         ms, ranks = self.inst.ms, self.inst._ranks
         self.reads, self.firsts = {}, []
@@ -714,7 +789,7 @@ class _BruteScan:
                     continue
                 union, firsts = tuple(map(max, g1, g2)), {}
                 for w, w_idx in self.every:
-                    rows = [_Row(ms, ranks, g1, w, w_idx), _Row(ms, ranks, g2, w, w_idx)]
+                    rows = [_row(self.inst, g1, w, w_idx), _row(self.inst, g2, w, w_idx)]
                     key = (_base(ms, g1, w_idx), _base(ms, g2, w_idx))
                     group = (chi1, chi2, key)
                     firsts.setdefault(key, w)
@@ -753,7 +828,6 @@ def test_crisp_extension_reads_w_through_its_image():
     """thm-2.3-extended-filter checks the first W of each double-negation
     image only: every W of one image has the same crisp extension."""
     from msfuzz import enumerate_filters, enumerate_ms_operations, extended_filter_crisp
-    from msfuzz.verifier import _every_w
 
     for lat in lattice_catalog(4):
         for neg in enumerate_ms_operations(lat):
@@ -792,7 +866,6 @@ def _meet_classes(ms):
     """Per filter, the crisp extensions of every W grouped by the meet of
     W's double-negation image, and how many images share each meet."""
     from msfuzz import enumerate_filters, extended_filter_crisp
-    from msfuzz.verifier import _every_w
 
     lat = ms.lattice
     images = {}
@@ -851,7 +924,7 @@ def test_crisp_scan_matches_every_w():
     first).  The law holds on every catalog algebra; over every W it fails
     on some of N5 and M3."""
     from msfuzz import enumerate_filters, extended_filter_crisp
-    from msfuzz.verifier import _crisp_scan, _every_w, _fail, _filter_containing_source
+    from msfuzz.verifier import _crisp_scan, _fail, _filter_containing_source
 
     pid = "thm-2.3-extended-filter"
 
@@ -882,38 +955,156 @@ def test_crisp_scan_matches_every_w():
                for ms in _nondistributive_algebras())
 
 
+def _check_row_keys(inst, checked):
+    """Oracle: each W a scan skips would share the verdict of the row it
+    keeps.  Rows of one chi (or pair) and stage with equal keys, or with
+    equal double-negation images where the stage reads the default W list,
+    share a verdict, and the first failing row over every W, each built
+    directly from its W, is the scan's witness.  For the pair laws, each
+    (b1, b2) class reads the same of W and the scan visits exactly the
+    first W of each class.  ``checked`` counts classes, failures and
+    errors."""
+    from msfuzz.verifier import _PAIR_STAGES, _STAGES
+
+    for pid in [*_STAGES, "thm-3.1-prime", *_PAIR_STAGES]:
+        verdict, witness = _outcome(lambda: run_property(pid, inst))
+        if verdict == "HypothesisUnmet":
+            continue
+        scan = _brute_scan(pid, inst)
+        if pid in _PAIR_STAGES:
+            assert all(len(r) == 1 for r in scan.reads.values()), pid
+            assert _pair_visits(pid, inst) == scan.firsts, pid
+        mixed = [k for k, verdicts in scan.classes.items() if len(verdicts) > 1]
+        assert not mixed, (pid, mixed[0][1:])
+        expected = witness.to_dict() if witness is not None else (
+            None if verdict == "pass" else verdict)
+        assert scan.first == expected, pid
+        checked["classes"] += len(scan.classes)
+        checked["fail" if witness is not None else "error"] += verdict != "pass"
+
+
 def test_row_keys_agree_with_brute_force():
-    """Each W a scan skips would share the verdict of the row it keeps:
-    rows of one chi (or pair) and stage with equal keys, or with equal
-    double-negation images where the stage reads the default W list, share
-    a verdict, and the first failing row over every W is the scan's
-    witness.  The pair laws pass on every input, so for them the test also
-    asserts that each (b1, b2) class reads the same of W and that the scan
-    visits exactly the first W of each class."""
+    """``_check_row_keys`` on every key oracle input, with W in mask order
+    and, up to three elements, listed in reverse, where a scan keys the listed rows themselves and
+    meets a W of two or more elements first.  The pair laws pass on every
+    input, so the test of their keys is the visit order."""
     from msfuzz.verifier import _PAIR_STAGES, _STAGES, _w_sets
 
-    pids = [*_STAGES, "thm-3.1-prime", *_PAIR_STAGES]
     skipping = [pid for pid in _STAGES
                 if any(ws is _w_sets or key for _, ws, _, key in _STAGES[pid])]
-    assert len(skipping) + 1 + len(_PAIR_STAGES) == 24
+    assert len(skipping) + 1 + len(_PAIR_STAGES) == 26
     checked = {"classes": 0, "fail": 0, "error": 0}
     for inst in _key_oracle_inputs():
-        for pid in pids:
-            verdict, witness = _outcome(lambda: run_property(pid, inst))
-            if verdict == "HypothesisUnmet":
-                continue
-            scan = _brute_scan(pid, inst)
-            if pid in _PAIR_STAGES:
-                assert all(len(r) == 1 for r in scan.reads.values()), pid
-                assert _pair_visits(pid, inst) == scan.firsts, pid
-            mixed = [k for k, verdicts in scan.classes.items() if len(verdicts) > 1]
-            assert not mixed, (pid, mixed[0][1:])
-            expected = witness.to_dict() if witness is not None else (
-                None if verdict == "pass" else verdict)
-            assert scan.first == expected, pid
-            checked["classes"] += len(scan.classes)
-            checked["fail" if witness is not None else "error"] += verdict != "pass"
+        _check_row_keys(inst, checked)
+        if inst.ms.lattice.n <= 3:  # at four elements the reverse list runs 15 W
+            _check_row_keys(_reversed_w(inst), checked)
     assert all(checked.values()), checked
+
+
+# -- rows from the skeleton ------------------------------------------------------
+
+def _assert_skeleton_route(ms):
+    """Oracle: the skeleton builder lists the W of the mask route, the first
+    of each double-negation image, in its order, with the join, meet and
+    top of each image as computed from W directly."""
+    from msfuzz.verifier import _listed, _skeleton_images
+
+    lat, dd = ms.lattice, ms.dneg_table()
+    got = _skeleton_images(lat, dd)
+    expected = _listed(ms, _image_w_sets(lat, dd, None))
+    assert [img[:2] + img[4:] for img in got] == [img[:2] + img[4:] for img in expected]
+
+
+def test_skeleton_images_match_the_mask_route():
+    """``_assert_skeleton_route`` on every catalog algebra up to six elements."""
+    checked = 0
+    for ms in _algebras(lattice_catalog(6)):
+        _assert_skeleton_route(ms)
+        checked += 1
+    assert checked
+
+
+def _assert_recurrences(inst):
+    """Oracle: for every chi and skeleton image, the base and omega
+    recurrences give max chi(w°°) and max chi(t ∨ w°°) over W."""
+    from msfuzz.verifier import _bases, _omegas, _skeleton_images
+
+    ms = inst.ms
+    lat, dd = ms.lattice, ms.dneg_table()
+    images = _skeleton_images(lat, dd)
+    for g in inst._ranks.rows:
+        assert _bases(images, g) == [_base(ms, g, idx) for _, idx, *_ in images]
+        assert _omegas(images, lat.join_table, g) == [
+            tuple(max(g[row[dd[v]]] for v in idx) for row in lat.join_table)
+            for _, idx, *_ in images]
+
+
+def test_recurrences_match_every_image():
+    """``_assert_recurrences`` on every catalog instance up to five elements,
+    over three and four grades."""
+    from msfuzz.verifier import _instance_stream
+
+    checked = 0
+    for universe in (UNIVERSE3, THIRDS0):
+        for inst in _instance_stream(SearchConfig(max_elements=5, grade_universe=universe)):
+            _assert_recurrences(inst)
+            checked += 1
+    assert checked
+
+
+def test_a_two_element_skeleton_builds_three_rows():
+    """A 20-element chain whose negation sends all but the bottom to the
+    bottom has the skeleton {bottom, top}: a scan builds 3 image rows, not
+    2^20 - 1, and every law runs."""
+    from msfuzz import FuzzySet
+    from msfuzz.verifier import _stage_rows, _w_sets
+
+    from .conftest import chain
+
+    lat = chain(20)
+    ms = MSAlgebra(lat, {e: lat.top if e == lat.bottom else lat.bottom for e in lat.elements})
+    chi = FuzzySet(lat, tuple(Fraction(min(k, 10), 10) for k in range(20)))
+    inst = Instance(ms, (chi,), grades(*chi.grades))
+    assert [r.w for r in _stage_rows(inst, 0, _w_sets)] == [("c0",), ("c1",), ("c0", "c1")]
+    for rec in properties():
+        if rec.fixture is None and rec.pid != "thm-3.1-prime":  # its pool is over the cap
+            run_property(rec.pid, inst)
+
+
+def _image_scan_laws():
+    from msfuzz.verifier import _PAIR_STAGES, _STAGES, _w_sets
+
+    return {"thm-2.3-extended-filter", "thm-3.1-prime", *_PAIR_STAGES,
+            *(pid for pid, stages in _STAGES.items() if any(s[1] is _w_sets for s in stages))}
+
+
+def test_a_skeleton_over_the_cap_leaves_the_image_scans_unmet():
+    """On the Boolean lattice of 2^7 elements with complement as negation,
+    |S| = 128: every law that scans the images reports the skeleton cap as
+    its unmet hypothesis (thm-3.1-prime its filter-pool cap, checked
+    first), and the other laws still run."""
+    from msfuzz import FuzzySet
+    from msfuzz.verifier import SKELETON_CAP
+
+    from .conftest import boolean_order
+
+    lat = build_lattice(*boolean_order(7))
+    ms = MSAlgebra(lat, {f"s{m}": f"s{127 ^ m}" for m in range(128)})
+    chi = FuzzySet(lat, grades(*(m & 1 for m in range(128))))
+    inst = Instance(ms, (chi,), UNIVERSE2)
+    scans = _image_scan_laws()
+    assert SKELETON_CAP < 128 and len(scans) == 25
+    for rec in properties():
+        if rec.fixture is not None:
+            continue
+        if rec.pid not in scans:
+            assert run_property(rec.pid, inst) is None, rec.pid
+            continue
+        with pytest.raises(HypothesisUnmet) as exc:
+            run_property(rec.pid, inst)
+        cap = "|elements| * |grades| = 256" if rec.pid == "thm-3.1-prime" else (
+            f"|skeleton| = 128 exceeds cap {SKELETON_CAP}")
+        assert cap in exc.value.reason, rec.pid
 
 
 def _thm_4_8_by_dense_sets(r):
@@ -936,7 +1127,7 @@ def test_thm_4_8_compares_grades_with_the_top_join():
     largest, gives the dense-set reading's result (detail and first theta,
     then first w) on every row, also when omega is replaced by another
     row so that the predicate fails."""
-    from msfuzz.verifier import _Row, _every_w, _thm_4_8
+    from msfuzz.verifier import _thm_4_8
 
     failed = 0
     for inst in _key_oracle_inputs():
@@ -946,9 +1137,9 @@ def test_thm_4_8_compares_grades_with_the_top_join():
         for grades in ranks.rows:
             for w, w_idx in _every_w(ms.lattice, inst.w_sets):
                 for swap in (None, "ups", "grades"):
-                    row = _Row(ms, ranks, grades, w, w_idx)
+                    row = _row(inst, grades, w, w_idx)
                     if swap is not None:
-                        row._omg = getattr(row, swap)
+                        row.omg = getattr(row, swap)
                     found = _thm_4_8(row)
                     assert found == _thm_4_8_by_dense_sets(row)
                     failed += found is not None
@@ -961,7 +1152,7 @@ def test_subset_keys_agree_with_every_subset():
     their loop visits the first z of each base grade in mask order, so the
     witness z is the first failing one of all."""
     from msfuzz.extensions import upsilon_row
-    from msfuzz.verifier import _base_subsets, _every_w, _Row, _subsets
+    from msfuzz.verifier import _base_subsets
 
     classes = 0
     for inst in _key_oracle_inputs():
@@ -974,7 +1165,7 @@ def test_subset_keys_agree_with_every_subset():
                     reads.setdefault(_base(ms, grades, z), set()).add(
                         upsilon_row(ms, grades, z))
                 assert all(len(r) == 1 for r in reads.values())
-                row = _Row(ms, ranks, grades, w, w_idx)
+                row = _row(inst, grades, w, w_idx)
                 assert list(_base_subsets(row)) == list(firsts.values())
                 classes += len(firsts)
     assert classes
@@ -1033,7 +1224,7 @@ def test_symmetric_half_scan_matches_full_scan():
 def test_flagged_pair_laws_are_symmetric():
     """Each pair law marked symmetric gives the same verdict on (r1, r2) as
     on (r2, r1), for every pair of pool rows and every W."""
-    from msfuzz.verifier import _PAIR_STAGES, _Row, _every_w
+    from msfuzz.verifier import _PAIR_STAGES
 
     flagged = sorted(pid for pid, (_, _, symmetric) in _PAIR_STAGES.items() if symmetric)
     assert flagged == ["prop-3.3.1", "prop-3.7"]
@@ -1041,7 +1232,7 @@ def test_flagged_pair_laws_are_symmetric():
     for inst in _pair_oracle_inputs():
         ms, ranks = inst.ms, inst._ranks
         for w, w_idx in _every_w(ms.lattice, inst.w_sets):
-            rows = [_Row(ms, ranks, g, w, w_idx) for g in ranks.rows]
+            rows = [_row(inst, g, w, w_idx) for g in ranks.rows]
             for r1 in rows:
                 for r2 in rows:
                     for pid in flagged:
@@ -1051,12 +1242,168 @@ def test_flagged_pair_laws_are_symmetric():
     assert pairs
 
 
+# -- mutants of the row kernels --------------------------------------------------
+
+def _mutant_inputs():
+    """Every catalog instance up to four elements over {0, 1/2, 1} and over
+    {1/3, 2/3, 1}, each also with every W listed in reverse, so that the
+    pair laws reach a W of two or more elements; then the law-outcome
+    inputs up to three elements, where non-filter maps fail laws."""
+    for inst in _pair_oracle_inputs():
+        yield inst
+        yield _reversed_w(inst)
+    yield from (inst for inst in _law_outcome_inputs() if inst.ms.lattice.n <= 3)
+
+
+def _fresh(inst):
+    return Instance(inst.ms, inst.chis, inst.grade_universe, inst.w_sets)
+
+
+def _law_outcomes(inst):
+    pids = [rec.pid for rec in properties() if rec.fixture is None]
+    return [(lambda v, w: (v, w and w.to_dict()))(*_outcome(lambda: run_property(pid, inst)))
+            for pid in pids]
+
+
+@pytest.fixture(scope="module")
+def mutant_baseline():
+    inputs = list(_mutant_inputs())
+    return inputs, [_law_outcomes(_fresh(inst)) for inst in inputs]
+
+
+def _bases_ignoring_d(images, grades):
+    out = []
+    for _, _, rest, d, *_ in images:
+        out.append(grades[d] if rest < 0 else out[rest])
+    return out
+
+
+def _bases_ignoring_rest(images, grades):
+    return [grades[d] for _, _, _, d, *_ in images]
+
+
+def _omegas_by(op):
+    def omegas(images, join, grades):
+        out, single = [], {}
+        for _, _, rest, d, *_ in images:
+            if rest < 0:
+                single[d] = tuple(grades[row[d]] for row in join)
+                out.append(single[d])
+            else:
+                out.append(op(out[rest], single[d]))
+        return out
+
+    return omegas
+
+
+def _skeleton_map(change):
+    from msfuzz.verifier import _skeleton_images
+
+    return lambda lat, dd: change(_skeleton_images(lat, dd), lat, dd)
+
+
+def _omega_row_by(op, through_dd=True):
+    def omega_row(ms, grades, w_idx):
+        dd = ms.dneg_table()
+        images = [dd[w] if through_dd else w for w in w_idx]
+        return tuple(op(grades[joins[v]] for v in images) for joins in ms.lattice.join_table)
+
+    return omega_row
+
+
+def _pair_keys_map(change):
+    from msfuzz.verifier import _pair_keys
+
+    return lambda inst, i, j: change(_pair_keys(inst, i, j))
+
+
+# name -> (the patches as (module name, attribute, replacement), the killer:
+# "laws" when some law's outcome changes on a mutant input, else the oracle
+# that fails on one).  Kernels imported by name are patched where they are
+# looked up, in both modules.
+_MUTANTS = {
+    "raise_to-keeps-grades": ([("extensions", "_raise_to", lambda g, b: tuple(g)),
+                               ("verifier", "_raise_to", lambda g, b: tuple(g))], "laws"),
+    "raise_to-lowers": ([("extensions", "_raise_to", lambda g, b: tuple(min(x, b) for x in g)),
+                         ("verifier", "_raise_to", lambda g, b: tuple(min(x, b) for x in g))],
+                        "laws"),
+    "raise_to-flattens": ([("extensions", "_raise_to", lambda g, b: (b,) * len(g)),
+                           ("verifier", "_raise_to", lambda g, b: (b,) * len(g))], "laws"),
+    "omega_row-min": ([("extensions", "omega_row", _omega_row_by(min)),
+                       ("verifier", "omega_row", _omega_row_by(min))], "laws"),
+    "omega_row-skips-double-negation": (
+        [("extensions", "omega_row", _omega_row_by(max, through_dd=False)),
+         ("verifier", "omega_row", _omega_row_by(max, through_dd=False))], "laws"),
+    "bases-ignore-d": ([("verifier", "_bases", _bases_ignoring_d)], "laws"),
+    "bases-ignore-the-rest": ([("verifier", "_bases", _bases_ignoring_rest)], "laws"),
+    "omegas-keep-the-rest": ([("verifier", "_omegas", _omegas_by(lambda a, b: a))], "laws"),
+    "omegas-min": ([("verifier", "_omegas", _omegas_by(lambda a, b: tuple(map(min, a, b))))],
+                   "laws"),
+    "skeleton-reversed": ([("verifier", "_skeleton_images",
+                            _skeleton_map(lambda imgs, lat, dd: imgs[::-1]))],
+                          _assert_skeleton_route),
+    "skeleton-drops-the-whole": ([("verifier", "_skeleton_images",
+                                   _skeleton_map(lambda imgs, lat, dd: imgs[:-1]))],
+                                 _assert_skeleton_route),
+    "skeleton-w-is-the-image": (
+        [("verifier", "_skeleton_images", _skeleton_map(lambda imgs, lat, dd: [
+            (tuple(lat.elements[v] for v in sorted({dd[v] for v in idx})),
+             tuple(sorted({dd[v] for v in idx})), *rest) for _, idx, *rest in imgs]))],
+        "laws"),
+    "skeleton-join-is-meet": ([("verifier", "_skeleton_images", _skeleton_map(
+        lambda imgs, lat, dd: [img[:4] + (img[5],) + img[5:] for img in imgs]))],
+        _assert_skeleton_route),
+    "skeleton-never-top": ([("verifier", "_skeleton_images", _skeleton_map(
+        lambda imgs, lat, dd: [img[:6] + (False,) for img in imgs]))], "laws"),
+    "pair-keys-reversed": ([("verifier", "_pair_keys", _pair_keys_map(lambda ks: ks[::-1]))],
+                           _check_row_keys),
+    "pair-keys-first-only": ([("verifier", "_pair_keys", _pair_keys_map(lambda ks: ks[:1]))],
+                             _check_row_keys),
+    "pair-keys-drop-the-last": ([("verifier", "_pair_keys",
+                                  _pair_keys_map(lambda ks: ks[:-1]))], _check_row_keys),
+}
+
+
+def _oracle_fails(oracle, inst):
+    try:
+        if oracle is _assert_skeleton_route:
+            if inst.w_sets is None:
+                oracle(inst.ms)
+        elif oracle is _check_row_keys:
+            oracle(inst, {"classes": 0, "fail": 0, "error": 0})
+        else:
+            oracle(inst)
+    except AssertionError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("name", list(_MUTANTS))
+def test_mutant_is_killed(monkeypatch, mutant_baseline, name):
+    """Each hand-written mutant of a row kernel (``_raise_to``,
+    ``omega_row``, the base and omega recurrences, the skeleton builder and
+    the pair-key builder) changes some law's outcome on an input of
+    ``_mutant_inputs`` or fails its named oracle there."""
+    import importlib
+
+    patches, killer = _MUTANTS[name]
+    for module, attr, replacement in patches:
+        monkeypatch.setattr(importlib.import_module(f"msfuzz.{module}"), attr, replacement)
+    inputs, baseline = mutant_baseline
+    for inst, expected in zip(inputs, baseline):
+        if killer == "laws" and _law_outcomes(_fresh(inst)) != expected:
+            return
+        if killer != "laws" and _oracle_fails(killer, _fresh(inst)):
+            return
+    pytest.fail(f"mutant {name} survived")
+
+
 # -- closed forms ----------------------------------------------------------------
 
 def _neg_closure_by_every_w(inst):
     """Oracle: the fiber counts with one extension per (chi, W)."""
     from msfuzz.extensions import upsilon_row
-    from msfuzz.verifier import _every_w, _fibers
+    from msfuzz.verifier import _fibers
 
     ms = inst.ms
     neg = ms.neg_table
