@@ -4,24 +4,26 @@ exhaustive/randomized counterexample search.
 Every law has a string id (``lemma-3.2.1`` and friends).  A law check
 receives an Instance -- an algebra plus a pool of candidate fuzzy
 filters and a grade universe -- and returns the first violation as a
-replayable Witness or None.  Most laws are predicates over one (chi, W)
-row; a shared scan visits the rows in one order (chi in pool order, then
-W in mask order).  It visits the first W of each double-negation image
-{w°° : w in W}, all that the extensions read of W, and in a stage keyed
-by ``ups`` or ``omg`` (see ``_STAGES``) the first row of each key; pair
-laws visit the first W of each pair of base grades.  Each instance
-builds these rows once, in a table every law reads.  Rows and guards see
-only integer grade ranks, which order as the grades do (see ``_Ranks``),
-and test them with the row kernels of ``lattice_core``, ``fuzzy_core``,
-``extensions`` and ``hom_analysis``; grades come back only in witness
-data and in thm-3.1-prime for the rows that its rank gate does not pass.
+replayable Witness or None.  Most laws are predicates over (chi, W) rows,
+visited in one order: chi in pool order, then W in mask order.  The
+extensions read W only through its double-negation image D, a subset of
+the skeleton S = {x°°}, so each instance builds, once for every law, a
+row per chi and D from S by recurrences over D (over ``SKELETON_CAP``
+elements of S the scans report an unmet hypothesis).  A stage keyed on
+what its verdict reads -- the base grade max chi(D), the set of image
+grades, the join of D, whether D holds the top, or ``omg`` -- visits the
+first row of each key only; the pair laws, the first W of each pair of
+base grades (see ``_STAGES``).  Rows and guards see only integer grade
+ranks, which order as the grades do (see ``_Ranks``), and test them with
+the row kernels of ``lattice_core``, ``fuzzy_core``, ``extensions`` and
+``hom_analysis``; grades come back only in witness data and in
+thm-3.1-prime for the rows that its rank gate does not pass.
 
-Instances are generated from a catalog of all bounded distributive
-lattices up to a size cap.  The catalog enumerates posets by repeatedly
-attaching a maximal element, prunes by the number of down-sets, dedupes
-by a canonical form of the order relation, and realizes each poset as
-its lattice of down-sets (which is exactly the family of bounded
-distributive lattices, one per poset).
+Instances come from a catalog of all bounded distributive lattices up to
+a size cap: posets grown by attaching a maximal element, pruned by their
+number of down-sets (counted from the parent's), deduped by a canonical
+form of the order, each realized as its lattice of down-sets (exactly
+the bounded distributive lattices, one per poset).
 """
 
 from __future__ import annotations
@@ -101,18 +103,10 @@ def _canonical_poset(down: tuple[int, ...]) -> tuple:
     for i in range(k):
         for j in _bits(down[i]):
             up[j] |= 1 << i
-    inv: list[Any] = [
-        (bin(down[i]).count("1"), bin(up[i]).count("1")) for i in range(k)
-    ]
+    inv: list[Any] = [(bin(down[i]).count("1"), bin(up[i]).count("1")) for i in range(k)]
     for _ in range(2):
-        inv = [
-            (
-                inv[i],
-                tuple(sorted(inv[j] for j in _bits(down[i]) if j != i)),
-                tuple(sorted(inv[j] for j in _bits(up[i]) if j != i)),
-            )
-            for i in range(k)
-        ]
+        inv = [(inv[i], tuple(sorted(inv[j] for j in _bits(down[i]) if j != i)),
+                tuple(sorted(inv[j] for j in _bits(up[i]) if j != i))) for i in range(k)]
     groups: dict[Any, list[int]] = {}
     for i in range(k):
         groups.setdefault(inv[i], []).append(i)
@@ -121,17 +115,10 @@ def _canonical_poset(down: tuple[int, ...]) -> tuple:
     best = None
     for perm_parts in product(*(permutations(g) for g in ordered_groups)):
         relabel = [0] * k
-        pos = 0
-        for part in perm_parts:
-            for old in part:
-                relabel[old] = pos
-                pos += 1
-        pairs = sorted(
-            (relabel[j], relabel[i])
-            for i in range(k)
-            for j in _bits(down[i])
-            if j != i
-        )
+        for pos, old in enumerate(old for part in perm_parts for old in part):
+            relabel[old] = pos
+        pairs = sorted((relabel[j], relabel[i])
+                       for i in range(k) for j in _bits(down[i]) if j != i)
         encoding = (k, tuple(pairs))
         if best is None or encoding < best:
             best = encoding
@@ -166,12 +153,8 @@ def _lattice_from_poset(ds: list[int]) -> FiniteLattice:
     """The lattice of the down-sets ``ds`` of a poset, ordered by inclusion."""
     ds = sorted(ds, key=lambda m: (bin(m).count("1"), tuple(_bits(m))))
     names = {mask: f"e{i}" for i, mask in enumerate(ds)}
-    covers = [
-        (names[s], names[t])
-        for s in ds
-        for t in ds
-        if s & ~t == 0 and bin(t).count("1") == bin(s).count("1") + 1
-    ]
+    covers = [(names[s], names[t]) for s in ds for t in ds
+              if s & ~t == 0 and bin(t).count("1") == bin(s).count("1") + 1]
     return build_lattice([names[m] for m in ds], covers)
 
 
@@ -180,9 +163,7 @@ def lattice_catalog(max_elements: int) -> tuple[FiniteLattice, ...]:
     """All bounded distributive lattices with at most ``max_elements``
     elements, one per isomorphism class, in deterministic order."""
     if max_elements > MAX_ELEMENTS_CAP:
-        raise SizeCapExceeded(
-            f"max_elements {max_elements} exceeds cap {MAX_ELEMENTS_CAP}"
-        )
+        raise SizeCapExceeded(f"max_elements {max_elements} exceeds cap {MAX_ELEMENTS_CAP}")
     if max_elements < 1:
         raise ValueError("max_elements must be at least 1")
     lattices = [_lattice_from_poset(ds) for _, ds in _poset_reps(max_elements)]
@@ -214,8 +195,7 @@ class SearchConfig(Record):
             raise ValueError("max_elements must be at least 1")
         if self.max_elements > MAX_ELEMENTS_CAP:
             raise SizeCapExceeded(
-                f"max_elements {self.max_elements} exceeds cap {MAX_ELEMENTS_CAP}"
-            )
+                f"max_elements {self.max_elements} exceeds cap {MAX_ELEMENTS_CAP}")
         universe = tuple(sorted({Fraction(g) for g in self.grade_universe}))
         if ONE not in universe:
             raise ValueError("grade universe must contain 1")
@@ -287,9 +267,7 @@ class Witness(Record):
     def to_dict(self) -> dict[str, Any]:
         ms = self.instance.ms
         lat = ms.lattice
-        named = {}
-        for i, c in enumerate(self.instance.chis):
-            named["chi" if i == 0 else f"chi{i + 1}"] = c
+        named = {"chi" if i == 0 else f"chi{i + 1}": c for i, c in enumerate(self.instance.chis)}
         doc = document_from_objects(lat, ms, named)
         out: dict[str, Any] = {
             "property": self.property_id,
@@ -375,18 +353,18 @@ def _named(lat: FiniteLattice, w) -> tuple[tuple[str, ...], tuple[int, ...]]:
 
 
 def _skeleton_images(lat: FiniteLattice, dd: tuple[int, ...]) -> list[tuple]:
-    """Each double-negation image D, a nonempty subset of the skeleton
-    S = {x°°}, by its first W in mask order: the lowest preimage of each d
-    in D.  With S ordered by lowest preimage, D in mask order over S keeps
-    its W in mask order.  Entry k is the D of mask k + 1: (W's names, W's
-    indices, the entry of D less its first element d or -1, d, the join
-    and the meet of D, whether D holds the top)."""
+    """Each double-negation image D ⊆ S = {x°°} by its first W in mask
+    order, the lowest preimage of each d in D; with S ordered by lowest
+    preimage, D in mask order over S keeps its W in mask order.  Entry k is
+    the D of mask k + 1: (W's names, W's indices, the entry of D less its
+    first element d or -1, d, the join and meet of D, top in D)."""
     low: dict[int, int] = {}
     for w in range(lat.n):
         low.setdefault(dd[w], w)
     if len(low) > SKELETON_CAP:
         raise SizeCapExceeded(f"|skeleton| = {len(low)} exceeds cap {SKELETON_CAP}")
-    skeleton, top, join, meet = list(low), lat.element_index(lat.top), lat.join_table, lat.meet_table
+    skeleton, top = list(low), lat.element_index(lat.top)
+    join, meet = lat.join_table, lat.meet_table
     images: list[tuple] = []
     for mask in range(1, 1 << len(skeleton)):
         rest = (mask & (mask - 1)) - 1
@@ -401,12 +379,9 @@ def _listed(ms: MSAlgebra, ws) -> list[tuple]:
     """Entries as in ``_skeleton_images`` for listed (names, indices)."""
     lat, dd = ms.lattice, ms.dneg_table()
     join, meet, top = lat.join_table, lat.meet_table, lat.element_index(lat.top)
-    out = []
-    for names, idx in ws:
-        image = [dd[v] for v in idx]
-        out.append((names, idx, None, None, reduce(lambda a, b: join[a][b], image),
-                    reduce(lambda a, b: meet[a][b], image), top in image))
-    return out
+    return [(names, idx, None, None, reduce(lambda a, b: join[a][b], image),
+             reduce(lambda a, b: meet[a][b], image), top in image)
+            for names, idx in ws for image in [[dd[v] for v in idx]]]
 
 
 def _w_sets(inst: Instance, chi: FuzzySet | None = None) -> list[tuple]:
@@ -421,8 +396,14 @@ def _w_sets(inst: Instance, chi: FuzzySet | None = None) -> list[tuple]:
 
 def _listed_w(pick):
     """A W source naming the same subsets, ``pick(lattice)``, for every chi."""
-    return lambda inst, chi: _listed(
-        inst.ms, [_named(inst.ms.lattice, w) for w in pick(inst.ms.lattice)])
+
+    def ws(inst: Instance, chi: FuzzySet):
+        if ws not in inst._rows:  # listed once per instance
+            lat = inst.ms.lattice
+            inst._rows[ws] = _listed(inst.ms, [_named(lat, w) for w in pick(lat)])
+        return inst._rows[ws]
+
+    return ws
 
 
 _singletons = _listed_w(lambda lat: [(e,) for e in lat.elements])
@@ -463,23 +444,19 @@ class _Row:
         return FuzzySet(self.lat, tuple(map(self.scale.__getitem__, ranks)))
 
 
-def _bases(images: list[tuple], grades) -> list[int]:
-    """Each skeleton image's base: base(D ∪ {d}) = max(base(D), chi(d))."""
-    out: list[int] = []
-    for _, _, rest, d, *_ in images:
-        out.append(max(out[rest], grades[d]) if rest >= 0 else grades[d])
-    return out
-
-
-def _omegas(images: list[tuple], join, grades) -> list[tuple]:
-    """Each skeleton image's omega: omg(D ∪ {d})(t) = max(omg(D)(t), chi(t ∨ d))."""
-    out: list[tuple] = []
+def _recurrences(images: list[tuple], join, grades) -> tuple[list, list]:
+    """Each skeleton image's base and omega, from the earlier entry's:
+    base(D ∪ {d}) = max(base(D), chi(d)) and
+    omg(D ∪ {d})(t) = max(omg(D)(t), chi(t ∨ d))."""
+    bases: list[int] = []
+    omgs: list[tuple] = []
     single: dict[int, tuple] = {}
     for _, _, rest, d, *_ in images:
         if rest < 0:
             single[d] = tuple(grades[row[d]] for row in join)
-        out.append(tuple(map(max, out[rest], single[d])) if rest >= 0 else single[d])
-    return out
+        bases.append(max(bases[rest], grades[d]) if rest >= 0 else grades[d])
+        omgs.append(tuple(map(max, omgs[rest], single[d])) if rest >= 0 else single[d])
+    return bases, omgs
 
 
 def _rows(inst: Instance, grades, images: list[tuple]) -> list[_Row]:
@@ -487,7 +464,7 @@ def _rows(inst: Instance, grades, images: list[tuple]) -> list[_Row]:
     by ``_base_grade`` and ``omega_row`` over listed ones."""
     ms = inst.ms
     if images and images[0][2] is not None:
-        bases, omgs = _bases(images, grades), _omegas(images, ms.lattice.join_table, grades)
+        bases, omgs = _recurrences(images, ms.lattice.join_table, grades)
     else:
         bases = [_base_grade(ms, grades, idx) for _, idx, *_ in images]
         omgs = [omega_row(ms, grades, idx) for _, idx, *_ in images]
@@ -571,14 +548,13 @@ def _pair_keys(inst: Instance, i: int, j: int) -> list[int]:
     table = inst._rows
     for k in (i, j):
         if ("masks", k) not in table:
-            masks: dict[int, int] = {}
+            masks = table["masks", k] = {}
             for n, r in enumerate(_stage_rows(inst, k, _w_sets)):
                 masks[r.base] = masks.get(r.base, 0) | 1 << n
-            table["masks", k] = list(masks.values())
     if ("pairs", i, j) not in table:
         table["pairs", i, j] = table["pairs", j, i] = sorted(
-            (both & -both).bit_length() - 1
-            for m1 in table["masks", i] for m2 in table["masks", j] if (both := m1 & m2))
+            (both & -both).bit_length() - 1 for m1 in table["masks", i].values()
+            for m2 in table["masks", j].values() if (both := m1 & m2))
     return table["pairs", i, j]
 
 
@@ -640,12 +616,8 @@ _DERIVED_IDENTITY_DETAILS = {
 }
 
 
-@_law(
-    "prop-2.1",
-    "derived identities: negation of joins, double negation over joins, "
-    "triple negation collapse, bottom negates to top",
-    requires_filters=False,
-)
+@_law("prop-2.1", "derived identities: negation of joins, double negation over joins, "
+      "triple negation collapse, bottom negates to top", requires_filters=False)
 def _check_prop_2_1(inst: Instance):
     failed = verify_derived_identities(inst.ms).failed()
     if not failed:
@@ -660,9 +632,9 @@ def _crisp_scan(pid: str, inst: Instance, test) -> Witness | None:
     fails: filters in ``enumerate_filters`` order, then W in ``_w_sets``
     order, on the first W of each meet m of its double-negation image D.
     In a distributive lattice, and ``build_lattice`` builds no other, x ∨ d
-    lies in a filter F for every d in D exactly when x ∨ m does (F is
-    up-closed and meet-closed, and the meet of the x ∨ d is x ∨ m), so the
-    crisp extension reads W only through m."""
+    lies in a filter F for every d in D exactly when x ∨ m does (F is up-
+    and meet-closed, and the x ∨ d meet in x ∨ m): the crisp extension
+    reads W only through m."""
     ms = inst.ms
     lat, ws = ms.lattice, {}
     for w, _, _, _, _, meet, _ in _w_sets(inst):
@@ -681,11 +653,8 @@ def _filter_containing_source(lat: FiniteLattice, filt, ext):
                 {"filter": sorted(filt.members), "result": sorted(ext.members)})
 
 
-@_law(
-    "thm-2.3-extended-filter",
-    "the crisp extension of a filter is a filter containing it",
-    requires_filters=False,
-)
+@_law("thm-2.3-extended-filter", "the crisp extension of a filter is a filter containing it",
+      requires_filters=False)
 def _check_thm_2_3(inst: Instance):
     return _crisp_scan("thm-2.3-extended-filter", inst, _filter_containing_source)
 
@@ -1027,32 +996,22 @@ def _lemma_5_4_join(r: _Row):
     return None if pair is None else ("a fiber is not join-closed", {"pair": pair})
 
 
-@_law(
-    "example-4.2-validity",
-    "the shipped seven-element fixture has a valid negation table "
-    "(known-refutable; its table breaks two axioms)",
-    requires_valid_ms=False,
-    requires_filters=False,
-    search_target=True,
-    fixture="example4_printed",
-)
+@_law("example-4.2-validity", "the shipped seven-element fixture has a valid negation table "
+      "(known-refutable; its table breaks two axioms)", requires_valid_ms=False,
+      requires_filters=False, search_target=True, fixture="example4_printed")
 def _check_example_4_2(inst: Instance):
     report = inst.ms.axiom_report
     if report.ok:
         return None
     failed = report.failed()
-    pick = next(
-        (c for c in failed if c.check_id == "double-negation-above"), failed[0]
-    )
+    pick = next((c for c in failed if c.check_id == "double-negation-above"), failed[0])
     return _fail("example-4.2-validity", inst,
                  ("negation table violates the axioms",
                   {"check": pick.check_id, "witness": dict(pick.witness or {})}))
 
 
 THEOREM_SUITE: tuple[str, ...] = tuple(
-    rec.pid for rec in _REGISTRY.values()
-    if not rec.search_target and rec.fixture is None
-)
+    rec.pid for rec in _REGISTRY.values() if not rec.search_target and rec.fixture is None)
 
 
 # ---------------------------------------------------------------------------
@@ -1064,9 +1023,7 @@ def document_instance(doc) -> Instance:
     filters, over their grades together with 0 and 1."""
     lat, ms, named = document_to_objects(doc)
     chis = tuple(fs for fs in named.values() if classify(lat, fs).is_filter)
-    universe = tuple(sorted(
-        {g for fs in named.values() for g in fs.grades} | {ZERO, ONE}
-    ))
+    universe = tuple(sorted({g for fs in named.values() for g in fs.grades} | {ZERO, ONE}))
     return Instance(ms=ms, chis=chis, grade_universe=universe)
 
 
@@ -1106,13 +1063,8 @@ class PropertyOutcome(Record):
     first_witness: Witness | None
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "id": self.pid,
-            "instances": self.instances,
-            "passes": self.passes,
-            "failures": self.failures,
-            "skips": self.skips,
-        }
+        out: dict[str, Any] = {"id": self.pid, "instances": self.instances, "passes": self.passes,
+                               "failures": self.failures, "skips": self.skips}
         if self.first_witness is not None:
             out["first_witness"] = self.first_witness.to_dict()
         return out
@@ -1135,31 +1087,24 @@ class SweepReport(Record):
         raise KeyError(pid)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "config": self.config.to_dict(),
-            "ok": self.ok,
-            "properties": [o.to_dict() for o in self.outcomes],
-            "stats": dict(sorted(self.stats.items())),
-        }
+        return {"config": self.config.to_dict(), "ok": self.ok,
+                "properties": [o.to_dict() for o in self.outcomes],
+                "stats": dict(sorted(self.stats.items()))}
 
 
 def _instance_stream(cfg: SearchConfig):
+    catalog = lattice_catalog(cfg.max_elements)
     if cfg.iterations is None:
-        for lat in lattice_catalog(cfg.max_elements):
-            pool = filter_pool(lat, cfg.grade_universe)
-            for neg in _ms_operations(lat):
-                yield Instance(MSAlgebra(lat, dict(neg)), pool, cfg.grade_universe)
+        tables = ((lat, neg) for lat in catalog for neg in _ms_operations(lat))
     else:
         rng = random.Random(cfg.seed)
         # not every distributive lattice carries a valid negation
-        candidates = [
-            lat for lat in lattice_catalog(cfg.max_elements) if _ms_operations(lat)
-        ]
-        for _ in range(cfg.iterations):
-            lat = rng.choice(candidates)
-            neg = rng.choice(_ms_operations(lat))
-            pool = filter_pool(lat, cfg.grade_universe)
-            yield Instance(MSAlgebra(lat, dict(neg)), pool, cfg.grade_universe)
+        candidates = [lat for lat in catalog if _ms_operations(lat)]
+        picks = (rng.choice(candidates) for _ in range(cfg.iterations))
+        tables = ((lat, rng.choice(_ms_operations(lat))) for lat in picks)
+    for lat, neg in tables:
+        yield Instance(MSAlgebra(lat, dict(neg)), filter_pool(lat, cfg.grade_universe),
+                       cfg.grade_universe)
 
 
 def _neg_closure_stats(inst: Instance) -> tuple[int, int]:
@@ -1167,11 +1112,8 @@ def _neg_closure_stats(inst: Instance) -> tuple[int, int]:
     every chi and nonempty W (a sweep lists no W).  The extension is
     max(chi, b) for the base grade b of W, so it is read once per (chi, b),
     from the row table, and weighs 2^#{w : chi(w°°) <= b} - 2^#{w : chi(w°°) < b},
-    the number of W with base b.
-
-    Observational only: the meet/join closure of fibers is a law, the
-    negation closure is not claimed anywhere and is merely counted.
-    """
+    the number of W with base b.  Observational only: the meet/join closure
+    of fibers is a law, the negation closure is merely counted."""
     neg, dd = inst.ms.neg_table, inst.ms.dneg_table()
     closed = total = 0
     for k, grades in enumerate(inst._ranks.rows):
@@ -1193,10 +1135,8 @@ def _tally(row: list[int], pid: str, inst: Instance, k: int) -> None:
         row[3] += 1
         return
     row[0] += 1
-    if witness is None:
-        row[1] += 1
-    else:
-        row[2] += 1
+    row[1 if witness is None else 2] += 1
+    if witness is not None:
         row[4] = min(row[4], k)
 
 
@@ -1238,13 +1178,12 @@ def _sweep_worker(fd: int, pids, stream, j: int, parts: int):
 
 def _split_sweep(pids: list[str], stream: list[Instance]) -> list[int]:
     """``_sweep_part`` over the whole stream, split across the CPUs this
-    process may run on: part 0 runs here, each other part in a forked
-    worker that sends back its integers.  Counts add up and lowest failing
-    indices take their minimum, so the result does not depend on the
-    split.  Workers are forked, not spawned, so they inherit the stream and
-    the filled catalog caches instead of rebuilding them; nothing in
-    msfuzz starts a thread.  A worker that raises, dies or sends short
-    makes this raise; no worker outlives the call."""
+    process may run on: part 0 here, each other part in a forked worker
+    that sends back its integers.  Counts add up and lowest failing indices
+    take their minimum, so the result does not depend on the split.  Forked
+    workers inherit the stream and the filled catalog caches; msfuzz starts
+    no thread.  A worker that raises, dies or sends short makes this raise;
+    no worker outlives the call."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     parts = max(1, min(cpus, len(stream)))
     fmt = f"{5 * len(pids) + 2}q"
@@ -1266,10 +1205,8 @@ def _split_sweep(pids: list[str], stream: list[Instance]) -> list[int]:
             code = os.waitstatus_to_exitcode(os.waitpid(child, 0)[1])
             reaped.add(child)
             if code != 0 or len(data) != size:
-                raise InternalInvariantError(
-                    f"sweep worker {j} of {parts - 1} exited with code {code} "
-                    f"after sending {len(data)} of {size} bytes"
-                )
+                raise InternalInvariantError(f"sweep worker {j} of {parts - 1} exited with code "
+                                             f"{code} after sending {len(data)} of {size} bytes")
             results.append(struct.unpack(fmt, data))
     finally:
         for child, read_fd in workers:
@@ -1320,13 +1257,8 @@ def sweep(pids=None, cfg: SearchConfig | None = None) -> SweepReport:
         witness = run_property(pid, runs_on[pid][first]) if failures else None
         if failures and witness is None:
             raise InternalInvariantError(f"{pid}: a counted failure did not replay")
-        outcomes.append(
-            PropertyOutcome(pid, instances, passes, failures, skips, witness)
-        )
-    stats = {
-        "inverse_class_neg_closed": merged[-2],
-        "inverse_class_fibers": merged[-1],
-    }
+        outcomes.append(PropertyOutcome(pid, instances, passes, failures, skips, witness))
+    stats = {"inverse_class_neg_closed": merged[-2], "inverse_class_fibers": merged[-1]}
     return SweepReport(cfg, tuple(outcomes), stats)
 
 

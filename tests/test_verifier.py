@@ -1027,14 +1027,15 @@ def test_skeleton_images_match_the_mask_route():
 def _assert_recurrences(inst):
     """Oracle: for every chi and skeleton image, the base and omega
     recurrences give max chi(w°°) and max chi(t ∨ w°°) over W."""
-    from msfuzz.verifier import _bases, _omegas, _skeleton_images
+    from msfuzz.verifier import _recurrences, _skeleton_images
 
     ms = inst.ms
     lat, dd = ms.lattice, ms.dneg_table()
     images = _skeleton_images(lat, dd)
     for g in inst._ranks.rows:
-        assert _bases(images, g) == [_base(ms, g, idx) for _, idx, *_ in images]
-        assert _omegas(images, lat.join_table, g) == [
+        bases, omgs = _recurrences(images, lat.join_table, g)
+        assert bases == [_base(ms, g, idx) for _, idx, *_ in images]
+        assert omgs == [
             tuple(max(g[row[dd[v]]] for v in idx) for row in lat.join_table)
             for _, idx, *_ in images]
 
@@ -1271,29 +1272,19 @@ def mutant_baseline():
     return inputs, [_law_outcomes(_fresh(inst)) for inst in inputs]
 
 
-def _bases_ignoring_d(images, grades):
-    out = []
-    for _, _, rest, d, *_ in images:
-        out.append(grades[d] if rest < 0 else out[rest])
-    return out
-
-
-def _bases_ignoring_rest(images, grades):
-    return [grades[d] for _, _, _, d, *_ in images]
-
-
-def _omegas_by(op):
-    def omegas(images, join, grades):
-        out, single = [], {}
+def _recurrences_by(base_step=max, omega_step=lambda a, b: tuple(map(max, a, b))):
+    """The recurrences of ``_recurrences`` with either step replaced: a step
+    gets the earlier entry's value and that of the singleton {d}."""
+    def recurrences(images, join, grades):
+        bases, omgs, single = [], [], {}
         for _, _, rest, d, *_ in images:
             if rest < 0:
                 single[d] = tuple(grades[row[d]] for row in join)
-                out.append(single[d])
-            else:
-                out.append(op(out[rest], single[d]))
-        return out
+            bases.append(base_step(bases[rest], grades[d]) if rest >= 0 else grades[d])
+            omgs.append(omega_step(omgs[rest], single[d]) if rest >= 0 else single[d])
+        return bases, omgs
 
-    return omegas
+    return recurrences
 
 
 def _skeleton_map(change):
@@ -1334,11 +1325,15 @@ _MUTANTS = {
     "omega_row-skips-double-negation": (
         [("extensions", "omega_row", _omega_row_by(max, through_dd=False)),
          ("verifier", "omega_row", _omega_row_by(max, through_dd=False))], "laws"),
-    "bases-ignore-d": ([("verifier", "_bases", _bases_ignoring_d)], "laws"),
-    "bases-ignore-the-rest": ([("verifier", "_bases", _bases_ignoring_rest)], "laws"),
-    "omegas-keep-the-rest": ([("verifier", "_omegas", _omegas_by(lambda a, b: a))], "laws"),
-    "omegas-min": ([("verifier", "_omegas", _omegas_by(lambda a, b: tuple(map(min, a, b))))],
-                   "laws"),
+    "base-step-ignores-d": ([("verifier", "_recurrences",
+                              _recurrences_by(base_step=lambda a, b: a))], "laws"),
+    "base-step-ignores-the-rest": ([("verifier", "_recurrences",
+                                     _recurrences_by(base_step=lambda a, b: b))], "laws"),
+    "base-step-min": ([("verifier", "_recurrences", _recurrences_by(base_step=min))], "laws"),
+    "omega-step-keeps-the-rest": ([("verifier", "_recurrences",
+                                    _recurrences_by(omega_step=lambda a, b: a))], "laws"),
+    "omega-step-min": ([("verifier", "_recurrences", _recurrences_by(
+        omega_step=lambda a, b: tuple(map(min, a, b))))], "laws"),
     "skeleton-reversed": ([("verifier", "_skeleton_images",
                             _skeleton_map(lambda imgs, lat, dd: imgs[::-1]))],
                           _assert_skeleton_route),
