@@ -396,14 +396,8 @@ def _w_sets(inst: Instance, chi: FuzzySet | None = None) -> list[tuple]:
 
 def _listed_w(pick):
     """A W source naming the same subsets, ``pick(lattice)``, for every chi."""
-
-    def ws(inst: Instance, chi: FuzzySet):
-        if ws not in inst._rows:  # listed once per instance
-            lat = inst.ms.lattice
-            inst._rows[ws] = _listed(inst.ms, [_named(lat, w) for w in pick(lat)])
-        return inst._rows[ws]
-
-    return ws
+    return lambda inst, chi: _listed(
+        inst.ms, [_named(inst.ms.lattice, w) for w in pick(inst.ms.lattice)])
 
 
 _singletons = _listed_w(lambda lat: [(e,) for e in lat.elements])

@@ -173,6 +173,38 @@ def test_verify_invalid_table_reports_unmet(fixture_file):
     assert {row["verdict"] for row in payload["properties"]} == {"hypothesis-unmet"}
 
 
+def test_verify_caps_the_image_scans_on_a_large_skeleton(tmp_path):
+    """The 2^7 Boolean algebra with complement as negation has a skeleton
+    of 128 elements: every law that scans the double-negation images
+    reports the skeleton cap as its unmet hypothesis (thm-3.1-prime its
+    filter-pool cap, checked first), and the laws on listed W still run."""
+    from msfuzz.verifier import _PAIR_STAGES, _STAGES, SKELETON_CAP, _w_sets
+
+    from .conftest import boolean_order
+
+    els, covers = boolean_order(7)
+    text = document_text(els, covers) + "neg\n" + "".join(
+        f"  s{m} -> s{127 ^ m}\n" for m in range(128)) + "fuzzy chi\n" + "".join(
+        f"  s{m} = {m & 1}\n" for m in range(128))
+    path = tmp_path / "boolean7.ms"
+    path.write_text(text)
+    result = run_cli(["--format", "json", "verify", str(path)])
+    assert result.exit_code == 1
+    rows = {r["id"]: r for r in json.loads(result.output)["properties"]}
+    scans = {"thm-2.3-extended-filter", "thm-3.1-prime", *_PAIR_STAGES,
+             *(pid for pid, stages in _STAGES.items() if any(s[1] is _w_sets for s in stages))}
+    assert SKELETON_CAP < 128 and len(scans) == 25 and len(rows) == 30
+    for pid, row in rows.items():
+        if pid not in scans:
+            assert row["verdict"] == "pass", pid
+            continue
+        assert row["verdict"] == "hypothesis-unmet", pid
+        cap = "|elements| * |grades| = 256" if pid == "thm-3.1-prime" else (
+            f"|skeleton| = 128 exceeds cap {SKELETON_CAP}")
+        assert cap in row["reason"], pid
+    assert rows["prop-2.1"]["verdict"] == "pass"
+
+
 def test_verify_unknown_prop(fixture_file):
     result = run_cli(
         ["verify", fixture_file("diamond"), "--props", "lemma-99"]

@@ -1072,42 +1072,6 @@ def test_a_two_element_skeleton_builds_three_rows():
             run_property(rec.pid, inst)
 
 
-def _image_scan_laws():
-    from msfuzz.verifier import _PAIR_STAGES, _STAGES, _w_sets
-
-    return {"thm-2.3-extended-filter", "thm-3.1-prime", *_PAIR_STAGES,
-            *(pid for pid, stages in _STAGES.items() if any(s[1] is _w_sets for s in stages))}
-
-
-def test_a_skeleton_over_the_cap_leaves_the_image_scans_unmet():
-    """On the Boolean lattice of 2^7 elements with complement as negation,
-    |S| = 128: every law that scans the images reports the skeleton cap as
-    its unmet hypothesis (thm-3.1-prime its filter-pool cap, checked
-    first), and the other laws still run."""
-    from msfuzz import FuzzySet
-    from msfuzz.verifier import SKELETON_CAP
-
-    from .conftest import boolean_order
-
-    lat = build_lattice(*boolean_order(7))
-    ms = MSAlgebra(lat, {f"s{m}": f"s{127 ^ m}" for m in range(128)})
-    chi = FuzzySet(lat, grades(*(m & 1 for m in range(128))))
-    inst = Instance(ms, (chi,), UNIVERSE2)
-    scans = _image_scan_laws()
-    assert SKELETON_CAP < 128 and len(scans) == 25
-    for rec in properties():
-        if rec.fixture is not None:
-            continue
-        if rec.pid not in scans:
-            assert run_property(rec.pid, inst) is None, rec.pid
-            continue
-        with pytest.raises(HypothesisUnmet) as exc:
-            run_property(rec.pid, inst)
-        cap = "|elements| * |grades| = 256" if rec.pid == "thm-3.1-prime" else (
-            f"|skeleton| = 128 exceeds cap {SKELETON_CAP}")
-        assert cap in exc.value.reason, rec.pid
-
-
 def _thm_4_8_by_dense_sets(r):
     """thm-4.8 as stated: per theta, the dense set of the candidate joins
     theta ∨ w°° (``dense_row``), then membership of each join in it."""
