@@ -93,9 +93,11 @@ def upsilon_row(ms: MSAlgebra, grades, w_idx) -> tuple[Fraction, ...]:
 
 def omega_row(ms: MSAlgebra, grades, w_idx) -> tuple[Fraction, ...]:
     """omega on element indices, unchecked like ``upsilon_row``."""
-    dd, join = ms.dneg_table(), ms.lattice.join_table
-    cols = [tuple(grades[joins[dd[w]]] for joins in join) for w in w_idx]
-    return tuple(map(max, *cols)) if len(cols) > 1 else cols[0]
+    dd = ms.dneg_table()
+    images = [dd[w] for w in w_idx]
+    return tuple(
+        max(grades[joins[v]] for v in images) for joins in ms.lattice.join_table
+    )
 
 
 def extend(ms: MSAlgebra, chi: FuzzySet, w_subset) -> ExtensionResult:

@@ -19,11 +19,12 @@ the row kernels of ``lattice_core``, ``fuzzy_core``, ``extensions`` and
 ``hom_analysis``; grades come back only in witness data and in
 thm-3.1-prime for the rows that its rank gate does not pass.
 
-Instances come from a catalog of all bounded distributive lattices up to
-a size cap: posets grown by attaching a maximal element, pruned by their
-number of down-sets (counted from the parent's), deduped by a canonical
-form of the order, each realized as its lattice of down-sets (exactly
-the bounded distributive lattices, one per poset).
+Instances are generated from a catalog of all bounded distributive
+lattices up to a size cap.  The catalog enumerates posets by repeatedly
+attaching a maximal element, prunes by the number of down-sets (counted
+from the parent poset's), dedupes by a canonical form of the order
+relation, and realizes each poset as its lattice of down-sets (which is
+exactly the family of bounded distributive lattices, one per poset).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from functools import cached_property, lru_cache, reduce
 from itertools import permutations, product
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .errors import (
     EmptyW,
@@ -74,7 +75,7 @@ from .ms_algebra import (
 from .report import Record
 
 MAX_ELEMENTS_CAP = 8
-SKELETON_CAP = 12  # bound on |S| for the scans over the subsets of the skeleton S
+SKELETON_CAP = 16  # bound on |S| for the scans over the subsets of the skeleton S
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +104,18 @@ def _canonical_poset(down: tuple[int, ...]) -> tuple:
     for i in range(k):
         for j in _bits(down[i]):
             up[j] |= 1 << i
-    inv: list[Any] = [(bin(down[i]).count("1"), bin(up[i]).count("1")) for i in range(k)]
+    inv: list[Any] = [
+        (bin(down[i]).count("1"), bin(up[i]).count("1")) for i in range(k)
+    ]
     for _ in range(2):
-        inv = [(inv[i], tuple(sorted(inv[j] for j in _bits(down[i]) if j != i)),
-                tuple(sorted(inv[j] for j in _bits(up[i]) if j != i))) for i in range(k)]
+        inv = [
+            (
+                inv[i],
+                tuple(sorted(inv[j] for j in _bits(down[i]) if j != i)),
+                tuple(sorted(inv[j] for j in _bits(up[i]) if j != i)),
+            )
+            for i in range(k)
+        ]
     groups: dict[Any, list[int]] = {}
     for i in range(k):
         groups.setdefault(inv[i], []).append(i)
@@ -115,10 +124,17 @@ def _canonical_poset(down: tuple[int, ...]) -> tuple:
     best = None
     for perm_parts in product(*(permutations(g) for g in ordered_groups)):
         relabel = [0] * k
-        for pos, old in enumerate(old for part in perm_parts for old in part):
-            relabel[old] = pos
-        pairs = sorted((relabel[j], relabel[i])
-                       for i in range(k) for j in _bits(down[i]) if j != i)
+        pos = 0
+        for part in perm_parts:
+            for old in part:
+                relabel[old] = pos
+                pos += 1
+        pairs = sorted(
+            (relabel[j], relabel[i])
+            for i in range(k)
+            for j in _bits(down[i])
+            if j != i
+        )
         encoding = (k, tuple(pairs))
         if best is None or encoding < best:
             best = encoding
@@ -140,7 +156,7 @@ def _poset_reps(max_lattice_size: int) -> tuple[tuple, ...]:
                 grown = [m | 1 << k for m in ds if m & d_mask == d_mask]
                 if len(ds) + len(grown) > max_lattice_size:
                     continue
-                extended = down + (d_mask | 1 << k,)
+                extended = down + (d_mask | (1 << k),)
                 canon = _canonical_poset(extended)
                 if canon not in reps:
                     reps[canon] = (extended, ds + grown)
@@ -153,8 +169,12 @@ def _lattice_from_poset(ds: list[int]) -> FiniteLattice:
     """The lattice of the down-sets ``ds`` of a poset, ordered by inclusion."""
     ds = sorted(ds, key=lambda m: (bin(m).count("1"), tuple(_bits(m))))
     names = {mask: f"e{i}" for i, mask in enumerate(ds)}
-    covers = [(names[s], names[t]) for s in ds for t in ds
-              if s & ~t == 0 and bin(t).count("1") == bin(s).count("1") + 1]
+    covers = [
+        (names[s], names[t])
+        for s in ds
+        for t in ds
+        if s & ~t == 0 and bin(t).count("1") == bin(s).count("1") + 1
+    ]
     return build_lattice([names[m] for m in ds], covers)
 
 
@@ -163,7 +183,9 @@ def lattice_catalog(max_elements: int) -> tuple[FiniteLattice, ...]:
     """All bounded distributive lattices with at most ``max_elements``
     elements, one per isomorphism class, in deterministic order."""
     if max_elements > MAX_ELEMENTS_CAP:
-        raise SizeCapExceeded(f"max_elements {max_elements} exceeds cap {MAX_ELEMENTS_CAP}")
+        raise SizeCapExceeded(
+            f"max_elements {max_elements} exceeds cap {MAX_ELEMENTS_CAP}"
+        )
     if max_elements < 1:
         raise ValueError("max_elements must be at least 1")
     lattices = [_lattice_from_poset(ds) for _, ds in _poset_reps(max_elements)]
@@ -195,7 +217,8 @@ class SearchConfig(Record):
             raise ValueError("max_elements must be at least 1")
         if self.max_elements > MAX_ELEMENTS_CAP:
             raise SizeCapExceeded(
-                f"max_elements {self.max_elements} exceeds cap {MAX_ELEMENTS_CAP}")
+                f"max_elements {self.max_elements} exceeds cap {MAX_ELEMENTS_CAP}"
+            )
         universe = tuple(sorted({Fraction(g) for g in self.grade_universe}))
         if ONE not in universe:
             raise ValueError("grade universe must contain 1")
@@ -267,7 +290,9 @@ class Witness(Record):
     def to_dict(self) -> dict[str, Any]:
         ms = self.instance.ms
         lat = ms.lattice
-        named = {"chi" if i == 0 else f"chi{i + 1}": c for i, c in enumerate(self.instance.chis)}
+        named = {}
+        for i, c in enumerate(self.instance.chis):
+            named["chi" if i == 0 else f"chi{i + 1}"] = c
         doc = document_from_objects(lat, ms, named)
         out: dict[str, Any] = {
             "property": self.property_id,
@@ -352,12 +377,26 @@ def _named(lat: FiniteLattice, w) -> tuple[tuple[str, ...], tuple[int, ...]]:
     return tuple(w), tuple(lat.element_index(x) for x in w)
 
 
-def _skeleton_images(lat: FiniteLattice, dd: tuple[int, ...]) -> list[tuple]:
+class _Image(NamedTuple):
+    """A reference subset W by its double-negation image D: W's names and
+    indices, the join and meet of D and whether D holds the top; a skeleton
+    image also names ``rest``, the index of the image D less its first
+    element ``d``, or -1 when D = {d}."""
+
+    w: tuple[str, ...]
+    idx: tuple[int, ...]
+    join: int
+    meet: int
+    top: bool
+    rest: int = -1
+    d: int = -1
+
+
+def _skeleton_images(lat: FiniteLattice, dd: tuple[int, ...]) -> list[_Image]:
     """Each double-negation image D ⊆ S = {x°°} by its first W in mask
     order, the lowest preimage of each d in D; with S ordered by lowest
     preimage, D in mask order over S keeps its W in mask order.  Entry k is
-    the D of mask k + 1: (W's names, W's indices, the entry of D less its
-    first element d or -1, d, the join and meet of D, top in D)."""
+    the D of mask k + 1."""
     low: dict[int, int] = {}
     for w in range(lat.n):
         low.setdefault(dd[w], w)
@@ -365,26 +404,26 @@ def _skeleton_images(lat: FiniteLattice, dd: tuple[int, ...]) -> list[tuple]:
         raise SizeCapExceeded(f"|skeleton| = {len(low)} exceeds cap {SKELETON_CAP}")
     skeleton, top = list(low), lat.element_index(lat.top)
     join, meet = lat.join_table, lat.meet_table
-    images: list[tuple] = []
+    images: list[_Image] = []
     for mask in range(1, 1 << len(skeleton)):
         rest = (mask & (mask - 1)) - 1
         d = skeleton[(mask & -mask).bit_length() - 1]
-        names, idx, _, _, j, m, t = images[rest] if rest >= 0 else ((), (), 0, 0, d, d, False)
-        images.append(((lat.elements[low[d]], *names), (low[d], *idx), rest, d,
-                       join[j][d], meet[m][d], t or d == top))
+        r = images[rest] if rest >= 0 else _Image((), (), d, d, False)
+        images.append(_Image((lat.elements[low[d]], *r.w), (low[d], *r.idx), join[r.join][d],
+                             meet[r.meet][d], r.top or d == top, rest, d))
     return images
 
 
-def _listed(ms: MSAlgebra, ws) -> list[tuple]:
-    """Entries as in ``_skeleton_images`` for listed (names, indices)."""
+def _listed(ms: MSAlgebra, ws) -> list[_Image]:
+    """The images of listed (names, indices)."""
     lat, dd = ms.lattice, ms.dneg_table()
     join, meet, top = lat.join_table, lat.meet_table, lat.element_index(lat.top)
-    return [(names, idx, None, None, reduce(lambda a, b: join[a][b], image),
-             reduce(lambda a, b: meet[a][b], image), top in image)
+    return [_Image(names, idx, reduce(lambda a, b: join[a][b], image),
+                   reduce(lambda a, b: meet[a][b], image), top in image)
             for names, idx in ws for image in [[dd[v] for v in idx]]]
 
 
-def _w_sets(inst: Instance, chi: FuzzySet | None = None) -> list[tuple]:
+def _w_sets(inst: Instance, chi: FuzzySet | None = None) -> list[_Image]:
     """The default W source: the given ``w_sets``, or the first W of each
     double-negation image, all that the extensions read of W."""
     if "images" not in inst._rows:
@@ -421,31 +460,33 @@ class _Ranks:
 class _Row:
     """One (chi, W) pair of a scan, on integer grade ranks only: ``grades``
     is chi's row of ranks, ``base`` the rank of max chi(w°°) over W, ``ups``
-    and ``omg`` the two extensions, ``join`` the join of the image of W and
-    ``top`` whether it holds the top.  A law compares ranks with each other,
-    with ``one``, the rank of 1, or with 0, the rank of 0, and passes rows
-    to the row kernels; ``fuzzy`` turns ranks back into grades."""
+    and ``omg`` the two extensions (``omg`` None outside the default W
+    source), ``join`` the join of the image of W and ``top`` whether it
+    holds the top.  A law compares ranks with each other, with ``one``, the
+    rank of 1, or with 0, the rank of 0, and passes rows to the row
+    kernels; ``fuzzy`` turns ranks back into grades."""
 
     __slots__ = ("ms", "lat", "dd", "scale", "one", "grades", "w", "w_idx",
                  "base", "ups", "omg", "join", "top")
 
-    def __init__(self, ctx: tuple, grades, image: tuple, base: int, ups, omg):
+    def __init__(self, ctx: tuple, grades, image: _Image, base: int, ups, omg):
         self.ms, self.lat, self.dd, self.scale, self.one = ctx
-        self.w, self.w_idx, _, _, self.join, _, self.top = image
+        self.w, self.w_idx, self.join, self.top = image.w, image.idx, image.join, image.top
         self.grades, self.base, self.ups, self.omg = grades, base, ups, omg
 
     def fuzzy(self, ranks: tuple[int, ...]) -> FuzzySet:
         return FuzzySet(self.lat, tuple(map(self.scale.__getitem__, ranks)))
 
 
-def _recurrences(images: list[tuple], join, grades) -> tuple[list, list]:
+def _recurrences(images: list[_Image], join, grades) -> tuple[list, list]:
     """Each skeleton image's base and omega, from the earlier entry's:
     base(D ∪ {d}) = max(base(D), chi(d)) and
     omg(D ∪ {d})(t) = max(omg(D)(t), chi(t ∨ d))."""
     bases: list[int] = []
     omgs: list[tuple] = []
     single: dict[int, tuple] = {}
-    for _, _, rest, d, *_ in images:
+    for img in images:
+        rest, d = img.rest, img.d
         if rest < 0:
             single[d] = tuple(grades[row[d]] for row in join)
         bases.append(max(bases[rest], grades[d]) if rest >= 0 else grades[d])
@@ -453,15 +494,17 @@ def _recurrences(images: list[tuple], join, grades) -> tuple[list, list]:
     return bases, omgs
 
 
-def _rows(inst: Instance, grades, images: list[tuple]) -> list[_Row]:
-    """Chi's rows over ``images``: by the recurrences over skeleton images,
-    by ``_base_grade`` and ``omega_row`` over listed ones."""
+def _rows(inst: Instance, grades, images: list[_Image], default: bool) -> list[_Row]:
+    """Chi's rows over ``images`` from the W source ``_w_sets`` when
+    ``default``, else from a listing one: over skeleton images by the
+    recurrences, over listed ones by ``_base_grade`` and ``omega_row``.
+    Only default rows carry ``omg``, as only the stages on them read it."""
     ms = inst.ms
-    if images and images[0][2] is not None:
+    if default and inst.w_sets is None:
         bases, omgs = _recurrences(images, ms.lattice.join_table, grades)
     else:
-        bases = [_base_grade(ms, grades, idx) for _, idx, *_ in images]
-        omgs = [omega_row(ms, grades, idx) for _, idx, *_ in images]
+        bases = [_base_grade(ms, grades, img.idx) for img in images]
+        omgs = [omega_row(ms, grades, img.idx) if default else None for img in images]
     ups = {b: _raise_to(grades, b) for b in set(bases)}
     ctx = (ms, ms.lattice, ms.dneg_table(), inst._ranks.grades, inst._ranks.one)
     return [_Row(ctx, grades, image, b, ups[b], o) for image, b, o in zip(images, bases, omgs)]
@@ -493,17 +536,14 @@ _PAIR_STAGES: dict[str, tuple] = {}  # pair laws: (test, when on the two rank ro
 
 def _stage_rows(inst: Instance, i: int, ws, key=None) -> list[_Row]:
     """Chi ``i``'s rows for a stage over the W source ``ws``, each key's
-    first only, from the instance's row table: (ws, chi, key) -> rows.  Over
-    skeleton images the first row of a base b is the singleton {w°°} for the
-    lowest w with chi(w°°) = b, so base and ``ups`` keys scan singletons."""
+    first only, from the instance's row table: (ws, chi, key) -> rows."""
     table = inst._rows
     if (ws, i, key) not in table:
         if (ws, i, None) not in table:
-            table[ws, i, None] = _rows(inst, inst._ranks.rows[i], ws(inst, inst.chis[i]))
+            table[ws, i, None] = _rows(inst, inst._ranks.rows[i], ws(inst, inst.chis[i]),
+                                       ws is _w_sets)
         rows = table[ws, i, None]
         if key is not None:
-            if (key is _by_base or key is _by_ups) and ws is _w_sets and inst.w_sets is None:
-                rows = [rows[(1 << j) - 1] for j in range(len(rows).bit_length())]
             firsts: dict = {}
             for r in rows:
                 firsts.setdefault(key(r), r)
@@ -610,8 +650,12 @@ _DERIVED_IDENTITY_DETAILS = {
 }
 
 
-@_law("prop-2.1", "derived identities: negation of joins, double negation over joins, "
-      "triple negation collapse, bottom negates to top", requires_filters=False)
+@_law(
+    "prop-2.1",
+    "derived identities: negation of joins, double negation over joins, "
+    "triple negation collapse, bottom negates to top",
+    requires_filters=False,
+)
 def _check_prop_2_1(inst: Instance):
     failed = verify_derived_identities(inst.ms).failed()
     if not failed:
@@ -626,13 +670,13 @@ def _crisp_scan(pid: str, inst: Instance, test) -> Witness | None:
     fails: filters in ``enumerate_filters`` order, then W in ``_w_sets``
     order, on the first W of each meet m of its double-negation image D.
     In a distributive lattice, and ``build_lattice`` builds no other, x ∨ d
-    lies in a filter F for every d in D exactly when x ∨ m does (F is up-
-    and meet-closed, and the x ∨ d meet in x ∨ m): the crisp extension
-    reads W only through m."""
+    lies in a filter F for every d in D exactly when x ∨ m does (F is
+    up-closed and meet-closed, and the meet of the x ∨ d is x ∨ m), so the
+    crisp extension reads W only through m."""
     ms = inst.ms
     lat, ws = ms.lattice, {}
-    for w, _, _, _, _, meet, _ in _w_sets(inst):
-        ws.setdefault(meet, w)
+    for img in _w_sets(inst):
+        ws.setdefault(img.meet, img.w)
     for filt in enumerate_filters(lat):
         for w in ws.values():
             found = test(lat, filt, extended_filter_crisp(ms, filt, w))
@@ -647,8 +691,11 @@ def _filter_containing_source(lat: FiniteLattice, filt, ext):
                 {"filter": sorted(filt.members), "result": sorted(ext.members)})
 
 
-@_law("thm-2.3-extended-filter", "the crisp extension of a filter is a filter containing it",
-      requires_filters=False)
+@_law(
+    "thm-2.3-extended-filter",
+    "the crisp extension of a filter is a filter containing it",
+    requires_filters=False,
+)
 def _check_thm_2_3(inst: Instance):
     return _crisp_scan("thm-2.3-extended-filter", inst, _filter_containing_source)
 
@@ -677,7 +724,8 @@ def _prime_stage(inst: Instance) -> tuple:
     the instance's grades, 0 and 1, which hold every extension's grades."""
     lat = inst.ms.lattice
     universe = inst._ranks.grades
-    filter_pool(lat, universe)  # before any row, so an over-cap universe skips whatever the rows
+    # built before any row, so an over-cap universe skips whatever the rows
+    filter_pool(lat, universe)
 
     def test(r: _Row):
         if len(set(r.ups)) == 1 or _prime_by_cut(lat, r.ups, r.one):
@@ -856,7 +904,7 @@ def _cor_3_10(r: _Row):
           "and keeps the unit",
           ws=_listed_w(lambda lat: [(lat.bottom,)]))
 def _omega_keeps_bottom_fixed(r: _Row):
-    if r.omg != r.grades:
+    if omega_row(r.ms, r.grades, r.w_idx) != r.grades:
         return "strong extension over the bottom moved the filter"
 
 
@@ -990,22 +1038,32 @@ def _lemma_5_4_join(r: _Row):
     return None if pair is None else ("a fiber is not join-closed", {"pair": pair})
 
 
-@_law("example-4.2-validity", "the shipped seven-element fixture has a valid negation table "
-      "(known-refutable; its table breaks two axioms)", requires_valid_ms=False,
-      requires_filters=False, search_target=True, fixture="example4_printed")
+@_law(
+    "example-4.2-validity",
+    "the shipped seven-element fixture has a valid negation table "
+    "(known-refutable; its table breaks two axioms)",
+    requires_valid_ms=False,
+    requires_filters=False,
+    search_target=True,
+    fixture="example4_printed",
+)
 def _check_example_4_2(inst: Instance):
     report = inst.ms.axiom_report
     if report.ok:
         return None
     failed = report.failed()
-    pick = next((c for c in failed if c.check_id == "double-negation-above"), failed[0])
+    pick = next(
+        (c for c in failed if c.check_id == "double-negation-above"), failed[0]
+    )
     return _fail("example-4.2-validity", inst,
                  ("negation table violates the axioms",
                   {"check": pick.check_id, "witness": dict(pick.witness or {})}))
 
 
 THEOREM_SUITE: tuple[str, ...] = tuple(
-    rec.pid for rec in _REGISTRY.values() if not rec.search_target and rec.fixture is None)
+    rec.pid for rec in _REGISTRY.values()
+    if not rec.search_target and rec.fixture is None
+)
 
 
 # ---------------------------------------------------------------------------
@@ -1017,7 +1075,9 @@ def document_instance(doc) -> Instance:
     filters, over their grades together with 0 and 1."""
     lat, ms, named = document_to_objects(doc)
     chis = tuple(fs for fs in named.values() if classify(lat, fs).is_filter)
-    universe = tuple(sorted({g for fs in named.values() for g in fs.grades} | {ZERO, ONE}))
+    universe = tuple(sorted(
+        {g for fs in named.values() for g in fs.grades} | {ZERO, ONE}
+    ))
     return Instance(ms=ms, chis=chis, grade_universe=universe)
 
 
@@ -1057,8 +1117,13 @@ class PropertyOutcome(Record):
     first_witness: Witness | None
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"id": self.pid, "instances": self.instances, "passes": self.passes,
-                               "failures": self.failures, "skips": self.skips}
+        out: dict[str, Any] = {
+            "id": self.pid,
+            "instances": self.instances,
+            "passes": self.passes,
+            "failures": self.failures,
+            "skips": self.skips,
+        }
         if self.first_witness is not None:
             out["first_witness"] = self.first_witness.to_dict()
         return out
@@ -1081,24 +1146,31 @@ class SweepReport(Record):
         raise KeyError(pid)
 
     def to_dict(self) -> dict[str, Any]:
-        return {"config": self.config.to_dict(), "ok": self.ok,
-                "properties": [o.to_dict() for o in self.outcomes],
-                "stats": dict(sorted(self.stats.items()))}
+        return {
+            "config": self.config.to_dict(),
+            "ok": self.ok,
+            "properties": [o.to_dict() for o in self.outcomes],
+            "stats": dict(sorted(self.stats.items())),
+        }
 
 
 def _instance_stream(cfg: SearchConfig):
-    catalog = lattice_catalog(cfg.max_elements)
     if cfg.iterations is None:
-        tables = ((lat, neg) for lat in catalog for neg in _ms_operations(lat))
+        for lat in lattice_catalog(cfg.max_elements):
+            pool = filter_pool(lat, cfg.grade_universe)
+            for neg in _ms_operations(lat):
+                yield Instance(MSAlgebra(lat, dict(neg)), pool, cfg.grade_universe)
     else:
         rng = random.Random(cfg.seed)
         # not every distributive lattice carries a valid negation
-        candidates = [lat for lat in catalog if _ms_operations(lat)]
-        picks = (rng.choice(candidates) for _ in range(cfg.iterations))
-        tables = ((lat, rng.choice(_ms_operations(lat))) for lat in picks)
-    for lat, neg in tables:
-        yield Instance(MSAlgebra(lat, dict(neg)), filter_pool(lat, cfg.grade_universe),
-                       cfg.grade_universe)
+        candidates = [
+            lat for lat in lattice_catalog(cfg.max_elements) if _ms_operations(lat)
+        ]
+        for _ in range(cfg.iterations):
+            lat = rng.choice(candidates)
+            neg = rng.choice(_ms_operations(lat))
+            pool = filter_pool(lat, cfg.grade_universe)
+            yield Instance(MSAlgebra(lat, dict(neg)), pool, cfg.grade_universe)
 
 
 def _neg_closure_stats(inst: Instance) -> tuple[int, int]:
@@ -1106,8 +1178,11 @@ def _neg_closure_stats(inst: Instance) -> tuple[int, int]:
     every chi and nonempty W (a sweep lists no W).  The extension is
     max(chi, b) for the base grade b of W, so it is read once per (chi, b),
     from the row table, and weighs 2^#{w : chi(w°°) <= b} - 2^#{w : chi(w°°) < b},
-    the number of W with base b.  Observational only: the meet/join closure
-    of fibers is a law, the negation closure is merely counted."""
+    the number of W with base b.
+
+    Observational only: the meet/join closure of fibers is a law, the
+    negation closure is not claimed anywhere and is merely counted.
+    """
     neg, dd = inst.ms.neg_table, inst.ms.dneg_table()
     closed = total = 0
     for k, grades in enumerate(inst._ranks.rows):
@@ -1129,8 +1204,10 @@ def _tally(row: list[int], pid: str, inst: Instance, k: int) -> None:
         row[3] += 1
         return
     row[0] += 1
-    row[1 if witness is None else 2] += 1
-    if witness is not None:
+    if witness is None:
+        row[1] += 1
+    else:
+        row[2] += 1
         row[4] = min(row[4], k)
 
 
@@ -1172,12 +1249,13 @@ def _sweep_worker(fd: int, pids, stream, j: int, parts: int):
 
 def _split_sweep(pids: list[str], stream: list[Instance]) -> list[int]:
     """``_sweep_part`` over the whole stream, split across the CPUs this
-    process may run on: part 0 here, each other part in a forked worker
-    that sends back its integers.  Counts add up and lowest failing indices
-    take their minimum, so the result does not depend on the split.  Forked
-    workers inherit the stream and the filled catalog caches; msfuzz starts
-    no thread.  A worker that raises, dies or sends short makes this raise;
-    no worker outlives the call."""
+    process may run on: part 0 runs here, each other part in a forked
+    worker that sends back its integers.  Counts add up and lowest failing
+    indices take their minimum, so the result does not depend on the
+    split.  Workers are forked, not spawned, so they inherit the stream and
+    the filled catalog caches instead of rebuilding them; nothing in
+    msfuzz starts a thread.  A worker that raises, dies or sends short
+    makes this raise; no worker outlives the call."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     parts = max(1, min(cpus, len(stream)))
     fmt = f"{5 * len(pids) + 2}q"
@@ -1199,8 +1277,10 @@ def _split_sweep(pids: list[str], stream: list[Instance]) -> list[int]:
             code = os.waitstatus_to_exitcode(os.waitpid(child, 0)[1])
             reaped.add(child)
             if code != 0 or len(data) != size:
-                raise InternalInvariantError(f"sweep worker {j} of {parts - 1} exited with code "
-                                             f"{code} after sending {len(data)} of {size} bytes")
+                raise InternalInvariantError(
+                    f"sweep worker {j} of {parts - 1} exited with code {code} "
+                    f"after sending {len(data)} of {size} bytes"
+                )
             results.append(struct.unpack(fmt, data))
     finally:
         for child, read_fd in workers:
@@ -1251,8 +1331,13 @@ def sweep(pids=None, cfg: SearchConfig | None = None) -> SweepReport:
         witness = run_property(pid, runs_on[pid][first]) if failures else None
         if failures and witness is None:
             raise InternalInvariantError(f"{pid}: a counted failure did not replay")
-        outcomes.append(PropertyOutcome(pid, instances, passes, failures, skips, witness))
-    stats = {"inverse_class_neg_closed": merged[-2], "inverse_class_fibers": merged[-1]}
+        outcomes.append(
+            PropertyOutcome(pid, instances, passes, failures, skips, witness)
+        )
+    stats = {
+        "inverse_class_neg_closed": merged[-2],
+        "inverse_class_fibers": merged[-1],
+    }
     return SweepReport(cfg, tuple(outcomes), stats)
 
 

@@ -715,10 +715,12 @@ def _image_w_sets(lat, dd, w_sets):
 
 
 def _row(inst, grades, w, w_idx):
-    """A row with every field computed directly from its W."""
+    """A row with every field computed directly from its W: the one row of
+    the instance narrowed to W."""
     from msfuzz.verifier import _listed, _rows
 
-    return _rows(inst, grades, _listed(inst.ms, [(w, w_idx)]))[0]
+    narrowed = Instance(inst.ms, inst.chis, inst.grade_universe, (w,))
+    return _rows(narrowed, grades, _listed(inst.ms, [(w, w_idx)]), True)[0]
 
 
 def _reversed_w(inst):
@@ -761,7 +763,7 @@ class _BruteScan:
                 if when is not None and not when(ms, grades):
                     continue
                 default = ws is _w_sets
-                listed = [img[:2] for img in ws(self.inst, chi)]
+                listed = [(img.w, img.idx) for img in ws(self.inst, chi)]
                 for w, w_idx in self.every if default else listed:
                     row = _row(self.inst, grades, w, w_idx)
                     group = None
@@ -1012,7 +1014,7 @@ def _assert_skeleton_route(ms):
     lat, dd = ms.lattice, ms.dneg_table()
     got = _skeleton_images(lat, dd)
     expected = _listed(ms, _image_w_sets(lat, dd, None))
-    assert [img[:2] + img[4:] for img in got] == [img[:2] + img[4:] for img in expected]
+    assert [img._replace(rest=-1, d=-1) for img in got] == expected
 
 
 def test_skeleton_images_match_the_mask_route():
@@ -1034,10 +1036,10 @@ def _assert_recurrences(inst):
     images = _skeleton_images(lat, dd)
     for g in inst._ranks.rows:
         bases, omgs = _recurrences(images, lat.join_table, g)
-        assert bases == [_base(ms, g, idx) for _, idx, *_ in images]
+        assert bases == [_base(ms, g, img.idx) for img in images]
         assert omgs == [
-            tuple(max(g[row[dd[v]]] for v in idx) for row in lat.join_table)
-            for _, idx, *_ in images]
+            tuple(max(g[row[dd[v]]] for v in img.idx) for row in lat.join_table)
+            for img in images]
 
 
 def test_recurrences_match_every_image():
@@ -1070,6 +1072,25 @@ def test_a_two_element_skeleton_builds_three_rows():
     for rec in properties():
         if rec.fixture is None and rec.pid != "thm-3.1-prime":  # its pool is over the cap
             run_property(rec.pid, inst)
+
+
+def test_the_skeleton_cap_is_inclusive():
+    """A chain with the order-reversing negation is its own skeleton: at
+    ``SKELETON_CAP`` elements it builds a row per nonempty subset, one
+    element more is refused."""
+    from msfuzz.errors import SizeCapExceeded
+    from msfuzz.verifier import SKELETON_CAP, _skeleton_images
+
+    from .conftest import chain
+
+    for n in (SKELETON_CAP, SKELETON_CAP + 1):
+        lat = chain(n)
+        ms = MSAlgebra(lat, {e: lat.elements[n - 1 - k] for k, e in enumerate(lat.elements)})
+        if n == SKELETON_CAP:
+            assert len(_skeleton_images(lat, ms.dneg_table())) == 2 ** n - 1
+        else:
+            with pytest.raises(SizeCapExceeded, match=f"= {n} exceeds cap {SKELETON_CAP}"):
+                _skeleton_images(lat, ms.dneg_table())
 
 
 def _thm_4_8_by_dense_sets(r):
@@ -1254,7 +1275,8 @@ def _recurrences_by(base_step=max, omega_step=lambda a, b: tuple(map(max, a, b))
     gets the earlier entry's value and that of the singleton {d}."""
     def recurrences(images, join, grades):
         bases, omgs, single = [], [], {}
-        for _, _, rest, d, *_ in images:
+        for img in images:
+            rest, d = img.rest, img.d
             if rest < 0:
                 single[d] = tuple(grades[row[d]] for row in join)
             bases.append(base_step(bases[rest], grades[d]) if rest >= 0 else grades[d])
@@ -1319,14 +1341,14 @@ _MUTANTS = {
                                  _skeleton_oracle),
     "skeleton-w-is-the-image": (
         [("verifier", "_skeleton_images", _skeleton_map(lambda imgs, lat, dd: [
-            (tuple(lat.elements[v] for v in sorted({dd[v] for v in idx})),
-             tuple(sorted({dd[v] for v in idx})), *rest) for _, idx, *rest in imgs]))],
+            img._replace(w=tuple(lat.elements[v] for v in sorted({dd[v] for v in img.idx})),
+                         idx=tuple(sorted({dd[v] for v in img.idx}))) for img in imgs]))],
         "laws"),
     "skeleton-join-is-meet": ([("verifier", "_skeleton_images", _skeleton_map(
-        lambda imgs, lat, dd: [img[:4] + (img[5],) + img[5:] for img in imgs]))],
+        lambda imgs, lat, dd: [img._replace(join=img.meet) for img in imgs]))],
         _skeleton_oracle),
     "skeleton-never-top": ([("verifier", "_skeleton_images", _skeleton_map(
-        lambda imgs, lat, dd: [img[:6] + (False,) for img in imgs]))], "laws"),
+        lambda imgs, lat, dd: [img._replace(top=False) for img in imgs]))], "laws"),
     "pair-keys-reversed": ([("verifier", "_pair_keys", _pair_keys_map(lambda ks: ks[::-1]))],
                            _pair_key_oracle),
     "pair-keys-first-only": ([("verifier", "_pair_keys", _pair_keys_map(lambda ks: ks[:1]))],
