@@ -1207,6 +1207,193 @@ def test_symmetric_half_scan_matches_full_scan():
     assert failed and off_diagonal and asymmetric_differs
 
 
+# -- negative controls -----------------------------------------------------------
+
+def _diamond_ms():
+    """The diamond 0 < a, b < 1 with both midpoints self-negating: a valid
+    MS-algebra whose double negation is the identity."""
+    lat = build_lattice(["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
+    return MSAlgebra(lat, {"0": "1", "a": "a", "b": "b", "1": "0"})
+
+
+def _stone_chain_ms():
+    """The Stone chain c0 < c1 < c2, whose double negation sends c1 to c2."""
+    from .conftest import chain
+
+    return MSAlgebra(chain(3), {"c0": "c2", "c1": "c0", "c2": "c0"})
+
+
+def _control_row(ms, chi, w, **wrong):
+    """The row of ``chi`` (grades) and ``w`` (names) as a scan builds it,
+    over {0, 1/2, 1}, so that rank k is grade k/2 and ``one`` is 2; each
+    field named in ``wrong`` is then replaced by the given rank row."""
+    from msfuzz import FuzzySet
+
+    lat = ms.lattice
+    inst = Instance(ms, (FuzzySet(lat, grades(*chi)),), UNIVERSE3)
+    row = _row(inst, inst._ranks.rows[0], tuple(w), tuple(map(lat.element_index, w)))
+    for field, value in wrong.items():
+        setattr(row, field, value)
+    return row
+
+
+def _stage(pid, k, chi, w, ms=_diamond_ms, **wrong):
+    """Stage ``k`` of the row law ``pid``, as registered, on a control row
+    of the diamond (or of ``ms``)."""
+    from msfuzz.verifier import _STAGES
+
+    return lambda: _STAGES[pid][k][0](_control_row(ms(), chi, w, **wrong))
+
+
+def _pair(pid, w, wrong1, wrong2, chi=(0, 0, 0, 1)):
+    """The registered predicate of the pair law ``pid`` on two control rows
+    of the diamond that share ``w``."""
+    from msfuzz.verifier import _PAIR_STAGES
+
+    return lambda: _PAIR_STAGES[pid][0](_control_row(_diamond_ms(), chi, w, **wrong1),
+                                        _control_row(_diamond_ms(), chi, w, **wrong2))
+
+
+def _law_check(pid, inst):
+    """The law's registered check on ``inst``, past the hypotheses that
+    ``run_property`` would hold it to."""
+    check = next(rec.check for rec in properties() if rec.pid == pid)
+    return lambda: check(inst())
+
+
+def _refuted(pid, chi, w, universe=UNIVERSE2):
+    """``run_property`` on the diamond with one chi and one W, for the laws
+    that are refutable on a valid algebra."""
+    from msfuzz import FuzzySet
+
+    def run():
+        ms = _diamond_ms()
+        chis = (FuzzySet(ms.lattice, grades(*chi)),)
+        return run_property(pid, Instance(ms, chis, universe, (tuple(w),)))
+
+    return run
+
+
+def _m3_identity():
+    """M3 with every atom self-negating, a valid negation on a lattice that
+    is not distributive; crisp extensions need distributivity."""
+    lat = build_lattice_by_scan(*M3, allow_nondistributive=True)
+    return Instance(MSAlgebra(lat, {"0": "1", "a": "a", "b": "b", "c": "c", "1": "0"}),
+                    (), UNIVERSE3)
+
+
+def _chain_with_bad_negation():
+    from .conftest import chain
+
+    return Instance(MSAlgebra(chain(3), {"c0": "c2", "c1": "c1", "c2": "c2"}), (), UNIVERSE3)
+
+
+# law id -> its controls, each (a call that must find a violation, the detail
+# string it must print); one control per stage of a law.  The sound laws run
+# their registered predicates on the diamond's control rows with a wrong
+# ``ups`` or ``omg`` (ranks: 2 is grade 1); the refutable ones run on a valid
+# algebra; prop-2.1 and thm-2.3 run their checks outside their hypotheses.
+_NEGATIVE_CONTROLS = {
+    "prop-2.1": [(_law_check("prop-2.1", _chain_with_bad_negation),
+                  "negation of join broke")],
+    "thm-2.3-extended-filter": [(_law_check("thm-2.3-extended-filter", _m3_identity),
+                                 "crisp extension is not a filter containing the source")],
+    "thm-3.1-filter": [(_stage("thm-3.1-filter", 0, (0, 0, 0, 1), ["a"], ups=(0, 0, 0, 0)),
+                        "extension lost ground")],
+    "thm-3.1-prime": [(_refuted("thm-3.1-prime", (0, 0, 0, 1), ["0"]),
+                       "extension is a non-prime fuzzy filter")],
+    "lemma-3.2.1": [(_stage("lemma-3.2.1", 0, (0, 0, 0, 1), ["a"], ups=(0, 0, 0, 0)),
+                     "extension shrank when W grew")],
+    "lemma-3.2.2": [(_pair("lemma-3.2.2", ["a"], {"ups": (2, 2, 2, 2)}, {}),
+                     "extension not monotone in the filter")],
+    "lemma-3.2.3": [(_stage("lemma-3.2.3", 0, (0, 0, 0, 1), ["a"], ups=(0, 0, 0, 0)),
+                     "extension moved a dominating point")],
+    "lemma-3.2.4": [(_stage("lemma-3.2.4", 0, (0, 0, 0, 1), ["1"], ups=(0, 0, 0, 2)),
+                     "unmoved point fails to dominate")],
+    "lemma-3.2.5": [(_stage("lemma-3.2.5", 0, (0, 0, 0, 1), ["1"], ups=(0, 0, 0, 2)),
+                     "extension missed the constant one")],
+    "lemma-3.2.6": [(_stage("lemma-3.2.6", 0, (0, 0, 0, 1), ["1"], ups=(0, 0, 0, 2)),
+                     "extension over a unit-reaching subset is not one")],
+    "lemma-3.2.7": [(_stage("lemma-3.2.7", 0, (0, 0, 0, 1), ["a"], ups=(2, 2, 2, 2)),
+                     "grade one appeared from nowhere")],
+    "prop-3.3.1": [(_pair("prop-3.3.1", ["a"], {"ups": (2, 2, 2, 2)}, {}),
+                    "union and extension do not commute")],
+    "prop-3.3.2": [(_stage("prop-3.3.2", 0, (0, 0, 0, 1), ["a"], ups=(0, 2, 2, 2)),
+                    "extension broke the meet equality")],
+    "def-3.4-consistency": [
+        (_stage("def-3.4-consistency", 0, (0, 0, 0, 1), ["1"], ups=(0, 0, 0, 2)),
+         "fixedness routes disagree"),
+        (_stage("def-3.4-consistency", 1, (0, 0, 0, 1), ["a"], ups=(2, 2, 2, 2)),
+         "a canonical subset moved the filter")],
+    "prop-3.6": [(_stage("prop-3.6", 0, (0, 0, 0, 1), ["1"], ups=(0, 0, 0, 2)),
+                  "fixedness not inherited by a subset")],
+    "prop-3.7": [(_pair("prop-3.7", ["1"], {"ups": (0, 0, 0, 2)}, {"ups": (0, 0, 0, 2)}),
+                  "union of fixed filters moved")],
+    "thm-3.8": [(_stage("thm-3.8", 0, (0, 0, 0, 1), ["a"], ups=(2, 2, 2, 2)),
+                 "singleton extension is not the two-way maximum")],
+    "cor-3.9": [(_stage("cor-3.9", 0, (0, 0, 0, 1), ["a"], ups=(1, 1, 1, 1)),
+                 "dichotomy of singleton extension broke")],
+    "cor-3.10": [(_stage("cor-3.10", 0, (0, 0, 0, 1), ["a"], ups=(2, 2, 2, 2)),
+                  "extension at the reference point is off")],
+    "def-4.1-consistency": [
+        (_stage("def-4.1-consistency", 0, (0, 0, 0, 1), ["1"]),  # W is not the bottom
+         "strong extension over the bottom moved the filter"),
+        (_stage("def-4.1-consistency", 1, (0, 0, 0, 1), ["a"], omg=(0, 0, 0, 0)),
+         "strong extension lost ground")],
+    "upsilon-subset-omega": [(_stage("upsilon-subset-omega", 0, (0, 0, 0, 1), ["a"],
+                                     ups=(2, 2, 2, 2)),
+                              "extension escaped the strong extension")],
+    "thm-4.3": [(_refuted("thm-4.3", (0, 0, 0, 1), ["a", "b"]),
+                 "strong extension is not a fuzzy filter")],
+    "remark-4.4": [(_stage("remark-4.4", 0, (0, 0, 0, 1), ["a"], omg=(2, 2, 2, 2)),
+                    "extensions split despite join-homomorphism")],
+    "thm-4.7": [(_stage("thm-4.7", 0, (0, 0, 0, 1), ["a"], ups=(2, 2, 2, 2)),
+                 "dense-element evaluation is off")],
+    "thm-4.8": [(_stage("thm-4.8", 0, (0, 0, 0, 1), ["a"], omg=(0, 0, 0, 0)),
+                 "dense reading of the strong extension broke")],
+    "thm-5.1": [
+        (_stage("thm-5.1", 0, (0, 0, 0, 1), ["a"], ups=(0, 2, 2, 2)),
+         "extension is not a lattice homomorphism"),
+        (_stage("thm-5.1", 1, (0, 0, 1), ["c0"], ms=_stone_chain_ms, ups=(0, 1, 2)),
+         "double-negation compatibility not inherited")],
+    "prop-5.2": [(_stage("prop-5.2", 0, (0, 0, 0, 1), ["a"], ups=(2, 2, 2, 2)),
+                  "kernel characterization broke")],
+    "prop-5.3": [(_stage("prop-5.3", 0, (0, 0, 0, 1), ["a"], ups=(0, 0, 0, 0)),
+                  "cokernel characterization broke")],
+    "lemma-5.4-meet": [(_stage("lemma-5.4-meet", 0, (0, 0, 0, 1), ["a"], ups=(0, 2, 2, 0)),
+                        "a fiber is not meet-closed")],
+    "lemma-5.4-join": [(_stage("lemma-5.4-join", 0, (0, 0, 0, 1), ["a"], ups=(0, 2, 2, 0)),
+                        "a fiber is not join-closed")],
+    "example-4.2-validity": [(_refuted("example-4.2-validity", (0, 0, 0, 1), ["a"]),
+                              "negation table violates the axioms")],
+}
+
+
+@pytest.mark.parametrize("pid", list(_NEGATIVE_CONTROLS))
+def test_negative_control(pid):
+    """Each law finds the violation of its control and prints its detail,
+    so no predicate of the table passes whatever it is given."""
+    from msfuzz.verifier import Witness
+
+    for run, detail in _NEGATIVE_CONTROLS[pid]:
+        found = run()
+        assert found is not None, (pid, detail)
+        if isinstance(found, Witness):
+            assert found.property_id == pid
+            found = found.detail
+        assert (found if isinstance(found, str) else found[0]) == detail
+
+
+def test_every_law_has_a_negative_control():
+    """A law registered without a control fails here, as does a law with
+    fewer controls than registered stages."""
+    from msfuzz.verifier import _STAGES
+
+    assert list(_NEGATIVE_CONTROLS) == [rec.pid for rec in properties()]
+    for pid, stages in _STAGES.items():
+        assert len(_NEGATIVE_CONTROLS[pid]) == len(stages), pid
+
+
 def test_flagged_pair_laws_are_symmetric():
     """Each pair law marked symmetric gives the same verdict on (r1, r2) as
     on (r2, r1), for every pair of pool rows and every W."""
