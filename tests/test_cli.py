@@ -178,7 +178,7 @@ def test_verify_caps_the_image_scans_on_a_large_skeleton(tmp_path):
     of 128 elements: every law that scans the double-negation images
     reports the skeleton cap as its unmet hypothesis (thm-3.1-prime its
     filter-pool cap, checked first), and the laws on listed W still run."""
-    from msfuzz.verifier import _PAIR_STAGES, _STAGES, SKELETON_CAP, _w_sets
+    from msfuzz.scan import _PAIR_STAGES, _STAGES, SKELETON_CAP, _w_sets
 
     from .conftest import boolean_order
 

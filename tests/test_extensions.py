@@ -19,7 +19,7 @@ from msfuzz import (
 )
 from msfuzz.extensions import dense_row
 from msfuzz.ms_algebra import MSAlgebra
-from msfuzz.verifier import lattice_catalog
+from msfuzz.catalog import lattice_catalog
 
 from .conftest import chain, fuzzy, grades
 

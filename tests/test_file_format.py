@@ -18,7 +18,7 @@ from msfuzz import (
 )
 from msfuzz.errors import SizeCapExceeded
 from msfuzz.file_format import MAX_DOCUMENT_ELEMENTS, DuplicateElement
-from msfuzz.verifier import lattice_catalog
+from msfuzz.catalog import lattice_catalog
 
 
 def test_parse_diamond_fixture():

@@ -19,7 +19,9 @@ from msfuzz import (
     is_prime_fuzzy_filter_bounded,
     level_cut,
 )
-from msfuzz.verifier import Instance, lattice_catalog, run_property
+from msfuzz.catalog import lattice_catalog
+from msfuzz.scan import Instance
+from msfuzz.verifier import run_property
 
 from .conftest import chain, fuzzy, grades
 

@@ -19,7 +19,7 @@ from msfuzz.grades import ONE, ZERO
 from msfuzz.hom_analysis import HomReport, cokernel_row, kernel_row
 from msfuzz.lattice_core import first_break
 from msfuzz.ms_algebra import MSAlgebra
-from msfuzz.verifier import lattice_catalog
+from msfuzz.catalog import lattice_catalog
 
 from .conftest import fuzzy, grades
 

@@ -19,7 +19,7 @@ from msfuzz import (
     is_prime_filter,
     principal_filter,
 )
-from msfuzz.verifier import lattice_catalog
+from msfuzz.catalog import lattice_catalog
 
 from .conftest import boolean_order, chain, chain_order, grid_order, spliced_order
 

@@ -17,7 +17,7 @@ from msfuzz import (
     principal_filter,
     verify_derived_identities,
 )
-from msfuzz.verifier import lattice_catalog
+from msfuzz.catalog import lattice_catalog
 
 from .conftest import chain
 from .test_lattice_core import (

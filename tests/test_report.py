@@ -108,7 +108,7 @@ def test_every_value_class_is_a_record():
              "ExtensionResult", "FilterSet", "FuzzyClassification", "FuzzySet",
              "HomReport", "Instance", "PropertyOutcome", "SearchConfig",
              "SubsetVerdict", "SweepReport", "VerificationReport", "Witness"]
-    from msfuzz.verifier import PropertyRecord
+    from msfuzz.scan import PropertyRecord
 
     classes = [getattr(msfuzz, name) for name in names] + [PropertyRecord]
     assert all(issubclass(cls, Record) and cls._fields for cls in classes)

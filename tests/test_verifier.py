@@ -123,7 +123,7 @@ def _down_sets(down):
 def _catalog_by_re_enumeration(max_n):
     """The catalog as built before down-sets were counted from the parent
     poset: every extension's down-sets enumerated over all its masks."""
-    from msfuzz.verifier import _canonical_poset, _lattice_from_poset
+    from msfuzz.catalog import _canonical_poset, _lattice_from_poset
 
     reps, frontier = {(): ()}, [()]
     while frontier:
@@ -717,7 +717,7 @@ def _image_w_sets(lat, dd, w_sets):
 def _row(inst, grades, w, w_idx):
     """A row with every field computed directly from its W: the one row of
     the instance narrowed to W."""
-    from msfuzz.verifier import _listed, _rows
+    from msfuzz.scan import _listed, _rows
 
     narrowed = Instance(inst.ms, inst.chis, inst.grade_universe, (w,))
     return _rows(narrowed, grades, _listed(inst.ms, [(w, w_idx)]), True)[0]
@@ -745,7 +745,7 @@ class _BruteScan:
         self.first, self.classes = None, {}
 
     def visit(self, test, rows, chis, group, w):
-        from msfuzz.verifier import _fail
+        from msfuzz.scan import _fail
 
         verdict, found = _outcome(lambda: test(*rows))
         if group is not None:
@@ -755,7 +755,7 @@ class _BruteScan:
                 self.pid, self.inst, found, chis=chis, w=w).to_dict()
 
     def stages(self, stages):
-        from msfuzz.verifier import _w_sets
+        from msfuzz.scan import _w_sets
 
         ms, ranks = self.inst.ms, self.inst._ranks
         for chi, grades in zip(self.inst.chis, ranks.rows):
@@ -809,7 +809,7 @@ def _base(ms, grades, w_idx):
 
 def _pair_visits(pid, inst):
     """The (chi1, chi2, W) rows on which ``_pair_scan`` runs a pair law."""
-    from msfuzz.verifier import _PAIR_STAGES, _pair_scan
+    from msfuzz.scan import _PAIR_STAGES, _pair_scan
 
     seen = []
     _pair_scan(pid, inst, lambda r1, r2: seen.append((r1.grades, r2.grades, r1.w)),
@@ -818,7 +818,8 @@ def _pair_visits(pid, inst):
 
 
 def _brute_scan(pid, inst):
-    from msfuzz.verifier import _PAIR_STAGES, _STAGES, _prime_stage
+    from msfuzz.laws import _prime_stage
+    from msfuzz.scan import _PAIR_STAGES, _STAGES
 
     scan = _BruteScan(pid, inst)
     if pid in _PAIR_STAGES:
@@ -926,7 +927,8 @@ def test_crisp_scan_matches_every_w():
     first).  The law holds on every catalog algebra; over every W it fails
     on some of N5 and M3."""
     from msfuzz import enumerate_filters, extended_filter_crisp
-    from msfuzz.verifier import _crisp_scan, _fail, _filter_containing_source
+    from msfuzz.laws import _crisp_scan, _filter_containing_source
+    from msfuzz.scan import _fail
 
     pid = "thm-2.3-extended-filter"
 
@@ -966,7 +968,7 @@ def _check_row_keys(inst, checked):
     (b1, b2) class reads the same of W and the scan visits exactly the
     first W of each class.  ``checked`` counts classes, failures and
     errors."""
-    from msfuzz.verifier import _PAIR_STAGES, _STAGES
+    from msfuzz.scan import _PAIR_STAGES, _STAGES
 
     for pid in [*_STAGES, "thm-3.1-prime", *_PAIR_STAGES]:
         verdict, witness = _outcome(lambda: run_property(pid, inst))
@@ -990,7 +992,7 @@ def test_row_keys_agree_with_brute_force():
     and, up to three elements, listed in reverse, where a scan keys the listed rows themselves and
     meets a W of two or more elements first.  The pair laws pass on every
     input, so the test of their keys is the visit order."""
-    from msfuzz.verifier import _PAIR_STAGES, _STAGES, _w_sets
+    from msfuzz.scan import _PAIR_STAGES, _STAGES, _w_sets
 
     skipping = [pid for pid in _STAGES
                 if any(ws is _w_sets or key for _, ws, _, key in _STAGES[pid])]
@@ -1009,7 +1011,7 @@ def _assert_skeleton_route(ms):
     """Oracle: the skeleton builder lists the W of the mask route, the first
     of each double-negation image, in its order, with the join, meet and
     top of each image as computed from W directly."""
-    from msfuzz.verifier import _listed, _skeleton_images
+    from msfuzz.scan import _listed, _skeleton_images
 
     lat, dd = ms.lattice, ms.dneg_table()
     got = _skeleton_images(lat, dd)
@@ -1029,7 +1031,7 @@ def test_skeleton_images_match_the_mask_route():
 def _assert_recurrences(inst):
     """Oracle: for every chi and skeleton image, the base and omega
     recurrences give max chi(w°°) and max chi(t ∨ w°°) over W."""
-    from msfuzz.verifier import _recurrences, _skeleton_images
+    from msfuzz.scan import _recurrences, _skeleton_images
 
     ms = inst.ms
     lat, dd = ms.lattice, ms.dneg_table()
@@ -1060,7 +1062,7 @@ def test_a_two_element_skeleton_builds_three_rows():
     bottom has the skeleton {bottom, top}: a scan builds 3 image rows, not
     2^20 - 1, and every law runs."""
     from msfuzz import FuzzySet
-    from msfuzz.verifier import _stage_rows, _w_sets
+    from msfuzz.scan import _stage_rows, _w_sets
 
     from .conftest import chain
 
@@ -1079,7 +1081,7 @@ def test_the_skeleton_cap_is_inclusive():
     ``SKELETON_CAP`` elements it builds a row per nonempty subset, one
     element more is refused."""
     from msfuzz.errors import SizeCapExceeded
-    from msfuzz.verifier import SKELETON_CAP, _skeleton_images
+    from msfuzz.scan import SKELETON_CAP, _skeleton_images
 
     from .conftest import chain
 
@@ -1113,7 +1115,7 @@ def test_thm_4_8_compares_grades_with_the_top_join():
     largest, gives the dense-set reading's result (detail and first theta,
     then first w) on every row, also when omega is replaced by another
     row so that the predicate fails."""
-    from msfuzz.verifier import _thm_4_8
+    from msfuzz.laws import _thm_4_8
 
     failed = 0
     for inst in _key_oracle_inputs():
@@ -1138,7 +1140,7 @@ def test_subset_keys_agree_with_every_subset():
     their loop visits the first z of each base grade in mask order, so the
     witness z is the first failing one of all."""
     from msfuzz.extensions import upsilon_row
-    from msfuzz.verifier import _base_subsets
+    from msfuzz.laws import _base_subsets
 
     classes = 0
     for inst in _key_oracle_inputs():
@@ -1189,7 +1191,7 @@ def test_symmetric_half_scan_matches_full_scan():
     """For a symmetric predicate, visiting only chi2 at or after chi1 finds
     the witness (chis, W, detail) of the full ordered scan; an asymmetric
     one shows that the half scan alone would differ."""
-    from msfuzz.verifier import _pair_scan
+    from msfuzz.scan import _pair_scan
 
     def scan(test, symmetric):
         found = _pair_scan("prop-3.3.1", inst, test, None, symmetric)
@@ -1240,7 +1242,7 @@ def _control_row(ms, chi, w, **wrong):
 def _stage(pid, k, chi, w, ms=_diamond_ms, **wrong):
     """Stage ``k`` of the row law ``pid``, as registered, on a control row
     of the diamond (or of ``ms``)."""
-    from msfuzz.verifier import _STAGES
+    from msfuzz.scan import _STAGES
 
     return lambda: _STAGES[pid][k][0](_control_row(ms(), chi, w, **wrong))
 
@@ -1248,7 +1250,7 @@ def _stage(pid, k, chi, w, ms=_diamond_ms, **wrong):
 def _pair(pid, w, wrong1, wrong2, chi=(0, 0, 0, 1)):
     """The registered predicate of the pair law ``pid`` on two control rows
     of the diamond that share ``w``."""
-    from msfuzz.verifier import _PAIR_STAGES
+    from msfuzz.scan import _PAIR_STAGES
 
     return lambda: _PAIR_STAGES[pid][0](_control_row(_diamond_ms(), chi, w, **wrong1),
                                         _control_row(_diamond_ms(), chi, w, **wrong2))
@@ -1373,7 +1375,7 @@ _NEGATIVE_CONTROLS = {
 def test_negative_control(pid):
     """Each law finds the violation of its control and prints its detail,
     so no predicate of the table passes whatever it is given."""
-    from msfuzz.verifier import Witness
+    from msfuzz.scan import Witness
 
     for run, detail in _NEGATIVE_CONTROLS[pid]:
         found = run()
@@ -1387,7 +1389,7 @@ def test_negative_control(pid):
 def test_every_law_has_a_negative_control():
     """A law registered without a control fails here, as does a law with
     fewer controls than registered stages."""
-    from msfuzz.verifier import _STAGES
+    from msfuzz.scan import _STAGES
 
     assert list(_NEGATIVE_CONTROLS) == [rec.pid for rec in properties()]
     for pid, stages in _STAGES.items():
@@ -1397,7 +1399,7 @@ def test_every_law_has_a_negative_control():
 def test_flagged_pair_laws_are_symmetric():
     """Each pair law marked symmetric gives the same verdict on (r1, r2) as
     on (r2, r1), for every pair of pool rows and every W."""
-    from msfuzz.verifier import _PAIR_STAGES
+    from msfuzz.scan import _PAIR_STAGES
 
     flagged = sorted(pid for pid, (_, _, symmetric) in _PAIR_STAGES.items() if symmetric)
     assert flagged == ["prop-3.3.1", "prop-3.7"]
@@ -1474,7 +1476,7 @@ def _recurrences_by(base_step=max, omega_step=lambda a, b: tuple(map(max, a, b))
 
 
 def _skeleton_map(change):
-    from msfuzz.verifier import _skeleton_images
+    from msfuzz.scan import _skeleton_images
 
     return lambda lat, dd: change(_skeleton_images(lat, dd), lat, dd)
 
@@ -1489,7 +1491,7 @@ def _omega_row_by(op, through_dd=True):
 
 
 def _pair_keys_map(change):
-    from msfuzz.verifier import _pair_keys
+    from msfuzz.scan import _pair_keys
 
     return lambda inst, i, j: change(_pair_keys(inst, i, j))
 
@@ -1500,47 +1502,49 @@ def _pair_keys_map(change):
 # looked up, in both modules.
 _MUTANTS = {
     "raise_to-keeps-grades": ([("extensions", "_raise_to", lambda g, b: tuple(g)),
-                               ("verifier", "_raise_to", lambda g, b: tuple(g))], "laws"),
+                               ("scan", "_raise_to", lambda g, b: tuple(g))], "laws"),
     "raise_to-lowers": ([("extensions", "_raise_to", lambda g, b: tuple(min(x, b) for x in g)),
-                         ("verifier", "_raise_to", lambda g, b: tuple(min(x, b) for x in g))],
+                         ("scan", "_raise_to", lambda g, b: tuple(min(x, b) for x in g))],
                         "laws"),
     "raise_to-flattens": ([("extensions", "_raise_to", lambda g, b: (b,) * len(g)),
-                           ("verifier", "_raise_to", lambda g, b: (b,) * len(g))], "laws"),
+                           ("scan", "_raise_to", lambda g, b: (b,) * len(g))], "laws"),
     "omega_row-min": ([("extensions", "omega_row", _omega_row_by(min)),
-                       ("verifier", "omega_row", _omega_row_by(min))], "laws"),
+                       ("scan", "omega_row", _omega_row_by(min)),
+                       ("laws", "omega_row", _omega_row_by(min))], "laws"),
     "omega_row-skips-double-negation": (
         [("extensions", "omega_row", _omega_row_by(max, through_dd=False)),
-         ("verifier", "omega_row", _omega_row_by(max, through_dd=False))], "laws"),
-    "base-step-ignores-d": ([("verifier", "_recurrences",
+         ("scan", "omega_row", _omega_row_by(max, through_dd=False)),
+         ("laws", "omega_row", _omega_row_by(max, through_dd=False))], "laws"),
+    "base-step-ignores-d": ([("scan", "_recurrences",
                               _recurrences_by(base_step=lambda a, b: a))], "laws"),
-    "base-step-ignores-the-rest": ([("verifier", "_recurrences",
+    "base-step-ignores-the-rest": ([("scan", "_recurrences",
                                      _recurrences_by(base_step=lambda a, b: b))], "laws"),
-    "base-step-min": ([("verifier", "_recurrences", _recurrences_by(base_step=min))], "laws"),
-    "omega-step-keeps-the-rest": ([("verifier", "_recurrences",
+    "base-step-min": ([("scan", "_recurrences", _recurrences_by(base_step=min))], "laws"),
+    "omega-step-keeps-the-rest": ([("scan", "_recurrences",
                                     _recurrences_by(omega_step=lambda a, b: a))], "laws"),
-    "omega-step-min": ([("verifier", "_recurrences", _recurrences_by(
+    "omega-step-min": ([("scan", "_recurrences", _recurrences_by(
         omega_step=lambda a, b: tuple(map(min, a, b))))], "laws"),
-    "skeleton-reversed": ([("verifier", "_skeleton_images",
+    "skeleton-reversed": ([("scan", "_skeleton_images",
                             _skeleton_map(lambda imgs, lat, dd: imgs[::-1]))],
                           _skeleton_oracle),
-    "skeleton-drops-the-whole": ([("verifier", "_skeleton_images",
+    "skeleton-drops-the-whole": ([("scan", "_skeleton_images",
                                    _skeleton_map(lambda imgs, lat, dd: imgs[:-1]))],
                                  _skeleton_oracle),
     "skeleton-w-is-the-image": (
-        [("verifier", "_skeleton_images", _skeleton_map(lambda imgs, lat, dd: [
+        [("scan", "_skeleton_images", _skeleton_map(lambda imgs, lat, dd: [
             img._replace(w=tuple(lat.elements[v] for v in sorted({dd[v] for v in img.idx})),
                          idx=tuple(sorted({dd[v] for v in img.idx}))) for img in imgs]))],
         "laws"),
-    "skeleton-join-is-meet": ([("verifier", "_skeleton_images", _skeleton_map(
+    "skeleton-join-is-meet": ([("scan", "_skeleton_images", _skeleton_map(
         lambda imgs, lat, dd: [img._replace(join=img.meet) for img in imgs]))],
         _skeleton_oracle),
-    "skeleton-never-top": ([("verifier", "_skeleton_images", _skeleton_map(
+    "skeleton-never-top": ([("scan", "_skeleton_images", _skeleton_map(
         lambda imgs, lat, dd: [img._replace(top=False) for img in imgs]))], "laws"),
-    "pair-keys-reversed": ([("verifier", "_pair_keys", _pair_keys_map(lambda ks: ks[::-1]))],
+    "pair-keys-reversed": ([("scan", "_pair_keys", _pair_keys_map(lambda ks: ks[::-1]))],
                            _pair_key_oracle),
-    "pair-keys-first-only": ([("verifier", "_pair_keys", _pair_keys_map(lambda ks: ks[:1]))],
+    "pair-keys-first-only": ([("scan", "_pair_keys", _pair_keys_map(lambda ks: ks[:1]))],
                              _pair_key_oracle),
-    "pair-keys-drop-the-last": ([("verifier", "_pair_keys",
+    "pair-keys-drop-the-last": ([("scan", "_pair_keys",
                                   _pair_keys_map(lambda ks: ks[:-1]))], _pair_key_oracle),
 }
 
@@ -1578,7 +1582,7 @@ def test_mutant_is_killed(monkeypatch, mutant_baseline, name):
 def _neg_closure_by_every_w(inst):
     """Oracle: the fiber counts with one extension per (chi, W)."""
     from msfuzz.extensions import upsilon_row
-    from msfuzz.verifier import _fibers
+    from msfuzz.laws import _fibers
 
     ms = inst.ms
     neg = ms.neg_table
@@ -1615,7 +1619,7 @@ def test_prime_cut_gate_implies_bounded_primality(universe, max_n):
     on ranks, two-valued with a prime 1-cut, is prime by the bounded pair
     search over the universe with 0 and 1."""
     from msfuzz import enumerate_fuzzy_filters, is_prime_fuzzy_filter_bounded
-    from msfuzz.verifier import _prime_by_cut
+    from msfuzz.laws import _prime_by_cut
 
     scale = tuple(sorted(set(universe) | {Fraction(0), Fraction(1)}))
     rank = {g: k for k, g in enumerate(scale)}
