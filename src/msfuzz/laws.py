@@ -13,8 +13,8 @@ from .lattice_core import FiniteLattice, enumerate_filters, first_break, is_filt
 from .ms_algebra import MSAlgebra, extended_filter_crisp, verify_derived_identities
 from .scan import (
     Instance, Witness, _by_base, _by_base_omg, _by_grades, _by_join, _by_omg, _by_top,
-    _by_ups, _fail, _law, _listed, _listed_w, _named, _pair_law, _Row, _row_law, _scan,
-    _singletons, _w_sets,
+    _by_ups, _fail, _law, _listed, _listed_w, _pair_law, _Row, _row_law, _scan, _singletons,
+    _w_sets,
 )
 
 
@@ -56,12 +56,13 @@ def _crisp_scan(pid: str, inst: Instance, test) -> Witness | None:
     ms = inst.ms
     lat, ws = ms.lattice, {}
     for img in _w_sets(inst):
-        ws.setdefault(img.meet, img.w)
+        ws.setdefault(img.meet, img.idx)
     for filt in enumerate_filters(lat):
-        for w in ws.values():
+        for w_idx in ws.values():
+            w = [lat.elements[v] for v in w_idx]
             found = test(lat, filt, extended_filter_crisp(ms, filt, w))
             if found is not None:
-                return _fail(pid, inst, found, w=w)
+                return _fail(pid, inst, found, w_idx=w_idx)
     return None
 
 
@@ -154,7 +155,7 @@ def _lemma_3_2_2(r1: _Row, r2: _Row):
 def _lemma_3_2_3(r: _Row):
     leq = r.lat.leq_table
     for t in range(r.lat.n):
-        if all(leq[r.dd[v]][t] for v in r.w_idx) and r.ups[t] != r.grades[t]:
+        if leq[r.join][t] and r.ups[t] != r.grades[t]:
             return "extension moved a dominating point", {"theta": r.lat.elements[t]}
 
 
@@ -164,7 +165,7 @@ def _lemma_3_2_3(r: _Row):
 def _lemma_3_2_4(r: _Row):
     leq = r.lat.leq_table
     for t in range(r.lat.n):
-        if r.ups[t] == r.grades[t] and not all(leq[r.dd[v]][t] for v in r.w_idx):
+        if r.ups[t] == r.grades[t] and not leq[r.join][t]:
             return "unmoved point fails to dominate", {"theta": r.lat.elements[t]}
 
 
@@ -172,8 +173,7 @@ def _lemma_3_2_4(r: _Row):
           "a reference element double-negating to the top forces the constant one",
           key=_by_top)
 def _lemma_3_2_5(r: _Row):
-    top_i = r.lat.element_index(r.lat.top)
-    if any(r.dd[v] == top_i for v in r.w_idx) and any(g != r.one for g in r.ups):
+    if r.top and any(g != r.one for g in r.ups):
         return "extension missed the constant one"
 
 
@@ -188,7 +188,7 @@ def _lemma_3_2_6(r: _Row):
 @_row_law("lemma-3.2.7", "a point of grade one comes from the filter or from the image",
           key=_by_base)
 def _lemma_3_2_7(r: _Row):
-    if any(r.grades[r.dd[v]] == r.one for v in r.w_idx):
+    if r.base == r.one:
         return None  # the image supplies grade one
     for t in range(r.lat.n):
         if r.ups[t] == r.one and r.grades[t] != r.one:
@@ -221,7 +221,7 @@ def _fixedness_routes_agree(r: _Row):
 def _canonical_w_sets(inst: Instance, chi: FuzzySet):
     lat = inst.ms.lattice
     return _listed(inst.ms, [
-        _named(lat, sorted(c.members, key=lat.element_index))
+        sorted(c.members, key=lat.element_index)
         for c in fixed_witness_sets(inst.ms, chi) if c.members
     ])
 

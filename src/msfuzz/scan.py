@@ -117,8 +117,6 @@ def _jsonable(value):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, frozenset):
-        return sorted(value)
     return value
 
 
@@ -147,15 +145,16 @@ def _law(pid: str, summary: str, **kwargs):
     return decorate
 
 
-def _fail(pid: str, inst: Instance, found, *, chis=None, w=None) -> Witness:
+def _fail(pid: str, inst: Instance, found, *, chis=None, w_idx=None) -> Witness:
     """Witness from a detail string or (detail, data), on the instance
-    narrowed to the failing chis and W."""
+    narrowed to the failing chis and W, given by its element indices."""
     detail, data = (found, None) if isinstance(found, str) else found
     restricted = Instance(
         ms=inst.ms,
         chis=tuple(chis) if chis is not None else inst.chis,
         grade_universe=inst.grade_universe,
-        w_sets=(tuple(w),) if w is not None else inst.w_sets,
+        w_sets=(tuple(inst.ms.lattice.elements[v] for v in w_idx),) if w_idx is not None
+        else inst.w_sets,
     )
     return Witness(pid, restricted, detail, data or {})
 
@@ -164,17 +163,12 @@ def _fail(pid: str, inst: Instance, found, *, chis=None, w=None) -> Witness:
 # the law table: every law visits (chi, W) rows in one order
 # ---------------------------------------------------------------------------
 
-def _named(lat: FiniteLattice, w) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    return tuple(w), tuple(lat.element_index(x) for x in w)
-
-
 class _Image(NamedTuple):
-    """A reference subset W by its double-negation image D: W's names and
+    """A reference subset W by its double-negation image D: W's element
     indices, the join and meet of D and whether D holds the top; a skeleton
     image also names ``rest``, the index of the image D less its first
     element ``d``, or -1 when D = {d}."""
 
-    w: tuple[str, ...]
     idx: tuple[int, ...]
     join: int
     meet: int
@@ -199,19 +193,20 @@ def _skeleton_images(lat: FiniteLattice, dd: tuple[int, ...]) -> list[_Image]:
     for mask in range(1, 1 << len(skeleton)):
         rest = (mask & (mask - 1)) - 1
         d = skeleton[(mask & -mask).bit_length() - 1]
-        r = images[rest] if rest >= 0 else _Image((), (), d, d, False)
-        images.append(_Image((lat.elements[low[d]], *r.w), (low[d], *r.idx), join[r.join][d],
-                             meet[r.meet][d], r.top or d == top, rest, d))
+        r = images[rest] if rest >= 0 else _Image((), d, d, False)
+        images.append(_Image((low[d], *r.idx), join[r.join][d], meet[r.meet][d],
+                             r.top or d == top, rest, d))
     return images
 
 
 def _listed(ms: MSAlgebra, ws) -> list[_Image]:
-    """The images of listed (names, indices)."""
+    """The images of listed W, each given by its element names."""
     lat, dd = ms.lattice, ms.dneg_table()
     join, meet, top = lat.join_table, lat.meet_table, lat.element_index(lat.top)
-    return [_Image(names, idx, reduce(lambda a, b: join[a][b], image),
+    return [_Image(idx, reduce(lambda a, b: join[a][b], image),
                    reduce(lambda a, b: meet[a][b], image), top in image)
-            for names, idx in ws for image in [[dd[v] for v in idx]]]
+            for w in ws for idx in [tuple(map(lat.element_index, w))]
+            for image in [[dd[v] for v in idx]]]
 
 
 def _w_sets(inst: Instance, chi: FuzzySet | None = None) -> list[_Image]:
@@ -220,14 +215,13 @@ def _w_sets(inst: Instance, chi: FuzzySet | None = None) -> list[_Image]:
     if "images" not in inst._rows:
         lat, dd = inst.ms.lattice, inst.ms.dneg_table()
         inst._rows["images"] = _skeleton_images(lat, dd) if inst.w_sets is None else (
-            _listed(inst.ms, [_named(lat, w) for w in inst.w_sets]))
+            _listed(inst.ms, inst.w_sets))
     return inst._rows["images"]
 
 
 def _listed_w(pick):
     """A W source naming the same subsets, ``pick(lattice)``, for every chi."""
-    return lambda inst, chi: _listed(
-        inst.ms, [_named(inst.ms.lattice, w) for w in pick(inst.ms.lattice)])
+    return lambda inst, chi: _listed(inst.ms, pick(inst.ms.lattice))
 
 
 _singletons = _listed_w(lambda lat: [(e,) for e in lat.elements])
@@ -257,12 +251,12 @@ class _Row:
     rank of 1, or with 0, the rank of 0, and passes rows to the row
     kernels; ``fuzzy`` turns ranks back into grades."""
 
-    __slots__ = ("ms", "lat", "dd", "scale", "one", "grades", "w", "w_idx",
-                 "base", "ups", "omg", "join", "top")
+    __slots__ = ("ms", "lat", "dd", "scale", "one", "grades", "w_idx", "base", "ups", "omg",
+                 "join", "top")
 
     def __init__(self, ctx: tuple, grades, image: _Image, base: int, ups, omg):
         self.ms, self.lat, self.dd, self.scale, self.one = ctx
-        self.w, self.w_idx, self.join, self.top = image.w, image.idx, image.join, image.top
+        self.w_idx, self.join, self.top = image.idx, image.join, image.top
         self.grades, self.base, self.ups, self.omg = grades, base, ups, omg
 
     def fuzzy(self, ranks: tuple[int, ...]) -> FuzzySet:
@@ -343,13 +337,6 @@ def _stage_rows(inst: Instance, i: int, ws, key=None) -> list[_Row]:
     return table[ws, i, key]
 
 
-def _holds(inst: Instance, when, i: int) -> bool:
-    """``when`` on chi ``i``, evaluated once per instance."""
-    if (when, i) not in inst._rows:
-        inst._rows[when, i] = when(inst.ms, inst._ranks.rows[i])
-    return inst._rows[when, i]
-
-
 def _scan(pid: str, inst: Instance, *stages: tuple) -> Witness | None:
     """The first failing row: chi in pool order, then the stages in order,
     then W in the stage's order, each key's first row only."""
@@ -357,12 +344,12 @@ def _scan(pid: str, inst: Instance, *stages: tuple) -> Witness | None:
         _w_sets(inst)  # refuses a skeleton over the cap, whichever chis the stages skip
     for i, chi in enumerate(inst.chis):
         for test, ws, when, key in stages:
-            if when is not None and not _holds(inst, when, i):
+            if when is not None and not when(inst.ms, inst._ranks.rows[i]):
                 continue
             for row in _stage_rows(inst, i, ws, key):
                 found = test(row)
                 if found is not None:
-                    return _fail(pid, inst, found, chis=[chi], w=row.w)
+                    return _fail(pid, inst, found, chis=[chi], w_idx=row.w_idx)
     return None
 
 
@@ -399,7 +386,7 @@ def _pair_scan(pid: str, inst: Instance, test, when, symmetric) -> Witness | Non
             for k in _pair_keys(inst, i, j):
                 found = test(rows[i][k], rows[j][k])
                 if found is not None:
-                    return _fail(pid, inst, found, chis=[chi1, chi2], w=rows[i][k].w)
+                    return _fail(pid, inst, found, chis=[chi1, chi2], w_idx=rows[i][k].w_idx)
     return None
 
 

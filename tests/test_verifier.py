@@ -720,7 +720,7 @@ def _row(inst, grades, w, w_idx):
     from msfuzz.scan import _listed, _rows
 
     narrowed = Instance(inst.ms, inst.chis, inst.grade_universe, (w,))
-    return _rows(narrowed, grades, _listed(inst.ms, [(w, w_idx)]), True)[0]
+    return _rows(narrowed, grades, _listed(inst.ms, [w]), True)[0]
 
 
 def _reversed_w(inst):
@@ -744,7 +744,7 @@ class _BruteScan:
         self.every = _every_w(inst.ms.lattice, inst.w_sets)
         self.first, self.classes = None, {}
 
-    def visit(self, test, rows, chis, group, w):
+    def visit(self, test, rows, chis, group, w_idx):
         from msfuzz.scan import _fail
 
         verdict, found = _outcome(lambda: test(*rows))
@@ -752,7 +752,7 @@ class _BruteScan:
             self.classes.setdefault(group, set()).add(verdict)
         if verdict != "pass" and self.first is None:
             self.first = verdict if found is None else _fail(
-                self.pid, self.inst, found, chis=chis, w=w).to_dict()
+                self.pid, self.inst, found, chis=chis, w_idx=w_idx).to_dict()
 
     def stages(self, stages):
         from msfuzz.scan import _w_sets
@@ -763,7 +763,8 @@ class _BruteScan:
                 if when is not None and not when(ms, grades):
                     continue
                 default = ws is _w_sets
-                listed = [(img.w, img.idx) for img in ws(self.inst, chi)]
+                listed = [(tuple(ms.lattice.elements[v] for v in img.idx), img.idx)
+                          for img in ws(self.inst, chi)]
                 for w, w_idx in self.every if default else listed:
                     row = _row(self.inst, grades, w, w_idx)
                     group = None
@@ -771,7 +772,7 @@ class _BruteScan:
                         group = (chi, s, key, key(row))
                     elif default:
                         group = (chi, s, "image", _image(ms, w_idx))
-                    self.visit(test, [row], [chi], group, w)
+                    self.visit(test, [row], [chi], group, w_idx)
         return self
 
     def pairs(self, test, when, symmetric):
@@ -794,12 +795,12 @@ class _BruteScan:
                     rows = [_row(self.inst, g1, w, w_idx), _row(self.inst, g2, w, w_idx)]
                     key = (_base(ms, g1, w_idx), _base(ms, g2, w_idx))
                     group = (chi1, chi2, key)
-                    firsts.setdefault(key, w)
+                    firsts.setdefault(key, w_idx)
                     self.reads.setdefault(group, set()).add(
                         (rows[0].ups, rows[1].ups, upsilon_row(ms, union, w_idx)))
-                    self.visit(test, rows, [chi1, chi2], group, w)
+                    self.visit(test, rows, [chi1, chi2], group, w_idx)
                 if j >= i or not symmetric:
-                    self.firsts += [(g1, g2, w) for w in firsts.values()]
+                    self.firsts += [(g1, g2, w_idx) for w_idx in firsts.values()]
         return self
 
 
@@ -812,7 +813,7 @@ def _pair_visits(pid, inst):
     from msfuzz.scan import _PAIR_STAGES, _pair_scan
 
     seen = []
-    _pair_scan(pid, inst, lambda r1, r2: seen.append((r1.grades, r2.grades, r1.w)),
+    _pair_scan(pid, inst, lambda r1, r2: seen.append((r1.grades, r2.grades, r1.w_idx)),
                *_PAIR_STAGES[pid][1:])
     return seen
 
@@ -935,10 +936,10 @@ def test_crisp_scan_matches_every_w():
     def every_w(inst, test):
         lat = inst.ms.lattice
         for filt in enumerate_filters(lat):
-            for w, _ in _every_w(lat, inst.w_sets):
+            for w, w_idx in _every_w(lat, inst.w_sets):
                 found = test(lat, filt, extended_filter_crisp(inst.ms, filt, w))
                 if found is not None:
-                    return _fail(pid, inst, found, w=w).to_dict()
+                    return _fail(pid, inst, found, w_idx=w_idx).to_dict()
         return None
 
     failed = later_w = 0
@@ -1015,7 +1016,7 @@ def _assert_skeleton_route(ms):
 
     lat, dd = ms.lattice, ms.dneg_table()
     got = _skeleton_images(lat, dd)
-    expected = _listed(ms, _image_w_sets(lat, dd, None))
+    expected = _listed(ms, [w for w, _ in _image_w_sets(lat, dd, None)])
     assert [img._replace(rest=-1, d=-1) for img in got] == expected
 
 
@@ -1070,7 +1071,7 @@ def test_a_two_element_skeleton_builds_three_rows():
     ms = MSAlgebra(lat, {e: lat.top if e == lat.bottom else lat.bottom for e in lat.elements})
     chi = FuzzySet(lat, tuple(Fraction(min(k, 10), 10) for k in range(20)))
     inst = Instance(ms, (chi,), grades(*chi.grades))
-    assert [r.w for r in _stage_rows(inst, 0, _w_sets)] == [("c0",), ("c1",), ("c0", "c1")]
+    assert [r.w_idx for r in _stage_rows(inst, 0, _w_sets)] == [(0,), (1,), (0, 1)]
     for rec in properties():
         if rec.fixture is None and rec.pid != "thm-3.1-prime":  # its pool is over the cap
             run_property(rec.pid, inst)
@@ -1532,8 +1533,7 @@ _MUTANTS = {
                                  _skeleton_oracle),
     "skeleton-w-is-the-image": (
         [("scan", "_skeleton_images", _skeleton_map(lambda imgs, lat, dd: [
-            img._replace(w=tuple(lat.elements[v] for v in sorted({dd[v] for v in img.idx})),
-                         idx=tuple(sorted({dd[v] for v in img.idx}))) for img in imgs]))],
+            img._replace(idx=tuple(sorted({dd[v] for v in img.idx}))) for img in imgs]))],
         "laws"),
     "skeleton-join-is-meet": ([("scan", "_skeleton_images", _skeleton_map(
         lambda imgs, lat, dd: [img._replace(join=img.meet) for img in imgs]))],
