@@ -17,7 +17,8 @@ import msfuzz
 from .conftest import GOLDEN_DIR, run_cli, write_fixture_file
 
 SRC = str(Path(msfuzz.__file__).resolve().parents[1])
-REGISTRY_SIDE = {"msfuzz.verifier", "msfuzz.hom_analysis", "msfuzz.fixtures"}
+REGISTRY_SIDE = {"msfuzz.verifier", "msfuzz.laws", "msfuzz.scan", "msfuzz.catalog",
+                 "msfuzz.hom_analysis", "msfuzz.fixtures"}
 # start-up layers no command needs: click, and dataclasses with the inspect it loads
 HEAVY = {"click", "dataclasses", "inspect"}
 
@@ -124,3 +125,52 @@ def test_package_namespace_is_unchanged():
             assert getattr(module, name) is value
     with pytest.raises(AttributeError):
         msfuzz.no_such_name
+
+
+def _msfuzz_imports(name: str) -> set[str]:
+    """The msfuzz modules that ``msfuzz.<name>`` imports anywhere in its
+    source, function bodies included, read with ``ast``."""
+    import ast
+
+    tree = ast.parse((Path(msfuzz.__file__).parent / f"{name}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("msfuzz."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("msfuzz.")}
+    return found
+
+
+def test_the_law_modules_import_one_way():
+    """catalog and scan reach neither laws nor verifier through their
+    imports, and laws does not reach verifier: the registry is filled by
+    laws, and only verifier runs it."""
+    def reach(name):
+        seen, todo = set(), [name]
+        while todo:
+            for m in _msfuzz_imports(todo.pop()) - seen:
+                seen.add(m)
+                todo.append(m)
+        return seen
+
+    assert {"laws", "scan"} <= _msfuzz_imports("verifier")
+    assert "scan" in _msfuzz_imports("laws")
+    for name in ("catalog", "scan"):
+        assert not reach(name) & {"laws", "verifier"}, name
+    assert "verifier" not in reach("laws")
+
+
+def test_a_fresh_interpreter_registers_every_law():
+    """``msfuzz.properties()`` loads verifier, which loads laws: all 31 laws
+    in their report order, with nothing imported beforehand."""
+    from .test_verifier import REQUIRED_IDS
+
+    proc = subprocess.run(
+        [sys.executable, "-c", "import msfuzz\nfor rec in msfuzz.properties(): print(rec.pid)"],
+        capture_output=True, text=True, env=_env(), timeout=120, check=True,
+    )
+    assert proc.stdout.split() == list(REQUIRED_IDS)
+    assert len(REQUIRED_IDS) == 31

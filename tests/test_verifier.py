@@ -1376,6 +1376,10 @@ _NEGATIVE_CONTROLS = {
 def test_negative_control(pid):
     """Each law finds the violation of its control and prints its detail,
     so no predicate of the table passes whatever it is given."""
+    _assert_negative_controls(pid)
+
+
+def _assert_negative_controls(pid):
     from msfuzz.scan import Witness
 
     for run, detail in _NEGATIVE_CONTROLS[pid]:
@@ -1497,6 +1501,41 @@ def _pair_keys_map(change):
     return lambda inst, i, j: change(_pair_keys(inst, i, j))
 
 
+def _base_grade_by(op, through_dd=True):
+    def base_grade(ms, grades, w_idx):
+        dd = ms.dneg_table()
+        return op(grades[dd[w] if through_dd else w] for w in w_idx)
+
+    return base_grade
+
+
+def _first_break_swapped(table, grades, op):
+    from msfuzz.lattice_core import first_break
+
+    pair = first_break(table, grades, op)
+    return pair and pair[::-1]
+
+
+def _is_filter_row_meets_only(lat, grades, one):
+    from msfuzz.lattice_core import first_break
+
+    return first_break(lat.meet_table, grades, min) is None
+
+
+def _dense_row_by(op):
+    def dense_row(grades, idx):
+        threshold = op(grades[i] for i in idx)
+        return threshold, frozenset(i for i in idx if grades[i] == threshold)
+
+    return dense_row
+
+
+def _negative_controls_oracle(inst):
+    """Every law's negative control, whatever the instance."""
+    for pid in _NEGATIVE_CONTROLS:
+        _assert_negative_controls(pid)
+
+
 # name -> (the patches as (module name, attribute, replacement), the killer:
 # "laws" when some law's outcome changes on a mutant input, else the oracle
 # that fails on one).  Kernels imported by name are patched where they are
@@ -1546,12 +1585,39 @@ _MUTANTS = {
                              _pair_key_oracle),
     "pair-keys-drop-the-last": ([("scan", "_pair_keys",
                                   _pair_keys_map(lambda ks: ks[:-1]))], _pair_key_oracle),
+    "base_grade-min": ([("extensions", "_base_grade", _base_grade_by(min)),
+                        ("scan", "_base_grade", _base_grade_by(min))], "laws"),
+    "base_grade-skips-double-negation": (
+        [("extensions", "_base_grade", _base_grade_by(max, through_dd=False)),
+         ("scan", "_base_grade", _base_grade_by(max, through_dd=False))], "laws"),
+    "first_break-never-breaks": ([("laws", "first_break", lambda table, grades, op: None)],
+                                 "laws"),
+    "first_break-swapped": ([("laws", "first_break", _first_break_swapped)], "laws"),
+    "is_filter_row-top-only": ([("laws", "is_filter_row", lambda lat, grades, one: (
+        grades[lat.element_index(lat.top)] == one))], "laws"),
+    "is_filter_row-meets-only": ([("laws", "is_filter_row", _is_filter_row_meets_only)],
+                                 "laws"),
+    "kernel_row-ignores-the-image": ([("laws", "kernel_row", lambda ms, g, ups, w_idx, z: all(
+        (u == z) == (x == z) for x, u in zip(g, ups)))], "laws"),
+    "kernel_row-always-holds": ([("laws", "kernel_row", lambda *args: True)],
+                                _negative_controls_oracle),
+    "cokernel_row-ignores-the-image": ([("laws", "cokernel_row", lambda ms, g, ups, w_idx, o: all(
+        (u == o) == (x == o) for x, u in zip(g, ups)))], "laws"),
+    "cokernel_row-always-holds": ([("laws", "cokernel_row", lambda *args: True)],
+                                  _negative_controls_oracle),
+    "dense_row-argmin": ([("laws", "dense_row", _dense_row_by(min))], "laws"),
+    "dense_row-every-index": ([("laws", "dense_row", lambda grades, idx: (
+        max(grades[i] for i in idx), frozenset(idx)))], "laws"),
 }
 
 
-def _oracle_fails(oracle, inst):
+def _kills(killer, inst, expected):
+    """Whether ``killer`` fires on ``inst``: some law's outcome differs
+    from ``expected``, or the named oracle fails."""
+    if killer == "laws":
+        return _law_outcomes(_fresh(inst)) != expected
     try:
-        oracle(inst)
+        killer(_fresh(inst))
     except AssertionError:
         return True
     return False
@@ -1560,9 +1626,12 @@ def _oracle_fails(oracle, inst):
 @pytest.mark.parametrize("name", list(_MUTANTS))
 def test_mutant_is_killed(monkeypatch, mutant_baseline, name):
     """Each hand-written mutant of a row kernel (``_raise_to``,
-    ``omega_row``, the base and omega recurrences, the skeleton builder and
-    the pair-key builder) changes some law's outcome on an input of
-    ``_mutant_inputs`` or fails its named oracle there."""
+    ``omega_row``, the base and omega recurrences, the skeleton builder,
+    the pair-key builder, ``_base_grade``, ``first_break``,
+    ``is_filter_row``, ``kernel_row``, ``cokernel_row`` and ``dense_row``)
+    changes some law's outcome on an input of ``_mutant_inputs`` or fails
+    its named oracle there; unpatched, the killer passes on that input, so
+    a no-op mutant survives it."""
     import importlib
 
     patches, killer = _MUTANTS[name]
@@ -1570,9 +1639,9 @@ def test_mutant_is_killed(monkeypatch, mutant_baseline, name):
         monkeypatch.setattr(importlib.import_module(f"msfuzz.{module}"), attr, replacement)
     inputs, baseline = mutant_baseline
     for inst, expected in zip(inputs, baseline):
-        if killer == "laws" and _law_outcomes(_fresh(inst)) != expected:
-            return
-        if killer != "laws" and _oracle_fails(killer, _fresh(inst)):
+        if _kills(killer, inst, expected):
+            monkeypatch.undo()
+            assert not _kills(killer, inst, expected), f"{name}: the killer fires unpatched"
             return
     pytest.fail(f"mutant {name} survived")
 
