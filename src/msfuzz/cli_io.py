@@ -12,8 +12,8 @@ configurations produce byte-identical bytes.
 
 A document command costs little more than interpreter start-up and
 imports, so the parser is the standard library's ``argparse``, and the
-law registry (``verifier``) is imported by ``verify``, ``sweep`` and
-``search`` when they run: ``validate``, ``extend`` and ``fixed`` load
+law registry (``verifier``, with ``catalog``, ``scan`` and ``laws``) is
+imported by ``verify``, ``sweep`` and ``search`` when they run: ``validate``, ``extend`` and ``fixed`` load
 only the document path.
 """
 

@@ -6,16 +6,16 @@ Two pointwise operators over a nonempty reference subset W:
     omega(theta)   = max over w in W of chi(theta join w'')
 
 where '' is double negation.  ``upsilon_row`` and ``omega_row`` are the
-only evaluators; everything else here and the law table in the verifier
+only evaluators; everything else here and the law table in ``laws``
 calls them, or ``_raise_to``, upsilon's body, when it already holds the
 base grade max chi(w'').  Like ``dense_row`` they only compare grades,
 so they take grade tuples and tuples of integer grade ranks alike.
 Both are raw: they accept invalid negation tables and non-filter grade
 maps on purpose, so flawed instances still evaluate to their exact
-grades; the law suite in the verifier applies them only to validated
+grades; the law suite in ``laws`` applies them only to validated
 instances.
 Each helper computes its fact one way.  The equivalences behind them
-are laws in the verifier and nowhere else: the two fixedness routes
+are laws in ``laws`` and nowhere else: the two fixedness routes
 (def-3.4-consistency) and the dense-element readings of upsilon and
 omega (thm-4.7, thm-4.8).
 """

@@ -5,8 +5,8 @@ primality check, which reads that pool.
 
 ``is_filter_row`` is a row kernel like ``lattice_core.first_break``: it
 only compares grades, so it takes grade tuples and tuples of integer
-grade ranks alike (the law scan in the verifier passes ranks, with the
-rank of 1 for ``one``).  ``classify`` and ``fuzzy_filter_report`` map a
+grade ranks alike (the laws pass ranks, with the rank of 1 for
+``one``).  ``classify`` and ``fuzzy_filter_report`` map a
 grade row to ranks once (``_rank_row``) and run ``first_break`` on them;
 grades come back only in their witnesses.
 """

@@ -3,9 +3,9 @@ the row kernels of the kernel and cokernel laws.
 
 ``kernel_row`` and ``cokernel_row`` are row kernels like
 ``extensions.upsilon_row``: they only compare grades with each other and
-with the ``zero`` or ``one`` they are given, so the law scan in the
-verifier calls them on integer grade ranks.  The facts they decide are
-laws prop-5.2 and prop-5.3 in the verifier; ``hom_report`` wraps
+with the ``zero`` or ``one`` they are given, so the laws call them on
+integer grade ranks.  The facts they decide are laws prop-5.2 and
+prop-5.3 in ``laws``; ``hom_report`` wraps
 ``lattice_core.first_break`` for FuzzySets.
 """
 

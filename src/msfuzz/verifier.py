@@ -1,9 +1,8 @@
-"""Executable registry of the algebraic laws, instance generators, and
-exhaustive/randomized counterexample search.
+"""Running the registered laws: one law on one instance, exhaustive or
+randomized sweeps split across the CPUs, and counterexample search.
 
 The laws live in ``laws``, the rows they read in ``scan`` and the instance
-lattices in ``catalog``; this module runs them: one law on one instance,
-sweeps split across the CPUs, and searches.
+lattices in ``catalog``.
 """
 
 from __future__ import annotations

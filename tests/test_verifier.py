@@ -1248,11 +1248,12 @@ def _stage(pid, k, chi, w, ms=_diamond_ms, **wrong):
     return lambda: _STAGES[pid][k][0](_control_row(ms(), chi, w, **wrong))
 
 
-def _pair(pid, w, wrong1, wrong2, chi=(0, 0, 0, 1)):
+def _pair(pid, w, wrong1, wrong2):
     """The registered predicate of the pair law ``pid`` on two control rows
-    of the diamond that share ``w``."""
+    of the diamond, both of chi = (0, 0, 0, 1), that share ``w``."""
     from msfuzz.scan import _PAIR_STAGES
 
+    chi = (0, 0, 0, 1)
     return lambda: _PAIR_STAGES[pid][0](_control_row(_diamond_ms(), chi, w, **wrong1),
                                         _control_row(_diamond_ms(), chi, w, **wrong2))
 
@@ -1264,15 +1265,15 @@ def _law_check(pid, inst):
     return lambda: check(inst())
 
 
-def _refuted(pid, chi, w, universe=UNIVERSE2):
-    """``run_property`` on the diamond with one chi and one W, for the laws
-    that are refutable on a valid algebra."""
+def _refuted(pid, chi, w):
+    """``run_property`` on the diamond with one chi and one W over {0, 1},
+    for the laws that are refutable on a valid algebra."""
     from msfuzz import FuzzySet
 
     def run():
         ms = _diamond_ms()
         chis = (FuzzySet(ms.lattice, grades(*chi)),)
-        return run_property(pid, Instance(ms, chis, universe, (tuple(w),)))
+        return run_property(pid, Instance(ms, chis, UNIVERSE2, (tuple(w),)))
 
     return run
 
@@ -1286,6 +1287,8 @@ def _m3_identity():
 
 
 def _chain_with_bad_negation():
+    """The chain c0 < c1 < c2 with a negation table that breaks join De
+    Morgan, so not an MS-algebra."""
     from .conftest import chain
 
     return Instance(MSAlgebra(chain(3), {"c0": "c2", "c1": "c1", "c2": "c2"}), (), UNIVERSE3)
