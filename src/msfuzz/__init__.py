@@ -51,8 +51,6 @@ from .fuzzy_core import (
     classify,
     enumerate_fuzzy_filters,
     fuzzy_filter_report,
-    fuzzy_intersection,
-    is_prime_fuzzy_filter_bounded,
     level_cut,
 )
 from .grades import Grade, format_grade, parse_grade
@@ -108,8 +106,7 @@ __all__ = [
     "document_from_objects", "document_to_objects", "parse_algebra",
     "serialize_algebra",
     "FuzzyClassification", "FuzzySet", "classify", "enumerate_fuzzy_filters",
-    "fuzzy_filter_report", "fuzzy_intersection",
-    "is_prime_fuzzy_filter_bounded", "level_cut",
+    "fuzzy_filter_report", "level_cut",
     "Grade", "format_grade", "parse_grade",
     "FilterSet", "FiniteLattice", "SubsetVerdict", "build_lattice",
     "enumerate_filters", "is_filter", "is_prime_filter", "principal_filter",

@@ -1,14 +1,15 @@
 """Fuzzy sets with exact rational grades, classification, level cuts,
 the pool of fuzzy filters over a finite grade universe (one per
-multichain of principal filters), and the grade-universe-bounded
-primality check, which reads that pool.
+multichain of principal filters), and the primality of a fuzzy filter
+decided in closed form over its step filters.
 
 ``is_filter_row`` is a row kernel like ``lattice_core.first_break``: it
 only compares grades, so it takes grade tuples and tuples of integer
 grade ranks alike (the laws pass ranks, with the rank of 1 for
-``one``).  ``classify`` and ``fuzzy_filter_report`` map a
-grade row to ranks once (``_rank_row``) and run ``first_break`` on them;
-grades come back only in their witnesses.
+``one``).  ``prime_pair_row`` steps a rank up by one, so it takes ranks
+only.  ``classify`` and ``fuzzy_filter_report`` map a grade row to ranks
+once (``_rank_row``) and run ``first_break`` on them; grades come back
+only in their witnesses.
 """
 
 from __future__ import annotations
@@ -16,13 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import (
-    CarrierMismatch,
-    GradeOutOfRange,
-    NotProper,
-    SizeCapExceeded,
-)
-from .grades import ONE, ZERO, ensure_grade
+from .errors import CarrierMismatch, GradeOutOfRange, SizeCapExceeded
+from .grades import ONE, ensure_grade
 from .lattice_core import FiniteLattice, first_break
 from .report import Check, Record, VerificationReport
 
@@ -70,12 +66,6 @@ class FuzzyClassification(Record):
 def _same_carrier(a: FuzzySet, b: FuzzySet) -> None:
     if a.carrier != b.carrier:
         raise CarrierMismatch("fuzzy sets live on different carriers")
-
-
-def fuzzy_intersection(a: FuzzySet, b: FuzzySet) -> FuzzySet:
-    """Pointwise minimum."""
-    _same_carrier(a, b)
-    return FuzzySet(a.carrier, tuple(min(x, y) for x, y in zip(a.grades, b.grades)))
 
 
 def is_filter_row(lat: FiniteLattice, grades, one) -> bool:
@@ -167,6 +157,15 @@ def level_cut(mu: FuzzySet, t: Fraction) -> frozenset[str]:
     return frozenset(e for e, g in zip(lat.elements, mu.grades) if g >= t)
 
 
+def check_pool_size(lat: FiniteLattice, universe) -> None:
+    """Refuse a lattice and grade universe whose pool of fuzzy filters is
+    over ``FUZZY_ENUM_CAP``, measured as |elements| * |grades|."""
+    size = lat.n * len(universe)
+    if size > FUZZY_ENUM_CAP:
+        raise SizeCapExceeded(
+            f"|elements| * |grades| = {size} exceeds cap {FUZZY_ENUM_CAP}")
+
+
 def enumerate_fuzzy_filters(lat: FiniteLattice, grade_universe) -> list[FuzzySet]:
     """All fuzzy filters with grades drawn from a finite universe.
 
@@ -181,10 +180,7 @@ def enumerate_fuzzy_filters(lat: FiniteLattice, grade_universe) -> list[FuzzySet
         ensure_grade(g)
     if ONE not in universe:
         raise ValueError("grade universe must contain 1")
-    size = lat.n * len(universe)
-    if size > FUZZY_ENUM_CAP:
-        raise SizeCapExceeded(
-            f"|elements| * |grades| = {size} exceeds cap {FUZZY_ENUM_CAP}")
+    check_pool_size(lat, universe)
 
     leq = lat.leq_table
     # (last ai, grades so far); the bottom lies below every first a1
@@ -206,29 +202,25 @@ def filter_pool(lat: FiniteLattice, universe: tuple[Fraction, ...]
     return tuple(enumerate_fuzzy_filters(lat, universe))
 
 
-def is_prime_fuzzy_filter_bounded(lat: FiniteLattice, chi: FuzzySet,
-                                  grade_universe=None):
-    """Bounded primality: no pair of fuzzy filters over the universe has
-    intersection inside ``chi`` while neither factor is inside it.
+def prime_pair_row(lat: FiniteLattice, grades, one):
+    """The first pair (phi, psi) of step filters, in sorted order, with
+    min(phi, psi) <= mu pointwise, or None when the filter row mu is
+    prime.  For each x with mu(x) < ``one`` the step filter phi_x is
+    mu(x) + 1 on the up-set of x, ``one`` at the top and 0 elsewhere.
 
-    The universe defaults to the grades of ``chi`` plus {0, 1} and is
-    always widened to include them.  Pairs are drawn, in pool order, from
-    the members not inside ``chi``.  A negative verdict is conclusive; a
-    positive one is relative to the universe.  Returns (bool, witness
-    pair or None).
+    This is the first pair of the bounded search over the pool of fuzzy
+    filters whose grades are the ranks 0..``one``, taken in pool order
+    from the members not inside mu.  Every step filter lies in the pool,
+    and any pool pair that refutes primality shrinks pointwise to such a
+    pair, at points where phi and psi exceed mu; a pointwise-smaller row
+    sorts no later, so the search's first pair is a pair of step filters.
     """
-    cls = classify(lat, chi)
-    if not cls.is_filter:
-        raise NotProper("primality is defined for fuzzy filters only")
-    if not cls.is_proper:
-        raise NotProper("primality is defined for proper (non-constant) filters")
-    universe = set(chi.grades) | {ZERO, ONE}
-    if grade_universe is not None:
-        universe |= {Fraction(g) for g in grade_universe}
-    pool = filter_pool(lat, tuple(sorted(universe)))
-    outside = [phi for phi in pool if not phi.is_contained_in(chi)]
-    for phi in outside:
-        for psi in outside:
-            if fuzzy_intersection(phi, psi).is_contained_in(chi):
-                return False, (phi, psi)
-    return True, None
+    leq, top = lat.leq_table, lat.element_index(lat.top)
+    steps = sorted(
+        tuple(one if y == top else grades[x] + 1 if leq[x][y] else 0 for y in range(lat.n))
+        for x in range(lat.n) if grades[x] < one)
+    for phi in steps:
+        for psi in steps:
+            if all(min(a, b) <= g for a, b, g in zip(phi, psi, grades)):
+                return phi, psi
+    return None

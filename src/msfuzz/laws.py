@@ -6,8 +6,9 @@ from __future__ import annotations
 
 from typing import Any
 
+from .errors import NotProper
 from .extensions import dense_row, fixed_witness_sets, omega_row, upsilon_row
-from .fuzzy_core import FuzzySet, filter_pool, is_filter_row, is_prime_fuzzy_filter_bounded
+from .fuzzy_core import FuzzySet, check_pool_size, is_filter_row, prime_pair_row
 from .hom_analysis import cokernel_row, kernel_row
 from .lattice_core import FiniteLattice, enumerate_filters, first_break, is_filter
 from .ms_algebra import MSAlgebra, extended_filter_crisp, verify_derived_identities
@@ -91,39 +92,28 @@ def _thm_3_1_filter(r: _Row):
         return "extension is not a fuzzy filter", {"upsilon": list(r.fuzzy(r.ups).grades)}
 
 
-def _prime_by_cut(lat: FiniteLattice, ups, one) -> bool:
-    """Prime relative to any universe: a filter row with values {a, one} whose
-    1-cut P is prime (joins keep the larger rank).  If min(phi, psi) <= ups
-    with phi(x), psi(y) above it, x, y and x ∨ y lie outside P, where the
-    monotone phi and psi both exceed a."""
-    return (len(set(ups)) == 2 and is_filter_row(lat, ups, one)
-            and first_break(lat.join_table, ups, max) is None)
+def _thm_3_1_prime(r: _Row):
+    if len(set(r.ups)) == 1:
+        return None  # not a proper filter
+    if not is_filter_row(r.lat, r.ups, r.one):
+        raise NotProper("primality is defined for fuzzy filters only")
+    pair = prime_pair_row(r.lat, r.ups, r.one)
+    if pair is not None:
+        phi, psi = map(r.fuzzy, pair)
+        return ("extension is a non-prime fuzzy filter",
+                {"phi": phi, "psi": psi, "upsilon": r.fuzzy(r.ups)})
 
 
-def _prime_stage(inst: Instance) -> tuple:
-    """The one stage of thm-3.1-prime: its test reads the filter pool over
-    the instance's grades, 0 and 1, which hold every extension's grades."""
-    lat = inst.ms.lattice
-    universe = inst._ranks.grades
-    # built before any row, so an over-cap universe skips whatever the rows
-    filter_pool(lat, universe)
-
-    def test(r: _Row):
-        if len(set(r.ups)) == 1 or _prime_by_cut(lat, r.ups, r.one):
-            return None  # not a proper filter, or prime by its 1-cut
-        ups = r.fuzzy(r.ups)
-        prime, pair = is_prime_fuzzy_filter_bounded(lat, ups, universe)
-        if not prime:
-            phi, psi = pair
-            return ("extension is a non-prime fuzzy filter",
-                    {"phi": phi, "psi": psi, "upsilon": ups})
-
-    return test, _w_sets, None, _by_ups
+_PRIME_STAGE = (_thm_3_1_prime, _w_sets, None, _by_ups)
 
 
-_law("thm-3.1-prime", "the extension of a fuzzy filter is a prime fuzzy filter "
-     "(known-refutable; kept as a search target)", search_target=True,
-     )(lambda inst: _scan("thm-3.1-prime", inst, _prime_stage(inst)))
+@_law("thm-3.1-prime", "the extension of a fuzzy filter is a prime fuzzy filter "
+      "(known-refutable; kept as a search target)", search_target=True)
+def _check_thm_3_1_prime(inst: Instance):
+    # primality is relative to the pool of fuzzy filters over the instance's
+    # grades, 0 and 1: over its cap the hypothesis is unmet, before any row
+    check_pool_size(inst.ms.lattice, inst._ranks.grades)
+    return _scan("thm-3.1-prime", inst, _PRIME_STAGE)
 
 
 def _base_subsets(r: _Row):

@@ -16,8 +16,7 @@ first row of each key only; the pair laws, the first W of each pair of
 base grades (see ``_STAGES``).  Rows and guards see only integer grade
 ranks, which order as the grades do (see ``_Ranks``), and test them with
 the row kernels of ``lattice_core``, ``fuzzy_core``, ``extensions`` and
-``hom_analysis``; grades come back only in witness data and in
-thm-3.1-prime for the rows that its rank gate does not pass.
+``hom_analysis``; grades come back only in witness data.
 """
 
 from __future__ import annotations

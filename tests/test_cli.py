@@ -6,7 +6,9 @@ import pytest
 from msfuzz import FIXTURE_NAMES
 from msfuzz.file_format import MAX_DOCUMENT_ELEMENTS
 
-from .conftest import chain_order, document_text, run_cli, spliced_order, write_fixture_file
+from .conftest import (
+    chain_order, document_text, fuzzy, grades, run_cli, spliced_order, write_fixture_file,
+)
 
 
 @pytest.fixture
@@ -299,15 +301,20 @@ def test_over_cap_runs_are_usage_errors(args):
     assert isinstance(result.exception, SystemExit)
 
 
-def test_over_cap_verify_skips_prime_law(tmp_path):
-    """9 elements x 9 grades is over the filter-pool cap that thm-3.1-prime
-    needs: verify reports that law as unmet and checks every other law."""
+def _fine_grades_document(tmp_path):
+    """A 9-chain with a filter of 9 grades, over the filter-pool cap."""
     els, covers = chain_order(9)
     neg = [f"  {e} -> {els[-1] if i == 0 else els[0]}" for i, e in enumerate(els)]
     chi = [f"  {e} = {i}/8" for i, e in enumerate(els)]
     path = tmp_path / "fine_grades.ms"
     path.write_text(document_text(els, covers) + "\n".join(["neg", *neg, "fuzzy chi", *chi]))
-    result = run_cli(["--format", "json", "verify", str(path)])
+    return str(path)
+
+
+def test_over_cap_verify_skips_prime_law(tmp_path):
+    """9 elements x 9 grades is over the filter-pool cap that thm-3.1-prime
+    needs: verify reports that law as unmet and checks every other law."""
+    result = run_cli(["--format", "json", "verify", _fine_grades_document(tmp_path)])
     assert result.exit_code == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
     verdicts = {r["id"]: r for r in json.loads(result.output)["properties"]}
@@ -316,6 +323,32 @@ def test_over_cap_verify_skips_prime_law(tmp_path):
         "reason": "|elements| * |grades| = 81 exceeds cap 64"}
     assert len(verdicts) == 29
     assert {r["verdict"] for r in verdicts.values()} == {"pass"}
+
+
+def test_prime_law_builds_no_filter_pool(monkeypatch, tmp_path, fixture_file, diamond_ms):
+    """thm-3.1-prime decides without the pool of fuzzy filters: with the
+    pool refused, it still refutes the diamond's top filter and the
+    three-chain document, and still reports the over-cap document as an
+    unmet hypothesis, with the cap's message."""
+    from msfuzz import fuzzy_core
+    from msfuzz.scan import Instance
+    from msfuzz.verifier import run_property
+
+    def refuse(*args):
+        raise RuntimeError("the filter pool was built")
+
+    fuzzy_core.filter_pool.cache_clear()
+    monkeypatch.setattr(fuzzy_core, "enumerate_fuzzy_filters", refuse)
+    top = Instance(diamond_ms, (fuzzy(diamond_ms.lattice, 0, 0, 0, 1),), grades(0, 1),
+                   (("0",),))
+    assert run_property("thm-3.1-prime", top).detail == "extension is a non-prime fuzzy filter"
+    rows = []
+    for path in (fixture_file("three_chain_stone"), _fine_grades_document(tmp_path)):
+        result = run_cli(["--format", "json", "verify", path, "--props", "thm-3.1-prime"])
+        assert result.exit_code == 1, result.output
+        rows += json.loads(result.output)["properties"]
+    assert [row["verdict"] for row in rows] == ["fail", "hypothesis-unmet"]
+    assert rows[1]["reason"] == "|elements| * |grades| = 81 exceeds cap 64"
 
 
 GRADES_64 = ",".join(f"{k}/64" for k in range(1, 65))

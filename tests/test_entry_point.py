@@ -89,7 +89,9 @@ def test_law_commands_load_the_registry(tmp_path, args, code):
     assert "msfuzz.verifier" in modules
 
 
-# every name that msfuzz exported when it imported all of its submodules
+# every name that msfuzz exported when it imported all of its submodules,
+# less fuzzy_intersection and is_prime_fuzzy_filter_bounded, whose one
+# caller, thm-3.1-prime, now decides by the closed form prime_pair_row
 PACKAGE_NAMES = """
 CarrierMismatch DuplicateElement EmptyW GradeOutOfRange HypothesisUnmet
 InternalInvariantError MsfuzzError NotALattice NotAPoset NotBounded
@@ -99,10 +101,10 @@ fixed_witness_sets is_fixed_relative omega upsilon AlgebraDocument
 AlgebraSyntaxError DanglingReference document_from_objects document_to_objects
 parse_algebra serialize_algebra FIXTURE_NAMES fixture_text load_fixture
 FuzzyClassification FuzzySet classify enumerate_fuzzy_filters
-fuzzy_filter_report fuzzy_intersection is_prime_fuzzy_filter_bounded level_cut
-Grade format_grade parse_grade HomReport cokernel hom_report kernel FilterSet
-FiniteLattice SubsetVerdict build_lattice enumerate_filters is_filter
-is_prime_filter principal_filter MSAlgebra check_ms_axioms
+fuzzy_filter_report level_cut Grade format_grade parse_grade HomReport
+cokernel hom_report kernel FilterSet FiniteLattice SubsetVerdict build_lattice
+enumerate_filters is_filter is_prime_filter principal_filter MSAlgebra
+check_ms_axioms
 enumerate_ms_operations extended_filter_crisp verify_derived_identities Check
 VerificationReport Instance PropertyOutcome SearchConfig SweepReport
 THEOREM_SUITE Witness lattice_catalog properties run_property
@@ -161,6 +163,25 @@ def test_the_law_modules_import_one_way():
     for name in ("catalog", "scan"):
         assert not reach(name) & {"laws", "verifier"}, name
     assert "verifier" not in reach("laws")
+
+
+def test_laws_build_no_filter_pool():
+    """No law reads the pool of fuzzy filters: thm-3.1-prime decides in
+    closed form, so ``laws`` neither imports nor names ``filter_pool`` or
+    ``enumerate_fuzzy_filters``."""
+    import ast
+
+    tree = ast.parse((Path(msfuzz.__file__).parent / "laws.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {a.name.rsplit(".", 1)[-1] for a in node.names}
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert "prime_pair_row" in names
+    assert not names & {"filter_pool", "enumerate_fuzzy_filters"}
 
 
 def test_a_fresh_interpreter_registers_every_law():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -14,12 +15,11 @@ from msfuzz import (
     classify,
     enumerate_filters,
     enumerate_fuzzy_filters,
-    fuzzy_intersection,
     is_filter,
-    is_prime_fuzzy_filter_bounded,
     level_cut,
 )
 from msfuzz.catalog import lattice_catalog
+from msfuzz.fuzzy_core import prime_pair_row
 from msfuzz.scan import Instance
 from msfuzz.verifier import run_property
 
@@ -60,12 +60,13 @@ def ideal_by_definition(lat, fs):
 # -- pointwise algebra ---------------------------------------------------------
 
 def test_union_intersection(diamond, diamond_ms):
-    """Intersection is the pointwise minimum; the pointwise-maximum union
-    is read by laws prop-3.3.1 and prop-3.7."""
+    """Containment is pointwise; the pointwise-maximum union is read by
+    laws prop-3.3.1 and prop-3.7."""
     phi = fuzzy(diamond, 0, 1, 0, 1)
     psi = fuzzy(diamond, 0, 0, 1, 1)
-    assert fuzzy_intersection(phi, psi).grades == grades(0, 0, 0, 1)
-    assert fuzzy_intersection(phi, phi).grades == phi.grades
+    assert fuzzy(diamond, 0, 0, 0, 1).is_contained_in(phi)
+    assert phi.is_contained_in(phi)
+    assert not phi.is_contained_in(psi) and not psi.is_contained_in(phi)
     inst = Instance(diamond_ms, (phi, psi), grades(0, 1))
     assert run_property("prop-3.3.1", inst) is None
     assert run_property("prop-3.7", inst) is None
@@ -74,7 +75,7 @@ def test_union_intersection(diamond, diamond_ms):
 def test_carrier_mismatch(diamond):
     other = chain(4)
     with pytest.raises(CarrierMismatch):
-        fuzzy_intersection(fuzzy(diamond, 0, 0, 0, 1), fuzzy(other, 0, 0, 0, 1))
+        fuzzy(diamond, 0, 0, 0, 1).is_contained_in(fuzzy(other, 0, 0, 0, 1))
 
 
 def test_grade_validation(diamond):
@@ -300,49 +301,93 @@ def test_enumeration_matches_exhaustive_scan():
             assert got == expected  # same maps, same lexicographic order
 
 
-# -- bounded primality ------------------------------------------------------------
+# -- primality ------------------------------------------------------------------
+
+def prime_pair_grades(lat, chi, universe):
+    """``prime_pair_row`` on chi's ranks over the universe with 0 and 1,
+    its pair mapped back to grades."""
+    scale = tuple(sorted(set(universe) | {Fraction(0), Fraction(1)}))
+    rank = {g: k for k, g in enumerate(scale)}
+    pair = prime_pair_row(lat, tuple(map(rank.__getitem__, chi.grades)), rank[1])
+    if pair is None:
+        return True, None
+    return False, tuple(FuzzySet(lat, tuple(scale[k] for k in r)) for r in pair)
+
 
 def test_prime_two_chain():
     lat = chain(2)
-    ok, witness = is_prime_fuzzy_filter_bounded(lat, fuzzy(lat, 0, 1), grades(0, 1))
-    assert ok and witness is None
+    assert prime_pair_row(lat, (0, 1), 1) is None
+    assert prime_pair_grades(lat, fuzzy(lat, 0, 1), grades(0, 1)) == (True, None)
 
 
-def test_prime_diamond_refuted(diamond):
+def test_prime_diamond_refuted(diamond, diamond_ms):
+    """The two atoms' step filters refute the primality of the top's
+    characteristic map, first in sorted order; thm-3.1-prime reports them
+    for the extension over W = {0}, which is that map."""
     chi = fuzzy(diamond, 0, 0, 0, 1)
-    ok, witness = is_prime_fuzzy_filter_bounded(diamond, chi, grades(0, 1))
+    assert prime_pair_row(diamond, (0, 0, 0, 1), 1) == ((0, 0, 1, 1), (0, 1, 0, 1))
+    ok, (phi, psi) = prime_pair_grades(diamond, chi, grades(0, 1))
     assert not ok
-    phi, psi = witness
-    assert {phi.grades, psi.grades} == {grades(0, 1, 0, 1), grades(0, 0, 1, 1)}
-    meet = fuzzy_intersection(phi, psi)
-    assert meet.is_contained_in(chi)
+    assert all(min(a, b) <= c for a, b, c in zip(phi.grades, psi.grades, chi.grades))
     assert not phi.is_contained_in(chi) and not psi.is_contained_in(chi)
+    witness = run_property("thm-3.1-prime", Instance(diamond_ms, (chi,), grades(0, 1),
+                                                     (("0",),)))
+    assert witness.data == {"phi": phi, "psi": psi, "upsilon": chi}
 
 
 def prime_by_pair_scan(lat, chi, pool):
     """Oracle: every pair of the pool, in pool order."""
     for phi in pool:
         for psi in pool:
-            if (fuzzy_intersection(phi, psi).is_contained_in(chi)
+            if (all(min(a, b) <= c for a, b, c in zip(phi.grades, psi.grades, chi.grades))
                     and not phi.is_contained_in(chi)
                     and not psi.is_contained_in(chi)):
                 return False, (phi, psi)
     return True, None
 
 
-def test_bounded_primality_matches_pair_scan():
+def _assert_prime_pair_matches_pair_scan(lattices):
+    """The kernel finds the pair scan's first pair, or none when it finds
+    none, on every non-constant filter over {0, 1/2, 1} and over
+    {0, 1/3, 2/3, 1}; both verdicts occur."""
     third = Fraction(1, 3)
-    for universe, max_n in ((UNIVERSE3, 5), (grades(0, third, 2 * third, 1), 4)):
-        for lat in lattice_catalog(max_n):
+    verdicts = set()
+    for universe in (UNIVERSE3, grades(0, third, 2 * third, 1)):
+        for lat in lattices:
             pool = enumerate_fuzzy_filters(lat, universe)
             for chi in pool:
                 if not chi.is_constant():
-                    assert is_prime_fuzzy_filter_bounded(lat, chi, universe) == \
-                        prime_by_pair_scan(lat, chi, pool)
+                    expected = prime_by_pair_scan(lat, chi, pool)
+                    assert prime_pair_grades(lat, chi, universe) == expected
+                    verdicts.add(expected[0])
+    assert verdicts == {True, False}
 
 
-def test_prime_requires_proper(diamond):
-    with pytest.raises(NotProper):
-        is_prime_fuzzy_filter_bounded(diamond, fuzzy(diamond, 1, 1, 1, 1))
-    with pytest.raises(NotProper):  # not even a fuzzy filter
-        is_prime_fuzzy_filter_bounded(diamond, fuzzy(diamond, 0, 1, 1, 1), grades(0, 1))
+def test_bounded_primality_matches_pair_scan():
+    _assert_prime_pair_matches_pair_scan(lattice_catalog(5))
+
+
+def test_prime_pair_matches_pair_scan_in_any_element_order():
+    """The same in a shuffled element order: a document's element order
+    need not be a linear extension, and the pool and the step filters sort
+    by grade tuple over element positions alike."""
+    rng = random.Random(5)
+    shuffled = []
+    for lat in lattice_catalog(5):
+        for _ in range(2):
+            elements = list(lat.elements)
+            rng.shuffle(elements)
+            shuffled.append(build_lattice(elements, lat.covers))
+    assert any(lat.elements[0] != lat.bottom for lat in shuffled)
+    _assert_prime_pair_matches_pair_scan(shuffled)
+
+
+def test_prime_requires_proper(diamond, diamond_ms):
+    """thm-3.1-prime passes a constant extension and refuses, as
+    ``NotProper``, a non-constant one that is not a fuzzy filter."""
+    constant = Instance(diamond_ms, (fuzzy(diamond, 1, 1, 1, 1),), grades(0, 1))
+    assert run_property("thm-3.1-prime", constant) is None
+    not_a_filter = Instance(diamond_ms, (fuzzy(diamond, 0, 1, 1, 1),), grades(0, 1),
+                            (("0",),))
+    with pytest.raises(NotProper, match="fuzzy filters only"):
+        run_property("thm-3.1-prime", not_a_filter)

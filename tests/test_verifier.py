@@ -3,7 +3,7 @@ import os
 import re
 import signal
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import pytest
 
@@ -156,6 +156,53 @@ def test_catalog_cap():
         lattice_catalog(9)
     with pytest.raises(ValueError, match="at least 1"):
         lattice_catalog(0)
+
+
+def _labelled_posets(k):
+    """Every partial order on k labelled elements, as per-element down masks."""
+    choices = [[m | 1 << i for m in range(1 << k) if not m >> i & 1] for i in range(k)]
+    for down in product(*choices):
+        if all(not (i != j and down[j] >> i & 1) and down[j] & ~down[i] == 0
+               for i in range(k) for j in range(k) if down[i] >> j & 1):
+            yield down
+
+
+def _relabel(down, perm):
+    new = [0] * len(down)
+    for i, mask in enumerate(down):
+        new[perm[i]] = sum(1 << perm[j] for j in range(len(down)) if mask >> j & 1)
+    return tuple(new)
+
+
+def _canonical_form_oracle(inst=None):
+    """Every relabelling of a poset on up to four elements has one
+    canonical form, and non-isomorphic posets have different ones (16 on
+    four elements)."""
+    from msfuzz.catalog import _canonical_poset
+
+    for k, classes in ((1, 1), (2, 2), (3, 5), (4, 16)):
+        forms = set()
+        for down in _labelled_posets(k):
+            relabelled = {_canonical_poset(_relabel(down, p)) for p in permutations(range(k))}
+            assert len(relabelled) == 1, down
+            forms |= relabelled
+        assert len(forms) == classes
+
+
+def test_canonical_poset_ignores_labels():
+    """Within the cap no two catalog posets tie after partitioning by the
+    degree invariant, so the catalog alone cannot show that the canonical
+    form minimizes over relabellings; posets on four elements, such as two
+    disjoint 2-chains, can."""
+    _canonical_form_oracle()
+
+
+def _catalog_count_oracle(inst=None):
+    """The catalog's counts against the direct enumeration up to four
+    elements and against OEIS A006982 up to the cap."""
+    for max_n, expected in ((1, 1), (2, 2), (3, 3), (4, 5)):
+        test_catalog_counts_match_direct_enumeration(max_n, expected)
+    test_catalog_grows()
 
 
 # -- registry --------------------------------------------------------------------
@@ -819,13 +866,13 @@ def _pair_visits(pid, inst):
 
 
 def _brute_scan(pid, inst):
-    from msfuzz.laws import _prime_stage
+    from msfuzz.laws import _PRIME_STAGE
     from msfuzz.scan import _PAIR_STAGES, _STAGES
 
     scan = _BruteScan(pid, inst)
     if pid in _PAIR_STAGES:
         return scan.pairs(*_PAIR_STAGES[pid])
-    return scan.stages(_STAGES[pid] if pid in _STAGES else [_prime_stage(inst)])
+    return scan.stages(_STAGES[pid] if pid in _STAGES else [_PRIME_STAGE])
 
 
 def test_crisp_extension_reads_w_through_its_image():
@@ -919,44 +966,55 @@ def _hits(extensions):
             for s in extensions]
 
 
+def _crisp_every_w(inst, test):
+    """Oracle: the first (filter, W) on which ``test`` fails, over every W."""
+    from msfuzz import enumerate_filters, extended_filter_crisp
+    from msfuzz.scan import _fail
+
+    lat = inst.ms.lattice
+    for filt in enumerate_filters(lat):
+        for w, w_idx in _every_w(lat, inst.w_sets):
+            found = test(lat, filt, extended_filter_crisp(inst.ms, filt, w))
+            if found is not None:
+                return _fail("thm-2.3-extended-filter", inst, found, w_idx=w_idx).to_dict()
+    return None
+
+
+def _crisp_scan_matches_every_w(ms):
+    """``_crisp_scan`` finds the witness of ``_crisp_every_w`` on ``ms`` for
+    the law's own predicate and for predicates that fail, one of them on
+    each extension that comes out, with W in mask order and reversed.
+    Returns how many scans failed, and how many of those on a W of two or
+    more elements."""
+    from msfuzz import laws
+
+    pid = "thm-2.3-extended-filter"
+    _, classes = _meet_classes(ms)
+    extensions = {e for by_meet in classes for exts in by_meet.values() for e in exts}
+    reverse = tuple(w for w, _ in reversed(_every_w(ms.lattice, None)))
+    failed = later_w = 0
+    for inst in (Instance(ms, (), UNIVERSE3), Instance(ms, (), UNIVERSE3, reverse)):
+        for test in (laws._filter_containing_source, *_CRISP_PROBES, *_hits(extensions)):
+            full = _crisp_every_w(inst, test)
+            keyed = laws._crisp_scan(pid, inst, test)
+            assert (None if keyed is None else keyed.to_dict()) == full
+            failed += full is not None
+            later_w += full is not None and len(full["w_sets"][0]) > 1
+        assert run_property(pid, inst) is None
+    return failed, later_w
+
+
 def test_crisp_scan_matches_every_w():
     """The thm-2.3 scan, keyed by the meet of the image, finds the witness
-    (W, detail, data) of a scan over every W, for the law's own predicate
-    and for predicates that fail, one of them on each extension that comes
-    out, with W in mask order and reversed (a key that merges W with
+    (W, detail, data) of a scan over every W (a key that merges W with
     different extensions can hide behind mask order, where singletons come
     first).  The law holds on every catalog algebra; over every W it fails
     on some of N5 and M3."""
-    from msfuzz import enumerate_filters, extended_filter_crisp
-    from msfuzz.laws import _crisp_scan, _filter_containing_source
-    from msfuzz.scan import _fail
+    from msfuzz.laws import _filter_containing_source
 
-    pid = "thm-2.3-extended-filter"
-
-    def every_w(inst, test):
-        lat = inst.ms.lattice
-        for filt in enumerate_filters(lat):
-            for w, w_idx in _every_w(lat, inst.w_sets):
-                found = test(lat, filt, extended_filter_crisp(inst.ms, filt, w))
-                if found is not None:
-                    return _fail(pid, inst, found, w_idx=w_idx).to_dict()
-        return None
-
-    failed = later_w = 0
-    for ms in _algebras(lattice_catalog(5)):
-        _, classes = _meet_classes(ms)
-        extensions = {e for by_meet in classes for exts in by_meet.values() for e in exts}
-        reverse = tuple(w for w, _ in reversed(_every_w(ms.lattice, None)))
-        for inst in (Instance(ms, (), UNIVERSE3), Instance(ms, (), UNIVERSE3, reverse)):
-            for test in (_filter_containing_source, *_CRISP_PROBES, *_hits(extensions)):
-                full = every_w(inst, test)
-                keyed = _crisp_scan(pid, inst, test)
-                assert (None if keyed is None else keyed.to_dict()) == full
-                failed += full is not None
-                later_w += full is not None and len(full["w_sets"][0]) > 1
-            assert run_property(pid, inst) is None
-    assert failed and later_w
-    assert any(every_w(Instance(ms, (), UNIVERSE3), _filter_containing_source)
+    counts = [_crisp_scan_matches_every_w(ms) for ms in _algebras(lattice_catalog(5))]
+    assert all(map(sum, zip(*counts)))
+    assert any(_crisp_every_w(Instance(ms, (), UNIVERSE3), _filter_containing_source)
                for ms in _nondistributive_algebras())
 
 
@@ -1533,6 +1591,41 @@ def _dense_row_by(op):
     return dense_row
 
 
+def _prime_pair_row_by(step=1, order=sorted, contained=lambda a, b: a <= b):
+    """``prime_pair_row`` with its step, the order of its step filters or
+    its containment test replaced."""
+    def prime_pair_row(lat, grades, one):
+        leq, top = lat.leq_table, lat.element_index(lat.top)
+        steps = order([
+            tuple(one if y == top else grades[x] + step if leq[x][y] else 0 for y in range(lat.n))
+            for x in range(lat.n) if grades[x] < one])
+        for phi in steps:
+            for psi in steps:
+                if all(contained(min(a, b), g) for a, b, g in zip(phi, psi, grades)):
+                    return phi, psi
+        return None
+
+    return prime_pair_row
+
+
+def _crisp_key(key):
+    """The W source of ``_crisp_scan`` with each image's meet, the key it
+    groups W by, replaced by ``key(algebra, image)``."""
+    from msfuzz.scan import _w_sets
+
+    return lambda inst, chi=None: [img._replace(meet=key(inst.ms, img)) for img in _w_sets(inst)]
+
+
+def _crisp_key_oracle(inst):
+    _crisp_scan_matches_every_w(inst.ms)
+
+
+def _poset_reps_map(change):
+    from msfuzz.catalog import _poset_reps
+
+    return lambda max_size: change(_poset_reps(max_size))
+
+
 def _negative_controls_oracle(inst):
     """Every law's negative control, whatever the instance."""
     for pid in _NEGATIVE_CONTROLS:
@@ -1611,6 +1704,21 @@ _MUTANTS = {
     "dense_row-argmin": ([("laws", "dense_row", _dense_row_by(min))], "laws"),
     "dense_row-every-index": ([("laws", "dense_row", lambda grades, idx: (
         max(grades[i] for i in idx), frozenset(idx)))], "laws"),
+    "prime_pair_row-steps-to-mu": ([("laws", "prime_pair_row", _prime_pair_row_by(step=0))],
+                                   "laws"),
+    "prime_pair_row-unsorted": ([("laws", "prime_pair_row", _prime_pair_row_by(order=list))],
+                                "laws"),
+    "prime_pair_row-strict": ([("laws", "prime_pair_row", _prime_pair_row_by(
+        contained=lambda a, b: a < b))], "laws"),
+    "crisp-scan-keys-on-the-join": ([("laws", "_w_sets", _crisp_key(lambda ms, img: img.join))],
+                                    _crisp_key_oracle),
+    "crisp-scan-keys-on-the-first-element": (
+        [("laws", "_w_sets", _crisp_key(lambda ms, img: ms.dneg_table()[img.idx[0]]))],
+        _crisp_key_oracle),
+    "canonical-poset-unminimized": ([("catalog", "product", lambda *parts: islice(
+        product(*parts), 1))], _canonical_form_oracle),
+    "catalog-drops-a-lattice": ([("catalog", "_poset_reps", _poset_reps_map(
+        lambda reps: reps[:-1]))], _catalog_count_oracle),
 }
 
 
@@ -1631,22 +1739,30 @@ def test_mutant_is_killed(monkeypatch, mutant_baseline, name):
     """Each hand-written mutant of a row kernel (``_raise_to``,
     ``omega_row``, the base and omega recurrences, the skeleton builder,
     the pair-key builder, ``_base_grade``, ``first_break``,
-    ``is_filter_row``, ``kernel_row``, ``cokernel_row`` and ``dense_row``)
+    ``is_filter_row``, ``kernel_row``, ``cokernel_row``, ``dense_row`` and
+    ``prime_pair_row``), of ``_crisp_scan``'s key or of the catalog
     changes some law's outcome on an input of ``_mutant_inputs`` or fails
     its named oracle there; unpatched, the killer passes on that input, so
-    a no-op mutant survives it."""
+    a no-op mutant survives it.  The catalog is cached, so the cache is
+    emptied before the patches and after they are undone."""
     import importlib
 
     patches, killer = _MUTANTS[name]
+    lattice_catalog.cache_clear()
     for module, attr, replacement in patches:
         monkeypatch.setattr(importlib.import_module(f"msfuzz.{module}"), attr, replacement)
     inputs, baseline = mutant_baseline
-    for inst, expected in zip(inputs, baseline):
-        if _kills(killer, inst, expected):
-            monkeypatch.undo()
-            assert not _kills(killer, inst, expected), f"{name}: the killer fires unpatched"
-            return
-    pytest.fail(f"mutant {name} survived")
+    try:
+        for inst, expected in zip(inputs, baseline):
+            if _kills(killer, inst, expected):
+                monkeypatch.undo()
+                lattice_catalog.cache_clear()
+                assert not _kills(killer, inst, expected), f"{name}: the killer fires unpatched"
+                return
+        pytest.fail(f"mutant {name} survived")
+    finally:
+        monkeypatch.undo()
+        lattice_catalog.cache_clear()
 
 
 # -- closed forms ----------------------------------------------------------------
@@ -1684,14 +1800,27 @@ def test_neg_closure_counts_match_every_w(universe):
     assert 0 < sums[0] < sums[1]
 
 
+def _prime_by_cut(lat, ups, one):
+    """Oracle: prime relative to any universe, a filter row with values
+    {a, one} whose 1-cut P is prime (joins keep the larger rank).  If
+    min(phi, psi) <= ups with phi(x), psi(y) above it, x, y and x ∨ y lie
+    outside P, where the monotone phi and psi both exceed a."""
+    from msfuzz.fuzzy_core import is_filter_row
+    from msfuzz.lattice_core import first_break
+
+    return (len(set(ups)) == 2 and is_filter_row(lat, ups, one)
+            and first_break(lat.join_table, ups, max) is None)
+
+
 @pytest.mark.parametrize("universe, max_n", [(UNIVERSE3, 6), (THIRDS0, 5), (THIRDS, 5)],
                          ids=["halves", "thirds0", "thirds"])
 def test_prime_cut_gate_implies_bounded_primality(universe, max_n):
-    """Every proper fuzzy filter of the catalog that thm-3.1-prime passes
-    on ranks, two-valued with a prime 1-cut, is prime by the bounded pair
-    search over the universe with 0 and 1."""
-    from msfuzz import enumerate_fuzzy_filters, is_prime_fuzzy_filter_bounded
-    from msfuzz.laws import _prime_by_cut
+    """On every proper fuzzy filter of the catalog, the prime-cut gate
+    (two values, a prime 1-cut) holds exactly when ``prime_pair_row``, the
+    bounded pair search in closed form, finds no pair: the
+    characterization of prime fuzzy filters, checked both ways."""
+    from msfuzz import enumerate_fuzzy_filters
+    from msfuzz.fuzzy_core import prime_pair_row
 
     scale = tuple(sorted(set(universe) | {Fraction(0), Fraction(1)}))
     rank = {g: k for k, g in enumerate(scale)}
@@ -1700,8 +1829,8 @@ def test_prime_cut_gate_implies_bounded_primality(universe, max_n):
         for chi in enumerate_fuzzy_filters(lat, universe):
             if chi.is_constant():
                 continue
-            gate = _prime_by_cut(lat, tuple(map(rank.__getitem__, chi.grades)), rank[1])
-            if gate:
-                assert is_prime_fuzzy_filter_bounded(lat, chi, scale)[0]
+            row = tuple(map(rank.__getitem__, chi.grades))
+            gate = _prime_by_cut(lat, row, rank[1])
+            assert gate == (prime_pair_row(lat, row, rank[1]) is None), (lat, chi)
             tally[gate] += 1
     assert all(tally.values()), tally
