@@ -657,9 +657,17 @@ def test_golden_sweep_n5_four_grades(golden):
 
 
 def test_golden_sweep_n6(golden):
-    """The default sweep at six elements, the largest that tier-1 pins."""
+    """The default sweep at six elements."""
     result = run_cli(["--format", "json", "sweep", "--max-n", "6"])
     golden("sweep_n6.json", result.output)
+
+
+def test_golden_sweep_n7(golden):
+    """The default sweep at seven elements, the largest that tier-1 pins:
+    skeletons of up to seven elements, where the per-filter checks of
+    thm-4.8 and the pair laws save the most."""
+    result = run_cli(["--format", "json", "sweep", "--max-n", "7"])
+    golden("sweep_n7.json", result.output)
 
 
 def test_golden_sweep_n4_randomized(golden):
