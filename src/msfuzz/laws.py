@@ -14,8 +14,8 @@ from .lattice_core import FiniteLattice, enumerate_filters, first_break, is_filt
 from .ms_algebra import MSAlgebra, extended_filter_crisp, verify_derived_identities
 from .scan import (
     Instance, Witness, _by_base, _by_base_omg, _by_grades, _by_join, _by_omg, _by_top,
-    _by_ups, _fail, _law, _listed, _listed_w, _pair_law, _Row, _row_law, _scan, _singletons,
-    _w_sets,
+    _by_ups, _fail, _law, _listed, _listed_w, _omega_follows_definition, _pair_law, _Row,
+    _row_law, _scan, _singletons, _ups_follow_definitions, _w_sets,
 )
 
 
@@ -134,8 +134,11 @@ def _lemma_3_2_1(r: _Row):
 
 
 @_pair_law("lemma-3.2.2", "monotone in the fuzzy filter",
-           when=lambda g1, g2: all(a <= b for a, b in zip(g1, g2)))
+           when=lambda g1, g2: all(a <= b for a, b in zip(g1, g2)),
+           settled=_ups_follow_definitions)
 def _lemma_3_2_2(r1: _Row, r2: _Row):
+    """Settled where the rows hold b = max chi(D) and ups = max(chi, b):
+    chi1 <= chi2 gives b1 <= b2 over one W, so max(chi1, b1) <= max(chi2, b2)."""
     if any(a > b for a, b in zip(r1.ups, r2.ups)):
         return "extension not monotone in the filter"
 
@@ -186,8 +189,11 @@ def _lemma_3_2_7(r: _Row):
 
 
 @_pair_law("prop-3.3.1", "extension of a union is the join of the extensions",
-           symmetric=True)
+           symmetric=True, settled=_ups_follow_definitions)
 def _prop_3_3_1(r1: _Row, r2: _Row):
+    """Settled where the rows hold b = max chi(D) and ups = max(chi, b): a
+    maximum over D commutes with a pointwise one, so the union's base is
+    max(b1, b2), and both sides are max(chi1, chi2, b1, b2) pointwise."""
     union = tuple(map(max, r1.grades, r2.grades))
     if tuple(map(max, r1.ups, r2.ups)) != upsilon_row(r1.ms, union, r1.w_idx):
         return "union and extension do not commute"
@@ -232,8 +238,12 @@ def _prop_3_6(r: _Row):
                     {"z": [r.lat.elements[i] for i in z]})
 
 
-@_pair_law("prop-3.7", "a union of fixed filters is fixed", symmetric=True)
+@_pair_law("prop-3.7", "a union of fixed filters is fixed", symmetric=True,
+           settled=_ups_follow_definitions)
 def _prop_3_7(r1: _Row, r2: _Row):
+    """Settled where the rows hold b = max chi(D) and ups = max(chi, b): a
+    fixed row has b <= min chi, so the union's base max(b1, b2) is at most
+    min max(chi1, chi2), and the union is fixed."""
     if r1.ups == r1.grades and r2.ups == r2.grades:
         union = tuple(map(max, r1.grades, r2.grades))
         if upsilon_row(r1.ms, union, r1.w_idx) != union:
@@ -323,8 +333,12 @@ def _thm_4_7(r: _Row):
 
 @_row_law("thm-4.8",
           "the strong extension hits a join exactly when that join is dense "
-          "among the candidate joins")
+          "among the candidate joins", settled=_omega_follows_definition)
 def _thm_4_8(r: _Row):
+    """Fails at theta exactly when omg(theta) is not the top grade of the
+    joins theta ∨ d, d in D: when the two differ, a join of the top grade
+    has g == top but not g == hit.  So the law holds on every row of a chi
+    whose omega column is omega by definition, and settles that chi."""
     lat, grades = r.lat, r.grades
     image = [r.dd[v] for v in r.w_idx]
     for t, row in enumerate(lat.join_table):

@@ -8,15 +8,22 @@ replayable Witness or None.  Most laws are predicates over (chi, W) rows,
 visited in one order: chi in pool order, then W in mask order.  The
 extensions read W only through its double-negation image D, a subset of
 the skeleton S = {x°°}, so each instance builds, once for every law, a
-row per chi and D from S by recurrences over D (over ``SKELETON_CAP``
+row per chi and D from S: the base grades and omegas come from
+recurrences over D, as two columns per chi (over ``SKELETON_CAP``
 elements of S the scans report an unmet hypothesis).  A stage keyed on
 what its verdict reads -- the base grade max chi(D), the set of image
 grades, the join of D, whether D holds the top, or ``omg`` -- visits the
 first row of each key only; the pair laws, the first W of each pair of
-base grades (see ``_STAGES``).  Rows and guards see only integer grade
-ranks, which order as the grades do (see ``_Ranks``), and test them with
-the row kernels of ``lattice_core``, ``fuzzy_core``, ``extensions`` and
-``hom_analysis``; grades come back only in witness data.
+base grades (see ``_STAGES``).  Four laws settle most chis without a
+scan (see ``_SETTLED``): a kernel that calls no recurrence computes
+omega of every W from its definition, thm-4.8 passes each chi whose
+omega column it matches, and the pair laws pass an instance whose rows
+all hold the base and the extension that the kernel and the definition
+of upsilon give; any other chi or instance is scanned row by row.
+Rows and guards see only integer grade ranks, which order as the grades
+do (see ``_Ranks``), and test them with the row kernels of
+``lattice_core``, ``fuzzy_core``, ``extensions`` and ``hom_analysis``;
+grades come back only in witness data.
 """
 
 from __future__ import annotations
@@ -229,16 +236,21 @@ _singletons = _listed_w(lambda lat: [(e,) for e in lat.elements])
 class _Ranks:
     """The grades of an instance's pool and universe, 0 and 1, sorted; a
     grade's rank is its position, so rank 0 is grade 0 and ``one`` is the
-    rank of 1.  ``rows``: each chi's ranks, in order."""
+    rank of 1.  ``rows``: each chi's ranks, in order.  Grades are told
+    apart by ``as_integer_ratio()``, lowest terms, which is cheaper than
+    hashing a ``Fraction``."""
 
     __slots__ = ("grades", "one", "rows")
 
     def __init__(self, inst: Instance):
-        pool = {g for chi in inst.chis for g in chi.grades}
-        self.grades = tuple(sorted(pool.union(inst.grade_universe, (ZERO, ONE))))
-        rank = {g: k for k, g in enumerate(self.grades)}
-        self.one = rank[ONE]
-        self.rows = [tuple(map(rank.__getitem__, chi.grades)) for chi in inst.chis]
+        by_ratio: dict[tuple[int, int], Fraction] = {}
+        for g in (*inst.grade_universe, ZERO, ONE, *(g for c in inst.chis for g in c.grades)):
+            by_ratio.setdefault(g.as_integer_ratio(), g)
+        self.grades = tuple(sorted(by_ratio.values()))
+        rank = {g.as_integer_ratio(): k for k, g in enumerate(self.grades)}
+        self.one = rank[ONE.as_integer_ratio()]
+        self.rows = [tuple([rank[g.as_integer_ratio()] for g in chi.grades])
+                     for chi in inst.chis]
 
 
 class _Row:
@@ -278,20 +290,90 @@ def _recurrences(images: list[_Image], join, grades) -> tuple[list, list]:
     return bases, omgs
 
 
+def _columns(inst: Instance, grades) -> tuple[list, list]:
+    """The base and omega of each image of the default W source for chi's
+    rank row ``grades``: over skeleton images by the recurrences, over
+    listed ones by ``_base_grade`` and ``omega_row``.  Once per chi, in the
+    row table, for its rows and for thm-4.8's check."""
+    table = inst._rows
+    if ("columns", grades) not in table:
+        ms, images = inst.ms, _w_sets(inst)
+        table["columns", grades] = (
+            _recurrences(images, ms.lattice.join_table, grades) if inst.w_sets is None
+            else ([_base_grade(ms, grades, img.idx) for img in images],
+                  [omega_row(ms, grades, img.idx) for img in images]))
+    return table["columns", grades]
+
+
 def _rows(inst: Instance, grades, images: list[_Image], default: bool) -> list[_Row]:
-    """Chi's rows over ``images`` from the W source ``_w_sets`` when
-    ``default``, else from a listing one: over skeleton images by the
-    recurrences, over listed ones by ``_base_grade`` and ``omega_row``.
+    """Chi's rows over ``images``: from its ``_columns`` for the W source
+    ``_w_sets`` when ``default``, else from a listing one by ``_base_grade``.
     Only default rows carry ``omg``, as only the stages on them read it."""
     ms = inst.ms
-    if default and inst.w_sets is None:
-        bases, omgs = _recurrences(images, ms.lattice.join_table, grades)
+    if default:
+        bases, omgs = _columns(inst, grades)
     else:
         bases = [_base_grade(ms, grades, img.idx) for img in images]
-        omgs = [omega_row(ms, grades, img.idx) if default else None for img in images]
+        omgs = [None] * len(images)
     ups = {b: _raise_to(grades, b) for b in set(bases)}
     ctx = (ms, ms.lattice, ms.dneg_table(), inst._ranks.grades, inst._ranks.one)
     return [_Row(ctx, grades, image, b, ups[b], o) for image, b, o in zip(images, bases, omgs)]
+
+
+def _image_masks(inst: Instance) -> tuple[list[int], list[int]] | None:
+    """The elements of the images of the default W source, and each W's
+    image D as a bit mask over them, read from dd[v] for v in W; None over
+    ``SKELETON_CAP`` image elements.  Once per instance."""
+    if "image masks" not in inst._rows:
+        dd = inst.ms.dneg_table()
+        images = [{dd[v] for v in img.idx} for img in _w_sets(inst)]
+        elements = sorted(set().union(*images))
+        bit = {d: 1 << k for k, d in enumerate(elements)}
+        inst._rows["image masks"] = None if len(elements) > SKELETON_CAP else (
+            elements, [sum(map(bit.__getitem__, image)) for image in images])
+    return inst._rows["image masks"]
+
+
+def _omega_by_definition(inst: Instance, grades) -> list[tuple] | None:
+    """Omega of each W of the default W source from its definition,
+    max over d in D of chi(t ∨ d), by a route that shares nothing with
+    ``_columns``: a table over the subsets of the image elements, filled
+    by doubling (adding d, each earlier entry e gives max(e, chi(· ∨ d)),
+    entrywise), read at each W's mask.  None where ``_image_masks`` is;
+    once per chi, in the row table."""
+    table = inst._rows
+    if ("definition", grades) not in table:
+        found, omegas = _image_masks(inst), None
+        if found is not None:
+            elements, masks = found
+            join, by_mask = inst.ms.lattice.join_table, [()]
+            for d in elements:
+                column = tuple(grades[row[d]] for row in join)
+                by_mask += [column] + [tuple(map(max, e, column)) for e in by_mask[1:]]
+            omegas = [by_mask[m] for m in masks]
+        table["definition", grades] = omegas
+    return table["definition", grades]
+
+
+def _omega_follows_definition(inst: Instance, i: int) -> bool:
+    """Whether chi ``i``'s omega column is ``_omega_by_definition``."""
+    grades = inst._ranks.rows[i]
+    return _columns(inst, grades)[1] == _omega_by_definition(inst, grades)
+
+
+def _ups_follow_definitions(inst: Instance, i: int) -> bool:
+    """Whether each default row of chi ``i`` has the base max chi(D), which
+    is omega at the bottom by definition (⊥ ∨ d = d), and the extension
+    max(chi, base) pointwise, checked once per base grade."""
+    grades = inst._ranks.rows[i]
+    omegas = _omega_by_definition(inst, grades)
+    if omegas is None:
+        return False
+    bottom, ups = inst.ms.lattice.element_index(inst.ms.lattice.bottom), {}
+    for r, omega in zip(_stage_rows(inst, i, _w_sets), omegas):
+        if r.base != omega[bottom] or ups.setdefault(r.base, r.ups) != r.ups:
+            return False
+    return all(u == tuple(max(g, b) for g in grades) for b, u in ups.items())
 
 
 # Keys: what a stage's verdict reads of W.  When the verdict is a function
@@ -316,6 +398,12 @@ def _by_grades(r: _Row) -> frozenset:
 # alone ``test`` reads W.
 _STAGES: dict[str, list[tuple]] = {}
 _PAIR_STAGES: dict[str, tuple] = {}  # pair laws: (test, when on the two rank rows, symmetric)
+# Law id -> its settling check, given (instance, chi index): true only when
+# the rows of that chi meet facts from which the law follows, on every row
+# of the chi for a row law, on every pair of such chis for a pair law.  The
+# law skips the chis it settles, a pair law only an instance whose chis
+# are all settled, so its witness is the first of the full scan.
+_SETTLED: dict[str, Callable[[Instance, int], bool]] = {}
 
 
 def _stage_rows(inst: Instance, i: int, ws, key=None) -> list[_Row]:
@@ -336,12 +424,14 @@ def _stage_rows(inst: Instance, i: int, ws, key=None) -> list[_Row]:
     return table[ws, i, key]
 
 
-def _scan(pid: str, inst: Instance, *stages: tuple) -> Witness | None:
-    """The first failing row: chi in pool order, then the stages in order,
-    then W in the stage's order, each key's first row only."""
+def _scan(pid: str, inst: Instance, *stages: tuple, among=None) -> Witness | None:
+    """The first failing row: chi in pool order (only the chi indices
+    ``among``, when given), then the stages in order, then W in the
+    stage's order, each key's first row only."""
     if any(ws is _w_sets for _, ws, _, _ in stages):
         _w_sets(inst)  # refuses a skeleton over the cap, whichever chis the stages skip
-    for i, chi in enumerate(inst.chis):
+    for i in range(len(inst.chis)) if among is None else among:
+        chi = inst.chis[i]
         for test, ws, when, key in stages:
             if when is not None and not when(inst.ms, inst._ranks.rows[i]):
                 continue
@@ -389,27 +479,44 @@ def _pair_scan(pid: str, inst: Instance, test, when, symmetric) -> Witness | Non
     return None
 
 
-def _row_law(pid: str, summary=None, ws=_w_sets, when=None, key=None, **kwargs):
-    """Register a row predicate as a law.  Without a summary it becomes
-    the next stage of the law already registered under ``pid``."""
+def _unsettled(pid: str, inst: Instance):
+    """The chi indices that the law's ``_SETTLED`` check leaves to a scan."""
+    settled = _SETTLED.get(pid)
+    return (i for i in range(len(inst.chis)) if settled is None or not settled(inst, i))
+
+
+def _row_law(pid: str, summary=None, ws=_w_sets, when=None, key=None, settled=None,
+             **kwargs):
+    """Register a row predicate as a law, scanning only the chis that
+    ``settled``, unless None, leaves open (see ``_SETTLED``).  Without a
+    summary it becomes the next stage of the law already registered under
+    ``pid``."""
 
     def decorate(test):
         if summary is not None:
             _STAGES[pid] = []
-            _law(pid, summary, **kwargs)(lambda inst: _scan(pid, inst, *_STAGES[pid]))
+            if settled is not None:
+                _SETTLED[pid] = settled
+            _law(pid, summary, **kwargs)(
+                lambda inst: _scan(pid, inst, *_STAGES[pid], among=_unsettled(pid, inst)))
         _STAGES[pid].append((test, ws, when, key))
         return test
 
     return decorate
 
 
-def _pair_law(pid: str, summary: str, when=None, symmetric=False):
+def _pair_law(pid: str, summary: str, when=None, symmetric=False, settled=None):
     """Register a law from its predicate over the two rows of a pair;
-    ``symmetric`` when swapping the two rows never changes its verdict."""
+    ``symmetric`` when swapping the two rows never changes its verdict.
+    The law passes without a pair scan when ``settled``, unless None,
+    settles every chi (see ``_SETTLED``)."""
 
     def decorate(test):
         _PAIR_STAGES[pid] = (test, when, symmetric)
-        _law(pid, summary)(lambda inst: _pair_scan(pid, inst, *_PAIR_STAGES[pid]))
+        if settled is not None:
+            _SETTLED[pid] = settled
+        _law(pid, summary)(lambda inst: None if next(_unsettled(pid, inst), None) is None
+                           else _pair_scan(pid, inst, *_PAIR_STAGES[pid]))
         return test
 
     return decorate

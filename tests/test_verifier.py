@@ -1608,6 +1608,62 @@ def _prime_pair_row_by(step=1, order=sorted, contained=lambda a, b: a <= b):
     return prime_pair_row
 
 
+def _image_masks_by(through_dd=True):
+    """``_image_masks``, uncached, with the double negation optional."""
+    def image_masks(inst):
+        from msfuzz.scan import _w_sets
+
+        dd = inst.ms.dneg_table()
+        images = [{dd[v] if through_dd else v for v in img.idx} for img in _w_sets(inst)]
+        bit = {d: 1 << k for k, d in enumerate(sorted(set().union(*images)))}
+        return sorted(bit), [sum(map(bit.__getitem__, image)) for image in images]
+
+    return image_masks
+
+
+def _omega_by_definition_by(op):
+    """``_omega_by_definition``, uncached, doubling by ``op``."""
+    def omega_by_definition(inst, grades):
+        from msfuzz.scan import _image_masks
+
+        elements, masks = _image_masks(inst)
+        join, by_mask = inst.ms.lattice.join_table, [()]
+        for d in elements:
+            column = tuple(grades[row[d]] for row in join)
+            by_mask += [column] + [tuple(map(op, e, column)) for e in by_mask[1:]]
+        return [by_mask[m] for m in masks]
+
+    return omega_by_definition
+
+
+def _settled_map(change):
+    """``scan._SETTLED`` with the pair laws' check replaced by ``change(check)``."""
+    from msfuzz.scan import _PAIR_STAGES, _SETTLED
+
+    return {pid: change(check) if pid in _PAIR_STAGES else check
+            for pid, check in _SETTLED.items()}
+
+
+def _settling_oracle(inst):
+    """Oracle: the kernel gives omega of each W computed from W itself,
+    every ``_SETTLED`` check settles every chi, and none settles a chi
+    whose column entries of its first W are one rank off."""
+    from msfuzz.scan import _SETTLED, _columns, _omega_by_definition, _w_sets
+
+    ms = inst.ms
+    lat, dd = ms.lattice, ms.dneg_table()
+    for i, g in enumerate(inst._ranks.rows):
+        assert _omega_by_definition(inst, g) == [
+            tuple(max(g[row[dd[v]]] for v in img.idx) for row in lat.join_table)
+            for img in _w_sets(inst)]
+        assert all(check(inst, i) for check in _SETTLED.values())
+    broken = _fresh(inst)
+    g = broken._ranks.rows[0]
+    (base, *bases), (omg, *omgs) = _columns(broken, g)
+    broken._rows["columns", g] = ([base + 1, *bases], [tuple(o + 1 for o in omg), *omgs])
+    assert not any(check(broken, 0) for check in _SETTLED.values())
+
+
 def _crisp_key(key):
     """The W source of ``_crisp_scan`` with each image's meet, the key it
     groups W by, replaced by ``key(algebra, image)``."""
@@ -1710,6 +1766,13 @@ _MUTANTS = {
                                 "laws"),
     "prime_pair_row-strict": ([("laws", "prime_pair_row", _prime_pair_row_by(
         contained=lambda a, b: a < b))], "laws"),
+    "omega-kernel-doubles-by-min": ([("scan", "_omega_by_definition",
+                                      _omega_by_definition_by(min))], _settling_oracle),
+    "image-masks-skip-double-negation": ([("scan", "_image_masks",
+                                           _image_masks_by(through_dd=False))],
+                                         _settling_oracle),
+    "pair-check-always-holds": ([("scan", "_SETTLED", _settled_map(
+        lambda check: lambda inst, i: True))], _settling_oracle),
     "crisp-scan-keys-on-the-join": ([("laws", "_w_sets", _crisp_key(lambda ms, img: img.join))],
                                     _crisp_key_oracle),
     "crisp-scan-keys-on-the-first-element": (
@@ -1740,7 +1803,8 @@ def test_mutant_is_killed(monkeypatch, mutant_baseline, name):
     ``omega_row``, the base and omega recurrences, the skeleton builder,
     the pair-key builder, ``_base_grade``, ``first_break``,
     ``is_filter_row``, ``kernel_row``, ``cokernel_row``, ``dense_row`` and
-    ``prime_pair_row``), of ``_crisp_scan``'s key or of the catalog
+    ``prime_pair_row``), of the omega kernel and the ``_SETTLED`` checks,
+    of ``_crisp_scan``'s key or of the catalog
     changes some law's outcome on an input of ``_mutant_inputs`` or fails
     its named oracle there; unpatched, the killer passes on that input, so
     a no-op mutant survives it.  The catalog is cached, so the cache is
@@ -1763,6 +1827,126 @@ def test_mutant_is_killed(monkeypatch, mutant_baseline, name):
     finally:
         monkeypatch.undo()
         lattice_catalog.cache_clear()
+
+
+# -- laws settled per chi --------------------------------------------------------
+
+def _row_scan(pid, inst):
+    """The law's verdict by its scan alone, without the ``_SETTLED`` check:
+    every row of thm-4.8, every pair key of a pair law."""
+    from msfuzz.scan import _PAIR_STAGES, _STAGES, _pair_scan, _scan
+
+    if pid in _PAIR_STAGES:
+        return _pair_scan(pid, inst, *_PAIR_STAGES[pid])
+    return _scan(pid, inst, *_STAGES[pid])
+
+
+def _settled_matches_scan(inst):
+    """Each settled law gives its scan's verdict and witness JSON on
+    ``inst``; returns how many (law, chi) the checks settled."""
+    from msfuzz.scan import _SETTLED
+
+    settled = 0
+    for pid, check in _SETTLED.items():
+        got = _outcome(lambda: run_property(pid, _fresh(inst)))
+        scanned = _outcome(lambda: _row_scan(pid, _fresh(inst)))
+        assert (got[0], got[1] and got[1].to_dict()) == (
+            scanned[0], scanned[1] and scanned[1].to_dict()), pid
+        checked = _fresh(inst)
+        settled += sum(check(checked, i) for i in range(len(inst.chis)))
+    return settled
+
+
+@pytest.mark.parametrize("universe", [UNIVERSE3, THIRDS0], ids=["halves", "thirds0"])
+def test_settled_laws_match_their_scans(universe):
+    """thm-4.8 and the three pair laws give the verdicts and witnesses of
+    their plain scans on every catalog instance up to five elements, also
+    with every W listed in reverse, where the kernel reads listed W."""
+    from msfuzz.scan import _SETTLED
+    from msfuzz.verifier import _instance_stream
+
+    assert sorted(_SETTLED) == ["lemma-3.2.2", "prop-3.3.1", "prop-3.7", "thm-4.8"]
+    settled = total = 0
+    for inst in _instance_stream(SearchConfig(max_elements=5, grade_universe=universe)):
+        for listing in (inst, _reversed_w(inst)):
+            settled += _settled_matches_scan(listing)
+            total += len(_SETTLED) * len(inst.chis)
+    assert settled == total  # the rows are right, so every chi is settled
+
+
+@pytest.mark.parametrize("patch, pids", [
+    (("_recurrences", _recurrences_by(omega_step=lambda a, b: tuple(map(min, a, b)))),
+     ["thm-4.8"]),
+    (("_raise_to", lambda g, b: tuple(min(x, b) for x in g)),
+     ["lemma-3.2.2", "prop-3.3.1", "prop-3.7"]),
+], ids=["omega-step-min", "raise_to-lowers"])
+def test_a_wrong_column_falls_back_to_the_scan(monkeypatch, patch, pids):
+    """With the rows computed wrongly, the checks settle fewer chis, and
+    each law still gives its scan's witness, which is a failure on some
+    catalog instance up to four elements."""
+    from msfuzz import scan
+    from msfuzz.verifier import _instance_stream
+
+    monkeypatch.setattr(scan, *patch)
+    failed = 0
+    for inst in _pair_oracle_inputs():
+        for pid in pids:
+            got = run_property(pid, _fresh(inst))
+            scanned = _row_scan(pid, _fresh(inst))
+            assert (got and got.to_dict()) == (scanned and scanned.to_dict()), pid
+            failed += got is not None
+    assert failed
+
+
+def test_settled_thm_4_8_builds_no_row(monkeypatch, diamond_ms):
+    """thm-4.8 settles every chi of a valid instance from its omega column,
+    so it gives its verdict with ``_Row`` refused."""
+    from msfuzz import scan
+    from msfuzz.verifier import _instance_stream
+
+    def refuse(*args):
+        raise AssertionError("a row was built")
+
+    five = next(inst for inst in _instance_stream(SearchConfig(max_elements=5))
+                if inst.ms.lattice.n == 5)
+    monkeypatch.setattr(scan, "_Row", refuse)
+    for inst in (make_instance(diamond_ms.lattice, diamond_ms.neg), five):
+        assert run_property("thm-4.8", _fresh(inst)) is None
+    with pytest.raises(AssertionError, match="a row was built"):
+        run_property("thm-4.3", _fresh(five))
+
+
+def _ranks_by_fractions(inst):
+    """``_Ranks`` by sorting and hashing the ``Fraction`` grades themselves."""
+    pool = {g for chi in inst.chis for g in chi.grades}
+    scale = tuple(sorted(pool.union(inst.grade_universe, (Fraction(0), Fraction(1)))))
+    rank = {g: k for k, g in enumerate(scale)}
+    return scale, rank[1], [tuple(map(rank.__getitem__, chi.grades)) for chi in inst.chis]
+
+
+def test_ranks_match_sorted_fractions():
+    """Ranks keyed by ``as_integer_ratio`` are those of the sorted grades,
+    on every catalog instance up to five elements over three and four
+    grades, and on documents graded in decimal tenths, as the bench
+    writes them."""
+    from msfuzz.file_format import parse_algebra
+    from msfuzz.verifier import _instance_stream, document_instance
+
+    instances = [inst for universe in (UNIVERSE3, THIRDS0) for inst in _instance_stream(
+        SearchConfig(max_elements=5, grade_universe=universe))]
+    for tenths in ((0, 3, 7, 10), (0, 1, 2, 5, 9, 10)):
+        chi = "\n".join(f"  c{k} = {t / 10}" for k, t in enumerate(tenths))
+        psi = "\n".join(f"  c{k} = {min(t, 5) / 10}" for k, t in enumerate(tenths))
+        n = len(tenths)
+        text = "\n".join([
+            "elements " + " ".join(f"c{k}" for k in range(n)), "covers",
+            *(f"  c{k} < c{k + 1}" for k in range(n - 1)), "neg",
+            *(f"  c{k} -> c{n - 1 - k}" for k in range(n)), "fuzzy chi", chi, "fuzzy psi", psi])
+        instances.append(document_instance(parse_algebra(text + "\n")))
+    for inst in instances:
+        ranks = inst._ranks
+        assert (ranks.grades, ranks.one, ranks.rows) == _ranks_by_fractions(inst)
+    assert Fraction(3, 10) in instances[-2]._ranks.grades
 
 
 # -- closed forms ----------------------------------------------------------------
