@@ -243,9 +243,8 @@ class _Ranks:
     __slots__ = ("grades", "one", "rows")
 
     def __init__(self, inst: Instance):
-        by_ratio: dict[tuple[int, int], Fraction] = {}
-        for g in (*inst.grade_universe, ZERO, ONE, *(g for c in inst.chis for g in c.grades)):
-            by_ratio.setdefault(g.as_integer_ratio(), g)
+        by_ratio = {g.as_integer_ratio(): g for chi in inst.chis for g in chi.grades}
+        by_ratio.update((g.as_integer_ratio(), g) for g in (*inst.grade_universe, ZERO, ONE))
         self.grades = tuple(sorted(by_ratio.values()))
         rank = {g.as_integer_ratio(): k for k, g in enumerate(self.grades)}
         self.one = rank[ONE.as_integer_ratio()]
@@ -369,7 +368,8 @@ def _ups_follow_definitions(inst: Instance, i: int) -> bool:
     omegas = _omega_by_definition(inst, grades)
     if omegas is None:
         return False
-    bottom, ups = inst.ms.lattice.element_index(inst.ms.lattice.bottom), {}
+    lat, ups = inst.ms.lattice, {}
+    bottom = lat.element_index(lat.bottom)
     for r, omega in zip(_stage_rows(inst, i, _w_sets), omegas):
         if r.base != omega[bottom] or ups.setdefault(r.base, r.ups) != r.ups:
             return False

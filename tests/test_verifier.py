@@ -1916,6 +1916,25 @@ def test_settled_thm_4_8_builds_no_row(monkeypatch, diamond_ms):
         run_property("thm-4.3", _fresh(five))
 
 
+def test_a_listed_w_over_the_cap_is_scanned():
+    """A listed W whose image has more than ``SKELETON_CAP`` elements gets
+    no kernel: its laws are decided by their scans, as before."""
+    from msfuzz import FuzzySet
+    from msfuzz.scan import _SETTLED, SKELETON_CAP, _image_masks
+
+    from .conftest import chain
+
+    n = SKELETON_CAP + 1
+    lat = chain(n)
+    ms = MSAlgebra(lat, {e: lat.elements[n - 1 - k] for k, e in enumerate(lat.elements)})
+    chi = FuzzySet(lat, tuple(Fraction(min(k, 4), 4) for k in range(n)))
+    inst = Instance(ms, (chi,), grades(*chi.grades), (lat.elements,))
+    assert _image_masks(inst) is None
+    for pid, check in _SETTLED.items():
+        assert not check(inst, 0)
+        assert run_property(pid, inst) is None
+
+
 def _ranks_by_fractions(inst):
     """``_Ranks`` by sorting and hashing the ``Fraction`` grades themselves."""
     pool = {g for chi in inst.chis for g in chi.grades}
