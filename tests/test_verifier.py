@@ -1615,8 +1615,9 @@ def _image_masks_by(through_dd=True):
 
         dd = inst.ms.dneg_table()
         images = [{dd[v] if through_dd else v for v in img.idx} for img in _w_sets(inst)]
-        bit = {d: 1 << k for k, d in enumerate(sorted(set().union(*images)))}
-        return sorted(bit), [sum(map(bit.__getitem__, image)) for image in images]
+        elements = sorted(set().union(*images))
+        bit = {d: 1 << k for k, d in enumerate(elements)}
+        return elements, [sum(map(bit.__getitem__, image)) for image in images]
 
     return image_masks
 
@@ -1885,17 +1886,18 @@ def test_a_wrong_column_falls_back_to_the_scan(monkeypatch, patch, pids):
     each law still gives its scan's witness, which is a failure on some
     catalog instance up to four elements."""
     from msfuzz import scan
-    from msfuzz.verifier import _instance_stream
 
     monkeypatch.setattr(scan, *patch)
-    failed = 0
+    failed = unsettled = 0
     for inst in _pair_oracle_inputs():
         for pid in pids:
             got = run_property(pid, _fresh(inst))
             scanned = _row_scan(pid, _fresh(inst))
             assert (got and got.to_dict()) == (scanned and scanned.to_dict()), pid
             failed += got is not None
-    assert failed
+            checked = _fresh(inst)
+            unsettled += sum(not scan._SETTLED[pid](checked, i) for i in range(len(inst.chis)))
+    assert failed and unsettled
 
 
 def test_settled_thm_4_8_builds_no_row(monkeypatch, diamond_ms):
