@@ -1,9 +1,9 @@
 """Finite MS-algebras, fuzzy filters, and their extension operators,
 with an executable registry of the algebraic laws they satisfy.
 
-The names of the law registry (``verifier``), of ``hom_analysis`` and of
-the shipped ``fixtures`` load on first use (PEP 562), so that a program
-that only builds algebras and evaluates extensions never imports them.
+The names of the law registry (``verifier``) and of the shipped
+``fixtures`` load on first use (PEP 562), so that a program that only
+builds algebras and evaluates extensions never imports them.
 """
 
 from importlib import import_module
@@ -27,9 +27,7 @@ from .errors import (
 )
 from .extensions import (
     CanonicalFixedSet,
-    DenseElements,
     ExtensionResult,
-    dense_elements,
     extend,
     fixed_witness_sets,
     is_fixed_relative,
@@ -53,7 +51,7 @@ from .fuzzy_core import (
     fuzzy_filter_report,
     level_cut,
 )
-from .grades import Grade, format_grade, parse_grade
+from .grades import format_grade, parse_grade
 from .lattice_core import (
     FilterSet,
     FiniteLattice,
@@ -61,7 +59,6 @@ from .lattice_core import (
     build_lattice,
     enumerate_filters,
     is_filter,
-    is_prime_filter,
     principal_filter,
 )
 from .ms_algebra import (
@@ -78,10 +75,6 @@ _LAZY = {
     "FIXTURE_NAMES": "fixtures",
     "fixture_text": "fixtures",
     "load_fixture": "fixtures",
-    "HomReport": "hom_analysis",
-    "cokernel": "hom_analysis",
-    "hom_report": "hom_analysis",
-    "kernel": "hom_analysis",
     "Instance": "verifier",
     "PropertyOutcome": "verifier",
     "SearchConfig": "verifier",
@@ -100,16 +93,16 @@ __all__ = [
     "HypothesisUnmet", "InternalInvariantError", "MsfuzzError", "NotALattice",
     "NotAPoset", "NotBounded", "NotDistributive", "NotProper",
     "SizeCapExceeded", "UnknownElement", "UnknownProperty",
-    "CanonicalFixedSet", "DenseElements", "ExtensionResult", "dense_elements",
-    "extend", "fixed_witness_sets", "is_fixed_relative", "omega", "upsilon",
+    "CanonicalFixedSet", "ExtensionResult", "extend", "fixed_witness_sets",
+    "is_fixed_relative", "omega", "upsilon",
     "AlgebraDocument", "AlgebraSyntaxError", "DanglingReference",
     "document_from_objects", "document_to_objects", "parse_algebra",
     "serialize_algebra",
     "FuzzyClassification", "FuzzySet", "classify", "enumerate_fuzzy_filters",
     "fuzzy_filter_report", "level_cut",
-    "Grade", "format_grade", "parse_grade",
+    "format_grade", "parse_grade",
     "FilterSet", "FiniteLattice", "SubsetVerdict", "build_lattice",
-    "enumerate_filters", "is_filter", "is_prime_filter", "principal_filter",
+    "enumerate_filters", "is_filter", "principal_filter",
     "MSAlgebra", "check_ms_axioms", "enumerate_ms_operations",
     "extended_filter_crisp", "verify_derived_identities",
     "Check", "VerificationReport",

@@ -17,7 +17,8 @@ instances.
 Each helper computes its fact one way.  The equivalences behind them
 are laws in ``laws`` and nowhere else: the two fixedness routes
 (def-3.4-consistency) and the dense-element readings of upsilon and
-omega (thm-4.7, thm-4.8).
+omega (thm-4.7, thm-4.8), which read dense elements through
+``dense_row`` on element indices.
 """
 
 from __future__ import annotations
@@ -38,20 +39,6 @@ class ExtensionResult(Record):
     upsilon: FuzzySet
     omega: FuzzySet
     base_grade: Fraction
-
-
-class DenseElements(Record):
-    """Argmax of a grade map restricted to a subset.
-
-    ``members`` is the primary notion: the elements of W attaining the
-    maximal grade.  ``level_cut`` is the carrier-wide cut at that grade,
-    reported alongside because the threshold reading admits elements
-    outside W as well.
-    """
-
-    members: frozenset[str]
-    threshold: Fraction
-    level_cut: frozenset[str]
 
 
 class CanonicalFixedSet(Record):
@@ -166,15 +153,4 @@ def dense_row(grades, idx):
     indices attaining it.  Unchecked like ``upsilon_row``."""
     threshold = max(grades[i] for i in idx)
     return threshold, frozenset(i for i in idx if grades[i] == threshold)
-
-
-def dense_elements(mu: FuzzySet, w_subset) -> DenseElements:
-    """Argmax of mu within W, with the threshold and its carrier-wide cut."""
-    lat = mu.carrier
-    idx = sorted({lat.element_index(w) for w in w_subset})
-    if not idx:
-        raise EmptyW("reference subset W is empty")
-    threshold, members = dense_row(mu.grades, idx)
-    cut = frozenset(e for e, g in zip(lat.elements, mu.grades) if g >= threshold)
-    return DenseElements(frozenset(lat.elements[i] for i in members), threshold, cut)
 

@@ -54,12 +54,6 @@ class AlgebraDocument(Record):
     neg: tuple[tuple[str, str], ...] | None = None
     fuzzy: tuple[tuple[str, tuple[tuple[str, Fraction], ...]], ...] = ()
 
-    def fuzzy_section(self, name: str) -> dict[str, Fraction]:
-        for sec_name, entries in self.fuzzy:
-            if sec_name == name:
-                return dict(entries)
-        raise KeyError(name)
-
 
 _KEYWORDS = ("elements", "covers", "neg", "fuzzy")
 

@@ -11,8 +11,6 @@ from fractions import Fraction
 
 from .errors import GradeOutOfRange
 
-Grade = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

@@ -87,10 +87,6 @@ class FiniteLattice:
         i = self.element_index(e)
         return frozenset(self.elements[j] for j in range(self.n) if self.leq_table[i][j])
 
-    def down_set(self, e: str) -> frozenset[str]:
-        i = self.element_index(e)
-        return frozenset(self.elements[j] for j in range(self.n) if self.leq_table[j][i])
-
     def sorted_subset(self, members) -> tuple[str, ...]:
         """Subset normalized to canonical (input) element order."""
         idx = sorted(self.element_index(e) for e in set(members))
@@ -111,9 +107,6 @@ class FilterSet(Record):
 
     def __len__(self):
         return len(self.members)
-
-    def is_proper(self) -> bool:
-        return len(self.members) < self.carrier.n
 
 
 class SubsetVerdict(Record):
@@ -278,27 +271,6 @@ def is_filter(lat: FiniteLattice, subset) -> SubsetVerdict:
                 return SubsetVerdict(
                     False, (lat.elements[i], lat.elements[j]),
                     "not meet-closed",
-                )
-    return SubsetVerdict(True)
-
-
-def is_prime_filter(lat: FiniteLattice, subset) -> SubsetVerdict:
-    """Proper filter such that a join landing inside pulls in a component."""
-    base = is_filter(lat, subset)
-    if not base.ok:
-        return SubsetVerdict(False, base.witness, base.reason)
-    members = {e for e in subset}
-    if len(members) == lat.n:
-        return SubsetVerdict(False, None, "not proper")
-    inside = [False] * lat.n
-    for e in members:
-        inside[lat.element_index(e)] = True
-    for i in range(lat.n):
-        for j in range(lat.n):
-            if inside[lat.join_table[i][j]] and not inside[i] and not inside[j]:
-                return SubsetVerdict(
-                    False, (lat.elements[i], lat.elements[j]),
-                    "join inside with both components outside",
                 )
     return SubsetVerdict(True)
 

@@ -17,9 +17,10 @@ first row of each key only; the pair laws, the first W of each pair of
 base grades (see ``_STAGES``).  Four laws settle most chis without a
 scan (see ``_SETTLED``): a kernel that calls no recurrence computes
 omega of every W from its definition, thm-4.8 passes each chi whose
-omega column it matches, and the pair laws pass an instance whose rows
-all hold the base and the extension that the kernel and the definition
-of upsilon give; any other chi or instance is scanned row by row.
+omega column it matches, and the pair laws pass an instance whose base
+columns hold the bases that the kernel gives and whose bases raise chi
+to the extension that the definition of upsilon gives; any other chi or
+instance is scanned row by row.
 Rows and guards see only integer grade ranks, which order as the grades
 do (see ``_Ranks``), and test them with the row kernels of
 ``lattice_core``, ``fuzzy_core``, ``extensions`` and ``hom_analysis``;
@@ -293,7 +294,7 @@ def _columns(inst: Instance, grades) -> tuple[list, list]:
     """The base and omega of each image of the default W source for chi's
     rank row ``grades``: over skeleton images by the recurrences, over
     listed ones by ``_base_grade`` and ``omega_row``.  Once per chi, in the
-    row table, for its rows and for thm-4.8's check."""
+    row table, for its rows and for the ``_SETTLED`` checks."""
     table = inst._rows
     if ("columns", grades) not in table:
         ms, images = inst.ms, _w_sets(inst)
@@ -361,19 +362,18 @@ def _omega_follows_definition(inst: Instance, i: int) -> bool:
 
 
 def _ups_follow_definitions(inst: Instance, i: int) -> bool:
-    """Whether each default row of chi ``i`` has the base max chi(D), which
-    is omega at the bottom by definition (⊥ ∨ d = d), and the extension
-    max(chi, base) pointwise, checked once per base grade."""
+    """Whether each default W of chi ``i`` has, in its ``_columns``, the
+    base max chi(D), which is omega at the bottom by definition
+    (⊥ ∨ d = d), and whether ``_raise_to`` gives the extension
+    max(chi, base) pointwise, once per distinct base; builds no row."""
     grades = inst._ranks.rows[i]
     omegas = _omega_by_definition(inst, grades)
     if omegas is None:
         return False
-    lat, ups = inst.ms.lattice, {}
+    lat, bases = inst.ms.lattice, _columns(inst, grades)[0]
     bottom = lat.element_index(lat.bottom)
-    for r, omega in zip(_stage_rows(inst, i, _w_sets), omegas):
-        if r.base != omega[bottom] or ups.setdefault(r.base, r.ups) != r.ups:
-            return False
-    return all(u == tuple(max(g, b) for g in grades) for b, u in ups.items())
+    return [omega[bottom] for omega in omegas] == bases and all(
+        _raise_to(grades, b) == tuple(max(g, b) for g in grades) for b in set(bases))
 
 
 # Keys: what a stage's verdict reads of W.  When the verdict is a function

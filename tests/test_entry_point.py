@@ -91,19 +91,21 @@ def test_law_commands_load_the_registry(tmp_path, args, code):
 
 # every name that msfuzz exported when it imported all of its submodules,
 # less fuzzy_intersection and is_prime_fuzzy_filter_bounded, whose one
-# caller, thm-3.1-prime, now decides by the closed form prime_pair_row
+# caller, thm-3.1-prime, now decides by the closed form prime_pair_row, and
+# less the names that restated a law or had no caller (README, "One route
+# per fact")
 PACKAGE_NAMES = """
 CarrierMismatch DuplicateElement EmptyW GradeOutOfRange HypothesisUnmet
 InternalInvariantError MsfuzzError NotALattice NotAPoset NotBounded
 NotDistributive NotProper SizeCapExceeded UnknownElement UnknownProperty
-CanonicalFixedSet DenseElements ExtensionResult dense_elements extend
+CanonicalFixedSet ExtensionResult extend
 fixed_witness_sets is_fixed_relative omega upsilon AlgebraDocument
 AlgebraSyntaxError DanglingReference document_from_objects document_to_objects
 parse_algebra serialize_algebra FIXTURE_NAMES fixture_text load_fixture
 FuzzyClassification FuzzySet classify enumerate_fuzzy_filters
-fuzzy_filter_report level_cut Grade format_grade parse_grade HomReport
-cokernel hom_report kernel FilterSet FiniteLattice SubsetVerdict build_lattice
-enumerate_filters is_filter is_prime_filter principal_filter MSAlgebra
+fuzzy_filter_report level_cut format_grade parse_grade
+FilterSet FiniteLattice SubsetVerdict build_lattice
+enumerate_filters is_filter principal_filter MSAlgebra
 check_ms_axioms
 enumerate_ms_operations extended_filter_crisp verify_derived_identities Check
 VerificationReport Instance PropertyOutcome SearchConfig SweepReport
@@ -127,6 +129,58 @@ def test_package_namespace_is_unchanged():
             assert getattr(module, name) is value
     with pytest.raises(AttributeError):
         msfuzz.no_such_name
+
+
+def _route_table() -> list[tuple[list[str], list[str]]]:
+    """The rows of README's "One route per fact" table, as the code spans
+    of each of its two columns."""
+    text = (Path(SRC).parent / "README.md").read_text()
+    table = text.split("**One route per fact.**", 1)[1].split("\n\n", 2)[1]
+    rows = [line.strip("|").split(" | ") for line in table.splitlines()[2:]]
+    return [(re.findall(r"`([^`]+)`", removed), re.findall(r"`([^`]+)`", kept))
+            for removed, kept in rows]
+
+
+def _resolve(dotted: str):
+    """``msfuzz.<dotted>``, its head a submodule or a package name."""
+    import importlib
+
+    head, *rest = dotted.split(".")
+    try:
+        value = importlib.import_module(f"msfuzz.{head}")
+    except ModuleNotFoundError:
+        value = getattr(msfuzz, head)
+    for part in rest:
+        value = getattr(value, part)
+    return value
+
+
+def test_the_route_table_names_no_live_helper():
+    """No name removed in README's "One route per fact" table is back: not
+    in ``msfuzz``, any of its modules, or the class a dotted name starts
+    with.  Every law id that the table's second column names is
+    registered, and every dotted name there resolves."""
+    import importlib
+    import pkgutil
+
+    modules = [msfuzz] + [importlib.import_module(f"msfuzz.{m.name}")
+                          for m in pkgutil.iter_modules(msfuzz.__path__)]
+    pids = {rec.pid for rec in msfuzz.properties()}
+    rows = _route_table()
+    assert len(rows) >= 16
+    for removed, kept in rows:
+        assert removed and kept, (removed, kept)
+        for name in removed:
+            owner, _, attr = name.rpartition(".")
+            if owner:
+                assert not hasattr(_resolve(owner), attr), name
+            else:
+                assert not any(hasattr(m, name) for m in modules), name
+        for span in kept:
+            if re.fullmatch(r"[a-z]+(-[a-z0-9.]+)+", span):
+                assert span in pids, span
+            elif re.fullmatch(r"\w+(\.\w+)+", span):
+                _resolve(span)
 
 
 def _msfuzz_imports(name: str) -> set[str]:

@@ -8,7 +8,6 @@ from msfuzz import (
     FuzzySet,
     UnknownElement,
     classify,
-    dense_elements,
     enumerate_fuzzy_filters,
     enumerate_ms_operations,
     extend,
@@ -131,35 +130,31 @@ def test_fixedness_canonical_sets_across_catalog():
 
 # -- dense elements ---------------------------------------------------------------
 
+def _indices(lat, names):
+    return [lat.element_index(e) for e in names]
+
+
 def test_dense_on_reciprocal_chain():
     lat = chain(5)
     mu = FuzzySet(lat, tuple(Fraction(1, k) for k in range(1, 6)))
-    dense = dense_elements(mu, lat.elements)
-    assert dense.members == {"c0"}
-    assert dense.threshold == 1
-    assert dense.level_cut == {"c0"}
+    assert dense_row(mu.grades, range(lat.n)) == (1, {0})  # c0 alone
 
 
 def test_dense_singleton_and_errors(diamond_fixture):
     lat, ms, chi = diamond_fixture
-    assert dense_elements(chi, ["xi"]).members == {"xi"}
-    with pytest.raises(EmptyW):
-        dense_elements(chi, [])
+    assert dense_row(chi.grades, _indices(lat, ["xi"]))[1] == set(_indices(lat, ["xi"]))
 
 
 def test_dense_example4(example4_printed):
     lat, ms, chi = example4_printed
-    dense = dense_elements(chi, ["t", "z", "u"])
-    assert dense.members == {"u"}
-    assert dense.threshold == Fraction(4, 5)
-    assert dense.level_cut == {"u"}
+    threshold, members = dense_row(chi.grades, _indices(lat, ["t", "z", "u"]))
+    assert members == set(_indices(lat, ["u"]))
+    assert threshold == Fraction(4, 5)
 
 
 def test_dense_tie(diamond_fixture):
     lat, ms, chi = diamond_fixture
-    dense = dense_elements(chi, ["0", "xi"])
-    assert dense.members == {"0", "xi"}
-    assert dense.level_cut == set(lat.elements)
+    assert dense_row(chi.grades, _indices(lat, ["0", "xi"]))[1] == set(_indices(lat, ["0", "xi"]))
 
 
 def _dense_certificate(ms, chi, w_subset):
@@ -191,13 +186,14 @@ def test_upsilon_via_dense_agrees_everywhere():
     for lat in lattice_catalog(4):
         for neg in enumerate_ms_operations(lat):
             ms = MSAlgebra(lat, neg)
+            dd = ms.dneg_table()
             for chi in enumerate_fuzzy_filters(lat, UNIVERSE3):
                 for w in all_w_subsets(lat):
                     ups = upsilon(ms, chi, w)
-                    image = [ms.negate(ms.negate(v)) for v in w]
-                    for d in dense_elements(chi, image).members:
+                    image = [dd[i] for i in _indices(lat, w)]
+                    for d in dense_row(chi.grades, image)[1]:
                         for theta in lat.elements:
-                            assert ups(theta) == max(chi(theta), chi(d))
+                            assert ups(theta) == max(chi(theta), chi.grades[d])
 
 
 def test_omega_dense_reading_agrees_with_omega():
@@ -207,15 +203,15 @@ def test_omega_dense_reading_agrees_with_omega():
     for lat in lattice_catalog(4):
         for neg in enumerate_ms_operations(lat):
             ms = MSAlgebra(lat, neg)
+            dd = ms.dneg_table()
             for chi in enumerate_fuzzy_filters(lat, UNIVERSE3):
                 for w_subset in all_w_subsets(lat):
                     om = omega(ms, chi, w_subset)
-                    for theta in lat.elements:
-                        joins = [lat.join(theta, ms.negate(ms.negate(v)))
-                                 for v in w_subset]
-                        dense = dense_elements(chi, joins).members
+                    for t, theta in enumerate(lat.elements):
+                        joins = [lat.join_table[t][dd[v]] for v in _indices(lat, w_subset)]
+                        dense = dense_row(chi.grades, joins)[1]
                         for join in joins:
-                            assert (om(theta) == chi(join)) == (join in dense)
+                            assert (om(theta) == chi.grades[join]) == (join in dense)
 
 
 def test_omega_dense_equivalence(example4_printed):
@@ -224,7 +220,8 @@ def test_omega_dense_equivalence(example4_printed):
     lat, ms, chi = example4_printed
     om = omega(ms, chi, ["y", "0"])
     join_y, join_0 = (lat.join("x", ms.negate(ms.negate(v))) for v in ("y", "0"))
-    assert dense_elements(chi, [join_y, join_0]).members == {join_y}
+    dense = dense_row(chi.grades, _indices(lat, [join_y, join_0]))[1]
+    assert dense == set(_indices(lat, [join_y]))
     assert om("x") == chi(join_y) != chi(join_0)
     assert omega(ms, chi, ["y"])("x") == chi(join_y)  # singleton
 

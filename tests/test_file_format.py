@@ -24,14 +24,14 @@ from msfuzz.catalog import lattice_catalog
 def test_parse_diamond_fixture():
     doc = load_fixture("diamond")
     assert doc.elements == ("0", "theta", "xi", "1")
-    chi = doc.fuzzy_section("chi")
+    chi = dict(dict(doc.fuzzy)["chi"])
     assert chi["0"] == Fraction(1, 2)  # decimal 0.5 parsed exactly
     assert chi["theta"] == 1
 
 
 def test_decimal_grades_exact():
     doc = load_fixture("example4_printed")
-    chi = doc.fuzzy_section("chi")
+    chi = dict(dict(doc.fuzzy)["chi"])
     assert chi["1"] == Fraction(7, 10)
     assert chi["u"] == Fraction(4, 5)
     assert chi["t"] == Fraction(3, 5)

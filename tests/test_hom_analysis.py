@@ -2,21 +2,16 @@ from fractions import Fraction
 from itertools import product
 
 from msfuzz import (
-    FuzzySet,
     Instance,
-    cokernel,
     enumerate_fuzzy_filters,
     enumerate_ms_operations,
-    hom_report,
-    is_prime_filter,
-    kernel,
     run_property,
     upsilon,
 )
 from msfuzz.extensions import omega_row, upsilon_row
-from msfuzz.fuzzy_core import is_filter_row
+from msfuzz.fuzzy_core import is_filter_row, prime_pair_row
 from msfuzz.grades import ONE, ZERO
-from msfuzz.hom_analysis import HomReport, cokernel_row, kernel_row
+from msfuzz.hom_analysis import cokernel_row, kernel_row
 from msfuzz.lattice_core import first_break
 from msfuzz.ms_algebra import MSAlgebra
 from msfuzz.catalog import lattice_catalog
@@ -37,65 +32,68 @@ def _w_index_sets(lat):
     return [tuple(i for i in range(lat.n) if mask >> i & 1) for mask in range(1, 1 << lat.n)]
 
 
+def _level(mu, grade):
+    """The elements that mu grades exactly ``grade``: its kernel at 0 and
+    its cokernel at 1."""
+    return frozenset(e for e, g in zip(mu.carrier.elements, mu.grades) if g == grade)
+
+
 def test_hom_report_diamond_fixture(diamond_fixture):
     lat, _, chi = diamond_fixture
-    rep = hom_report(lat, chi)
-    assert rep.is_meet_hom and rep.is_join_hom and rep.is_lattice_hom
+    assert first_break(lat.meet_table, chi.grades, min) is None
+    assert first_break(lat.join_table, chi.grades, max) is None
 
 
 def test_hom_report_example4(example4_printed):
     lat, _, chi = example4_printed
-    rep = hom_report(lat, chi)
-    assert not rep.is_meet_hom  # not even a fuzzy filter
-    assert not rep.is_join_hom
-    assert rep.witness is not None
+    assert first_break(lat.meet_table, chi.grades, min) is not None  # not a fuzzy filter
+    assert first_break(lat.join_table, chi.grades, max) is not None
 
 
 def test_fuzzy_filters_are_meet_homs():
     for lat in lattice_catalog(4):
         for chi in enumerate_fuzzy_filters(lat, UNIVERSE3):
-            assert hom_report(lat, chi).is_meet_hom
+            assert first_break(lat.meet_table, chi.grades, min) is None
 
 
 def test_prime_characteristic_maps_are_join_homs(diamond):
+    """The characteristic map of a prime filter, on ranks with ``one=1``:
+    ``prime_pair_row`` finds no pair, and it carries joins to maxima."""
     for members in ({"a", "1"}, {"b", "1"}):
-        assert is_prime_filter(diamond, members).ok
-        char = FuzzySet(
-            diamond,
-            tuple(Fraction(int(e in members)) for e in diamond.elements),
-        )
-        assert hom_report(diamond, char).is_join_hom
+        char = tuple(int(e in members) for e in diamond.elements)
+        assert prime_pair_row(diamond, char, 1) is None
+        assert first_break(diamond.join_table, char, max) is None
 
 
 def test_kernel_cokernel(diamond_fixture, example4_printed, example4_corrected):
     lat, _, chi = example4_printed
-    assert kernel(chi) == {"0"}
-    assert cokernel(chi) == frozenset()
+    assert _level(chi, 0) == {"0"}
+    assert _level(chi, 1) == frozenset()
     _, _, corrected = example4_corrected
-    assert cokernel(corrected) == {"1"}
+    assert _level(corrected, 1) == {"1"}
     lat, _, chi = diamond_fixture
-    assert cokernel(chi) == {"theta", "1"}
+    assert _level(chi, 1) == {"theta", "1"}
     constant = fuzzy(lat, 1, 1, 1, 1)
-    assert kernel(constant) == frozenset()
-    assert cokernel(constant) == set(lat.elements)
+    assert _level(constant, 0) == frozenset()
+    assert _level(constant, 1) == set(lat.elements)
 
 
 def test_kernel_characterization_examples(diamond_ms):
     lat = diamond_ms.lattice
     char_top = fuzzy(lat, 0, 0, 0, 1)
-    assert kernel(upsilon(diamond_ms, char_top, ["0"])) == {"0", "a", "b"}
-    assert kernel(upsilon(diamond_ms, char_top, ["a"])) == {"0", "a", "b"}
+    assert _level(upsilon(diamond_ms, char_top, ["0"]), 0) == {"0", "a", "b"}
+    assert _level(upsilon(diamond_ms, char_top, ["a"]), 0) == {"0", "a", "b"}
     assert run_property("prop-5.2", Instance(diamond_ms, (char_top,), UNIVERSE3,
                                              w_sets=(("0",), ("a",)))) is None
     # any reference element with positive image grade empties the kernel
     chi = fuzzy(lat, 0, HALF, HALF, 1)
-    assert kernel(upsilon(diamond_ms, chi, ["a"])) == frozenset()
+    assert _level(upsilon(diamond_ms, chi, ["a"]), 0) == frozenset()
 
 
 def test_cokernel_characterization_examples(diamond_fixture):
     lat, ms, chi = diamond_fixture
-    assert cokernel(upsilon(ms, chi, ["1"])) == set(lat.elements)
-    assert cokernel(upsilon(ms, chi, ["0", "xi"])) == cokernel(chi) == {"theta", "1"}
+    assert _level(upsilon(ms, chi, ["1"]), 1) == set(lat.elements)
+    assert _level(upsilon(ms, chi, ["0", "xi"]), 1) == _level(chi, 1) == {"theta", "1"}
     assert run_property("prop-5.3", Instance(ms, (chi,), UNIVERSE3,
                                              w_sets=(("0", "xi"), ("1",)))) is None
 
@@ -170,31 +168,32 @@ def test_kernel_rows_match_the_pointwise_statement():
     assert all(verdicts.values()), verdicts
 
 
-def _hom_report_by_loop(lat, mu):
-    """Oracle: one row-major scan over both halves at once."""
-    g = mu.grades
-    join_ok, meet_ok, witness = True, True, None
+def _breaks_by_loop(lat, g):
+    """Oracle: one row-major scan over both halves at once, giving the
+    first break of the join half, of the meet half, and of either."""
+    join_at = meet_at = first = None
     for i in range(lat.n):
         for j in range(lat.n):
             if g[lat.join_table[i][j]] != max(g[i], g[j]):
-                join_ok = False
-                witness = witness or (lat.elements[i], lat.elements[j])
+                join_at = join_at or (i, j)
             if g[lat.meet_table[i][j]] != min(g[i], g[j]):
-                meet_ok = False
-                witness = witness or (lat.elements[i], lat.elements[j])
-    return HomReport(join_ok, meet_ok, witness)
+                meet_at = meet_at or (i, j)
+            first = first or join_at or meet_at
+    return join_at, meet_at, first
 
 
 def test_hom_report_matches_the_pair_loop():
-    """Verdicts and witness of hom_report on every grade map of the catalog
-    up to four elements."""
+    """Both halves of thm-5.1 by ``first_break`` on every grade map of the
+    catalog up to four elements: each half's first break, and the earlier
+    of the two, are the pair loop's."""
     witnesses = 0
     for lat in lattice_catalog(4):
-        for values in product(UNIVERSE3, repeat=lat.n):
-            mu = FuzzySet(lat, values)
-            report = hom_report(lat, mu)
-            assert report == _hom_report_by_loop(lat, mu), values
-            witnesses += report.witness is not None
+        for g in product(UNIVERSE3, repeat=lat.n):
+            join_at = first_break(lat.join_table, g, max)
+            meet_at = first_break(lat.meet_table, g, min)
+            first = min((b for b in (join_at, meet_at) if b is not None), default=None)
+            assert (join_at, meet_at, first) == _breaks_by_loop(lat, g), g
+            witnesses += first is not None
     assert witnesses
 
 

@@ -16,10 +16,10 @@ from msfuzz import (
     build_lattice,
     enumerate_filters,
     is_filter,
-    is_prime_filter,
     principal_filter,
 )
 from msfuzz.catalog import lattice_catalog
+from msfuzz.fuzzy_core import prime_pair_row
 
 from .conftest import boolean_order, chain, chain_order, grid_order, spliced_order
 
@@ -374,11 +374,14 @@ def test_is_filter(diamond):
 
 
 def test_is_prime_filter(diamond):
-    assert is_prime_filter(diamond, {"a", "1"}).ok
-    verdict = is_prime_filter(diamond, {"1"})
-    assert not verdict.ok and set(verdict.witness) == {"a", "b"}
-    whole = is_prime_filter(diamond, set(diamond.elements))
-    assert not whole.ok and whole.reason == "not proper"
+    """A proper filter is prime exactly when ``prime_pair_row`` finds no
+    pair of step filters on the ranks of its characteristic map
+    (``one=1``); {1} is refuted by the principal filters of a and b."""
+    def char(members):
+        return tuple(int(e in members) for e in diamond.elements)
+
+    assert prime_pair_row(diamond, char({"a", "1"}), 1) is None
+    assert set(prime_pair_row(diamond, char({"1"}), 1)) == {char({"a", "1"}), char({"b", "1"})}
 
 
 def test_enumerate_filters_small(diamond):

@@ -104,10 +104,10 @@ def test_witness_data_defaults_to_an_empty_mapping(diamond_ms):
 def test_every_value_class_is_a_record():
     import msfuzz
 
-    names = ["AlgebraDocument", "CanonicalFixedSet", "Check", "DenseElements",
-             "ExtensionResult", "FilterSet", "FuzzyClassification", "FuzzySet",
-             "HomReport", "Instance", "PropertyOutcome", "SearchConfig",
-             "SubsetVerdict", "SweepReport", "VerificationReport", "Witness"]
+    names = ["AlgebraDocument", "CanonicalFixedSet", "Check", "ExtensionResult",
+             "FilterSet", "FuzzyClassification", "FuzzySet", "Instance",
+             "PropertyOutcome", "SearchConfig", "SubsetVerdict", "SweepReport",
+             "VerificationReport", "Witness"]
     from msfuzz.scan import PropertyRecord
 
     classes = [getattr(msfuzz, name) for name in names] + [PropertyRecord]

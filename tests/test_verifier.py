@@ -1918,6 +1918,24 @@ def test_settled_thm_4_8_builds_no_row(monkeypatch, diamond_ms):
         run_property("thm-4.3", _fresh(five))
 
 
+def test_settled_pair_laws_build_no_row(monkeypatch):
+    """The three pair laws settle every catalog instance up to five
+    elements from the base and omega columns, so they give their verdicts
+    with ``_Row`` refused."""
+    from msfuzz import scan
+    from msfuzz.verifier import _instance_stream
+
+    def refuse(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(scan, "_Row", refuse)
+    instances = list(_instance_stream(SearchConfig(max_elements=5)))
+    for inst in instances:
+        for pid in ("lemma-3.2.2", "prop-3.3.1", "prop-3.7"):
+            assert run_property(pid, _fresh(inst)) is None, pid
+    assert len({inst.ms.lattice.n for inst in instances}) == 5  # n = 1 to 5
+
+
 def test_a_listed_w_over_the_cap_is_scanned():
     """A listed W whose image has more than ``SKELETON_CAP`` elements gets
     no kernel: its laws are decided by their scans, as before."""
