@@ -17,7 +17,7 @@ instances.
 Each helper computes its fact one way.  The equivalences behind them
 are laws in ``laws`` and nowhere else: the two fixedness routes
 (def-3.4-consistency) and the dense-element readings of upsilon and
-omega (thm-4.7, thm-4.8), which read dense elements through
+omega (thm-4.7, thm-4.8); thm-4.7 reads dense elements through
 ``dense_row`` on element indices.
 """
 

@@ -189,7 +189,7 @@ def _lemma_3_2_7(r: _Row):
 
 
 @_pair_law("prop-3.3.1", "extension of a union is the join of the extensions",
-           symmetric=True, settled=_ups_follow_definitions)
+           settled=_ups_follow_definitions)
 def _prop_3_3_1(r1: _Row, r2: _Row):
     """Settled where the rows hold b = max chi(D) and ups = max(chi, b): a
     maximum over D commutes with a pointwise one, so the union's base is
@@ -238,7 +238,7 @@ def _prop_3_6(r: _Row):
                     {"z": [r.lat.elements[i] for i in z]})
 
 
-@_pair_law("prop-3.7", "a union of fixed filters is fixed", symmetric=True,
+@_pair_law("prop-3.7", "a union of fixed filters is fixed",
            settled=_ups_follow_definitions)
 def _prop_3_7(r1: _Row, r2: _Row):
     """Settled where the rows hold b = max chi(D) and ups = max(chi, b): a

@@ -13,14 +13,14 @@ recurrences over D, as two columns per chi (over ``SKELETON_CAP``
 elements of S the scans report an unmet hypothesis).  A stage keyed on
 what its verdict reads -- the base grade max chi(D), the set of image
 grades, the join of D, whether D holds the top, or ``omg`` -- visits the
-first row of each key only; the pair laws, the first W of each pair of
-base grades (see ``_STAGES``).  Four laws settle most chis without a
-scan (see ``_SETTLED``): a kernel that calls no recurrence computes
-omega of every W from its definition, thm-4.8 passes each chi whose
-omega column it matches, and the pair laws pass an instance whose base
-columns hold the bases that the kernel gives and whose bases raise chi
-to the extension that the definition of upsilon gives; any other chi or
-instance is scanned row by row.
+first row of each key only (see ``_STAGES``); a pair law visits each
+ordered pair of chis, then every row of the default W source.  Four
+laws settle most chis without a scan (see ``_SETTLED``): a kernel that
+calls no recurrence computes omega of every W from its definition,
+thm-4.8 passes each chi whose omega column it matches, and the pair laws
+pass an instance whose base columns hold the bases that the kernel gives
+and whose bases raise chi to the extension that the definition of
+upsilon gives; any other chi or instance is scanned row by row.
 Rows and guards see only integer grade ranks, which order as the grades
 do (see ``_Ranks``), and test them with the row kernels of
 ``lattice_core``, ``fuzzy_core``, ``extensions`` and ``hom_analysis``;
@@ -52,7 +52,7 @@ class Instance(Record):
 
     ``chis`` is the pool of candidate fuzzy filters the check quantifies
     over; ``w_sets`` restricts the reference subsets (None means all
-    nonempty subsets of the carrier; given ones must be nonempty subsets).
+    nonempty subsets of the carrier; else at least one, each nonempty).
     """
 
     ms: MSAlgebra | None
@@ -61,6 +61,8 @@ class Instance(Record):
     w_sets: tuple[tuple[str, ...], ...] | None = None
 
     def __post_init__(self):
+        if self.w_sets is not None and not self.w_sets:
+            raise EmptyW("no reference subset W is listed")
         if self.ms is None or self.w_sets is None:
             return
         for w in self.w_sets:
@@ -397,7 +399,7 @@ def _by_grades(r: _Row) -> frozenset:
 # None, is the function of a row (``_by_base`` and friends) through which
 # alone ``test`` reads W.
 _STAGES: dict[str, list[tuple]] = {}
-_PAIR_STAGES: dict[str, tuple] = {}  # pair laws: (test, when on the two rank rows, symmetric)
+_PAIR_STAGES: dict[str, tuple] = {}  # pair laws: (test, when on the two rank rows)
 # Law id -> its settling check, given (instance, chi index): true only when
 # the rows of that chi meet facts from which the law follows, on every row
 # of the chi for a row law, on every pair of such chis for a pair law.  The
@@ -442,40 +444,19 @@ def _scan(pid: str, inst: Instance, *stages: tuple, among=None) -> Witness | Non
     return None
 
 
-def _pair_keys(inst: Instance, i: int, j: int) -> list[int]:
-    """The index of the first W of each pair of base grades (b1, b2) of
-    chis i and j, ascending: the lowest bit of the index masks of b1 for i
-    and of b2 for j.  One table per instance, shared by the pair laws."""
-    table = inst._rows
-    for k in (i, j):
-        if ("masks", k) not in table:
-            masks = table["masks", k] = {}
-            for n, r in enumerate(_stage_rows(inst, k, _w_sets)):
-                masks[r.base] = masks.get(r.base, 0) | 1 << n
-    if ("pairs", i, j) not in table:
-        table["pairs", i, j] = table["pairs", j, i] = sorted(
-            (both & -both).bit_length() - 1 for m1 in table["masks", i].values()
-            for m2 in table["masks", j].values() if (both := m1 & m2))
-    return table["pairs", i, j]
-
-
-def _pair_scan(pid: str, inst: Instance, test, when, symmetric) -> Witness | None:
-    """The first failing (chi1, chi2, W), in that order, as in ``_scan``, on
-    the first W of each pair of base grades (b1, b2): all the pair laws read
-    of W, as the union's extension is max(union, max(b1, b2)).  A symmetric
-    test visits only chi2 at or after chi1: (chi2, chi1) picks the same W
-    and verdict as (chi1, chi2), and comes later in row-major order."""
+def _pair_scan(pid: str, inst: Instance, test, when) -> Witness | None:
+    """The first failing (chi1, chi2, W) as in ``_scan``: each ordered pair
+    of chis that ``when`` allows, then each row of the default W source."""
     rows = [_stage_rows(inst, i, _w_sets) for i in range(len(inst.chis))]
-    pool = list(zip(inst.chis, inst._ranks.rows))
-    for i, (chi1, g1) in enumerate(pool):
-        for j in range(i if symmetric else 0, len(pool)):
-            chi2, g2 = pool[j]
+    pool = list(zip(inst.chis, inst._ranks.rows, rows))
+    for chi1, g1, rows1 in pool:
+        for chi2, g2, rows2 in pool:
             if when is not None and not when(g1, g2):
                 continue
-            for k in _pair_keys(inst, i, j):
-                found = test(rows[i][k], rows[j][k])
+            for r1, r2 in zip(rows1, rows2):
+                found = test(r1, r2)
                 if found is not None:
-                    return _fail(pid, inst, found, chis=[chi1, chi2], w_idx=rows[i][k].w_idx)
+                    return _fail(pid, inst, found, chis=[chi1, chi2], w_idx=r1.w_idx)
     return None
 
 
@@ -505,14 +486,13 @@ def _row_law(pid: str, summary=None, ws=_w_sets, when=None, key=None, settled=No
     return decorate
 
 
-def _pair_law(pid: str, summary: str, when=None, symmetric=False, settled=None):
-    """Register a law from its predicate over the two rows of a pair;
-    ``symmetric`` when swapping the two rows never changes its verdict.
-    The law passes without a pair scan when ``settled``, unless None,
-    settles every chi (see ``_SETTLED``)."""
+def _pair_law(pid: str, summary: str, when=None, settled=None):
+    """Register a law from its predicate over the two rows of a pair that
+    share W.  The law passes without a pair scan when ``settled``, unless
+    None, settles every chi (see ``_SETTLED``)."""
 
     def decorate(test):
-        _PAIR_STAGES[pid] = (test, when, symmetric)
+        _PAIR_STAGES[pid] = (test, when)
         if settled is not None:
             _SETTLED[pid] = settled
         _law(pid, summary)(lambda inst: None if next(_unsettled(pid, inst), None) is None

@@ -183,6 +183,25 @@ def test_the_route_table_names_no_live_helper():
                 _resolve(span)
 
 
+def test_readme_cites_live_names():
+    """Every test that README cites by name is defined under ``tests/``,
+    and every ``module.name`` it cites of an msfuzz module resolves, so
+    README cannot keep citing a test or a name that is gone."""
+    import pkgutil
+
+    spans = re.findall(r"`([^`\n]+)`", (Path(SRC).parent / "README.md").read_text())
+    defined = {name for path in Path(__file__).parent.glob("**/*.py")
+               for name in re.findall(r"^\s*def (test_\w+)\(", path.read_text(), re.M)}
+    cited = {name for span in spans for name in re.findall(r"(?:^|::)(test_\w+)$", span)}
+    assert cited and cited <= defined, sorted(cited - defined)
+    modules = {m.name for m in pkgutil.iter_modules(msfuzz.__path__)}
+    dotted = {span for span in spans if re.fullmatch(r"\w+(\.\w+)+", span)
+              and span.split(".")[0] in modules and not span.endswith(".py")}
+    assert dotted
+    for span in dotted:
+        _resolve(span)
+
+
 def _msfuzz_imports(name: str) -> set[str]:
     """The msfuzz modules that ``msfuzz.<name>`` imports anywhere in its
     source, function bodies included, read with ``ast``."""

@@ -279,10 +279,13 @@ def test_hypothesis_unmet(example4_printed):
 
 
 def test_instance_rejects_bad_w_sets(diamond):
-    """An empty or foreign W fails where the instance is built."""
+    """An empty or foreign W, or an empty list of W, which would check
+    nothing and pass every law, fails where the instance is built."""
     with pytest.raises(EmptyW):
         make_instance(diamond, {"0": "1", "a": "a", "b": "b", "1": "0"},
                       w_sets=(("a",), ()))
+    with pytest.raises(EmptyW):
+        make_instance(diamond, {"0": "1", "a": "a", "b": "b", "1": "0"}, w_sets=())
     with pytest.raises(UnknownElement):
         make_instance(diamond, {"0": "1", "a": "a", "b": "b", "1": "0"},
                       w_sets=(("a", "zz"),))
@@ -822,32 +825,26 @@ class _BruteScan:
                     self.visit(test, [row], [chi], group, w_idx)
         return self
 
-    def pairs(self, test, when, symmetric):
-        """Pairs grouped by their two base grades, the key of ``_pair_scan``.
-        ``reads`` collects, per class, what the pair laws read of W: both
-        extensions and the extension of the union; ``firsts`` lists the
-        first W of each class, pair by pair, as the scan should visit them
-        (for a symmetric law, only the pairs with chi2 at or after chi1).
-        Every ordered pair is still run for the first outcome."""
+    def pairs(self, test, when):
+        """Pairs grouped by their two base grades (b1, b2), from which the
+        settling check derives each pair law.  ``reads`` collects, per
+        class, what the pair laws read of W: both extensions and the
+        extension of the union."""
         from msfuzz.extensions import upsilon_row
 
         ms, ranks = self.inst.ms, self.inst._ranks
-        self.reads, self.firsts = {}, []
-        for i, (chi1, g1) in enumerate(zip(self.inst.chis, ranks.rows)):
-            for j, (chi2, g2) in enumerate(zip(self.inst.chis, ranks.rows)):
+        self.reads = {}
+        for chi1, g1 in zip(self.inst.chis, ranks.rows):
+            for chi2, g2 in zip(self.inst.chis, ranks.rows):
                 if when is not None and not when(g1, g2):
                     continue
-                union, firsts = tuple(map(max, g1, g2)), {}
+                union = tuple(map(max, g1, g2))
                 for w, w_idx in self.every:
                     rows = [_row(self.inst, g1, w, w_idx), _row(self.inst, g2, w, w_idx)]
-                    key = (_base(ms, g1, w_idx), _base(ms, g2, w_idx))
-                    group = (chi1, chi2, key)
-                    firsts.setdefault(key, w_idx)
+                    group = (chi1, chi2, (_base(ms, g1, w_idx), _base(ms, g2, w_idx)))
                     self.reads.setdefault(group, set()).add(
                         (rows[0].ups, rows[1].ups, upsilon_row(ms, union, w_idx)))
                     self.visit(test, rows, [chi1, chi2], group, w_idx)
-                if j >= i or not symmetric:
-                    self.firsts += [(g1, g2, w_idx) for w_idx in firsts.values()]
         return self
 
 
@@ -863,6 +860,19 @@ def _pair_visits(pid, inst):
     _pair_scan(pid, inst, lambda r1, r2: seen.append((r1.grades, r2.grades, r1.w_idx)),
                *_PAIR_STAGES[pid][1:])
     return seen
+
+
+def _assert_pair_visit_order(inst):
+    """Oracle: each pair law's scan visits every ordered (chi1, chi2) that
+    its ``when`` allows, in pool order, then every W of the default W
+    source, in its order."""
+    from msfuzz.scan import _PAIR_STAGES, _w_sets
+
+    ranks = inst._ranks.rows
+    for pid, (_, when) in _PAIR_STAGES.items():
+        assert _pair_visits(pid, inst) == [
+            (g1, g2, img.idx) for g1 in ranks for g2 in ranks
+            if when is None or when(g1, g2) for img in _w_sets(inst)], pid
 
 
 def _brute_scan(pid, inst):
@@ -1024,11 +1034,12 @@ def _check_row_keys(inst, checked):
     equal double-negation images where the stage reads the default W list,
     share a verdict, and the first failing row over every W, each built
     directly from its W, is the scan's witness.  For the pair laws, each
-    (b1, b2) class reads the same of W and the scan visits exactly the
-    first W of each class.  ``checked`` counts classes, failures and
-    errors."""
+    (b1, b2) class reads the same of W, the fact behind their settling
+    check, and the scan visits every pair and W in order.  ``checked``
+    counts classes, failures and errors."""
     from msfuzz.scan import _PAIR_STAGES, _STAGES
 
+    _assert_pair_visit_order(inst)
     for pid in [*_STAGES, "thm-3.1-prime", *_PAIR_STAGES]:
         verdict, witness = _outcome(lambda: run_property(pid, inst))
         if verdict == "HypothesisUnmet":
@@ -1036,7 +1047,6 @@ def _check_row_keys(inst, checked):
         scan = _brute_scan(pid, inst)
         if pid in _PAIR_STAGES:
             assert all(len(r) == 1 for r in scan.reads.values()), pid
-            assert _pair_visits(pid, inst) == scan.firsts, pid
         mixed = [k for k, verdicts in scan.classes.items() if len(verdicts) > 1]
         assert not mixed, (pid, mixed[0][1:])
         expected = witness.to_dict() if witness is not None else (
@@ -1050,7 +1060,8 @@ def test_row_keys_agree_with_brute_force():
     """``_check_row_keys`` on every key oracle input, with W in mask order
     and, up to three elements, listed in reverse, where a scan keys the listed rows themselves and
     meets a W of two or more elements first.  The pair laws pass on every
-    input, so the test of their keys is the visit order."""
+    input, so their tests are the visit order and the one read per
+    (b1, b2) class."""
     from msfuzz.scan import _PAIR_STAGES, _STAGES, _w_sets
 
     skipping = [pid for pid in _STAGES
@@ -1225,47 +1236,6 @@ def _pair_oracle_inputs():
 
     for universe in (UNIVERSE3, THIRDS):
         yield from _instance_stream(SearchConfig(max_elements=4, grade_universe=universe))
-
-
-def _union_moved(r1, r2):
-    from msfuzz.extensions import upsilon_row
-
-    union = tuple(map(max, r1.grades, r2.grades))
-    if upsilon_row(r1.ms, union, r1.w_idx) != union:
-        return "union moved", {"base": max(r1.base, r2.base)}
-
-
-# symmetric pair predicates that fail on some pairs: off the diagonal only,
-# on it too, and reading the rows beyond their base grades
-_SYMMETRIC_PREDICATES = (
-    lambda r1, r2: "bases differ" if r1.base != r2.base else None,
-    _union_moved,
-    lambda r1, r2: ("rows differ under a top image"
-                    if r1.grades != r2.grades and max(r1.base, r2.base) == r1.one
-                    else None),
-)
-
-
-def test_symmetric_half_scan_matches_full_scan():
-    """For a symmetric predicate, visiting only chi2 at or after chi1 finds
-    the witness (chis, W, detail) of the full ordered scan; an asymmetric
-    one shows that the half scan alone would differ."""
-    from msfuzz.scan import _pair_scan
-
-    def scan(test, symmetric):
-        found = _pair_scan("prop-3.3.1", inst, test, None, symmetric)
-        return None if found is None else found.to_dict()
-
-    failed = off_diagonal = asymmetric_differs = 0
-    for inst in _pair_oracle_inputs():
-        for test in _SYMMETRIC_PREDICATES:
-            full = scan(test, False)
-            assert scan(test, True) == full
-            failed += full is not None
-            off_diagonal += full is not None and full["fuzzy"]["chi"] != full["fuzzy"]["chi2"]
-        smaller = lambda r1, r2: "base dropped" if r1.base > r2.base else None
-        asymmetric_differs += scan(smaller, True) != scan(smaller, False)
-    assert failed and off_diagonal and asymmetric_differs
 
 
 # -- negative controls -----------------------------------------------------------
@@ -1462,33 +1432,12 @@ def test_every_law_has_a_negative_control():
         assert len(_NEGATIVE_CONTROLS[pid]) == len(stages), pid
 
 
-def test_flagged_pair_laws_are_symmetric():
-    """Each pair law marked symmetric gives the same verdict on (r1, r2) as
-    on (r2, r1), for every pair of pool rows and every W."""
-    from msfuzz.scan import _PAIR_STAGES
-
-    flagged = sorted(pid for pid, (_, _, symmetric) in _PAIR_STAGES.items() if symmetric)
-    assert flagged == ["prop-3.3.1", "prop-3.7"]
-    pairs = 0
-    for inst in _pair_oracle_inputs():
-        ms, ranks = inst.ms, inst._ranks
-        for w, w_idx in _every_w(ms.lattice, inst.w_sets):
-            rows = [_row(inst, g, w, w_idx) for g in ranks.rows]
-            for r1 in rows:
-                for r2 in rows:
-                    for pid in flagged:
-                        test = _PAIR_STAGES[pid][0]
-                        assert test(r1, r2) == test(r2, r1), (pid, r1.grades, r2.grades, w)
-                    pairs += 1
-    assert pairs
-
-
 # -- mutants of the row kernels --------------------------------------------------
 
 def _mutant_inputs():
     """Every catalog instance up to four elements over {0, 1/2, 1} and over
     {1/3, 2/3, 1}, each also with every W listed in reverse, so that the
-    pair laws reach a W of two or more elements; then the law-outcome
+    keyed scans meet a W of two or more elements first; then the law-outcome
     inputs up to three elements, where non-filter maps fail laws."""
     for inst in _pair_oracle_inputs():
         yield inst
@@ -1513,10 +1462,6 @@ def _law_outcomes(inst):
 def _skeleton_oracle(inst):
     if inst.w_sets is None:
         _assert_skeleton_route(inst.ms)
-
-
-def _pair_key_oracle(inst):
-    _check_row_keys(inst, {"classes": 0, "fail": 0, "error": 0})
 
 
 @pytest.fixture(scope="module")
@@ -1556,10 +1501,25 @@ def _omega_row_by(op, through_dd=True):
     return omega_row
 
 
-def _pair_keys_map(change):
-    from msfuzz.scan import _pair_keys
+def _pair_scan_by(skip=lambda i, j: False, cut=lambda rows: rows):
+    """``_pair_scan`` skipping the pairs of chi indices (i, j) that ``skip``
+    names, over each chi's default rows cut by ``cut``."""
+    def pair_scan(pid, inst, test, when):
+        from msfuzz.scan import _fail, _stage_rows, _w_sets
 
-    return lambda inst, i, j: change(_pair_keys(inst, i, j))
+        rows = [cut(_stage_rows(inst, i, _w_sets)) for i in range(len(inst.chis))]
+        pool = list(enumerate(zip(inst.chis, inst._ranks.rows, rows)))
+        for i, (chi1, g1, rows1) in pool:
+            for j, (chi2, g2, rows2) in pool:
+                if skip(i, j) or when is not None and not when(g1, g2):
+                    continue
+                for r1, r2 in zip(rows1, rows2):
+                    found = test(r1, r2)
+                    if found is not None:
+                        return _fail(pid, inst, found, chis=[chi1, chi2], w_idx=r1.w_idx)
+        return None
+
+    return pair_scan
 
 
 def _base_grade_by(op, through_dd=True):
@@ -1732,12 +1692,16 @@ _MUTANTS = {
         _skeleton_oracle),
     "skeleton-never-top": ([("scan", "_skeleton_images", _skeleton_map(
         lambda imgs, lat, dd: [img._replace(top=False) for img in imgs]))], "laws"),
-    "pair-keys-reversed": ([("scan", "_pair_keys", _pair_keys_map(lambda ks: ks[::-1]))],
-                           _pair_key_oracle),
-    "pair-keys-first-only": ([("scan", "_pair_keys", _pair_keys_map(lambda ks: ks[:1]))],
-                             _pair_key_oracle),
-    "pair-keys-drop-the-last": ([("scan", "_pair_keys",
-                                  _pair_keys_map(lambda ks: ks[:-1]))], _pair_key_oracle),
+    "pair-scan-rows-reversed": ([("scan", "_pair_scan", _pair_scan_by(
+        cut=lambda rows: rows[::-1]))], _assert_pair_visit_order),
+    "pair-scan-first-row-only": ([("scan", "_pair_scan", _pair_scan_by(
+        cut=lambda rows: rows[:1]))], _assert_pair_visit_order),
+    "pair-scan-skips-chi-with-itself": ([("scan", "_pair_scan", _pair_scan_by(
+        skip=lambda i, j: i == j))], _assert_pair_visit_order),
+    "pair-scan-upper-half-only": ([("scan", "_pair_scan", _pair_scan_by(
+        skip=lambda i, j: j < i))], _assert_pair_visit_order),
+    "pair-scan-drops-the-last-row": ([("scan", "_pair_scan", _pair_scan_by(
+        cut=lambda rows: rows[:-1]))], _assert_pair_visit_order),
     "base_grade-min": ([("extensions", "_base_grade", _base_grade_by(min)),
                         ("scan", "_base_grade", _base_grade_by(min))], "laws"),
     "base_grade-skips-double-negation": (
@@ -1802,11 +1766,10 @@ def _kills(killer, inst, expected):
 def test_mutant_is_killed(monkeypatch, mutant_baseline, name):
     """Each hand-written mutant of a row kernel (``_raise_to``,
     ``omega_row``, the base and omega recurrences, the skeleton builder,
-    the pair-key builder, ``_base_grade``, ``first_break``,
-    ``is_filter_row``, ``kernel_row``, ``cokernel_row``, ``dense_row`` and
-    ``prime_pair_row``), of the omega kernel and the ``_SETTLED`` checks,
-    of ``_crisp_scan``'s key or of the catalog
-    changes some law's outcome on an input of ``_mutant_inputs`` or fails
+    ``_base_grade``, ``first_break``, ``is_filter_row``, ``kernel_row``,
+    ``cokernel_row``, ``dense_row`` and ``prime_pair_row``), of the omega
+    kernel and the ``_SETTLED`` checks, of the pair scan's visit order, of
+    ``_crisp_scan``'s key or of the catalog changes some law's outcome on an input of ``_mutant_inputs`` or fails
     its named oracle there; unpatched, the killer passes on that input, so
     a no-op mutant survives it.  The catalog is cached, so the cache is
     emptied before the patches and after they are undone."""
@@ -1834,7 +1797,7 @@ def test_mutant_is_killed(monkeypatch, mutant_baseline, name):
 
 def _row_scan(pid, inst):
     """The law's verdict by its scan alone, without the ``_SETTLED`` check:
-    every row of thm-4.8, every pair key of a pair law."""
+    every row of thm-4.8, every pair and row of a pair law."""
     from msfuzz.scan import _PAIR_STAGES, _STAGES, _pair_scan, _scan
 
     if pid in _PAIR_STAGES:
