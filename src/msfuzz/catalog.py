@@ -16,9 +16,7 @@ from typing import Any
 
 from .errors import SizeCapExceeded
 from .lattice_core import FiniteLattice, build_lattice
-from .ms_algebra import enumerate_ms_operations
-
-MAX_ELEMENTS_CAP = 8
+from .ms_algebra import MS_ENUM_CAP, enumerate_ms_operations
 
 
 def _bits(mask: int):
@@ -121,10 +119,8 @@ def _lattice_from_poset(ds: list[int]) -> FiniteLattice:
 def lattice_catalog(max_elements: int) -> tuple[FiniteLattice, ...]:
     """All bounded distributive lattices with at most ``max_elements``
     elements, one per isomorphism class, in deterministic order."""
-    if max_elements > MAX_ELEMENTS_CAP:
-        raise SizeCapExceeded(
-            f"max_elements {max_elements} exceeds cap {MAX_ELEMENTS_CAP}"
-        )
+    if max_elements > MS_ENUM_CAP:
+        raise SizeCapExceeded(f"max_elements {max_elements} exceeds cap {MS_ENUM_CAP}")
     if max_elements < 1:
         raise ValueError("max_elements must be at least 1")
     lattices = [_lattice_from_poset(ds) for _, ds in _poset_reps(max_elements)]

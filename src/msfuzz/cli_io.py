@@ -13,8 +13,8 @@ configurations produce byte-identical bytes.
 A document command costs little more than interpreter start-up and
 imports, so the parser is the standard library's ``argparse``, and the
 law registry (``verifier``, with ``catalog``, ``scan`` and ``laws``) is
-imported by ``verify``, ``sweep`` and ``search`` when they run: ``validate``, ``extend`` and ``fixed`` load
-only the document path.
+imported by ``verify``, ``sweep`` and ``search`` when they run:
+``validate``, ``extend`` and ``fixed`` load only the document path.
 """
 
 from __future__ import annotations
@@ -60,8 +60,11 @@ def _emit(args, payload: dict, text: str) -> None:
         else text if text.endswith("\n") else text + "\n"
     )
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            raise UsageError(f"argument --out: {exc}")
     else:
         sys.stdout.write(rendered)
 

@@ -13,9 +13,9 @@ from .hom_analysis import cokernel_row, kernel_row
 from .lattice_core import FiniteLattice, enumerate_filters, first_break, is_filter
 from .ms_algebra import MSAlgebra, extended_filter_crisp, verify_derived_identities
 from .scan import (
-    Instance, Witness, _by_base, _by_base_omg, _by_grades, _by_join, _by_omg, _by_top,
-    _by_ups, _fail, _law, _listed, _listed_w, _omega_follows_definition, _pair_law, _Row,
-    _row_law, _scan, _singletons, _ups_follow_definitions, _w_sets,
+    Instance, Witness, _by_base, _by_grades, _by_join, _by_omg, _fail, _law, _listed,
+    _listed_w, _omega_follows_definition, _pair_law, _Row, _row_law, _scan, _singletons,
+    _ups_follow_definitions, _w_sets,
 )
 
 
@@ -84,7 +84,7 @@ def _check_thm_2_3(inst: Instance):
 
 @_row_law("thm-3.1-filter",
           "the extension of a fuzzy filter is a fuzzy filter containing it",
-          key=_by_ups)
+          key=_by_base)
 def _thm_3_1_filter(r: _Row):
     if any(u < g for u, g in zip(r.ups, r.grades)):
         return "extension lost ground"
@@ -104,7 +104,7 @@ def _thm_3_1_prime(r: _Row):
                 {"phi": phi, "psi": psi, "upsilon": r.fuzzy(r.ups)})
 
 
-_PRIME_STAGE = (_thm_3_1_prime, _w_sets, None, _by_ups)
+_PRIME_STAGE = (_thm_3_1_prime, _w_sets, None, _by_base)
 
 
 @_law("thm-3.1-prime", "the extension of a fuzzy filter is a prime fuzzy filter "
@@ -164,7 +164,7 @@ def _lemma_3_2_4(r: _Row):
 
 @_row_law("lemma-3.2.5",
           "a reference element double-negating to the top forces the constant one",
-          key=_by_top)
+          key=_by_join)
 def _lemma_3_2_5(r: _Row):
     if r.top and any(g != r.one for g in r.ups):
         return "extension missed the constant one"
@@ -199,7 +199,7 @@ def _prop_3_3_1(r1: _Row, r2: _Row):
         return "union and extension do not commute"
 
 
-@_row_law("prop-3.3.2", "the extension maps meets to minima", key=_by_ups)
+@_row_law("prop-3.3.2", "the extension maps meets to minima", key=_by_base)
 def _prop_3_3_2(r: _Row):
     pair = first_break(r.lat.meet_table, r.ups, min)
     if pair is not None:
@@ -297,7 +297,7 @@ def _omega_grows_and_keeps_unit(r: _Row):
 
 
 @_row_law("upsilon-subset-omega", "the extension sits inside the strong extension",
-          key=_by_base_omg)
+          key=_by_omg)
 def _upsilon_subset_omega(r: _Row):
     if any(u > o for u, o in zip(r.ups, r.omg)):
         return "extension escaped the strong extension"
@@ -315,7 +315,7 @@ def _thm_4_3(r: _Row):
 
 @_row_law("remark-4.4",
           "for join-homomorphic filters the two extensions coincide",
-          when=_join_hom, key=_by_base_omg)
+          when=_join_hom, key=_by_omg)
 def _remark_4_4(r: _Row):
     if r.ups != r.omg:
         return "extensions split despite join-homomorphism"
@@ -356,7 +356,7 @@ def _thm_4_8(r: _Row):
 @_row_law("thm-5.1",
           "join-homomorphic filters extend to lattice homomorphisms, and the "
           "grade-level double negation is inherited",
-          when=_join_hom, key=_by_ups)
+          when=_join_hom, key=_by_base)
 def _ups_is_lattice_hom(r: _Row):
     if not (_join_hom(r.ms, r.ups) and first_break(r.lat.meet_table, r.ups, min) is None):
         return "extension is not a lattice homomorphism"
@@ -367,7 +367,7 @@ def _dd_compatible(ms: MSAlgebra, grades) -> bool:
     return all(grades[dd[i]] == grades[i] for i in range(ms.lattice.n))
 
 
-@_row_law("thm-5.1", when=_dd_compatible, key=_by_ups)
+@_row_law("thm-5.1", when=_dd_compatible, key=_by_base)
 def _ups_dd_compatible(r: _Row):
     if any(r.ups[r.dd[i]] != r.ups[i] for i in range(r.lat.n)):
         return "double-negation compatibility not inherited"
@@ -408,7 +408,7 @@ def _fiber_break(r: _Row, table):
     return None
 
 
-@_row_law("lemma-5.4-meet", "fibers of the extension are meet-closed", key=_by_ups)
+@_row_law("lemma-5.4-meet", "fibers of the extension are meet-closed", key=_by_base)
 def _lemma_5_4_meet(r: _Row):
     pair = _fiber_break(r, r.lat.meet_table)
     return None if pair is None else ("a fiber is not meet-closed", {"pair": pair})
@@ -416,7 +416,7 @@ def _lemma_5_4_meet(r: _Row):
 
 @_row_law("lemma-5.4-join",
           "for join-homomorphic filters, fibers of the extension are join-closed",
-          when=_join_hom, key=_by_ups)
+          when=_join_hom, key=_by_base)
 def _lemma_5_4_join(r: _Row):
     pair = _fiber_break(r, r.lat.join_table)
     return None if pair is None else ("a fiber is not join-closed", {"pair": pair})
@@ -426,7 +426,6 @@ def _lemma_5_4_join(r: _Row):
     "example-4.2-validity",
     "the shipped seven-element fixture has a valid negation table "
     "(known-refutable; its table breaks two axioms)",
-    requires_valid_ms=False,
     requires_filters=False,
     search_target=True,
     fixture="example4_printed",

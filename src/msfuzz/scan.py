@@ -11,20 +11,20 @@ the skeleton S = {x°°}, so each instance builds, once for every law, a
 row per chi and D from S: the base grades and omegas come from
 recurrences over D, as two columns per chi (over ``SKELETON_CAP``
 elements of S the scans report an unmet hypothesis).  A stage keyed on
-what its verdict reads -- the base grade max chi(D), the set of image
-grades, the join of D, whether D holds the top, or ``omg`` -- visits the
-first row of each key only (see ``_STAGES``); a pair law visits each
-ordered pair of chis, then every row of the default W source.  Four
-laws settle most chis without a scan (see ``_SETTLED``): a kernel that
-calls no recurrence computes omega of every W from its definition,
-thm-4.8 passes each chi whose omega column it matches, and the pair laws
-pass an instance whose base columns hold the bases that the kernel gives
-and whose bases raise chi to the extension that the definition of
-upsilon gives; any other chi or instance is scanned row by row.
-Rows and guards see only integer grade ranks, which order as the grades
-do (see ``_Ranks``), and test them with the row kernels of
-``lattice_core``, ``fuzzy_core``, ``extensions`` and ``hom_analysis``;
-grades come back only in witness data.
+what its verdict reads -- the base max chi(D), which fixes ``ups``; the
+set of image grades; the base, join of D and whether D holds the top; or
+the base and ``omg`` -- visits the first row of each key only (see
+``_STAGES``); a pair law visits each ordered pair of chis, then every row
+of the default W source.  Four laws settle most chis without a scan
+(see ``_SETTLED``): a kernel that calls no recurrence computes omega of
+every W from its definition, thm-4.8 passes each chi whose omega column
+it matches, and the pair laws pass an instance whose base columns hold
+the bases that the kernel gives and whose bases raise chi to the
+extension that the definition of upsilon gives; any other chi or
+instance is scanned row by row.  Rows and guards see only integer grade
+ranks, which order as the grades do (see ``_Ranks``), and test them with
+the row kernels of ``lattice_core``, ``fuzzy_core``, ``extensions`` and
+``hom_analysis``; grades come back only in witness data.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from operator import attrgetter
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple
 
-from .errors import EmptyW, SizeCapExceeded
+from .errors import CarrierMismatch, EmptyW, SizeCapExceeded
 from .extensions import _base_grade, _raise_to, omega_row
 from .file_format import document_from_objects, serialize_algebra
 from .fuzzy_core import FuzzySet
@@ -63,13 +63,16 @@ class Instance(Record):
     def __post_init__(self):
         if self.w_sets is not None and not self.w_sets:
             raise EmptyW("no reference subset W is listed")
-        if self.ms is None or self.w_sets is None:
+        if self.ms is None:
             return
-        for w in self.w_sets:
+        lat = self.ms.lattice
+        if any(chi.carrier != lat for chi in self.chis):
+            raise CarrierMismatch("grade map does not live on the algebra's lattice")
+        for w in self.w_sets or ():
             if not w:
                 raise EmptyW("reference subset W is empty")
             for e in w:
-                self.ms.lattice.element_index(e)
+                lat.element_index(e)
 
     @cached_property
     def _ranks(self) -> "_Ranks":
@@ -137,7 +140,6 @@ class PropertyRecord(Record):
     pid: str
     summary: str
     check: Callable[[Instance], Witness | None]
-    requires_valid_ms: bool = True
     requires_filters: bool = True
     search_target: bool = False
     fixture: str | None = None
@@ -307,12 +309,12 @@ def _columns(inst: Instance, grades) -> tuple[list, list]:
     return table["columns", grades]
 
 
-def _rows(inst: Instance, grades, images: list[_Image], default: bool) -> list[_Row]:
-    """Chi's rows over ``images``: from its ``_columns`` for the W source
-    ``_w_sets`` when ``default``, else from a listing one by ``_base_grade``.
-    Only default rows carry ``omg``, as only the stages on them read it."""
-    ms = inst.ms
-    if default:
+def _rows(inst: Instance, i: int, ws) -> list[_Row]:
+    """Chi ``i``'s rows over the W source ``ws``: from its ``_columns`` for
+    ``_w_sets``, else by ``_base_grade``.  Only ``_w_sets`` rows carry
+    ``omg``, as only the stages on them read it."""
+    ms, grades, images = inst.ms, inst._ranks.rows[i], ws(inst, inst.chis[i])
+    if ws is _w_sets:
         bases, omgs = _columns(inst, grades)
     else:
         bases = [_base_grade(ms, grades, img.idx) for img in images]
@@ -380,10 +382,11 @@ def _ups_follow_definitions(inst: Instance, i: int) -> bool:
 
 # Keys: what a stage's verdict reads of W.  When the verdict is a function
 # of its key, the first failing row is the first row of its key, so a stage
-# visits those only and its witness keeps its bytes.
-_by_base, _by_ups, _by_omg = attrgetter("base"), attrgetter("ups"), attrgetter("omg")
-_by_join, _by_top = attrgetter("base", "join"), attrgetter("base", "top")
-_by_base_omg = attrgetter("base", "omg")
+# visits those only and its witness keeps its bytes.  ``ups`` is a function
+# of the base, and the other keys hold the base, so a keyed stage may read
+# ``ups``; ``_by_join`` adds ``join`` and ``top``, ``_by_omg`` adds ``omg``.
+_by_base, _by_omg = attrgetter("base"), attrgetter("base", "omg")
+_by_join = attrgetter("base", "join", "top")
 
 
 def _by_grades(r: _Row) -> frozenset:
@@ -414,8 +417,7 @@ def _stage_rows(inst: Instance, i: int, ws, key=None) -> list[_Row]:
     table = inst._rows
     if (ws, i, key) not in table:
         if (ws, i, None) not in table:
-            table[ws, i, None] = _rows(inst, inst._ranks.rows[i], ws(inst, inst.chis[i]),
-                                       ws is _w_sets)
+            table[ws, i, None] = _rows(inst, i, ws)
         rows = table[ws, i, None]
         if key is not None:
             firsts: dict = {}
@@ -466,8 +468,7 @@ def _unsettled(pid: str, inst: Instance):
     return (i for i in range(len(inst.chis)) if settled is None or not settled(inst, i))
 
 
-def _row_law(pid: str, summary=None, ws=_w_sets, when=None, key=None, settled=None,
-             **kwargs):
+def _row_law(pid: str, summary=None, ws=_w_sets, when=None, key=None, settled=None):
     """Register a row predicate as a law, scanning only the chis that
     ``settled``, unless None, leaves open (see ``_SETTLED``).  Without a
     summary it becomes the next stage of the law already registered under
@@ -478,7 +479,7 @@ def _row_law(pid: str, summary=None, ws=_w_sets, when=None, key=None, settled=No
             _STAGES[pid] = []
             if settled is not None:
                 _SETTLED[pid] = settled
-            _law(pid, summary, **kwargs)(
+            _law(pid, summary)(
                 lambda inst: _scan(pid, inst, *_STAGES[pid], among=_unsettled(pid, inst)))
         _STAGES[pid].append((test, ws, when, key))
         return test

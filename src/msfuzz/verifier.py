@@ -13,7 +13,7 @@ import struct
 from fractions import Fraction
 from typing import Any
 
-from .catalog import MAX_ELEMENTS_CAP, _ms_operations, lattice_catalog
+from .catalog import _ms_operations, lattice_catalog
 from .errors import (
     HypothesisUnmet,
     InternalInvariantError,
@@ -25,7 +25,7 @@ from .fixtures import load_fixture
 from .fuzzy_core import classify, filter_pool
 from .grades import ONE, ZERO, format_grade
 from .laws import _fibers  # importing laws registers every law
-from .ms_algebra import MSAlgebra
+from .ms_algebra import MS_ENUM_CAP, MSAlgebra
 from .report import Record
 from .scan import (
     _REGISTRY, Instance, PropertyRecord, Witness, _by_base, _stage_rows, _w_sets,
@@ -45,10 +45,8 @@ class SearchConfig(Record):
     def __post_init__(self):
         if self.max_elements < 1:
             raise ValueError("max_elements must be at least 1")
-        if self.max_elements > MAX_ELEMENTS_CAP:
-            raise SizeCapExceeded(
-                f"max_elements {self.max_elements} exceeds cap {MAX_ELEMENTS_CAP}"
-            )
+        if self.max_elements > MS_ENUM_CAP:
+            raise SizeCapExceeded(f"max_elements {self.max_elements} exceeds cap {MS_ENUM_CAP}")
         universe = tuple(sorted({Fraction(g) for g in self.grade_universe}))
         if ONE not in universe:
             raise ValueError("grade universe must contain 1")
@@ -113,7 +111,7 @@ def run_property(pid: str, instance: Instance) -> Witness | None:
         instance = fixture_instance(record.fixture)
     if instance.ms is None:
         raise HypothesisUnmet(pid, "instance has no negation table")
-    if record.requires_valid_ms and not instance.ms.is_valid:
+    if record.fixture is None and not instance.ms.is_valid:
         raise HypothesisUnmet(pid, "negation table violates the axioms")
     if record.requires_filters and not instance.chis:
         raise HypothesisUnmet(pid, "no fuzzy filters available on the instance")

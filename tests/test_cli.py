@@ -534,6 +534,19 @@ def test_out_to_directory_is_usage_error(fixture_file, tmp_path):
     assert "schema" not in result.output
 
 
+def test_out_in_a_missing_directory_is_usage_error(fixture_file, tmp_path):
+    """A report path that cannot be opened exits 2 with the path in the
+    message, not with a traceback."""
+    target = tmp_path / "missing" / "x.json"
+    result = run_cli(
+        ["--format", "json", "--out", str(target), "validate", fixture_file("diamond")]
+    )
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert f"argument --out: [Errno 2] No such file or directory: '{target}'" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_internal_invariant_exits_70(fixture_file, monkeypatch):
     from msfuzz.errors import InternalInvariantError
     import msfuzz.cli_io as cli_io

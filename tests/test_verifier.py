@@ -291,6 +291,22 @@ def test_instance_rejects_bad_w_sets(diamond):
                       w_sets=(("a", "zz"),))
 
 
+def test_instance_rejects_a_chi_on_another_carrier(diamond, diamond_ms):
+    """A chi on a smaller carrier than the algebra's lattice, which laws
+    would index past its end, or on a larger one, over which they would
+    pass without checking it, fails where the instance is built."""
+    from msfuzz import CarrierMismatch
+
+    from .conftest import chain
+
+    two = chain(2)
+    two_ms = MSAlgebra(two, {"c0": "c1", "c1": "c0"})
+    for ms, chi in ((diamond_ms, fuzzy(two, 0, 1)), (two_ms, fuzzy(diamond, 0, 0, 0, 1))):
+        with pytest.raises(CarrierMismatch, match="algebra's lattice"):
+            Instance(ms, (chi,), UNIVERSE3)
+    assert Instance(two_ms, (fuzzy(chain(2), 0, 1),), UNIVERSE3).chis  # an equal carrier
+
+
 def test_example_fixture_property_ignores_instance(diamond):
     inst = make_instance(diamond, {"0": "1", "a": "a", "b": "b", "1": "0"})
     witness = run_property("example-4.2-validity", inst)
@@ -767,10 +783,10 @@ def _image_w_sets(lat, dd, w_sets):
 def _row(inst, grades, w, w_idx):
     """A row with every field computed directly from its W: the one row of
     the instance narrowed to W."""
-    from msfuzz.scan import _listed, _rows
+    from msfuzz.scan import _rows, _w_sets
 
     narrowed = Instance(inst.ms, inst.chis, inst.grade_universe, (w,))
-    return _rows(narrowed, grades, _listed(inst.ms, [w]), True)[0]
+    return _rows(narrowed, narrowed._ranks.rows.index(grades), _w_sets)[0]
 
 
 def _reversed_w(inst):
@@ -1073,6 +1089,25 @@ def test_row_keys_agree_with_brute_force():
         if inst.ms.lattice.n <= 3:  # at four elements the reverse list runs 15 W
             _check_row_keys(_reversed_w(inst), checked)
     assert all(checked.values()), checked
+
+
+@pytest.mark.parametrize("universe", [UNIVERSE3, THIRDS0], ids=["halves", "thirds0"])
+def test_base_and_omega_keys_add_no_row_on_filter_pools(universe):
+    """A fuzzy filter's extensions both take the base grade max chi(D) at
+    the bottom, so on every catalog instance up to six elements each chi
+    keeps, by ``_by_base``, one row per distinct ``ups`` and, by
+    ``_by_omg`` (the base and ``omg``), one row per distinct ``omg``."""
+    from msfuzz.scan import _by_base, _by_omg, _stage_rows, _w_sets
+    from msfuzz.verifier import _instance_stream
+
+    checked = 0
+    for inst in _instance_stream(SearchConfig(max_elements=6, grade_universe=universe)):
+        for i in range(len(inst.chis)):
+            rows = _stage_rows(inst, i, _w_sets)
+            assert len(_stage_rows(inst, i, _w_sets, _by_base)) == len({r.ups for r in rows})
+            assert len(_stage_rows(inst, i, _w_sets, _by_omg)) == len({r.omg for r in rows})
+            checked += 1
+    assert checked
 
 
 # -- rows from the skeleton ------------------------------------------------------
