@@ -14,8 +14,7 @@ from .lattice_core import FiniteLattice, enumerate_filters, first_break, is_filt
 from .ms_algebra import MSAlgebra, extended_filter_crisp, verify_derived_identities
 from .scan import (
     Instance, Witness, _by_base, _by_grades, _by_join, _by_omg, _fail, _law, _listed,
-    _listed_w, _omega_follows_definition, _pair_law, _Row, _row_law, _scan, _singletons,
-    _ups_follow_definitions, _w_sets,
+    _listed_w, _pair_law, _Row, _row_law, _scan, _singletons, _w_sets,
 )
 
 
@@ -134,8 +133,7 @@ def _lemma_3_2_1(r: _Row):
 
 
 @_pair_law("lemma-3.2.2", "monotone in the fuzzy filter",
-           when=lambda g1, g2: all(a <= b for a, b in zip(g1, g2)),
-           settled=_ups_follow_definitions)
+           when=lambda g1, g2: all(a <= b for a, b in zip(g1, g2)))
 def _lemma_3_2_2(r1: _Row, r2: _Row):
     """Settled where the rows hold b = max chi(D) and ups = max(chi, b):
     chi1 <= chi2 gives b1 <= b2 over one W, so max(chi1, b1) <= max(chi2, b2)."""
@@ -188,8 +186,7 @@ def _lemma_3_2_7(r: _Row):
             return "grade one appeared from nowhere", {"theta": r.lat.elements[t]}
 
 
-@_pair_law("prop-3.3.1", "extension of a union is the join of the extensions",
-           settled=_ups_follow_definitions)
+@_pair_law("prop-3.3.1", "extension of a union is the join of the extensions")
 def _prop_3_3_1(r1: _Row, r2: _Row):
     """Settled where the rows hold b = max chi(D) and ups = max(chi, b): a
     maximum over D commutes with a pointwise one, so the union's base is
@@ -238,8 +235,7 @@ def _prop_3_6(r: _Row):
                     {"z": [r.lat.elements[i] for i in z]})
 
 
-@_pair_law("prop-3.7", "a union of fixed filters is fixed",
-           settled=_ups_follow_definitions)
+@_pair_law("prop-3.7", "a union of fixed filters is fixed")
 def _prop_3_7(r1: _Row, r2: _Row):
     """Settled where the rows hold b = max chi(D) and ups = max(chi, b): a
     fixed row has b <= min chi, so the union's base max(b1, b2) is at most
@@ -333,7 +329,7 @@ def _thm_4_7(r: _Row):
 
 @_row_law("thm-4.8",
           "the strong extension hits a join exactly when that join is dense "
-          "among the candidate joins", settled=_omega_follows_definition)
+          "among the candidate joins", settled=True)
 def _thm_4_8(r: _Row):
     """Fails at theta exactly when omg(theta) is not the top grade of the
     joins theta ∨ d, d in D: when the two differ, a join of the top grade

@@ -16,15 +16,16 @@ set of image grades; the base, join of D and whether D holds the top; or
 the base and ``omg`` -- visits the first row of each key only (see
 ``_STAGES``); a pair law visits each ordered pair of chis, then every row
 of the default W source.  Four laws settle most chis without a scan
-(see ``_SETTLED``): a kernel that calls no recurrence computes omega of
-every W from its definition, thm-4.8 passes each chi whose omega column
-it matches, and the pair laws pass an instance whose base columns hold
-the bases that the kernel gives and whose bases raise chi to the
-extension that the definition of upsilon gives; any other chi or
-instance is scanned row by row.  Rows and guards see only integer grade
-ranks, which order as the grades do (see ``_Ranks``), and test them with
-the row kernels of ``lattice_core``, ``fuzzy_core``, ``extensions`` and
-``hom_analysis``; grades come back only in witness data.
+(see ``_SETTLED``): ``_settled`` checks, once per chi, that its omega
+column is what a kernel that calls no recurrence computes from the
+definition, that each base is that omega at the bottom, and that each
+base raises chi to the extension that the definition of upsilon gives.
+thm-4.8 passes each chi that holds all three, the pair laws an instance
+whose chis all do; any other chi or instance is scanned row by row.
+Rows and guards see only integer grade ranks, which order as the grades
+do (see ``_Ranks``), and test them with the row kernels of
+``lattice_core``, ``fuzzy_core``, ``extensions`` and ``hom_analysis``;
+grades come back only in witness data.
 """
 
 from __future__ import annotations
@@ -298,7 +299,7 @@ def _columns(inst: Instance, grades) -> tuple[list, list]:
     """The base and omega of each image of the default W source for chi's
     rank row ``grades``: over skeleton images by the recurrences, over
     listed ones by ``_base_grade`` and ``omega_row``.  Once per chi, in the
-    row table, for its rows and for the ``_SETTLED`` checks."""
+    row table, for its rows and for ``_settled``."""
     table = inst._rows
     if ("columns", grades) not in table:
         ms, images = inst.ms, _w_sets(inst)
@@ -343,41 +344,33 @@ def _omega_by_definition(inst: Instance, grades) -> list[tuple] | None:
     max over d in D of chi(t ∨ d), by a route that shares nothing with
     ``_columns``: a table over the subsets of the image elements, filled
     by doubling (adding d, each earlier entry e gives max(e, chi(· ∨ d)),
-    entrywise), read at each W's mask.  None where ``_image_masks`` is;
-    once per chi, in the row table."""
-    table = inst._rows
-    if ("definition", grades) not in table:
-        found, omegas = _image_masks(inst), None
-        if found is not None:
-            elements, masks = found
-            join, by_mask = inst.ms.lattice.join_table, [()]
-            for d in elements:
-                column = tuple(grades[row[d]] for row in join)
-                by_mask += [column] + [tuple(map(max, e, column)) for e in by_mask[1:]]
-            omegas = [by_mask[m] for m in masks]
-        table["definition", grades] = omegas
-    return table["definition", grades]
+    entrywise), read at each W's mask.  None where ``_image_masks`` is."""
+    found = _image_masks(inst)
+    if found is None:
+        return None
+    elements, masks = found
+    join, by_mask = inst.ms.lattice.join_table, [()]
+    for d in elements:
+        column = tuple(grades[row[d]] for row in join)
+        by_mask += [column] + [tuple(map(max, e, column)) for e in by_mask[1:]]
+    return [by_mask[m] for m in masks]
 
 
-def _omega_follows_definition(inst: Instance, i: int) -> bool:
-    """Whether chi ``i``'s omega column is ``_omega_by_definition``."""
-    grades = inst._ranks.rows[i]
-    return _columns(inst, grades)[1] == _omega_by_definition(inst, grades)
-
-
-def _ups_follow_definitions(inst: Instance, i: int) -> bool:
-    """Whether each default W of chi ``i`` has, in its ``_columns``, the
-    base max chi(D), which is omega at the bottom by definition
-    (⊥ ∨ d = d), and whether ``_raise_to`` gives the extension
-    max(chi, base) pointwise, once per distinct base; builds no row."""
-    grades = inst._ranks.rows[i]
-    omegas = _omega_by_definition(inst, grades)
-    if omegas is None:
-        return False
-    lat, bases = inst.ms.lattice, _columns(inst, grades)[0]
-    bottom = lat.element_index(lat.bottom)
-    return [omega[bottom] for omega in omegas] == bases and all(
-        _raise_to(grades, b) == tuple(max(g, b) for g in grades) for b in set(bases))
+def _settled(inst: Instance, i: int) -> bool:
+    """Whether chi ``i``'s ``_columns`` hold the facts that settle the
+    ``_SETTLED`` laws: the omega column is ``_omega_by_definition``, each
+    base is that omega at the bottom (⊥ ∨ d = d, so the base is max
+    chi(D)), and ``_raise_to`` gives the extension max(chi, base)
+    pointwise, once per distinct base.  Once per chi, in the row table
+    beside its columns; builds no row."""
+    grades, table = inst._ranks.rows[i], inst._rows
+    if ("settled", grades) not in table:
+        (bases, omegas), kernel = _columns(inst, grades), _omega_by_definition(inst, grades)
+        bottom = inst.ms.lattice.element_index(inst.ms.lattice.bottom)
+        table["settled", grades] = omegas == kernel and (
+            [omega[bottom] for omega in kernel] == bases) and all(
+            _raise_to(grades, b) == tuple(max(g, b) for g in grades) for b in set(bases))
+    return table["settled", grades]
 
 
 # Keys: what a stage's verdict reads of W.  When the verdict is a function
@@ -403,12 +396,11 @@ def _by_grades(r: _Row) -> frozenset:
 # alone ``test`` reads W.
 _STAGES: dict[str, list[tuple]] = {}
 _PAIR_STAGES: dict[str, tuple] = {}  # pair laws: (test, when on the two rank rows)
-# Law id -> its settling check, given (instance, chi index): true only when
-# the rows of that chi meet facts from which the law follows, on every row
-# of the chi for a row law, on every pair of such chis for a pair law.  The
-# law skips the chis it settles, a pair law only an instance whose chis
-# are all settled, so its witness is the first of the full scan.
-_SETTLED: dict[str, Callable[[Instance, int], bool]] = {}
+# The laws that follow from the facts ``_settled`` checks, on every row of
+# a chi for a row law, on every pair of such chis for a pair law.  The law
+# skips the chis it settles, a pair law only an instance whose chis are
+# all settled, so its witness is the first of the full scan.
+_SETTLED: set[str] = set()
 
 
 def _stage_rows(inst: Instance, i: int, ws, key=None) -> list[_Row]:
@@ -462,41 +454,39 @@ def _pair_scan(pid: str, inst: Instance, test, when) -> Witness | None:
     return None
 
 
-def _unsettled(pid: str, inst: Instance):
-    """The chi indices that the law's ``_SETTLED`` check leaves to a scan."""
-    settled = _SETTLED.get(pid)
-    return (i for i in range(len(inst.chis)) if settled is None or not settled(inst, i))
+def _unsettled(inst: Instance):
+    """The chi indices that ``_settled`` leaves to a settled law's scan."""
+    return (i for i in range(len(inst.chis)) if not _settled(inst, i))
 
 
-def _row_law(pid: str, summary=None, ws=_w_sets, when=None, key=None, settled=None):
+def _row_law(pid: str, summary=None, ws=_w_sets, when=None, key=None, settled=False):
     """Register a row predicate as a law, scanning only the chis that
-    ``settled``, unless None, leaves open (see ``_SETTLED``).  Without a
-    summary it becomes the next stage of the law already registered under
+    ``_settled`` leaves open when ``settled`` (see ``_SETTLED``).  Without
+    a summary it becomes the next stage of the law already registered under
     ``pid``."""
 
     def decorate(test):
         if summary is not None:
             _STAGES[pid] = []
-            if settled is not None:
-                _SETTLED[pid] = settled
-            _law(pid, summary)(
-                lambda inst: _scan(pid, inst, *_STAGES[pid], among=_unsettled(pid, inst)))
+            if settled:
+                _SETTLED.add(pid)
+            _law(pid, summary)(lambda inst: _scan(
+                pid, inst, *_STAGES[pid], among=_unsettled(inst) if settled else None))
         _STAGES[pid].append((test, ws, when, key))
         return test
 
     return decorate
 
 
-def _pair_law(pid: str, summary: str, when=None, settled=None):
+def _pair_law(pid: str, summary: str, when=None):
     """Register a law from its predicate over the two rows of a pair that
-    share W.  The law passes without a pair scan when ``settled``, unless
-    None, settles every chi (see ``_SETTLED``)."""
+    share W.  The law passes without a pair scan when ``_settled`` settles
+    every chi (see ``_SETTLED``)."""
 
     def decorate(test):
         _PAIR_STAGES[pid] = (test, when)
-        if settled is not None:
-            _SETTLED[pid] = settled
-        _law(pid, summary)(lambda inst: None if next(_unsettled(pid, inst), None) is None
+        _SETTLED.add(pid)
+        _law(pid, summary)(lambda inst: None if next(_unsettled(inst), None) is None
                            else _pair_scan(pid, inst, *_PAIR_STAGES[pid]))
         return test
 

@@ -547,6 +547,21 @@ def test_out_in_a_missing_directory_is_usage_error(fixture_file, tmp_path):
     assert "Traceback" not in result.output
 
 
+def test_out_in_a_missing_directory_is_refused_before_the_command_runs(tmp_path, monkeypatch):
+    """The parser refuses a report path whose directory does not exist, so
+    a sweep exits 2 without sweeping."""
+    import msfuzz.verifier
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(msfuzz.verifier, "sweep", refuse)
+    target = tmp_path / "missing" / "x.json"
+    result = run_cli(["--out", str(target), "sweep", "--max-n", "7"])
+    assert result.exit_code == 2
+    assert f"argument --out: [Errno 2] No such file or directory: '{target}'" in result.output
+
+
 def test_internal_invariant_exits_70(fixture_file, monkeypatch):
     from msfuzz.errors import InternalInvariantError
     import msfuzz.cli_io as cli_io

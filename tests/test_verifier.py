@@ -1632,32 +1632,51 @@ def _omega_by_definition_by(op):
     return omega_by_definition
 
 
-def _settled_map(change):
-    """``scan._SETTLED`` with the pair laws' check replaced by ``change(check)``."""
-    from msfuzz.scan import _PAIR_STAGES, _SETTLED
+def _settled_without(dropped):
+    """``scan._settled``, uncached, with one of its three facts, ``omega``,
+    ``base`` or ``raise_to``, not checked."""
+    def settled(inst, i):
+        from msfuzz.scan import _columns, _omega_by_definition, _raise_to
 
-    return {pid: change(check) if pid in _PAIR_STAGES else check
-            for pid, check in _SETTLED.items()}
+        grades = inst._ranks.rows[i]
+        (bases, omegas), kernel = _columns(inst, grades), _omega_by_definition(inst, grades)
+        if kernel is None:
+            return False
+        bottom = inst.ms.lattice.element_index(inst.ms.lattice.bottom)
+        facts = {"omega": omegas == kernel,
+                 "base": [omega[bottom] for omega in kernel] == bases,
+                 "raise_to": all(_raise_to(grades, b) == tuple(max(g, b) for g in grades)
+                                 for b in set(bases))}
+        return all(holds for fact, holds in facts.items() if fact != dropped)
+
+    return settled
 
 
 def _settling_oracle(inst):
     """Oracle: the kernel gives omega of each W computed from W itself,
-    every ``_SETTLED`` check settles every chi, and none settles a chi
-    whose column entries of its first W are one rank off."""
-    from msfuzz.scan import _SETTLED, _columns, _omega_by_definition, _w_sets
+    ``_settled`` settles every chi, and it leaves the first chi unsettled
+    when only its omega column, only its base column (each one rank off at
+    the first W) or only ``_raise_to`` (one rank high) is wrong."""
+    from unittest import mock
+
+    from msfuzz import scan
 
     ms = inst.ms
     lat, dd = ms.lattice, ms.dneg_table()
     for i, g in enumerate(inst._ranks.rows):
-        assert _omega_by_definition(inst, g) == [
+        assert scan._omega_by_definition(inst, g) == [
             tuple(max(g[row[dd[v]]] for v in img.idx) for row in lat.join_table)
-            for img in _w_sets(inst)]
-        assert all(check(inst, i) for check in _SETTLED.values())
-    broken = _fresh(inst)
-    g = broken._ranks.rows[0]
-    (base, *bases), (omg, *omgs) = _columns(broken, g)
-    broken._rows["columns", g] = ([base + 1, *bases], [tuple(o + 1 for o in omg), *omgs])
-    assert not any(check(broken, 0) for check in _SETTLED.values())
+            for img in scan._w_sets(inst)]
+        assert scan._settled(inst, i)
+    for base_off, omega_off in ((0, 1), (1, 0)):
+        broken = _fresh(inst)
+        g = broken._ranks.rows[0]
+        (base, *bases), (omg, *omgs) = scan._columns(broken, g)
+        broken._rows["columns", g] = ([base + base_off, *bases],
+                                      [tuple(o + omega_off for o in omg), *omgs])
+        assert not scan._settled(broken, 0)
+    with mock.patch.object(scan, "_raise_to", lambda g, b: tuple(x + 1 for x in g)):
+        assert not scan._settled(_fresh(inst), 0)
 
 
 def _crisp_key(key):
@@ -1771,8 +1790,13 @@ _MUTANTS = {
     "image-masks-skip-double-negation": ([("scan", "_image_masks",
                                            _image_masks_by(through_dd=False))],
                                          _settling_oracle),
-    "pair-check-always-holds": ([("scan", "_SETTLED", _settled_map(
-        lambda check: lambda inst, i: True))], _settling_oracle),
+    "settled-always-holds": ([("scan", "_settled", lambda inst, i: True)], _settling_oracle),
+    "settled-drops-the-omega-column": ([("scan", "_settled", _settled_without("omega"))],
+                                       _settling_oracle),
+    "settled-drops-the-base-column": ([("scan", "_settled", _settled_without("base"))],
+                                      _settling_oracle),
+    "settled-drops-raise_to": ([("scan", "_settled", _settled_without("raise_to"))],
+                               _settling_oracle),
     "crisp-scan-keys-on-the-join": ([("laws", "_w_sets", _crisp_key(lambda ms, img: img.join))],
                                     _crisp_key_oracle),
     "crisp-scan-keys-on-the-first-element": (
@@ -1803,9 +1827,10 @@ def test_mutant_is_killed(monkeypatch, mutant_baseline, name):
     ``omega_row``, the base and omega recurrences, the skeleton builder,
     ``_base_grade``, ``first_break``, ``is_filter_row``, ``kernel_row``,
     ``cokernel_row``, ``dense_row`` and ``prime_pair_row``), of the omega
-    kernel and the ``_SETTLED`` checks, of the pair scan's visit order, of
-    ``_crisp_scan``'s key or of the catalog changes some law's outcome on an input of ``_mutant_inputs`` or fails
-    its named oracle there; unpatched, the killer passes on that input, so
+    kernel and the settling check ``_settled``, of the pair scan's visit
+    order, of ``_crisp_scan``'s key or of the catalog changes some law's
+    outcome on an input of ``_mutant_inputs`` or fails its named oracle
+    there; unpatched, the killer passes on that input, so
     a no-op mutant survives it.  The catalog is cached, so the cache is
     emptied before the patches and after they are undone."""
     import importlib
@@ -1831,7 +1856,7 @@ def test_mutant_is_killed(monkeypatch, mutant_baseline, name):
 # -- laws settled per chi --------------------------------------------------------
 
 def _row_scan(pid, inst):
-    """The law's verdict by its scan alone, without the ``_SETTLED`` check:
+    """The law's verdict by its scan alone, without the ``_settled`` check:
     every row of thm-4.8, every pair and row of a pair law."""
     from msfuzz.scan import _PAIR_STAGES, _STAGES, _pair_scan, _scan
 
@@ -1842,18 +1867,16 @@ def _row_scan(pid, inst):
 
 def _settled_matches_scan(inst):
     """Each settled law gives its scan's verdict and witness JSON on
-    ``inst``; returns how many (law, chi) the checks settled."""
-    from msfuzz.scan import _SETTLED
+    ``inst``; returns how many chis ``_settled`` settled."""
+    from msfuzz.scan import _SETTLED, _settled
 
-    settled = 0
-    for pid, check in _SETTLED.items():
+    for pid in sorted(_SETTLED):
         got = _outcome(lambda: run_property(pid, _fresh(inst)))
         scanned = _outcome(lambda: _row_scan(pid, _fresh(inst)))
         assert (got[0], got[1] and got[1].to_dict()) == (
             scanned[0], scanned[1] and scanned[1].to_dict()), pid
-        checked = _fresh(inst)
-        settled += sum(check(checked, i) for i in range(len(inst.chis)))
-    return settled
+    checked = _fresh(inst)
+    return sum(_settled(checked, i) for i in range(len(inst.chis)))
 
 
 @pytest.mark.parametrize("universe", [UNIVERSE3, THIRDS0], ids=["halves", "thirds0"])
@@ -1864,38 +1887,62 @@ def test_settled_laws_match_their_scans(universe):
     from msfuzz.scan import _SETTLED
     from msfuzz.verifier import _instance_stream
 
-    assert sorted(_SETTLED) == ["lemma-3.2.2", "prop-3.3.1", "prop-3.7", "thm-4.8"]
+    assert _SETTLED == {"lemma-3.2.2", "prop-3.3.1", "prop-3.7", "thm-4.8"}
     settled = total = 0
     for inst in _instance_stream(SearchConfig(max_elements=5, grade_universe=universe)):
         for listing in (inst, _reversed_w(inst)):
             settled += _settled_matches_scan(listing)
-            total += len(_SETTLED) * len(inst.chis)
+            total += len(inst.chis)
     assert settled == total  # the rows are right, so every chi is settled
 
 
-@pytest.mark.parametrize("patch, pids", [
+@pytest.mark.parametrize("patch, failing", [
     (("_recurrences", _recurrences_by(omega_step=lambda a, b: tuple(map(min, a, b)))),
-     ["thm-4.8"]),
-    (("_raise_to", lambda g, b: tuple(min(x, b) for x in g)),
-     ["lemma-3.2.2", "prop-3.3.1", "prop-3.7"]),
+     {"thm-4.8"}),
+    (("_raise_to", lambda g, b: tuple(min(x, b) for x in g)), {"prop-3.3.1", "prop-3.7"}),
 ], ids=["omega-step-min", "raise_to-lowers"])
-def test_a_wrong_column_falls_back_to_the_scan(monkeypatch, patch, pids):
-    """With the rows computed wrongly, the checks settle fewer chis, and
-    each law still gives its scan's witness, which is a failure on some
-    catalog instance up to four elements."""
+def test_a_wrong_column_falls_back_to_the_scan(monkeypatch, patch, failing):
+    """With the rows computed wrongly, ``_settled`` settles fewer chis, and
+    each of the four settled laws still gives its scan's verdict and
+    witness on every catalog instance up to four elements.  Those that
+    ``failing`` names fail on some instance, the others pass on all:
+    min(chi, b) is still monotone in chi, so lemma-3.2.2 passes, and
+    thm-4.8 reads no ``ups``."""
     from msfuzz import scan
 
     monkeypatch.setattr(scan, *patch)
-    failed = unsettled = 0
+    failed, unsettled = set(), 0
     for inst in _pair_oracle_inputs():
-        for pid in pids:
+        for pid in sorted(scan._SETTLED):
             got = run_property(pid, _fresh(inst))
             scanned = _row_scan(pid, _fresh(inst))
             assert (got and got.to_dict()) == (scanned and scanned.to_dict()), pid
-            failed += got is not None
-            checked = _fresh(inst)
-            unsettled += sum(not scan._SETTLED[pid](checked, i) for i in range(len(inst.chis)))
-    assert failed and unsettled
+            if got is not None:
+                failed.add(pid)
+        checked = _fresh(inst)
+        unsettled += sum(not scan._settled(checked, i) for i in range(len(inst.chis)))
+    assert failed == failing and unsettled
+
+
+def test_the_settling_check_runs_once_per_chi(monkeypatch):
+    """thm-4.8 and the three pair laws, run in turn on one instance, check
+    each chi's columns once between them: the omega kernel runs once per
+    distinct rank row."""
+    from msfuzz import scan
+    from msfuzz.verifier import _instance_stream
+
+    kernel, calls = scan._omega_by_definition, []
+
+    def counted(inst, grades):
+        calls.append(grades)
+        return kernel(inst, grades)
+
+    monkeypatch.setattr(scan, "_omega_by_definition", counted)
+    inst = _fresh(next(inst for inst in _instance_stream(SearchConfig(max_elements=4))
+                       if len(inst.chis) > 2))
+    for pid in ("thm-4.8", "lemma-3.2.2", "prop-3.3.1", "prop-3.7"):
+        assert run_property(pid, inst) is None, pid
+    assert sorted(calls) == sorted(set(inst._ranks.rows))
 
 
 def test_settled_thm_4_8_builds_no_row(monkeypatch, diamond_ms):
@@ -1938,7 +1985,7 @@ def test_a_listed_w_over_the_cap_is_scanned():
     """A listed W whose image has more than ``SKELETON_CAP`` elements gets
     no kernel: its laws are decided by their scans, as before."""
     from msfuzz import FuzzySet
-    from msfuzz.scan import _SETTLED, SKELETON_CAP, _image_masks
+    from msfuzz.scan import _SETTLED, SKELETON_CAP, _image_masks, _settled
 
     from .conftest import chain
 
@@ -1948,8 +1995,8 @@ def test_a_listed_w_over_the_cap_is_scanned():
     chi = FuzzySet(lat, tuple(Fraction(min(k, 4), 4) for k in range(n)))
     inst = Instance(ms, (chi,), grades(*chi.grades), (lat.elements,))
     assert _image_masks(inst) is None
-    for pid, check in _SETTLED.items():
-        assert not check(inst, 0)
+    assert not _settled(inst, 0)
+    for pid in _SETTLED:
         assert run_property(pid, inst) is None
 
 
