@@ -20,6 +20,7 @@ imported by ``verify``, ``sweep`` and ``search`` when they run:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -531,5 +532,12 @@ def main(argv=None) -> int:
         return 70
 
 
+def run() -> None:
+    """Exit with ``main``'s code, the heap frozen so that shutdown does not free it."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -4,28 +4,29 @@ itself, and the (chi, W) rows that the law predicates read.
 Every law has a string id (``lemma-3.2.1`` and friends).  A law check
 receives an Instance -- an algebra plus a pool of candidate fuzzy
 filters and a grade universe -- and returns the first violation as a
-replayable Witness or None.  Most laws are predicates over (chi, W) rows,
-visited in one order: chi in pool order, then W in mask order.  The
-extensions read W only through its double-negation image D, a subset of
-the skeleton S = {x°°}, so each instance builds, once for every law, a
-row per chi and D from S: the base grades and omegas come from
-recurrences over D, as two columns per chi (over ``SKELETON_CAP``
-elements of S the scans report an unmet hypothesis).  A stage keyed on
-what its verdict reads -- the base max chi(D), which fixes ``ups``; the
-set of image grades; the base, join of D and whether D holds the top; or
-the base and ``omg`` -- visits the first row of each key only (see
-``_STAGES``); a pair law visits each ordered pair of chis, then every row
-of the default W source.  Four laws settle most chis without a scan
-(see ``_SETTLED``): ``_settled`` checks, once per chi, that its omega
-column is what a kernel that calls no recurrence computes from the
-definition, that each base is that omega at the bottom, and that each
-base raises chi to the extension that the definition of upsilon gives.
-thm-4.8 passes each chi that holds all three, the pair laws an instance
-whose chis all do; any other chi or instance is scanned row by row.
-Rows and guards see only integer grade ranks, which order as the grades
-do (see ``_Ranks``), and test them with the row kernels of
-``lattice_core``, ``fuzzy_core``, ``extensions`` and ``hom_analysis``;
-grades come back only in witness data.
+replayable Witness or None.  Most laws are predicates over (chi, W)
+rows, visited in one order: chi in pool order, then W in mask order.
+The extensions read W only through its double-negation image D, a subset
+of the skeleton S = {x°°}, so each instance builds, once for every law,
+a row per chi and D from S: the base grades and omegas come from
+recurrences over D, as two columns per chi, omega packed so that a max
+is an ``|`` (``_Packing``; over ``SKELETON_CAP`` elements of S the scans
+report an unmet hypothesis).  A stage keyed on what its verdict reads --
+the base max chi(D), which fixes ``ups``; the set of image grades; the
+base, join of D and whether D holds the top; or the base and ``omg`` --
+visits the first row of each key only (see ``_STAGES``); a pair law
+visits each ordered pair of chis, then every row of the default W
+source.  Four laws settle most chis without a scan (see ``_SETTLED``):
+``_settled`` checks, once per chi, that its omega column is what a
+kernel that calls no recurrence computes from the definition, that each
+base is that omega at the bottom, and that each base raises chi to the
+extension that the definition of upsilon gives.  thm-4.8 passes each chi
+that holds all three, the pair laws an instance whose chis all do; any
+other chi or instance is scanned row by row.  Rows and guards see only
+integer grade ranks, which order as the grades do (see ``_Ranks``), and
+test them with the row kernels of ``lattice_core``, ``fuzzy_core``,
+``extensions`` and ``hom_analysis``; grades come back only in witness
+data.
 """
 
 from __future__ import annotations
@@ -221,19 +222,24 @@ def _listed(ms: MSAlgebra, ws) -> list[_Image]:
             for image in [[dd[v] for v in idx]]]
 
 
+def _once(inst: Instance, key, make):
+    """``make()``, once per instance and ``key``, in the row table."""
+    if key not in inst._rows:
+        inst._rows[key] = make()
+    return inst._rows[key]
+
+
 def _w_sets(inst: Instance, chi: FuzzySet | None = None) -> list[_Image]:
     """The default W source: the given ``w_sets``, or the first W of each
     double-negation image, all that the extensions read of W."""
-    if "images" not in inst._rows:
-        lat, dd = inst.ms.lattice, inst.ms.dneg_table()
-        inst._rows["images"] = _skeleton_images(lat, dd) if inst.w_sets is None else (
-            _listed(inst.ms, inst.w_sets))
-    return inst._rows["images"]
+    ms = inst.ms
+    return _once(inst, "images", lambda: _skeleton_images(ms.lattice, ms.dneg_table())
+                 if inst.w_sets is None else _listed(ms, inst.w_sets))
 
 
 def _listed_w(pick):
-    """A W source naming the same subsets, ``pick(lattice)``, for every chi."""
-    return lambda inst, chi: _listed(inst.ms, pick(inst.ms.lattice))
+    """The W source ``pick(lattice)`` for every chi, its images once per instance."""
+    return lambda inst, chi: _once(inst, pick, lambda: _listed(inst.ms, pick(inst.ms.lattice)))
 
 
 _singletons = _listed_w(lambda lat: [(e,) for e in lat.elements])
@@ -258,56 +264,86 @@ class _Ranks:
                      for chi in inst.chis]
 
 
+class _Packing:
+    """An instance's omega columns as ints: rank r is r low one-bits in a
+    field of ``k`` bytes per element (element t's at byte k·t), the fewest
+    that hold the top rank ``one``.  So the entrywise max of two columns is
+    their ``|``, the min their ``&``, and a field's rank its bit length."""
+
+    __slots__ = ("n", "k", "fields")
+    _BITS = bytes(b.bit_length() for b in range(256))
+
+    def __init__(self, one: int, n: int):
+        self.n, self.k = n, -(-one // 8)
+        self.fields = [((1 << r) - 1).to_bytes(self.k, "little") for r in range(one + 1)]
+
+    def pack(self, ranks) -> int:
+        return int.from_bytes(b"".join(map(self.fields.__getitem__, ranks)), "little")
+
+    def unpack(self, column: int) -> tuple[int, ...]:
+        data = column.to_bytes(self.n * self.k, "little").translate(self._BITS)
+        return tuple(data) if self.k == 1 else tuple(map(sum, zip(*[iter(data)] * self.k)))
+
+    def at(self, column: int, t: int) -> int:
+        return ((column >> 8 * self.k * t) & ((1 << 8 * self.k) - 1)).bit_length()
+
+
+def _packing(inst: Instance) -> _Packing:
+    return _once(inst, "packing", lambda: _Packing(inst._ranks.one, inst.ms.lattice.n))
+
+
 class _Row:
     """One (chi, W) pair of a scan, on integer grade ranks only: ``grades``
     is chi's row of ranks, ``base`` the rank of max chi(w°°) over W, ``ups``
-    and ``omg`` the two extensions (``omg`` None outside the default W
-    source), ``join`` the join of the image of W and ``top`` whether it
+    the extension, ``packed`` the strong extension's ``_Packing`` column
+    (None outside the default W source), ``omg`` its ranks, decoded when
+    first read, ``join`` the join of the image of W and ``top`` whether it
     holds the top.  A law compares ranks with each other, with ``one``, the
     rank of 1, or with 0, the rank of 0, and passes rows to the row
     kernels; ``fuzzy`` turns ranks back into grades."""
 
-    __slots__ = ("ms", "lat", "dd", "scale", "one", "grades", "w_idx", "base", "ups", "omg",
-                 "join", "top")
+    __slots__ = ("ms", "lat", "dd", "scale", "one", "unpack", "grades", "w_idx", "base", "ups",
+                 "packed", "_omg", "join", "top")
 
-    def __init__(self, ctx: tuple, grades, image: _Image, base: int, ups, omg):
-        self.ms, self.lat, self.dd, self.scale, self.one = ctx
+    def __init__(self, ctx: tuple, grades, image: _Image, base: int, ups, packed):
+        self.ms, self.lat, self.dd, self.scale, self.one, self.unpack = ctx
         self.w_idx, self.join, self.top = image.idx, image.join, image.top
-        self.grades, self.base, self.ups, self.omg = grades, base, ups, omg
+        self.grades, self.base, self.ups, self.packed, self._omg = grades, base, ups, packed, None
+
+    @property
+    def omg(self) -> tuple[int, ...]:
+        if self._omg is None:
+            self._omg = self.unpack(self.packed)
+        return self._omg
 
     def fuzzy(self, ranks: tuple[int, ...]) -> FuzzySet:
         return FuzzySet(self.lat, tuple(map(self.scale.__getitem__, ranks)))
 
 
-def _recurrences(images: list[_Image], join, grades) -> tuple[list, list]:
-    """Each skeleton image's base and omega, from the earlier entry's:
+def _recurrences(images: list[_Image], join, grades, pack) -> tuple[list, list]:
+    """Each skeleton image's base and packed omega, from the earlier entry's:
     base(D ∪ {d}) = max(base(D), chi(d)) and
-    omg(D ∪ {d})(t) = max(omg(D)(t), chi(t ∨ d))."""
-    bases: list[int] = []
-    omgs: list[tuple] = []
-    single: dict[int, tuple] = {}
+    omg(D ∪ {d})(t) = max(omg(D)(t), chi(t ∨ d)), a ``|`` of columns."""
+    bases, omgs, single = [], [], {}
     for img in images:
         rest, d = img.rest, img.d
         if rest < 0:
-            single[d] = tuple(grades[row[d]] for row in join)
+            single[d] = pack([grades[row[d]] for row in join])
         bases.append(max(bases[rest], grades[d]) if rest >= 0 else grades[d])
-        omgs.append(tuple(map(max, omgs[rest], single[d])) if rest >= 0 else single[d])
+        omgs.append(omgs[rest] | single[d] if rest >= 0 else single[d])
     return bases, omgs
 
 
 def _columns(inst: Instance, grades) -> tuple[list, list]:
-    """The base and omega of each image of the default W source for chi's
-    rank row ``grades``: over skeleton images by the recurrences, over
-    listed ones by ``_base_grade`` and ``omega_row``.  Once per chi, in the
-    row table, for its rows and for ``_settled``."""
-    table = inst._rows
-    if ("columns", grades) not in table:
-        ms, images = inst.ms, _w_sets(inst)
-        table["columns", grades] = (
-            _recurrences(images, ms.lattice.join_table, grades) if inst.w_sets is None
-            else ([_base_grade(ms, grades, img.idx) for img in images],
-                  [omega_row(ms, grades, img.idx) for img in images]))
-    return table["columns", grades]
+    """The base and packed omega of each image of the default W source for
+    chi's rank row ``grades``: over skeleton images by the recurrences,
+    over listed ones by ``_base_grade`` and ``omega_row``.  Once per chi,
+    in the row table, for its rows and for ``_settled``."""
+    ms, images, pack = inst.ms, _w_sets(inst), _packing(inst).pack
+    return _once(inst, ("columns", grades), lambda: (
+        _recurrences(images, ms.lattice.join_table, grades, pack) if inst.w_sets is None
+        else ([_base_grade(ms, grades, img.idx) for img in images],
+              [pack(omega_row(ms, grades, img.idx)) for img in images])))
 
 
 def _rows(inst: Instance, i: int, ws) -> list[_Row]:
@@ -315,13 +351,11 @@ def _rows(inst: Instance, i: int, ws) -> list[_Row]:
     ``_w_sets``, else by ``_base_grade``.  Only ``_w_sets`` rows carry
     ``omg``, as only the stages on them read it."""
     ms, grades, images = inst.ms, inst._ranks.rows[i], ws(inst, inst.chis[i])
-    if ws is _w_sets:
-        bases, omgs = _columns(inst, grades)
-    else:
-        bases = [_base_grade(ms, grades, img.idx) for img in images]
-        omgs = [None] * len(images)
+    bases, omgs = _columns(inst, grades) if ws is _w_sets else (
+        [_base_grade(ms, grades, img.idx) for img in images], [None] * len(images))
     ups = {b: _raise_to(grades, b) for b in set(bases)}
-    ctx = (ms, ms.lattice, ms.dneg_table(), inst._ranks.grades, inst._ranks.one)
+    ctx = (ms, ms.lattice, ms.dneg_table(), inst._ranks.grades, inst._ranks.one,
+           _packing(inst).unpack)
     return [_Row(ctx, grades, image, b, ups[b], o) for image, b, o in zip(images, bases, omgs)]
 
 
@@ -339,20 +373,20 @@ def _image_masks(inst: Instance) -> tuple[list[int], list[int]] | None:
     return inst._rows["image masks"]
 
 
-def _omega_by_definition(inst: Instance, grades) -> list[tuple] | None:
-    """Omega of each W of the default W source from its definition,
-    max over d in D of chi(t ∨ d), by a route that shares nothing with
-    ``_columns``: a table over the subsets of the image elements, filled
-    by doubling (adding d, each earlier entry e gives max(e, chi(· ∨ d)),
-    entrywise), read at each W's mask.  None where ``_image_masks`` is."""
+def _omega_by_definition(inst: Instance, grades) -> list[int] | None:
+    """Packed omega of each W of the default W source from its definition,
+    max over d in D of chi(t ∨ d), by a route that shares only the packing
+    with ``_columns``: a table over the subsets of the image elements,
+    filled by doubling (adding d, each earlier entry e gives e | chi(· ∨ d)),
+    read at each W's mask.  None where ``_image_masks`` is."""
     found = _image_masks(inst)
     if found is None:
         return None
     elements, masks = found
-    join, by_mask = inst.ms.lattice.join_table, [()]
+    join, pack, by_mask = inst.ms.lattice.join_table, _packing(inst).pack, [0]
     for d in elements:
-        column = tuple(grades[row[d]] for row in join)
-        by_mask += [column] + [tuple(map(max, e, column)) for e in by_mask[1:]]
+        column = pack([grades[row[d]] for row in join])
+        by_mask += [column] + [e | column for e in by_mask[1:]]
     return [by_mask[m] for m in masks]
 
 
@@ -366,9 +400,9 @@ def _settled(inst: Instance, i: int) -> bool:
     grades, table = inst._ranks.rows[i], inst._rows
     if ("settled", grades) not in table:
         (bases, omegas), kernel = _columns(inst, grades), _omega_by_definition(inst, grades)
-        bottom = inst.ms.lattice.element_index(inst.ms.lattice.bottom)
+        bottom, at = inst.ms.lattice.element_index(inst.ms.lattice.bottom), _packing(inst).at
         table["settled", grades] = omegas == kernel and (
-            [omega[bottom] for omega in kernel] == bases) and all(
+            [at(omega, bottom) for omega in kernel] == bases) and all(
             _raise_to(grades, b) == tuple(max(g, b) for g in grades) for b in set(bases))
     return table["settled", grades]
 
@@ -377,8 +411,8 @@ def _settled(inst: Instance, i: int) -> bool:
 # of its key, the first failing row is the first row of its key, so a stage
 # visits those only and its witness keeps its bytes.  ``ups`` is a function
 # of the base, and the other keys hold the base, so a keyed stage may read
-# ``ups``; ``_by_join`` adds ``join`` and ``top``, ``_by_omg`` adds ``omg``.
-_by_base, _by_omg = attrgetter("base"), attrgetter("base", "omg")
+# ``ups``; ``_by_join`` adds ``join`` and ``top``, ``_by_omg`` adds ``omg`` (packed).
+_by_base, _by_omg = attrgetter("base"), attrgetter("base", "packed")
 _by_join = attrgetter("base", "join", "top")
 
 
@@ -406,18 +440,16 @@ _SETTLED: set[str] = set()
 def _stage_rows(inst: Instance, i: int, ws, key=None) -> list[_Row]:
     """Chi ``i``'s rows for a stage over the W source ``ws``, each key's
     first only, from the instance's row table: (ws, chi, key) -> rows."""
-    table = inst._rows
-    if (ws, i, key) not in table:
-        if (ws, i, None) not in table:
-            table[ws, i, None] = _rows(inst, i, ws)
-        rows = table[ws, i, None]
-        if key is not None:
-            firsts: dict = {}
-            for r in rows:
-                firsts.setdefault(key(r), r)
-            rows = list(firsts.values())
-        table[ws, i, key] = rows
-    return table[ws, i, key]
+    rows = _once(inst, (ws, i, None), lambda: _rows(inst, i, ws))
+    return rows if key is None else _once(inst, (ws, i, key), lambda: _firsts(rows, key))
+
+
+def _firsts(rows: list[_Row], key) -> list[_Row]:
+    """The first row of each key, in order."""
+    firsts: dict = {}
+    for r in rows:
+        firsts.setdefault(key(r), r)
+    return list(firsts.values())
 
 
 def _scan(pid: str, inst: Instance, *stages: tuple, among=None) -> Witness | None:

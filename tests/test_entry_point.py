@@ -268,3 +268,56 @@ def test_a_fresh_interpreter_registers_every_law():
     )
     assert proc.stdout.split() == list(REQUIRED_IDS)
     assert len(REQUIRED_IDS) == 31
+
+
+def _child(args, *flags):
+    """(exit code, stdout, stderr) of ``python [flags] -m msfuzz.cli_io ARGS``."""
+    proc = subprocess.run([sys.executable, *flags, "-m", "msfuzz.cli_io", *args],
+                          capture_output=True, text=True, env=_env(), timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("flags", [(), ("-X", "dev", "-W", "error::ResourceWarning")],
+                         ids=["plain", "dev-mode"])
+def test_run_exits_with_the_report_of_main(tmp_path, flags):
+    """``run`` freezes the heap at exit, and the report still comes out
+    whole: a child's multi-KB JSON report of ``sweep --max-n 6``, on stdout
+    and through ``--out``, is byte for byte ``main``'s in this process,
+    with its exit code and nothing on stderr, also in development mode with
+    resource warnings made errors."""
+    args = ["--format", "json", "sweep", "--max-n", "6"]
+    expected = run_cli(args)
+    assert expected.exit_code == 1 and len(expected.output) > 4096
+    assert _child(args, *flags) == (1, expected.output, "")
+    out = tmp_path / "report.json"
+    assert _child(["--out", str(out), *args], *flags) == (1, "", "")
+    assert out.read_text() == expected.output
+
+
+@pytest.mark.parametrize("args, code", [
+    (["validate", "<diamond>"], 0),
+    (["validate", "<example4_printed>"], 1),
+    (["sweep", "--max-n", "0"], 2),
+    (["search", "--prop", "thm-3.1-prime", "--max-n", "4", "--grades", "0,1"], 10),
+], ids=["0", "1", "2", "10"])
+def test_run_keeps_the_exit_code_of_main(tmp_path, args, code):
+    """Through ``run``, a child exits with ``main``'s code and prints what
+    it prints in this process (a usage error on stderr)."""
+    args = ["--format", "json",
+            *(write_fixture_file(tmp_path, a[1:-1]) if a.startswith("<") else a for a in args)]
+    expected = run_cli(args)
+    exit_code, stdout, stderr = _child(args)
+    assert exit_code == expected.exit_code == code
+    assert (stderr if code == 2 else stdout) == expected.output
+
+
+def test_both_entry_points_name_run():
+    """The ``msfuzz`` script and ``python -m msfuzz.cli_io`` both go
+    through ``cli_io.run``, so neither frees the heap at exit."""
+    import tomllib
+
+    root = Path(SRC).parent
+    scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
+    assert scripts == {"msfuzz": "msfuzz.cli_io:run"}
+    source = (Path(SRC) / "msfuzz" / "cli_io.py").read_text()
+    assert source.endswith('\nif __name__ == "__main__":\n    run()\n')

@@ -4,6 +4,7 @@ import re
 import signal
 from fractions import Fraction
 from itertools import islice, permutations, product
+from operator import and_
 
 import pytest
 
@@ -1135,16 +1136,17 @@ def test_skeleton_images_match_the_mask_route():
 
 def _assert_recurrences(inst):
     """Oracle: for every chi and skeleton image, the base and omega
-    recurrences give max chi(w°°) and max chi(t ∨ w°°) over W."""
-    from msfuzz.scan import _recurrences, _skeleton_images
+    recurrences give max chi(w°°) and max chi(t ∨ w°°) over W, the latter
+    as a packed column."""
+    from msfuzz.scan import _packing, _recurrences, _skeleton_images
 
-    ms = inst.ms
+    ms, packing = inst.ms, _packing(inst)
     lat, dd = ms.lattice, ms.dneg_table()
     images = _skeleton_images(lat, dd)
     for g in inst._ranks.rows:
-        bases, omgs = _recurrences(images, lat.join_table, g)
+        bases, omgs = _recurrences(images, lat.join_table, g, packing.pack)
         assert bases == [_base(ms, g, img.idx) for img in images]
-        assert omgs == [
+        assert list(map(packing.unpack, omgs)) == [
             tuple(max(g[row[dd[v]]] for v in img.idx) for row in lat.join_table)
             for img in images]
 
@@ -1160,6 +1162,49 @@ def test_recurrences_match_every_image():
             _assert_recurrences(inst)
             checked += 1
     assert checked
+
+
+def _kleene16():
+    """The chain c0 < ... < c15 with neg(c_k) = c_{15-k} and two filters:
+    chi is 0 on c0-c7, 1/2 on c8-c14 and 1 on c15, chi2(c_k) = k/15, so
+    that the ranks run to 16 and need two-byte fields."""
+    from msfuzz import FuzzySet
+
+    from .conftest import chain
+
+    lat = chain(16)
+    ms = MSAlgebra(lat, {e: lat.elements[15 - k] for k, e in enumerate(lat.elements)})
+    chi = FuzzySet(lat, tuple(Fraction(0) if k < 8 else HALF if k < 15 else Fraction(1)
+                              for k in range(16)))
+    chi2 = FuzzySet(lat, tuple(Fraction(k, 15) for k in range(16)))
+    return Instance(ms, (chi, chi2), UNIVERSE3)
+
+
+def test_packed_columns_round_trip_and_give_omega():
+    """Oracle for ``_Packing`` on every catalog instance up to five
+    elements over {0, 1/2, 1} and {0, 1/3, 2/3, 1}, and on Kleene-16:
+    ``unpack(pack(col)) == col`` for each constant column of each rank and
+    each omega column, and each default-W row's decoded ``omg`` is
+    ``omega_row`` of its W, which does not pack."""
+    from msfuzz.extensions import omega_row
+    from msfuzz.scan import _packing, _stage_rows, _w_sets
+    from msfuzz.verifier import _instance_stream
+
+    inputs = [inst for universe in (UNIVERSE3, THIRDS0)
+              for inst in _instance_stream(SearchConfig(max_elements=5, grade_universe=universe))]
+    widths, rows = set(), 0
+    for inst in [*inputs, _kleene16()]:
+        packing, n = _packing(inst), inst.ms.lattice.n
+        widths.add(packing.k)
+        for r in range(inst._ranks.one + 1):
+            assert packing.unpack(packing.pack((r,) * n)) == (r,) * n
+        for i, g in enumerate(inst._ranks.rows):
+            for row in _stage_rows(inst, i, _w_sets):
+                omega = omega_row(inst.ms, g, row.w_idx)
+                assert packing.unpack(packing.pack(omega)) == omega
+                assert row.omg == omega
+                rows += 1
+    assert widths == {1, 2} and rows > 2 * (2 ** 16 - 1)
 
 
 def test_a_two_element_skeleton_builds_three_rows():
@@ -1221,6 +1266,7 @@ def test_thm_4_8_compares_grades_with_the_top_join():
     then first w) on every row, also when omega is replaced by another
     row so that the predicate fails."""
     from msfuzz.laws import _thm_4_8
+    from msfuzz.scan import _packing
 
     failed = 0
     for inst in _key_oracle_inputs():
@@ -1232,7 +1278,8 @@ def test_thm_4_8_compares_grades_with_the_top_join():
                 for swap in (None, "ups", "grades"):
                     row = _row(inst, grades, w, w_idx)
                     if swap is not None:
-                        row.omg = getattr(row, swap)
+                        row.packed = _packing(inst).pack(getattr(row, swap))
+                        assert row.omg == getattr(row, swap)
                     found = _thm_4_8(row)
                     assert found == _thm_4_8_by_dense_sets(row)
                     failed += found is not None
@@ -1292,14 +1339,19 @@ def _stone_chain_ms():
 def _control_row(ms, chi, w, **wrong):
     """The row of ``chi`` (grades) and ``w`` (names) as a scan builds it,
     over {0, 1/2, 1}, so that rank k is grade k/2 and ``one`` is 2; each
-    field named in ``wrong`` is then replaced by the given rank row."""
+    field named in ``wrong`` is then replaced by the given rank row, ``omg``
+    through its packed column."""
     from msfuzz import FuzzySet
+    from msfuzz.scan import _packing
 
     lat = ms.lattice
     inst = Instance(ms, (FuzzySet(lat, grades(*chi)),), UNIVERSE3)
     row = _row(inst, inst._ranks.rows[0], tuple(w), tuple(map(lat.element_index, w)))
     for field, value in wrong.items():
+        if field == "omg":
+            field, value = "packed", _packing(inst).pack(value)
         setattr(row, field, value)
+    assert (row.ups, row.omg) == (wrong.get("ups", row.ups), wrong.get("omg", row.omg))
     return row
 
 
@@ -1505,15 +1557,17 @@ def mutant_baseline():
     return inputs, [_law_outcomes(_fresh(inst)) for inst in inputs]
 
 
-def _recurrences_by(base_step=max, omega_step=lambda a, b: tuple(map(max, a, b))):
+def _recurrences_by(base_step=max, omega_step=lambda a, b: a | b):
     """The recurrences of ``_recurrences`` with either step replaced: a step
-    gets the earlier entry's value and that of the singleton {d}."""
-    def recurrences(images, join, grades):
+    gets the earlier entry's value and that of the singleton {d}, omega's
+    as packed columns, on which ``|`` is the entrywise max and ``&`` the
+    min."""
+    def recurrences(images, join, grades, pack):
         bases, omgs, single = [], [], {}
         for img in images:
             rest, d = img.rest, img.d
             if rest < 0:
-                single[d] = tuple(grades[row[d]] for row in join)
+                single[d] = pack([grades[row[d]] for row in join])
             bases.append(base_step(bases[rest], grades[d]) if rest >= 0 else grades[d])
             omgs.append(omega_step(omgs[rest], single[d]) if rest >= 0 else single[d])
         return bases, omgs
@@ -1618,15 +1672,15 @@ def _image_masks_by(through_dd=True):
 
 
 def _omega_by_definition_by(op):
-    """``_omega_by_definition``, uncached, doubling by ``op``."""
+    """``_omega_by_definition``, uncached, doubling packed columns by ``op``."""
     def omega_by_definition(inst, grades):
-        from msfuzz.scan import _image_masks
+        from msfuzz.scan import _image_masks, _packing
 
         elements, masks = _image_masks(inst)
-        join, by_mask = inst.ms.lattice.join_table, [()]
+        join, pack, by_mask = inst.ms.lattice.join_table, _packing(inst).pack, [0]
         for d in elements:
-            column = tuple(grades[row[d]] for row in join)
-            by_mask += [column] + [tuple(map(op, e, column)) for e in by_mask[1:]]
+            column = pack([grades[row[d]] for row in join])
+            by_mask += [column] + [op(e, column) for e in by_mask[1:]]
         return [by_mask[m] for m in masks]
 
     return omega_by_definition
@@ -1636,7 +1690,7 @@ def _settled_without(dropped):
     """``scan._settled``, uncached, with one of its three facts, ``omega``,
     ``base`` or ``raise_to``, not checked."""
     def settled(inst, i):
-        from msfuzz.scan import _columns, _omega_by_definition, _raise_to
+        from msfuzz.scan import _columns, _omega_by_definition, _packing, _raise_to
 
         grades = inst._ranks.rows[i]
         (bases, omegas), kernel = _columns(inst, grades), _omega_by_definition(inst, grades)
@@ -1644,7 +1698,7 @@ def _settled_without(dropped):
             return False
         bottom = inst.ms.lattice.element_index(inst.ms.lattice.bottom)
         facts = {"omega": omegas == kernel,
-                 "base": [omega[bottom] for omega in kernel] == bases,
+                 "base": [_packing(inst).unpack(omega)[bottom] for omega in kernel] == bases,
                  "raise_to": all(_raise_to(grades, b) == tuple(max(g, b) for g in grades)
                                  for b in set(bases))}
         return all(holds for fact, holds in facts.items() if fact != dropped)
@@ -1661,19 +1715,20 @@ def _settling_oracle(inst):
 
     from msfuzz import scan
 
-    ms = inst.ms
+    ms, packing = inst.ms, scan._packing(inst)
     lat, dd = ms.lattice, ms.dneg_table()
     for i, g in enumerate(inst._ranks.rows):
-        assert scan._omega_by_definition(inst, g) == [
+        assert list(map(packing.unpack, scan._omega_by_definition(inst, g))) == [
             tuple(max(g[row[dd[v]]] for v in img.idx) for row in lat.join_table)
             for img in scan._w_sets(inst)]
         assert scan._settled(inst, i)
     for base_off, omega_off in ((0, 1), (1, 0)):
         broken = _fresh(inst)
-        g = broken._ranks.rows[0]
+        g, pack, unpack = broken._ranks.rows[0], scan._packing(broken).pack, packing.unpack
         (base, *bases), (omg, *omgs) = scan._columns(broken, g)
-        broken._rows["columns", g] = ([base + base_off, *bases],
-                                      [tuple(o + omega_off for o in omg), *omgs])
+        # one rank off, down where it can go down, so that it stays a rank
+        broken._rows["columns", g] = ([base + base_off, *bases], [pack(
+            [o - omega_off if o else o + omega_off for o in unpack(omg)]), *omgs])
         assert not scan._settled(broken, 0)
     with mock.patch.object(scan, "_raise_to", lambda g, b: tuple(x + 1 for x in g)):
         assert not scan._settled(_fresh(inst), 0)
@@ -1730,7 +1785,7 @@ _MUTANTS = {
     "omega-step-keeps-the-rest": ([("scan", "_recurrences",
                                     _recurrences_by(omega_step=lambda a, b: a))], "laws"),
     "omega-step-min": ([("scan", "_recurrences", _recurrences_by(
-        omega_step=lambda a, b: tuple(map(min, a, b))))], "laws"),
+        omega_step=lambda a, b: a & b))], "laws"),
     "skeleton-reversed": ([("scan", "_skeleton_images",
                             _skeleton_map(lambda imgs, lat, dd: imgs[::-1]))],
                           _skeleton_oracle),
@@ -1786,7 +1841,7 @@ _MUTANTS = {
     "prime_pair_row-strict": ([("laws", "prime_pair_row", _prime_pair_row_by(
         contained=lambda a, b: a < b))], "laws"),
     "omega-kernel-doubles-by-min": ([("scan", "_omega_by_definition",
-                                      _omega_by_definition_by(min))], _settling_oracle),
+                                      _omega_by_definition_by(and_))], _settling_oracle),
     "image-masks-skip-double-negation": ([("scan", "_image_masks",
                                            _image_masks_by(through_dd=False))],
                                          _settling_oracle),
@@ -1897,8 +1952,7 @@ def test_settled_laws_match_their_scans(universe):
 
 
 @pytest.mark.parametrize("patch, failing", [
-    (("_recurrences", _recurrences_by(omega_step=lambda a, b: tuple(map(min, a, b)))),
-     {"thm-4.8"}),
+    (("_recurrences", _recurrences_by(omega_step=lambda a, b: a & b)), {"thm-4.8"}),
     (("_raise_to", lambda g, b: tuple(min(x, b) for x in g)), {"prop-3.3.1", "prop-3.7"}),
 ], ids=["omega-step-min", "raise_to-lowers"])
 def test_a_wrong_column_falls_back_to_the_scan(monkeypatch, patch, failing):
