@@ -4,29 +4,28 @@ itself, and the (chi, W) rows that the law predicates read.
 Every law has a string id (``lemma-3.2.1`` and friends).  A law check
 receives an Instance -- an algebra plus a pool of candidate fuzzy
 filters and a grade universe -- and returns the first violation as a
-replayable Witness or None.  Most laws are predicates over (chi, W)
-rows, visited in one order: chi in pool order, then W in mask order.
-The extensions read W only through its double-negation image D, a subset
-of the skeleton S = {x°°}, so each instance builds, once for every law,
-a row per chi and D from S: the base grades and omegas come from
-recurrences over D, as two columns per chi, omega packed so that a max
-is an ``|`` (``_Packing``; over ``SKELETON_CAP`` elements of S the scans
-report an unmet hypothesis).  A stage keyed on what its verdict reads --
-the base max chi(D), which fixes ``ups``; the set of image grades; the
-base, join of D and whether D holds the top; or the base and ``omg`` --
-visits the first row of each key only (see ``_STAGES``); a pair law
-visits each ordered pair of chis, then every row of the default W
-source.  Four laws settle most chis without a scan (see ``_SETTLED``):
-``_settled`` checks, once per chi, that its omega column is what a
-kernel that calls no recurrence computes from the definition, that each
-base is that omega at the bottom, and that each base raises chi to the
-extension that the definition of upsilon gives.  thm-4.8 passes each chi
-that holds all three, the pair laws an instance whose chis all do; any
-other chi or instance is scanned row by row.  Rows and guards see only
-integer grade ranks, which order as the grades do (see ``_Ranks``), and
-test them with the row kernels of ``lattice_core``, ``fuzzy_core``,
-``extensions`` and ``hom_analysis``; grades come back only in witness
-data.
+replayable Witness or None.  Most laws are predicates over (chi, W) rows,
+visited in one order: chi in pool order, then W in mask order.  The
+extensions read W only through its double-negation image D, a subset of
+the skeleton S = {x°°}, so each instance builds, once for every law, a
+row per chi and D from S: the base grades and packed omegas (``_Packing``)
+come from recurrences over D, as two columns per chi (over ``SKELETON_CAP``
+elements of S the scans report an unmet hypothesis).  A stage keyed on
+what its verdict reads -- the base max chi(D), which fixes ``ups``; the
+set of image grades; the base, join of D and whether D holds the top; or
+the base and ``omg`` -- visits the first row of each key only (see
+``_STAGES``); a pair law visits each ordered pair of chis, then every row
+of the default W source.  Four laws settle most chis without a scan
+(see ``_SETTLED``): ``_settled`` checks, once per chi, that its omega
+column is what a kernel that calls no recurrence computes from the
+definition, that each base is that omega at the bottom, and that each
+base raises chi to the extension that the definition of upsilon gives.
+thm-4.8 passes each chi that holds all three, the pair laws an instance
+whose chis all do; any other chi or instance is scanned row by row.
+Rows and guards see only integer grade ranks, which order as the grades
+do (see ``_Ranks``), and test them with the row kernels of
+``lattice_core``, ``fuzzy_core``, ``extensions`` and ``hom_analysis``;
+grades come back only in witness data.
 """
 
 from __future__ import annotations
