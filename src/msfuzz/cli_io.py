@@ -435,6 +435,8 @@ def _format(value: str) -> str:
 def _file(path: str) -> str:
     """``--out``: a path that is not a directory, in a directory that
     exists, so that a command is refused before it runs."""
+    if not path:
+        raise argparse.ArgumentTypeError("[Errno 2] No such file or directory: ''")
     if os.path.isdir(path):
         raise argparse.ArgumentTypeError(f"File '{path}' is a directory.")
     if not os.path.isdir(os.path.dirname(path) or "."):

@@ -8,20 +8,21 @@ replayable Witness or None.  Most laws are predicates over (chi, W) rows,
 visited in one order: chi in pool order, then W in mask order.  The
 extensions read W only through its double-negation image D, a subset of
 the skeleton S = {x°°}, so each instance builds, once for every law, a
-row per chi and D from S: the base grades and packed omegas (``_Packing``)
-come from recurrences over D, as two columns per chi (over ``SKELETON_CAP``
-elements of S the scans report an unmet hypothesis).  A stage keyed on
-what its verdict reads -- the base max chi(D), which fixes ``ups``; the
-set of image grades; the base, join of D and whether D holds the top; or
-the base and ``omg`` -- visits the first row of each key only (see
-``_STAGES``); a pair law visits each ordered pair of chis, then every row
-of the default W source.  Four laws settle most chis without a scan
+row per chi and D from S: the packed omegas (see ``_Ranks``) come from a
+recurrence over D, one column per chi, and each base max chi(D) is its
+omega at the bottom, as ⊥ ∨ d = d (over ``SKELETON_CAP`` elements of S
+the scans report an unmet hypothesis).  A stage keyed on what its
+verdict reads -- the base, which fixes ``ups``; the set of image grades;
+the base, join of D and whether D holds the top; or the packed ``omg``,
+which fixes the base -- visits the first row of each key only (see
+``_STAGES``); a pair law visits each ordered pair of chis, then every
+row of the default W source.  Four laws settle most chis without a scan
 (see ``_SETTLED``): ``_settled`` checks, once per chi, that its omega
 column is what a kernel that calls no recurrence computes from the
-definition, that each base is that omega at the bottom, and that each
-base raises chi to the extension that the definition of upsilon gives.
-thm-4.8 passes each chi that holds all three, the pair laws an instance
-whose chis all do; any other chi or instance is scanned row by row.
+definition, and that each base raises chi to the extension that the
+definition of upsilon gives.  thm-4.8 passes each chi that holds both,
+the pair laws an instance whose chis all do; any other chi or instance
+is scanned row by row.
 Rows and guards see only integer grade ranks, which order as the grades
 do (see ``_Ranks``), and test them with the row kernels of
 ``lattice_core``, ``fuzzy_core``, ``extensions`` and ``hom_analysis``;
@@ -249,9 +250,14 @@ class _Ranks:
     grade's rank is its position, so rank 0 is grade 0 and ``one`` is the
     rank of 1.  ``rows``: each chi's ranks, in order.  Grades are told
     apart by ``as_integer_ratio()``, lowest terms, which is cheaper than
-    hashing a ``Fraction``."""
+    hashing a ``Fraction``.  An omega column packs into one int: rank r is
+    r low one-bits in a field of ``k`` bytes per element (element t's at
+    byte k·t), the fewest that hold ``one``.  So the entrywise max of two
+    columns is their ``|``, the min their ``&``, and a field's rank its bit
+    length."""
 
-    __slots__ = ("grades", "one", "rows")
+    __slots__ = ("grades", "one", "rows", "n", "k", "fields")
+    _BITS = bytes(b.bit_length() for b in range(256))
 
     def __init__(self, inst: Instance):
         by_ratio = {g.as_integer_ratio(): g for chi in inst.chis for g in chi.grades}
@@ -261,20 +267,8 @@ class _Ranks:
         self.one = rank[ONE.as_integer_ratio()]
         self.rows = [tuple([rank[g.as_integer_ratio()] for g in chi.grades])
                      for chi in inst.chis]
-
-
-class _Packing:
-    """An instance's omega columns as ints: rank r is r low one-bits in a
-    field of ``k`` bytes per element (element t's at byte k·t), the fewest
-    that hold the top rank ``one``.  So the entrywise max of two columns is
-    their ``|``, the min their ``&``, and a field's rank its bit length."""
-
-    __slots__ = ("n", "k", "fields")
-    _BITS = bytes(b.bit_length() for b in range(256))
-
-    def __init__(self, one: int, n: int):
-        self.n, self.k = n, -(-one // 8)
-        self.fields = [((1 << r) - 1).to_bytes(self.k, "little") for r in range(one + 1)]
+        self.n, self.k = inst.ms.lattice.n, -(-self.one // 8)
+        self.fields = [((1 << r) - 1).to_bytes(self.k, "little") for r in range(self.one + 1)]
 
     def pack(self, ranks) -> int:
         return int.from_bytes(b"".join(map(self.fields.__getitem__, ranks)), "little")
@@ -287,19 +281,15 @@ class _Packing:
         return ((column >> 8 * self.k * t) & ((1 << 8 * self.k) - 1)).bit_length()
 
 
-def _packing(inst: Instance) -> _Packing:
-    return _once(inst, "packing", lambda: _Packing(inst._ranks.one, inst.ms.lattice.n))
-
-
 class _Row:
     """One (chi, W) pair of a scan, on integer grade ranks only: ``grades``
     is chi's row of ranks, ``base`` the rank of max chi(w°°) over W, ``ups``
-    the extension, ``packed`` the strong extension's ``_Packing`` column
-    (None outside the default W source), ``omg`` its ranks, decoded when
-    first read, ``join`` the join of the image of W and ``top`` whether it
-    holds the top.  A law compares ranks with each other, with ``one``, the
-    rank of 1, or with 0, the rank of 0, and passes rows to the row
-    kernels; ``fuzzy`` turns ranks back into grades."""
+    the extension, ``packed`` the strong extension's column, packed as
+    ``_Ranks`` packs (None outside the default W source), ``omg`` its ranks,
+    decoded when first read, ``join`` the join of the image of W and
+    ``top`` whether it holds the top.  A law compares ranks with each
+    other, with ``one``, the rank of 1, or with 0, the rank of 0, and passes
+    rows to the row kernels; ``fuzzy`` turns ranks back into grades."""
 
     __slots__ = ("ms", "lat", "dd", "scale", "one", "unpack", "grades", "w_idx", "base", "ups",
                  "packed", "_omg", "join", "top")
@@ -319,42 +309,44 @@ class _Row:
         return FuzzySet(self.lat, tuple(map(self.scale.__getitem__, ranks)))
 
 
-def _recurrences(images: list[_Image], join, grades, pack) -> tuple[list, list]:
-    """Each skeleton image's base and packed omega, from the earlier entry's:
-    base(D ∪ {d}) = max(base(D), chi(d)) and
+def _recurrences(images: list[_Image], join, grades, pack) -> list[int]:
+    """Each skeleton image's packed omega, from the earlier entry's:
     omg(D ∪ {d})(t) = max(omg(D)(t), chi(t ∨ d)), a ``|`` of columns."""
-    bases, omgs, single = [], [], {}
+    omgs, single = [], {}
     for img in images:
         rest, d = img.rest, img.d
         if rest < 0:
             single[d] = pack([grades[row[d]] for row in join])
-        bases.append(max(bases[rest], grades[d]) if rest >= 0 else grades[d])
         omgs.append(omgs[rest] | single[d] if rest >= 0 else single[d])
-    return bases, omgs
+    return omgs
 
 
-def _columns(inst: Instance, grades) -> tuple[list, list]:
-    """The base and packed omega of each image of the default W source for
-    chi's rank row ``grades``: over skeleton images by the recurrences,
-    over listed ones by ``_base_grade`` and ``omega_row``.  Once per chi,
-    in the row table, for its rows and for ``_settled``."""
-    ms, images, pack = inst.ms, _w_sets(inst), _packing(inst).pack
+def _columns(inst: Instance, grades) -> list[int]:
+    """The packed omega of each image of the default W source for chi's
+    rank row ``grades``: over skeleton images by the recurrence, over
+    listed ones by ``omega_row``.  Each base is its column's field at the
+    bottom, since ⊥ ∨ d = d.  Once per chi, in the row table, for its rows
+    and for ``_settled``."""
+    ms, images, pack = inst.ms, _w_sets(inst), inst._ranks.pack
     return _once(inst, ("columns", grades), lambda: (
         _recurrences(images, ms.lattice.join_table, grades, pack) if inst.w_sets is None
-        else ([_base_grade(ms, grades, img.idx) for img in images],
-              [pack(omega_row(ms, grades, img.idx)) for img in images])))
+        else [pack(omega_row(ms, grades, img.idx)) for img in images]))
 
 
 def _rows(inst: Instance, i: int, ws) -> list[_Row]:
-    """Chi ``i``'s rows over the W source ``ws``: from its ``_columns`` for
-    ``_w_sets``, else by ``_base_grade``.  Only ``_w_sets`` rows carry
-    ``omg``, as only the stages on them read it."""
-    ms, grades, images = inst.ms, inst._ranks.rows[i], ws(inst, inst.chis[i])
-    bases, omgs = _columns(inst, grades) if ws is _w_sets else (
-        [_base_grade(ms, grades, img.idx) for img in images], [None] * len(images))
+    """Chi ``i``'s rows over the W source ``ws``: for ``_w_sets``, each
+    base read off its ``_columns`` column at the bottom, else by
+    ``_base_grade``.  Only ``_w_sets`` rows carry ``omg``, as only the
+    stages on them read it."""
+    ms, ranks, images = inst.ms, inst._ranks, ws(inst, inst.chis[i])
+    grades, bottom = ranks.rows[i], ms.lattice.element_index(ms.lattice.bottom)
+    if ws is _w_sets:
+        omgs = _columns(inst, grades)
+        bases = [ranks.at(o, bottom) for o in omgs]
+    else:
+        omgs, bases = [None] * len(images), [_base_grade(ms, grades, img.idx) for img in images]
     ups = {b: _raise_to(grades, b) for b in set(bases)}
-    ctx = (ms, ms.lattice, ms.dneg_table(), inst._ranks.grades, inst._ranks.one,
-           _packing(inst).unpack)
+    ctx = (ms, ms.lattice, ms.dneg_table(), ranks.grades, ranks.one, ranks.unpack)
     return [_Row(ctx, grades, image, b, ups[b], o) for image, b, o in zip(images, bases, omgs)]
 
 
@@ -362,14 +354,15 @@ def _image_masks(inst: Instance) -> tuple[list[int], list[int]] | None:
     """The elements of the images of the default W source, and each W's
     image D as a bit mask over them, read from dd[v] for v in W; None over
     ``SKELETON_CAP`` image elements.  Once per instance."""
-    if "image masks" not in inst._rows:
+    def make():
         dd = inst.ms.dneg_table()
         images = [{dd[v] for v in img.idx} for img in _w_sets(inst)]
         elements = sorted(set().union(*images))
         bit = {d: 1 << k for k, d in enumerate(elements)}
-        inst._rows["image masks"] = None if len(elements) > SKELETON_CAP else (
+        return None if len(elements) > SKELETON_CAP else (
             elements, [sum(map(bit.__getitem__, image)) for image in images])
-    return inst._rows["image masks"]
+
+    return _once(inst, "image masks", make)
 
 
 def _omega_by_definition(inst: Instance, grades) -> list[int] | None:
@@ -382,7 +375,7 @@ def _omega_by_definition(inst: Instance, grades) -> list[int] | None:
     if found is None:
         return None
     elements, masks = found
-    join, pack, by_mask = inst.ms.lattice.join_table, _packing(inst).pack, [0]
+    join, pack, by_mask = inst.ms.lattice.join_table, inst._ranks.pack, [0]
     for d in elements:
         column = pack([grades[row[d]] for row in join])
         by_mask += [column] + [e | column for e in by_mask[1:]]
@@ -391,27 +384,29 @@ def _omega_by_definition(inst: Instance, grades) -> list[int] | None:
 
 def _settled(inst: Instance, i: int) -> bool:
     """Whether chi ``i``'s ``_columns`` hold the facts that settle the
-    ``_SETTLED`` laws: the omega column is ``_omega_by_definition``, each
-    base is that omega at the bottom (⊥ ∨ d = d, so the base is max
-    chi(D)), and ``_raise_to`` gives the extension max(chi, base)
-    pointwise, once per distinct base.  Once per chi, in the row table
-    beside its columns; builds no row."""
-    grades, table = inst._ranks.rows[i], inst._rows
-    if ("settled", grades) not in table:
-        (bases, omegas), kernel = _columns(inst, grades), _omega_by_definition(inst, grades)
-        bottom, at = inst.ms.lattice.element_index(inst.ms.lattice.bottom), _packing(inst).at
-        table["settled", grades] = omegas == kernel and (
-            [at(omega, bottom) for omega in kernel] == bases) and all(
-            _raise_to(grades, b) == tuple(max(g, b) for g in grades) for b in set(bases))
-    return table["settled", grades]
+    ``_SETTLED`` laws: the omega column is ``_omega_by_definition``, so each
+    base, its field at the bottom, is max chi(D); and ``_raise_to`` gives
+    the extension max(chi, base) pointwise, once per distinct column.  Once
+    per chi, in the row table beside its columns; builds no row."""
+    ranks, lat = inst._ranks, inst.ms.lattice
+    grades, bottom = ranks.rows[i], lat.element_index(lat.bottom)
+
+    def check():
+        omegas = _columns(inst, grades)
+        return omegas == _omega_by_definition(inst, grades) and all(
+            _raise_to(grades, b) == tuple(max(g, b) for g in grades)
+            for b in {ranks.at(o, bottom) for o in set(omegas)})
+
+    return _once(inst, ("settled", grades), check)
 
 
 # Keys: what a stage's verdict reads of W.  When the verdict is a function
 # of its key, the first failing row is the first row of its key, so a stage
 # visits those only and its witness keeps its bytes.  ``ups`` is a function
 # of the base, and the other keys hold the base, so a keyed stage may read
-# ``ups``; ``_by_join`` adds ``join`` and ``top``, ``_by_omg`` adds ``omg`` (packed).
-_by_base, _by_omg = attrgetter("base"), attrgetter("base", "packed")
+# ``ups``; ``_by_join`` adds ``join`` and ``top``, and ``_by_omg``, the packed
+# ``omg``, fixes the base, its field at the bottom.
+_by_base, _by_omg = attrgetter("base"), attrgetter("packed")
 _by_join = attrgetter("base", "join", "top")
 
 

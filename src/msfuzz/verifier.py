@@ -23,7 +23,7 @@ from .errors import (
 from .file_format import document_to_objects
 from .fixtures import load_fixture
 from .fuzzy_core import classify, filter_pool
-from .grades import ONE, ZERO, format_grade
+from .grades import ONE, ZERO, ensure_grade, format_grade
 from .laws import _fibers  # importing laws registers every law
 from .ms_algebra import MS_ENUM_CAP, MSAlgebra
 from .report import Record
@@ -47,7 +47,7 @@ class SearchConfig(Record):
             raise ValueError("max_elements must be at least 1")
         if self.max_elements > MS_ENUM_CAP:
             raise SizeCapExceeded(f"max_elements {self.max_elements} exceeds cap {MS_ENUM_CAP}")
-        universe = tuple(sorted({Fraction(g) for g in self.grade_universe}))
+        universe = tuple(sorted({ensure_grade(Fraction(g)) for g in self.grade_universe}))
         if ONE not in universe:
             raise ValueError("grade universe must contain 1")
         object.__setattr__(self, "grade_universe", universe)

@@ -547,6 +547,15 @@ def test_out_in_a_missing_directory_is_usage_error(fixture_file, tmp_path):
     assert "Traceback" not in result.output
 
 
+def test_out_to_the_empty_path_is_usage_error(fixture_file):
+    """``--out ''`` names no file: it exits 2 as ``open('')`` would fail,
+    rather than printing the report to stdout."""
+    result = run_cli(["--format", "json", "--out", "", "validate", fixture_file("diamond")])
+    assert result.exit_code == 2
+    assert "argument --out: [Errno 2] No such file or directory: ''" in result.output
+    assert "schema" not in result.output
+
+
 def test_out_in_a_missing_directory_is_refused_before_the_command_runs(tmp_path, monkeypatch):
     """The parser refuses a report path whose directory does not exist, so
     a sweep exits 2 without sweeping."""

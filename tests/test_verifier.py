@@ -398,6 +398,16 @@ def test_config_rejects_vacuous_runs():
     assert (SearchConfig().mode, SearchConfig(iterations=1).mode) == ("exhaustive", "randomized")
 
 
+def test_config_rejects_a_grade_outside_the_unit_interval():
+    """A grade outside [0, 1] is refused when the config is made, not when
+    a sweep first enumerates filters over it."""
+    from msfuzz.errors import GradeOutOfRange
+
+    for universe in ((0, 1, 2), (Fraction(-1, 2), 1)):
+        with pytest.raises(GradeOutOfRange, match="outside"):
+            SearchConfig(grade_universe=universe)
+
+
 def test_config_rejects_a_seed_without_iterations():
     """An exhaustive config has no use for a seed, so a nonzero one is an
     error rather than dropped from the report; seed 0 is the default."""
@@ -1135,18 +1145,16 @@ def test_skeleton_images_match_the_mask_route():
 
 
 def _assert_recurrences(inst):
-    """Oracle: for every chi and skeleton image, the base and omega
-    recurrences give max chi(w°°) and max chi(t ∨ w°°) over W, the latter
-    as a packed column."""
-    from msfuzz.scan import _packing, _recurrences, _skeleton_images
+    """Oracle: for every chi and skeleton image, the omega recurrence gives
+    max chi(t ∨ w°°) over W as a packed column."""
+    from msfuzz.scan import _recurrences, _skeleton_images
 
-    ms, packing = inst.ms, _packing(inst)
+    ms, ranks = inst.ms, inst._ranks
     lat, dd = ms.lattice, ms.dneg_table()
     images = _skeleton_images(lat, dd)
-    for g in inst._ranks.rows:
-        bases, omgs = _recurrences(images, lat.join_table, g, packing.pack)
-        assert bases == [_base(ms, g, img.idx) for img in images]
-        assert list(map(packing.unpack, omgs)) == [
+    for g in ranks.rows:
+        omgs = _recurrences(images, lat.join_table, g, ranks.pack)
+        assert list(map(ranks.unpack, omgs)) == [
             tuple(max(g[row[dd[v]]] for v in img.idx) for row in lat.join_table)
             for img in images]
 
@@ -1181,27 +1189,27 @@ def _kleene16():
 
 
 def test_packed_columns_round_trip_and_give_omega():
-    """Oracle for ``_Packing`` on every catalog instance up to five
-    elements over {0, 1/2, 1} and {0, 1/3, 2/3, 1}, and on Kleene-16:
+    """Oracle for the packing of ``_Ranks`` on every catalog instance up to
+    five elements over {0, 1/2, 1} and {0, 1/3, 2/3, 1}, and on Kleene-16:
     ``unpack(pack(col)) == col`` for each constant column of each rank and
     each omega column, and each default-W row's decoded ``omg`` is
     ``omega_row`` of its W, which does not pack."""
     from msfuzz.extensions import omega_row
-    from msfuzz.scan import _packing, _stage_rows, _w_sets
+    from msfuzz.scan import _stage_rows, _w_sets
     from msfuzz.verifier import _instance_stream
 
     inputs = [inst for universe in (UNIVERSE3, THIRDS0)
               for inst in _instance_stream(SearchConfig(max_elements=5, grade_universe=universe))]
     widths, rows = set(), 0
     for inst in [*inputs, _kleene16()]:
-        packing, n = _packing(inst), inst.ms.lattice.n
-        widths.add(packing.k)
-        for r in range(inst._ranks.one + 1):
-            assert packing.unpack(packing.pack((r,) * n)) == (r,) * n
-        for i, g in enumerate(inst._ranks.rows):
+        ranks, n = inst._ranks, inst.ms.lattice.n
+        widths.add(ranks.k)
+        for r in range(ranks.one + 1):
+            assert ranks.unpack(ranks.pack((r,) * n)) == (r,) * n
+        for i, g in enumerate(ranks.rows):
             for row in _stage_rows(inst, i, _w_sets):
                 omega = omega_row(inst.ms, g, row.w_idx)
-                assert packing.unpack(packing.pack(omega)) == omega
+                assert ranks.unpack(ranks.pack(omega)) == omega
                 assert row.omg == omega
                 rows += 1
     assert widths == {1, 2} and rows > 2 * (2 ** 16 - 1)
@@ -1266,7 +1274,6 @@ def test_thm_4_8_compares_grades_with_the_top_join():
     then first w) on every row, also when omega is replaced by another
     row so that the predicate fails."""
     from msfuzz.laws import _thm_4_8
-    from msfuzz.scan import _packing
 
     failed = 0
     for inst in _key_oracle_inputs():
@@ -1278,7 +1285,7 @@ def test_thm_4_8_compares_grades_with_the_top_join():
                 for swap in (None, "ups", "grades"):
                     row = _row(inst, grades, w, w_idx)
                     if swap is not None:
-                        row.packed = _packing(inst).pack(getattr(row, swap))
+                        row.packed = ranks.pack(getattr(row, swap))
                         assert row.omg == getattr(row, swap)
                     found = _thm_4_8(row)
                     assert found == _thm_4_8_by_dense_sets(row)
@@ -1342,14 +1349,13 @@ def _control_row(ms, chi, w, **wrong):
     field named in ``wrong`` is then replaced by the given rank row, ``omg``
     through its packed column."""
     from msfuzz import FuzzySet
-    from msfuzz.scan import _packing
 
     lat = ms.lattice
     inst = Instance(ms, (FuzzySet(lat, grades(*chi)),), UNIVERSE3)
     row = _row(inst, inst._ranks.rows[0], tuple(w), tuple(map(lat.element_index, w)))
     for field, value in wrong.items():
         if field == "omg":
-            field, value = "packed", _packing(inst).pack(value)
+            field, value = "packed", inst._ranks.pack(value)
         setattr(row, field, value)
     assert (row.ups, row.omg) == (wrong.get("ups", row.ups), wrong.get("omg", row.omg))
     return row
@@ -1557,22 +1563,38 @@ def mutant_baseline():
     return inputs, [_law_outcomes(_fresh(inst)) for inst in inputs]
 
 
-def _recurrences_by(base_step=max, omega_step=lambda a, b: a | b):
-    """The recurrences of ``_recurrences`` with either step replaced: a step
-    gets the earlier entry's value and that of the singleton {d}, omega's
-    as packed columns, on which ``|`` is the entrywise max and ``&`` the
-    min."""
+def _recurrences_by(omega_step):
+    """The recurrence of ``_recurrences`` with its step replaced: the step
+    gets the earlier entry's packed column and that of the singleton {d},
+    on which ``|`` is the entrywise max and ``&`` the min."""
     def recurrences(images, join, grades, pack):
-        bases, omgs, single = [], [], {}
+        omgs, single = [], {}
         for img in images:
             rest, d = img.rest, img.d
             if rest < 0:
                 single[d] = pack([grades[row[d]] for row in join])
-            bases.append(base_step(bases[rest], grades[d]) if rest >= 0 else grades[d])
             omgs.append(omega_step(omgs[rest], single[d]) if rest >= 0 else single[d])
-        return bases, omgs
+        return omgs
 
     return recurrences
+
+
+def _rows_with_the_base_at_the_top():
+    """``scan._rows`` with each default-W base read off its omega column at
+    the top instead of the bottom, and ``ups`` raised to that base."""
+    from msfuzz import scan
+
+    rows_of = scan._rows
+
+    def rows(inst, i, ws):
+        found, lat = rows_of(inst, i, ws), inst.ms.lattice
+        if ws is scan._w_sets:
+            for r in found:
+                r.base = inst._ranks.at(r.packed, lat.element_index(lat.top))
+                r.ups = scan._raise_to(r.grades, r.base)
+        return found
+
+    return rows
 
 
 def _skeleton_map(change):
@@ -1674,10 +1696,10 @@ def _image_masks_by(through_dd=True):
 def _omega_by_definition_by(op):
     """``_omega_by_definition``, uncached, doubling packed columns by ``op``."""
     def omega_by_definition(inst, grades):
-        from msfuzz.scan import _image_masks, _packing
+        from msfuzz.scan import _image_masks
 
         elements, masks = _image_masks(inst)
-        join, pack, by_mask = inst.ms.lattice.join_table, _packing(inst).pack, [0]
+        join, pack, by_mask = inst.ms.lattice.join_table, inst._ranks.pack, [0]
         for d in elements:
             column = pack([grades[row[d]] for row in join])
             by_mask += [column] + [op(e, column) for e in by_mask[1:]]
@@ -1687,20 +1709,20 @@ def _omega_by_definition_by(op):
 
 
 def _settled_without(dropped):
-    """``scan._settled``, uncached, with one of its three facts, ``omega``,
-    ``base`` or ``raise_to``, not checked."""
+    """``scan._settled``, uncached, with one of its two facts, ``omega`` or
+    ``raise_to``, not checked; each base is read off its decoded column."""
     def settled(inst, i):
-        from msfuzz.scan import _columns, _omega_by_definition, _packing, _raise_to
+        from msfuzz.scan import _columns, _omega_by_definition, _raise_to
 
         grades = inst._ranks.rows[i]
-        (bases, omegas), kernel = _columns(inst, grades), _omega_by_definition(inst, grades)
+        omegas, kernel = _columns(inst, grades), _omega_by_definition(inst, grades)
         if kernel is None:
             return False
         bottom = inst.ms.lattice.element_index(inst.ms.lattice.bottom)
+        bases = {inst._ranks.unpack(omega)[bottom] for omega in omegas}
         facts = {"omega": omegas == kernel,
-                 "base": [_packing(inst).unpack(omega)[bottom] for omega in kernel] == bases,
                  "raise_to": all(_raise_to(grades, b) == tuple(max(g, b) for g in grades)
-                                 for b in set(bases))}
+                                 for b in bases)}
         return all(holds for fact, holds in facts.items() if fact != dropped)
 
     return settled
@@ -1709,27 +1731,26 @@ def _settled_without(dropped):
 def _settling_oracle(inst):
     """Oracle: the kernel gives omega of each W computed from W itself,
     ``_settled`` settles every chi, and it leaves the first chi unsettled
-    when only its omega column, only its base column (each one rank off at
-    the first W) or only ``_raise_to`` (one rank high) is wrong."""
+    when only its omega column (each rank one off at the first W) or only
+    ``_raise_to`` (one rank high) is wrong."""
     from unittest import mock
 
     from msfuzz import scan
 
-    ms, packing = inst.ms, scan._packing(inst)
+    ms, ranks = inst.ms, inst._ranks
     lat, dd = ms.lattice, ms.dneg_table()
-    for i, g in enumerate(inst._ranks.rows):
-        assert list(map(packing.unpack, scan._omega_by_definition(inst, g))) == [
+    for i, g in enumerate(ranks.rows):
+        assert list(map(ranks.unpack, scan._omega_by_definition(inst, g))) == [
             tuple(max(g[row[dd[v]]] for v in img.idx) for row in lat.join_table)
             for img in scan._w_sets(inst)]
         assert scan._settled(inst, i)
-    for base_off, omega_off in ((0, 1), (1, 0)):
-        broken = _fresh(inst)
-        g, pack, unpack = broken._ranks.rows[0], scan._packing(broken).pack, packing.unpack
-        (base, *bases), (omg, *omgs) = scan._columns(broken, g)
-        # one rank off, down where it can go down, so that it stays a rank
-        broken._rows["columns", g] = ([base + base_off, *bases], [pack(
-            [o - omega_off if o else o + omega_off for o in unpack(omg)]), *omgs])
-        assert not scan._settled(broken, 0)
+    broken = _fresh(inst)
+    g = broken._ranks.rows[0]
+    omg, *omgs = scan._columns(broken, g)
+    # one rank off, down where it can go down, so that it stays a rank
+    broken._rows["columns", g] = [ranks.pack([o - 1 if o else 1 for o in ranks.unpack(omg)]),
+                                  *omgs]
+    assert not scan._settled(broken, 0)
     with mock.patch.object(scan, "_raise_to", lambda g, b: tuple(x + 1 for x in g)):
         assert not scan._settled(_fresh(inst), 0)
 
@@ -1777,11 +1798,7 @@ _MUTANTS = {
         [("extensions", "omega_row", _omega_row_by(max, through_dd=False)),
          ("scan", "omega_row", _omega_row_by(max, through_dd=False)),
          ("laws", "omega_row", _omega_row_by(max, through_dd=False))], "laws"),
-    "base-step-ignores-d": ([("scan", "_recurrences",
-                              _recurrences_by(base_step=lambda a, b: a))], "laws"),
-    "base-step-ignores-the-rest": ([("scan", "_recurrences",
-                                     _recurrences_by(base_step=lambda a, b: b))], "laws"),
-    "base-step-min": ([("scan", "_recurrences", _recurrences_by(base_step=min))], "laws"),
+    "base-read-at-the-top": ([("scan", "_rows", _rows_with_the_base_at_the_top())], "laws"),
     "omega-step-keeps-the-rest": ([("scan", "_recurrences",
                                     _recurrences_by(omega_step=lambda a, b: a))], "laws"),
     "omega-step-min": ([("scan", "_recurrences", _recurrences_by(
@@ -1848,8 +1865,6 @@ _MUTANTS = {
     "settled-always-holds": ([("scan", "_settled", lambda inst, i: True)], _settling_oracle),
     "settled-drops-the-omega-column": ([("scan", "_settled", _settled_without("omega"))],
                                        _settling_oracle),
-    "settled-drops-the-base-column": ([("scan", "_settled", _settled_without("base"))],
-                                      _settling_oracle),
     "settled-drops-raise_to": ([("scan", "_settled", _settled_without("raise_to"))],
                                _settling_oracle),
     "crisp-scan-keys-on-the-join": ([("laws", "_w_sets", _crisp_key(lambda ms, img: img.join))],
@@ -1879,14 +1894,14 @@ def _kills(killer, inst, expected):
 @pytest.mark.parametrize("name", list(_MUTANTS))
 def test_mutant_is_killed(monkeypatch, mutant_baseline, name):
     """Each hand-written mutant of a row kernel (``_raise_to``,
-    ``omega_row``, the base and omega recurrences, the skeleton builder,
-    ``_base_grade``, ``first_break``, ``is_filter_row``, ``kernel_row``,
-    ``cokernel_row``, ``dense_row`` and ``prime_pair_row``), of the omega
-    kernel and the settling check ``_settled``, of the pair scan's visit
-    order, of ``_crisp_scan``'s key or of the catalog changes some law's
-    outcome on an input of ``_mutant_inputs`` or fails its named oracle
-    there; unpatched, the killer passes on that input, so
-    a no-op mutant survives it.  The catalog is cached, so the cache is
+    ``omega_row``, the omega recurrence, the base read off it, the
+    skeleton builder, ``_base_grade``, ``first_break``, ``is_filter_row``,
+    ``kernel_row``, ``cokernel_row``, ``dense_row`` and
+    ``prime_pair_row``), of the omega kernel and the settling check
+    ``_settled``, of the pair scan's visit order, of ``_crisp_scan``'s key
+    or of the catalog changes some law's outcome on an input of
+    ``_mutant_inputs`` or fails its named oracle there; unpatched, the
+    killer passes on that input, so a no-op mutant survives it.  The catalog is cached, so the cache is
     emptied before the patches and after they are undone."""
     import importlib
 
@@ -1952,16 +1967,18 @@ def test_settled_laws_match_their_scans(universe):
 
 
 @pytest.mark.parametrize("patch, failing", [
-    (("_recurrences", _recurrences_by(omega_step=lambda a, b: a & b)), {"thm-4.8"}),
+    (("_recurrences", _recurrences_by(omega_step=lambda a, b: a & b)),
+     {"thm-4.8", "prop-3.3.1", "prop-3.7"}),
     (("_raise_to", lambda g, b: tuple(min(x, b) for x in g)), {"prop-3.3.1", "prop-3.7"}),
 ], ids=["omega-step-min", "raise_to-lowers"])
 def test_a_wrong_column_falls_back_to_the_scan(monkeypatch, patch, failing):
     """With the rows computed wrongly, ``_settled`` settles fewer chis, and
     each of the four settled laws still gives its scan's verdict and
     witness on every catalog instance up to four elements.  Those that
-    ``failing`` names fail on some instance, the others pass on all:
-    min(chi, b) is still monotone in chi, so lemma-3.2.2 passes, and
-    thm-4.8 reads no ``ups``."""
+    ``failing`` names fail on some instance, the others pass on all.  A
+    min step makes each base, read off the omega column, min chi(D), which
+    the union laws see; max(chi, min chi(D)) and min(chi, b) are still
+    monotone in chi, so lemma-3.2.2 passes, and thm-4.8 reads no ``ups``."""
     from msfuzz import scan
 
     monkeypatch.setattr(scan, *patch)
@@ -2035,11 +2052,12 @@ def test_settled_pair_laws_build_no_row(monkeypatch):
     assert len({inst.ms.lattice.n for inst in instances}) == 5  # n = 1 to 5
 
 
-def test_a_listed_w_over_the_cap_is_scanned():
-    """A listed W whose image has more than ``SKELETON_CAP`` elements gets
-    no kernel: its laws are decided by their scans, as before."""
+def _listed_over_the_cap(*cuts):
+    """The chain of ``SKELETON_CAP`` + 1 elements with the order-reversing
+    negation, its own skeleton, and chi(c_k) = min(k, 4)/4, with the whole
+    carrier listed as W, then each slice ``cuts`` names of it."""
     from msfuzz import FuzzySet
-    from msfuzz.scan import _SETTLED, SKELETON_CAP, _image_masks, _settled
+    from msfuzz.scan import SKELETON_CAP
 
     from .conftest import chain
 
@@ -2047,11 +2065,44 @@ def test_a_listed_w_over_the_cap_is_scanned():
     lat = chain(n)
     ms = MSAlgebra(lat, {e: lat.elements[n - 1 - k] for k, e in enumerate(lat.elements)})
     chi = FuzzySet(lat, tuple(Fraction(min(k, 4), 4) for k in range(n)))
-    inst = Instance(ms, (chi,), grades(*chi.grades), (lat.elements,))
+    w_sets = (lat.elements, *(lat.elements[cut] for cut in cuts))
+    return Instance(ms, (chi,), grades(*chi.grades), w_sets)
+
+
+def test_a_listed_w_over_the_cap_is_scanned():
+    """A listed W whose image has more than ``SKELETON_CAP`` elements gets
+    no kernel: its laws are decided by their scans, as before."""
+    from msfuzz.scan import _SETTLED, _image_masks, _settled
+
+    inst = _listed_over_the_cap()
     assert _image_masks(inst) is None
     assert not _settled(inst, 0)
     for pid in _SETTLED:
         assert run_property(pid, inst) is None
+
+
+def test_each_base_is_its_omega_at_the_bottom():
+    """Each default-W row's base, read off its omega column at the bottom,
+    is ``extensions._base_grade`` of its W: on every catalog instance up to
+    five elements over {0, 1/2, 1} and {0, 1/3, 2/3, 1}, and on listed W
+    over the kernel cap, where no ``_settled`` check stands behind the
+    column."""
+    from msfuzz.extensions import _base_grade
+    from msfuzz.scan import _image_masks, _stage_rows, _w_sets
+    from msfuzz.verifier import _instance_stream
+
+    over_cap = _listed_over_the_cap(slice(1), slice(1, 2), slice(2, 4))
+    assert _image_masks(over_cap) is None
+    inputs = [inst for universe in (UNIVERSE3, THIRDS0)
+              for inst in _instance_stream(SearchConfig(max_elements=5, grade_universe=universe))]
+    bases = set()
+    for inst in [*inputs, over_cap]:
+        for i, g in enumerate(inst._ranks.rows):
+            for row in _stage_rows(inst, i, _w_sets):
+                assert row.base == _base_grade(inst.ms, g, row.w_idx)
+                bases.add(row.base)
+    assert bases == {0, 1, 2, 3, 4}
+    assert [r.base for r in _stage_rows(over_cap, 0, _w_sets)] == [4, 0, 1, 3]
 
 
 def _ranks_by_fractions(inst):
