@@ -6,6 +6,8 @@ attaching a maximal element, prunes by the number of down-sets (counted
 from the parent poset's), dedupes by a canonical form of the order
 relation, and realizes each poset as its lattice of down-sets (which is
 exactly the family of bounded distributive lattices, one per poset).
+That poset is the lattice's join-irreducibles, on which
+``enumerate_ms_operations`` builds each lattice's negation tables.
 """
 
 from __future__ import annotations

@@ -23,8 +23,11 @@ def ensure_grade(value: Fraction) -> Fraction:
 
 
 def parse_grade(text: str) -> Fraction:
-    """Parse ``p/q``, an integer, or an exact decimal such as ``0.7``."""
+    """Parse ``p/q``, an integer, or an exact decimal such as ``0.7``; not
+    ``1e-3``, as ``Fraction`` expands the power, so ``1e-10000000`` takes seconds."""
     text = text.strip()
+    if "e" in text or "E" in text:
+        raise GradeOutOfRange(f"cannot parse grade {text!r}: exponent form is not accepted")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

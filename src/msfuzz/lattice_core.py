@@ -129,9 +129,8 @@ def build_lattice(elements, covers) -> FiniteLattice:
 
     Sets of elements are int masks (bit k is ``elements[k]``).  The meet
     of i and j is the element whose down-set is ``down[i] & down[j]``;
-    joins likewise from up-sets.  Distributivity is Birkhoff's test
-    J(x v y) = J(x) | J(y), with J(x) the join-irreducibles (one lower
-    cover) below x; only a failure searches for the witness triple.
+    joins likewise from up-sets.  Distributivity is Birkhoff's test in
+    ``join_irreducibles``.
     """
     elements = tuple(elements)
     seen = set()
@@ -196,13 +195,7 @@ def build_lattice(elements, covers) -> FiniteLattice:
     # every covering pair is an input edge, since the order is their closure
     hasse = [(i, j) for i, j in sorted(edges)
              if i != j and up[i] & down[j] == 1 << i | 1 << j]
-    lower_covers = Counter(j for _, j in hasse)
-    irreducible = sum(1 << j for j, c in lower_covers.items() if c == 1)
-    below = [d & irreducible for d in down]
-    j_test_fails = [[j for j in range(i + 1, n) if below[join[i][j]] != below[i] | below[j]]
-                    for i in range(n)]
-    if any(j_test_fails):
-        raise NotDistributive(_first_distributivity_failure(elements, meet, join, j_test_fails))
+    join_irreducibles(elements, hasse, down, meet, join)
 
     return FiniteLattice(
         elements, tuple((elements[i], elements[j]) for i, j in hasse),
@@ -210,6 +203,22 @@ def build_lattice(elements, covers) -> FiniteLattice:
         tuple(map(tuple, meet)), tuple(map(tuple, join)),
         elements[bottoms[0]], elements[tops[0]],
     )
+
+
+def join_irreducibles(elements, hasse, down, meet, join) -> list[int]:
+    """The join-irreducibles (one lower cover in ``hasse``), in index
+    order, once Birkhoff's test J(x v y) = J(x) | J(y) shows the lattice
+    distributive, J(x) being those in the down-set mask ``down[x]``;
+    else NotDistributive naming the first failing triple."""
+    n = len(elements)
+    lower_covers = Counter(j for _, j in hasse)
+    irreducible = sum(1 << j for j, c in lower_covers.items() if c == 1)
+    below = [d & irreducible for d in down]
+    j_test_fails = [[j for j in range(i + 1, n) if below[join[i][j]] != below[i] | below[j]]
+                    for i in range(n)]
+    if any(j_test_fails):
+        raise NotDistributive(_first_distributivity_failure(elements, meet, join, j_test_fails))
+    return [j for j in range(n) if irreducible >> j & 1]
 
 
 def _first_distributivity_failure(elements, meet, join, j_test_fails) -> tuple[str, str, str]:

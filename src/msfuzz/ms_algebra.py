@@ -1,5 +1,6 @@
 """The unary negation of MS-algebras: axioms, derived identities,
-crisp extended filters, and exhaustive enumeration of negation tables.
+crisp extended filters, and every negation table of a distributive
+lattice, generated from maps on its join-irreducibles.
 
 ``check_ms_axioms`` is a report producer rather than a constructor guard:
 instances with broken tables must still load so that the raw evaluators
@@ -9,8 +10,10 @@ theorem machinery requires it, the evaluators do not.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .errors import EmptyW, SizeCapExceeded, UnknownElement
-from .lattice_core import FilterSet, FiniteLattice, first_break
+from .lattice_core import FilterSet, FiniteLattice, first_break, join_irreducibles
 from .report import Check, VerificationReport
 
 MS_ENUM_CAP = 8
@@ -184,57 +187,37 @@ def extended_filter_crisp(ms: MSAlgebra, filt: FilterSet, w_subset) -> FilterSet
 
 
 def enumerate_ms_operations(lat: FiniteLattice) -> list[dict[str, str]]:
-    """All negation tables satisfying the axioms, in lexicographic order.
+    """All negation tables satisfying the axioms, in lexicographic order of
+    their index tuples.
 
-    Backtracks over elements in input order.  The top element is pinned
-    to the bottom, and partially assigned tables are pruned with
-    antitonicity (a <= b forces neg(b) <= neg(a), a consequence of the
-    meet axiom) plus the meet and double-negation axioms where all the
-    participating entries are already assigned.
+    By Urquhart's duality for Ockham algebras (A. Urquhart, Studia Logica
+    38, 1979), the negations of a distributive lattice are fixed by the
+    maps g on its join-irreducibles J that reverse the order and have
+    g(g(p)) <= p: the negation of a is the join of {p in J : g(p) </= a}.
+    The maps are built one irreducible at a time, pruned by order reversal.
+    The duality needs distributivity, so other lattices raise
+    NotDistributive.
     """
     n = lat.n
     if n > MS_ENUM_CAP:
         raise SizeCapExceeded(f"{n} elements exceeds cap {MS_ENUM_CAP}")
-    top_i = lat.element_index(lat.top)
+    leq, join = lat.leq_table, lat.join_table
+    down = [sum(1 << j for j in range(n) if leq[j][i]) for i in range(n)]
+    hasse = [(lat.index[a], lat.index[b]) for a, b in lat.covers]
+    irr = join_irreducibles(lat.elements, hasse, down, lat.meet_table, join)
+
+    maps = [()]
+    for k, p in enumerate(irr):
+        above = [i for i in range(k) if leq[p][irr[i]]]
+        below = [i for i in range(k) if leq[irr[i]][p]]
+        maps = [g + (q,) for g in maps for q in irr
+                if all(leq[g[i]][q] for i in above) and all(leq[q][g[i]] for i in below)]
+    pos = {p: k for k, p in enumerate(irr)}
     bot_i = lat.element_index(lat.bottom)
-    leq = lat.leq_table
-    meet = lat.meet_table
-    join = lat.join_table
-
-    assignment = [-1] * n
-    results: list[dict[str, str]] = []
-
-    def consistent(i: int) -> bool:
-        ai = assignment[i]
-        for j in range(n):
-            aj = assignment[j]
-            if aj < 0:
-                continue
-            if leq[i][j] and not leq[aj][ai]:
-                return False
-            if leq[j][i] and not leq[ai][aj]:
-                return False
-            m = meet[i][j]
-            if assignment[m] >= 0 and assignment[m] != join[ai][aj]:
-                return False
-        for j in range(n):
-            aj = assignment[j]
-            if aj >= 0 and assignment[aj] >= 0 and not leq[j][assignment[aj]]:
-                return False
-        return True
-
-    def backtrack(pos: int) -> None:
-        if pos == n:
-            table = {lat.elements[i]: lat.elements[assignment[i]] for i in range(n)}
-            if check_ms_axioms(lat, table).ok:
-                results.append(table)
-            return
-        candidates = [bot_i] if pos == top_i else range(n)
-        for cand in candidates:
-            assignment[pos] = cand
-            if consistent(pos):
-                backtrack(pos + 1)
-            assignment[pos] = -1
-
-    backtrack(0)
-    return results
+    tables = sorted(
+        tuple(reduce(lambda x, p: join[x][p],
+                     (p for p, gp in zip(irr, g) if not leq[gp][a]), bot_i)
+              for a in range(n))
+        for g in maps if all(leq[g[pos[gp]]][p] for p, gp in zip(irr, g))
+    )
+    return [{e: lat.elements[t[i]] for i, e in enumerate(lat.elements)} for t in tables]

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import pytest
 
@@ -261,6 +262,21 @@ def test_sweep_bad_grades_usage():
     assert run_cli(
         ["sweep", "--grades", "0,1/2"]
     ).exit_code == 2
+
+
+def test_exponent_grades_fail_fast(tmp_path):
+    """``Fraction`` would expand the power of an exponent-form grade, so a
+    few bytes could run for minutes; both routes refuse it at once."""
+    els, covers = chain_order(2)
+    path = tmp_path / "exponent.ms"
+    path.write_text(document_text(els, covers)
+                    + "neg\n  c0 -> c1\n  c1 -> c0\nfuzzy chi\n  c0 = 1e-100000000\n  c1 = 1\n")
+    for argv in (["validate", str(path)], ["sweep", "--grades", "1e-100000000"]):
+        start = time.perf_counter()
+        result = run_cli(argv)
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 2
+        assert "exponent form is not accepted" in result.output
 
 
 @pytest.mark.parametrize("args, message", [

@@ -9,6 +9,7 @@ import pytest
 from msfuzz import (
     EmptyW,
     MSAlgebra,
+    NotDistributive,
     SizeCapExceeded,
     UnknownElement,
     build_lattice,
@@ -26,6 +27,7 @@ from .conftest import chain
 from .test_lattice_core import (
     EXAMPLE4_COVERS,
     EXAMPLE4_ELS,
+    M3,
     PENTAGON,
     build_lattice_by_scan,
 )
@@ -208,12 +210,13 @@ def test_diamond_operations(diamond):
     assert {"0": "1", "a": "a", "b": "b", "1": "0"} in ops
 
 
-@pytest.mark.parametrize("lat_index", range(5))
+@pytest.mark.parametrize("lat_index", range(8))
 def test_enumeration_matches_brute_force(lat_index):
-    """On the catalog lattice and on ten shuffles of its element order: the
-    backtracker assigns in element order, and on some orders its pruning
-    alone lets tables through that the leaf axiom check must reject."""
-    lat = lattice_catalog(4)[lat_index]
+    """Every catalog lattice up to n = 5, in its own element order and in
+    ten shuffled ones: the tables read off the join-irreducibles are the
+    brute-force ones, in the same order, whatever order the irreducibles
+    come in."""
+    lat = lattice_catalog(5)[lat_index]
     rng = random.Random(lat_index)
     orders = [list(lat.elements)] + [rng.sample(lat.elements, lat.n) for _ in range(10)]
     for order in orders:
@@ -222,12 +225,14 @@ def test_enumeration_matches_brute_force(lat_index):
         assert got == brute_ms_operations(shuffled), order  # same order too
 
 
-def test_pentagon_enumeration_matches_brute_force():
-    """On N5, built by the reference builder since ``build_lattice``
-    rejects it, the enumeration finds the brute-force tables."""
-    lat = build_lattice_by_scan(*PENTAGON, allow_nondistributive=True)
-    ops = enumerate_ms_operations(lat)
-    assert ops == brute_ms_operations(lat)
+def test_nondistributive_enumeration_refused():
+    """On N5 and M3, built by the reference builder since ``build_lattice``
+    rejects both, the duality behind the enumeration fails, so it refuses
+    them."""
+    for order in (PENTAGON, M3):
+        lat = build_lattice_by_scan(*order, allow_nondistributive=True)
+        with pytest.raises(NotDistributive):
+            enumerate_ms_operations(lat)
 
 
 def test_size_cap():

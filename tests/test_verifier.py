@@ -945,9 +945,14 @@ def _algebras(lattices):
 
 def _nondistributive_algebras():
     """Every valid negation on N5 and M3, built by the reference builder,
-    since ``build_lattice`` rejects both."""
-    return _algebras(build_lattice_by_scan(*order, allow_nondistributive=True)
-                     for order in (PENTAGON, M3))
+    since ``build_lattice`` rejects both; the tables come from the brute
+    force, since ``enumerate_ms_operations`` refuses both too."""
+    from .test_ms_algebra import brute_ms_operations
+
+    for order in (PENTAGON, M3):
+        lat = build_lattice_by_scan(*order, allow_nondistributive=True)
+        for neg in brute_ms_operations(lat):
+            yield MSAlgebra(lat, neg)
 
 
 def _meet_classes(ms):
