@@ -24,14 +24,17 @@ def ensure_grade(value: Fraction) -> Fraction:
 
 def parse_grade(text: str) -> Fraction:
     """Parse ``p/q``, an integer, or an exact decimal such as ``0.7``; not
-    ``1e-3``, as ``Fraction`` expands the power, so ``1e-10000000`` takes seconds."""
+    ``1_0``, nor ``1e-3``, as ``Fraction`` expands the power, so
+    ``1e-10000000`` takes seconds.  An error quotes at most 20 characters."""
     text = text.strip()
-    if "e" in text or "E" in text:
-        raise GradeOutOfRange(f"cannot parse grade {text!r}: exponent form is not accepted")
+    shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
+    if "e" in text or "E" in text or "_" in text:
+        form = "digit grouping" if "_" in text else "exponent form"
+        raise GradeOutOfRange(f"cannot parse grade {shown}: {form} is not accepted")
     try:
         value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise GradeOutOfRange(f"cannot parse grade {text!r}: {exc}") from None
+    except (ValueError, ZeroDivisionError):
+        raise GradeOutOfRange(f"cannot parse grade {shown}: not p/q, integer or decimal") from None
     return ensure_grade(value)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import random
 import struct
+from contextlib import suppress
 from fractions import Fraction
 from typing import Any
 
@@ -246,13 +247,17 @@ def _sweep_part(pids: list[str], stream: list[Instance], j: int, parts: int
     return [x for row in rows for x in row] + [closed, total]
 
 
-def _sweep_worker(fd: int, pids, stream, j: int, parts: int):
-    """Body of a forked sweep worker: write part ``j`` to the pipe ``fd`` as
-    native 64-bit integers.  It leaves only through ``os._exit``, so it runs
-    no atexit handler and flushes no stdio buffer inherited from the parent."""
+def _sweep_worker(fds: tuple[int, int], pids, stream, j: int, parts: int, cpu: int):
+    """Body of a forked sweep worker: pin itself to ``cpu``, then write part
+    ``j`` to the pipe ``fds`` as native 64-bit integers.  Every step is in the
+    ``try``, and it leaves only through ``os._exit``: it never returns into
+    the caller, runs no atexit handler and flushes no inherited stdio buffer."""
     status = 1
     try:
-        with open(fd, "wb") as pipe:
+        os.close(fds[0])
+        with suppress(OSError):  # a refused pin leaves it where it is
+            os.sched_setaffinity(0, {cpu})
+        with open(fds[1], "wb") as pipe:
             ints = _sweep_part(pids, stream, j, parts)
             pipe.write(struct.pack(f"{len(ints)}q", *ints))
         status = 0
@@ -265,28 +270,32 @@ def _sweep_worker(fd: int, pids, stream, j: int, parts: int):
 
 
 def _split_sweep(pids: list[str], stream: list[Instance]) -> list[int]:
-    """``_sweep_part`` over the whole stream, split across the CPUs this
-    process may run on: part 0 runs here, each other part in a forked
-    worker that sends back its integers.  Counts add up and lowest failing
-    indices take their minimum, so the result does not depend on the
-    split.  Workers are forked, not spawned, so they inherit the stream and
-    the filled catalog caches instead of rebuilding them; nothing in
-    msfuzz starts a thread.  A worker that raises, dies or sends short
-    makes this raise; no worker outlives the call."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    parts = max(1, min(cpus, len(stream)))
+    """``_sweep_part`` over the whole stream, one part per CPU this process
+    may run on.  Once all workers are forked, part 0 runs here pinned to the
+    first CPU of the mask (restored afterwards) and part j in a worker pinned
+    to the j-th, since a scheduler that does not balance load leaves forked
+    workers on their parent's CPU; a refused pin is ignored.  Workers send
+    back integers, counts add up and lowest failing indices take their
+    minimum, so the result depends on neither split nor placement.  Workers
+    are forked, not spawned, so they inherit the stream and the filled catalog
+    caches; nothing in msfuzz starts a thread.  A worker that raises, dies or
+    sends short makes this raise; no worker outlives the call."""
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
+    parts = max(1, min(len(cpus), len(stream)))
     fmt = f"{5 * len(pids) + 2}q"
     size = struct.calcsize(fmt)
     workers, reaped = [], set()
     try:
         for j in range(1, parts):
-            read_fd, write_fd = os.pipe()
+            fds = os.pipe()
             child = os.fork()
             if child == 0:
-                os.close(read_fd)
-                _sweep_worker(write_fd, pids, stream, j, parts)
-            os.close(write_fd)
-            workers.append((child, read_fd))
+                _sweep_worker(fds, pids, stream, j, parts, cpus[j])
+            os.close(fds[1])
+            workers.append((child, fds[0]))
+        if parts > 1:
+            with suppress(OSError):
+                os.sched_setaffinity(0, {cpus[0]})
         results = [_sweep_part(pids, stream, 0, parts)]
         for j, (child, read_fd) in enumerate(workers, 1):
             with open(read_fd, "rb", closefd=False) as pipe:
@@ -300,6 +309,9 @@ def _split_sweep(pids: list[str], stream: list[Instance]) -> list[int]:
                 )
             results.append(struct.unpack(fmt, data))
     finally:
+        if parts > 1:  # restore the mask read above
+            with suppress(OSError):
+                os.sched_setaffinity(0, cpus)
         for child, read_fd in workers:
             os.close(read_fd)
             if child not in reaped:

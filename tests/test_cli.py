@@ -279,6 +279,24 @@ def test_exponent_grades_fail_fast(tmp_path):
         assert "exponent form is not accepted" in result.output
 
 
+@pytest.mark.parametrize("grade, message", [
+    ("1_0/2_0", "digit grouping is not accepted"),  # Fraction reads it as 1/2
+    ("x" * 100000, "cannot parse grade 'xxxxxxxxxxxxxxxxxxxx'...: not p/q"),
+])
+def test_grade_text_is_refused_and_quoted_short(tmp_path, grade, message):
+    """Underscore digit groups are no documented grade form, and a refused
+    grade is quoted by a short prefix, not echoed in full."""
+    els, covers = chain_order(2)
+    path = tmp_path / "grade.ms"
+    path.write_text(document_text(els, covers)
+                    + f"neg\n  c0 -> c1\n  c1 -> c0\nfuzzy chi\n  c0 = {grade}\n  c1 = 1\n")
+    for argv in (["validate", str(path)], ["sweep", "--max-n", "2", "--grades", f"0,{grade},1"]):
+        result = run_cli(argv)
+        assert result.exit_code == 2
+        assert message in result.output
+        assert len(result.output) < 300
+
+
 @pytest.mark.parametrize("args, message", [
     (["sweep", "--max-n", "0"], "max_elements must be at least 1"),
     (["sweep", "--iters", "-5"], "at least one iteration"),

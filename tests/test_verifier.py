@@ -424,6 +424,15 @@ def test_sweep_rejects_an_empty_selection():
 
 # -- splitting a sweep across CPUs ----------------------------------------------
 
+@pytest.fixture(autouse=True)
+def _keep_cpu_mask():
+    """A split sweep restores the mask it read, so one under a faked CPU
+    count sets the faked mask; put the real one back for the next test."""
+    mask = os.sched_getaffinity(0)
+    yield
+    os.sched_setaffinity(0, mask)
+
+
 def _on_cpus(monkeypatch, cpus: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
@@ -455,8 +464,10 @@ def test_first_witnesses_come_from_workers_too():
 
 
 def test_one_cpu_forks_nothing(monkeypatch):
+    """One part runs here unpinned: no fork, and the mask is left alone."""
     _on_cpus(monkeypatch, 1)
     monkeypatch.setattr(os, "fork", None)
+    monkeypatch.setattr(os, "sched_setaffinity", None)
     assert sweep(None, SearchConfig(max_elements=4)).outcome("thm-4.3").failures > 0
 
 
@@ -487,6 +498,64 @@ def test_a_failing_worker_fails_the_sweep(monkeypatch, capfd, action, code):
         os.waitpid(-1, os.WNOHANG)
     if action is _raise:
         assert "law broke in a worker" in capfd.readouterr().err
+
+
+def test_a_failing_pin_fails_the_sweep(monkeypatch, capfd):
+    """Pinning runs inside the worker's ``try``: a pin that raises other than
+    ``OSError`` ends the worker with code 1 and its traceback, never back in
+    the caller's code."""
+    parent, pin = os.getpid(), os.sched_setaffinity
+
+    def pin_here(pid, cpus):
+        if os.getpid() != parent:
+            raise RuntimeError("pin broke in a worker")
+        pin(pid, cpus)
+
+    monkeypatch.setattr(os, "sched_setaffinity", pin_here)
+    _on_cpus(monkeypatch, 3)
+    with pytest.raises(InternalInvariantError, match="exited with code 1 "):
+        sweep(None, SearchConfig(max_elements=4))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert "pin broke in a worker" in capfd.readouterr().err
+
+
+def _usable_cpus() -> list[int]:
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        pytest.skip("needs at least 2 usable CPUs")
+    return cpus
+
+
+def test_each_part_runs_on_its_own_cpu(monkeypatch):
+    """On the real mask, part j runs on the j-th CPU alone, in a worker or
+    here, and the caller's mask is back once the sweep returns."""
+    cpus, inner = _usable_cpus(), verifier._sweep_part
+
+    def part(pids, stream, j, parts):
+        if os.sched_getaffinity(0) != {cpus[j]}:
+            raise RuntimeError(f"part {j} may run on {sorted(os.sched_getaffinity(0))}")
+        return inner(pids, stream, j, parts)
+
+    monkeypatch.setattr(verifier, "_sweep_part", part)
+    assert sweep(None, SearchConfig(max_elements=4)).outcome("thm-4.3").failures > 0
+    assert sorted(os.sched_getaffinity(0)) == cpus
+
+
+def test_a_failure_in_part_0_restores_the_mask(monkeypatch):
+    cpus, parent, inner = _usable_cpus(), os.getpid(), verifier._sweep_part
+
+    def part(*args):
+        if os.getpid() == parent:
+            raise RuntimeError("part 0 broke")
+        return inner(*args)
+
+    monkeypatch.setattr(verifier, "_sweep_part", part)
+    with pytest.raises(RuntimeError, match="part 0 broke"):
+        sweep(None, SearchConfig(max_elements=4))
+    assert sorted(os.sched_getaffinity(0)) == cpus
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_short_worker_result_fails_the_sweep(monkeypatch):
