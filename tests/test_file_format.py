@@ -115,3 +115,86 @@ def test_serialization_round_trips_arbitrary_grades(lat_index, values):
     values = (values * lat.n)[: lat.n]
     doc = document_from_objects(lat, None, {"mu": FuzzySet(lat, tuple(values))})
     assert parse_algebra(serialize_algebra(doc)) == doc
+
+
+_CAP_LINE = "elements " + " ".join(f"e{i}" for i in range(MAX_DOCUMENT_ELEMENTS + 1))
+
+# One row per raise site of parse_algebra, and rows for the order in which
+# errors are reported: the first error in line order; within a line, the
+# form (arity and separator), then the left element, then the right one,
+# then a repeated entry, then the grade; after the last line, a missing
+# elements section, then a gap in neg, then each fuzzy section in order.
+# Each row: text, exact exception type, full message, and ``.line`` (None
+# for the two classes that carry no line attribute).
+_PARSE_ERRORS = [
+    ("elements a\nelements b\n",
+     AlgebraSyntaxError, "line 2: second elements section", 2),
+    ("elements a\ncovers x\n",
+     AlgebraSyntaxError, "line 2: covers keyword takes no arguments", 2),
+    ("elements a\nneg x\n",
+     AlgebraSyntaxError, "line 2: neg keyword takes no arguments", 2),
+    ("elements a\nfuzzy\n", AlgebraSyntaxError, "line 2: expected: fuzzy NAME", 2),
+    ("elements a\nfuzzy f g\n", AlgebraSyntaxError, "line 2: expected: fuzzy NAME", 2),
+    ("elements a\nfuzzy f\n a = 1\nfuzzy f\n",
+     AlgebraSyntaxError, "line 4: second fuzzy section 'f'", 4),
+    ("elements a b\n a\n", DuplicateElement, "line 2: element 'a' declared twice", 2),
+    (_CAP_LINE, SizeCapExceeded, "line 1: more than 1024 elements", None),
+    ("elements a b\ncovers\n a <= b\n", AlgebraSyntaxError, "line 3: expected: a < b", 3),
+    ("elements a b\nneg\n a => b\n", AlgebraSyntaxError, "line 3: expected: a -> b", 3),
+    ("elements a b\nfuzzy f\n a : 1\n",
+     AlgebraSyntaxError, "line 3: expected: a = grade", 3),
+    ("elements a b\ncovers\n a < b\n a b\n",
+     AlgebraSyntaxError, "line 4: expected: a < b", 4),
+    ("elements a b\ncovers\n z < b\n", DanglingReference, "line 3: unknown element 'z'", 3),
+    ("elements a b\ncovers\n a < z\n", DanglingReference, "line 3: unknown element 'z'", 3),
+    ("elements a b\nneg\n z -> b\n", DanglingReference, "line 3: unknown element 'z'", 3),
+    ("elements a b\nneg\n a -> z\n", DanglingReference, "line 3: unknown element 'z'", 3),
+    ("elements a b\nfuzzy f\n z = 1\n",
+     DanglingReference, "line 3: unknown element 'z'", 3),
+    ("covers\n a < b\n", DanglingReference, "line 2: unknown element 'a'", 2),
+    ("fuzzy f\n a = 1\nelements a\n", DanglingReference, "line 2: unknown element 'a'", 2),
+    ("elements a b\nneg\n a -> b\n a -> a\n",
+     DuplicateElement, "line 4: negation of 'a' given twice", 4),
+    ("elements a b\nneg\n a -> b\n b -> a\nneg\n a -> a\n",
+     DuplicateElement, "line 6: negation of 'a' given twice", 6),
+    ("elements a b\nfuzzy f\n a = 1\n a = 0\n",
+     DuplicateElement, "line 4: grade of 'a' in 'f' given twice", 4),
+    ("elements a b\nfuzzy f\n a = 1.2\n",
+     GradeOutOfRange, "line 3: grade 6/5 outside [0, 1]", None),
+    ("elements a b\nfuzzy f\n a = x\n", GradeOutOfRange,
+     "line 3: cannot parse grade 'x': not p/q, integer or decimal", None),
+    ("a < b\nelements a b\n",
+     AlgebraSyntaxError, "line 1: content before any section: 'a < b'", 1),
+    ("", AlgebraSyntaxError, "line 1: no elements section", 1),
+    ("elements\n", AlgebraSyntaxError, "line 1: no elements section", 1),
+    ("elements\ncovers\n", AlgebraSyntaxError, "line 1: no elements section", 1),
+    ("elements a b\nneg\n a -> b\n",
+     AlgebraSyntaxError, "line 1: neg section is missing an entry for 'b'", 1),
+    ("elements a b\nfuzzy f\n a = 1\n",
+     AlgebraSyntaxError, "line 2: fuzzy section 'f' is missing a grade for 'b'", 2),
+    # order within a line
+    ("elements a\ncovers\n y <= z\n", AlgebraSyntaxError, "line 3: expected: a < b", 3),
+    ("elements a\ncovers\n y < z\n", DanglingReference, "line 3: unknown element 'y'", 3),
+    ("elements a b\nneg\n a -> b\n a -> z\n",
+     DanglingReference, "line 4: unknown element 'z'", 4),
+    ("elements a b\nfuzzy f\n a = 1\n a = x\n",
+     DuplicateElement, "line 4: grade of 'a' in 'f' given twice", 4),
+    # order across lines, and after the last line
+    ("elements a b c\nneg\n a -> b\ncovers\n a < q\n",
+     DanglingReference, "line 5: unknown element 'q'", 5),
+    ("elements a b\nfuzzy f\n a = 1\nneg\n a -> b\n",
+     AlgebraSyntaxError, "line 1: neg section is missing an entry for 'b'", 1),
+    ("elements a b\nfuzzy f\n a = 1\nfuzzy g\n b = 1\n",
+     AlgebraSyntaxError, "line 2: fuzzy section 'f' is missing a grade for 'b'", 2),
+    ("elements a\nfuzzy f\n a = 1\nfuzzy g\n",
+     AlgebraSyntaxError, "line 4: fuzzy section 'g' is missing a grade for 'a'", 4),
+]
+
+
+@pytest.mark.parametrize("text,error,message,line", _PARSE_ERRORS)
+def test_parse_error_table(text, error, message, line):
+    with pytest.raises(error) as err:
+        parse_algebra(text)
+    assert type(err.value) is error
+    assert str(err.value) == message
+    assert getattr(err.value, "line", None) == line
