@@ -70,36 +70,35 @@ def _emit(args, payload: dict, text: str) -> None:
         sys.stdout.write(rendered)
 
 
-def _load_document(path: str) -> AlgebraDocument:
+def _load_document(path: str, realize=lambda doc: doc):
+    """The document at ``path``, passed through ``realize``; a library
+    error in either step exits 2, naming the path."""
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise UsageError(str(exc))
     try:
-        return parse_algebra(text)
+        return realize(parse_algebra(text))
     except MsfuzzError as exc:
         raise UsageError(f"{path}: {exc}")
 
 
-def _need_algebra(doc: AlgebraDocument, path: str):
-    try:
-        lat, ms, named = document_to_objects(doc)
-    except MsfuzzError as exc:
-        raise UsageError(f"{path}: {exc}")
+def _load_chi_w(args) -> tuple[FiniteLattice, MSAlgebra, FuzzySet, tuple[str, ...]]:
+    """The lattice and algebra of the document ``args.file``, its grade map
+    ``args.chi`` and the subset ``args.w``, checked in that order."""
+    lat, ms, named = _load_document(args.file, document_to_objects)
     if ms is None:
-        raise UsageError(f"{path}: file has no negation table")
-    return lat, ms, named
-
-
-def _parse_w(lat: FiniteLattice, w_text: str) -> tuple[str, ...]:
-    members = [tok.strip() for tok in w_text.split(",") if tok.strip()]
+        raise UsageError(f"{args.file}: file has no negation table")
+    if args.chi not in named:
+        raise UsageError(f"no fuzzy section named {args.chi!r}")
+    members = [tok.strip() for tok in args.w.split(",") if tok.strip()]
     if not members:
         raise UsageError("--w needs at least one element")
     for m in members:
         if m not in lat.index:
             raise UsageError(f"--w references unknown element {m!r}")
-    return lat.sorted_subset(members)
+    return lat, ms, named[args.chi], lat.sorted_subset(members)
 
 
 def _parse_grades(text: str) -> tuple[Fraction, ...]:
@@ -122,8 +121,6 @@ _LATTICE_ERROR_IDS = {
     "NotALattice": "lattice.bounds",
     "NotBounded": "lattice.bounded",
     "NotDistributive": "lattice.distributive",
-    "DuplicateElement": "lattice.elements",
-    "UnknownElement": "lattice.elements",
 }
 
 
@@ -174,12 +171,8 @@ def validate(args) -> int:
 def extend_cmd(args) -> int:
     """Print the extension (and strong extension) of a grade map."""
     file, chi_name, with_omega = args.file, args.chi, args.omega
-    doc = _load_document(file)
-    lat, ms, named = _need_algebra(doc, file)
-    if chi_name not in named:
-        raise UsageError(f"no fuzzy section named {chi_name!r}")
-    w = _parse_w(lat, args.w)
-    result = extend_op(ms, named[chi_name], w)
+    lat, ms, chi, w = _load_chi_w(args)
+    result = extend_op(ms, chi, w)
 
     payload = {
         "schema": SCHEMA,
@@ -196,7 +189,7 @@ def extend_cmd(args) -> int:
     header = ["element", chi_name, "upsilon"] + (["omega"] if with_omega else [])
     rows = [header]
     for e in lat.elements:
-        row = [e, format_grade(named[chi_name](e)), format_grade(result.upsilon(e))]
+        row = [e, format_grade(chi(e)), format_grade(result.upsilon(e))]
         if with_omega:
             row.append(format_grade(result.omega(e)))
         rows.append(row)
@@ -213,12 +206,7 @@ def fixed_cmd(args) -> int:
     """Report whether the extension moves the grade map, plus the
     canonical subsets that never move it."""
     file, chi_name = args.file, args.chi
-    doc = _load_document(file)
-    lat, ms, named = _need_algebra(doc, file)
-    if chi_name not in named:
-        raise UsageError(f"no fuzzy section named {chi_name!r}")
-    chi = named[chi_name]
-    w = _parse_w(lat, args.w)
+    lat, ms, chi, w = _load_chi_w(args)
     verdict = is_fixed_relative(ms, chi, w)
 
     canonical = []
@@ -268,11 +256,7 @@ def verify(args) -> int:
     from .verifier import document_instance, properties, run_property
 
     file = args.file
-    doc = _load_document(file)
-    try:
-        instance = document_instance(doc)
-    except MsfuzzError as exc:
-        raise UsageError(f"{file}: {exc}")
+    instance = _load_document(file, document_instance)
 
     pids = _parse_props(args.props)
     if pids is None:

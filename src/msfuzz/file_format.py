@@ -5,7 +5,7 @@ line; the body of a section runs until the next keyword line.  ``#``
 starts a comment, blank lines are ignored.
 
     elements a b c ...        identifiers, whitespace-separated (header
-                              line and/or following lines)
+                              line and/or following lines); not a keyword
     covers                    one ``a < b`` per line (a is covered by b)
     neg                       one ``a -> b`` per line, negation table
     fuzzy NAME                one ``a = GRADE`` per line; GRADE is ``p/q``,
@@ -30,22 +30,24 @@ from .ms_algebra import MSAlgebra
 from .report import Record
 
 
-class AlgebraSyntaxError(MsfuzzError):
+class _AtLine:
+    """An error at a line of a document: its message starts ``line N: ``."""
+
     def __init__(self, message: str, line: int):
         self.line = line
         super().__init__(f"line {line}: {message}")
 
 
-class DuplicateElement(errors.DuplicateElement):
-    def __init__(self, message: str, line: int):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
+class AlgebraSyntaxError(_AtLine, MsfuzzError):
+    pass
 
 
-class DanglingReference(MsfuzzError):
-    def __init__(self, message: str, line: int):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
+class DuplicateElement(_AtLine, errors.DuplicateElement):
+    pass
+
+
+class DanglingReference(_AtLine, MsfuzzError):
+    pass
 
 
 class AlgebraDocument(Record):
@@ -55,136 +57,116 @@ class AlgebraDocument(Record):
     fuzzy: tuple[tuple[str, tuple[tuple[str, Fraction], ...]], ...] = ()
 
 
-_KEYWORDS = ("elements", "covers", "neg", "fuzzy")
+# keyword: (names after the keyword, and the error if not that many; an
+# entry's separator and form; the errors for a repeated and a missing entry)
+_SECTIONS = {
+    "elements": (None, None, None, None, None, None),
+    "covers": (0, "covers keyword takes no arguments", "<", "a < b", None, None),
+    "neg": (0, "neg keyword takes no arguments", "->", "a -> b",
+            "negation of {a!r} given twice", "neg section is missing an entry for {a!r}"),
+    "fuzzy": (1, "expected: fuzzy NAME", "=", "a = grade",
+              "grade of {a!r} in {name!r} given twice",
+              "fuzzy section {name!r} is missing a grade for {a!r}"),
+}
 
 MAX_DOCUMENT_ELEMENTS = 1024
 
 
 def parse_algebra(text: str) -> AlgebraDocument:
-    """Parse a document, reporting the first error with its line number."""
-    elements: list[str] = []
-    known: set[str] = set()
+    """Parse a document, reporting the first error with its line number.
+
+    ``order`` maps each element to its index, from the elements header on.
+    ``tables`` maps ("neg", None) and each ("fuzzy", NAME) to the line that
+    reports a gap in it, and to its entries.  That line is 1 for neg, whose
+    sections merge, and the header line for a fuzzy section."""
+    order: dict[str, int] | None = None
     covers: list[tuple[str, str]] = []
-    neg_entries: dict[str, str] = {}
-    saw_neg = False
-    fuzzy: list[tuple[str, dict[str, Fraction], int]] = []
-    section: str | None = None
-    saw_elements = False
-
-    def require_known(name: str, lineno: int) -> None:
-        if name not in known:
-            raise DanglingReference(f"unknown element {name!r}", lineno)
-
+    tables: dict[tuple[str, str | None], tuple[int, dict]] = {}
+    section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
-        head = tokens[0]
-
-        if head in _KEYWORDS:
-            if head == "elements":
-                if saw_elements:
+        if tokens[0] in _SECTIONS:
+            section, tokens = tokens[0], tokens[1:]
+            arity, usage, sep, form, repeated, _ = _SECTIONS[section]
+            if section == "elements":
+                if order is not None:
                     raise AlgebraSyntaxError("second elements section", lineno)
-                saw_elements = True
-                section = "elements"
-                tokens = tokens[1:]
-                if not tokens:
-                    continue
-                head = None
-            elif head == "covers":
-                if len(tokens) != 1:
-                    raise AlgebraSyntaxError("covers keyword takes no arguments", lineno)
-                section = "covers"
-                continue
-            elif head == "neg":
-                if len(tokens) != 1:
-                    raise AlgebraSyntaxError("neg keyword takes no arguments", lineno)
-                section = "neg"
-                saw_neg = True
-                continue
+                order = {}
             else:
-                if len(tokens) != 2:
-                    raise AlgebraSyntaxError("expected: fuzzy NAME", lineno)
-                name = tokens[1]
-                if any(name == existing for existing, _, _ in fuzzy):
-                    raise AlgebraSyntaxError(f"second fuzzy section {name!r}", lineno)
-                fuzzy.append((name, {}, lineno))
-                section = "fuzzy"
+                if len(tokens) != arity:
+                    raise AlgebraSyntaxError(usage, lineno)
+                if section != "covers":
+                    name = tokens[0] if tokens else None
+                    if section == "fuzzy" and (section, name) in tables:
+                        raise AlgebraSyntaxError(f"second fuzzy section {name!r}", lineno)
+                    gap_line = lineno if section == "fuzzy" else 1
+                    entries = tables.setdefault((section, name), (gap_line, {}))[1]
                 continue
-
+        if section is None:
+            raise AlgebraSyntaxError(f"content before any section: {line!r}", lineno)
         if section == "elements":
             for tok in tokens:
-                if tok in known:
+                if tok in _SECTIONS:
+                    raise AlgebraSyntaxError(f"element {tok!r} is a section keyword", lineno)
+                if tok in order:
                     raise DuplicateElement(f"element {tok!r} declared twice", lineno)
-                if len(elements) == MAX_DOCUMENT_ELEMENTS:
+                if len(order) == MAX_DOCUMENT_ELEMENTS:
                     raise SizeCapExceeded(
                         f"line {lineno}: more than {MAX_DOCUMENT_ELEMENTS} elements")
-                elements.append(tok)
-                known.add(tok)
-        elif section == "covers":
-            if len(tokens) != 3 or tokens[1] != "<":
-                raise AlgebraSyntaxError("expected: a < b", lineno)
-            require_known(tokens[0], lineno)
-            require_known(tokens[2], lineno)
-            covers.append((tokens[0], tokens[2]))
+                order[tok] = len(order)
+            continue
+        if len(tokens) != 3 or tokens[1] != sep:
+            raise AlgebraSyntaxError(f"expected: {form}", lineno)
+        a, _, b = tokens
+        for e in (a,) if section == "fuzzy" else (a, b):
+            if e not in (order or ()):
+                raise DanglingReference(f"unknown element {e!r}", lineno)
+        if section == "covers":
+            covers.append((a, b))
+        elif a in entries:
+            raise DuplicateElement(repeated.format(a=a, name=name), lineno)
         elif section == "neg":
-            if len(tokens) != 3 or tokens[1] != "->":
-                raise AlgebraSyntaxError("expected: a -> b", lineno)
-            require_known(tokens[0], lineno)
-            require_known(tokens[2], lineno)
-            if tokens[0] in neg_entries:
-                raise DuplicateElement(f"negation of {tokens[0]!r} given twice", lineno)
-            neg_entries[tokens[0]] = tokens[2]
-        elif section == "fuzzy":
-            if len(tokens) != 3 or tokens[1] != "=":
-                raise AlgebraSyntaxError("expected: a = grade", lineno)
-            require_known(tokens[0], lineno)
-            name, entries, _ = fuzzy[-1]
-            if tokens[0] in entries:
-                raise DuplicateElement(
-                    f"grade of {tokens[0]!r} in {name!r} given twice", lineno
-                )
+            entries[a] = b
+        else:
             try:
-                entries[tokens[0]] = parse_grade(tokens[2])
+                entries[a] = parse_grade(b)
             except GradeOutOfRange as exc:
                 raise GradeOutOfRange(f"line {lineno}: {exc}") from None
-        else:
-            raise AlgebraSyntaxError(f"content before any section: {line!r}", lineno)
 
-    if not elements:
+    if not order:
         raise AlgebraSyntaxError("no elements section", 1)
-
-    order = {e: i for i, e in enumerate(elements)}
-    if saw_neg:
-        for e in elements:
-            if e not in neg_entries:
-                raise AlgebraSyntaxError(
-                    f"neg section is missing an entry for {e!r}", 1
-                )
-    fuzzy_norm = []
-    for name, entries, header_line in fuzzy:
-        for e in elements:
+    for (section, name), (gap_line, entries) in sorted(
+            tables.items(), key=lambda item: item[0][0] == "fuzzy"):  # neg first
+        *_, missing = _SECTIONS[section]
+        for e in order:
             if e not in entries:
-                raise AlgebraSyntaxError(
-                    f"fuzzy section {name!r} is missing a grade for {e!r}",
-                    header_line,
-                )
-        fuzzy_norm.append(
-            (name, tuple((e, entries[e]) for e in elements))
-        )
-
+                raise AlgebraSyntaxError(missing.format(a=e, name=name), gap_line)
+    neg = tables.get(("neg", None))
     return AlgebraDocument(
-        elements=tuple(elements),
+        elements=tuple(order),
         covers=tuple(sorted(covers, key=lambda p: (order[p[0]], order[p[1]]))),
-        neg=tuple((e, neg_entries[e]) for e in elements) if saw_neg else None,
-        fuzzy=tuple(fuzzy_norm),
+        neg=None if neg is None else tuple((e, neg[1][e]) for e in order),
+        fuzzy=tuple((name, tuple((e, entries[e]) for e in order))
+                    for (section, name), (_, entries) in tables.items() if section == "fuzzy"),
     )
 
 
+def _written(name: str, kind: str, lineno: int) -> str:
+    """``name``, if serialize_algebra may write it at line ``lineno``."""
+    if name.split() != [name] or "#" in name or (kind == "element" and name in _SECTIONS):
+        raise AlgebraSyntaxError(f"cannot write {kind} name {name!r}", lineno)
+    return name
+
+
 def serialize_algebra(doc: AlgebraDocument) -> str:
-    """Canonical text rendering of a document."""
-    lines = ["elements " + " ".join(doc.elements)]
+    """Canonical text rendering of a document.  A name that is empty or
+    holds whitespace or ``#``, or an element named as a section keyword,
+    would parse back as another document: it raises AlgebraSyntaxError at
+    the line that would hold it."""
+    lines = ["elements " + " ".join(_written(e, "element", 1) for e in doc.elements)]
     lines.append("covers")
     for a, b in doc.covers:
         lines.append(f"  {a} < {b}")
@@ -193,7 +175,7 @@ def serialize_algebra(doc: AlgebraDocument) -> str:
         for a, b in doc.neg:
             lines.append(f"  {a} -> {b}")
     for name, entries in doc.fuzzy:
-        lines.append(f"fuzzy {name}")
+        lines.append(f"fuzzy {_written(name, 'fuzzy map', len(lines) + 1)}")
         for e, g in entries:
             lines.append(f"  {e} = {format_grade(g)}")
     return "\n".join(lines) + "\n"
@@ -221,12 +203,10 @@ def document_from_objects(lat: FiniteLattice, ms: MSAlgebra | None = None,
         if ms.lattice != lat:
             raise UnknownElement("algebra does not live on the given lattice")
         neg = tuple((e, ms.neg[e]) for e in lat.elements)
-    sections = []
-    for name, fs in (fuzzy or {}).items():
-        sections.append((name, tuple(zip(lat.elements, fs.grades))))
     return AlgebraDocument(
         elements=lat.elements,
         covers=lat.covers,
         neg=neg,
-        fuzzy=tuple(sections),
+        fuzzy=tuple((name, tuple(zip(lat.elements, fs.grades)))
+                    for name, fs in (fuzzy or {}).items()),
     )

@@ -15,10 +15,15 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _shown(text: str, quote=repr) -> str:
+    """``text`` for an error message, clipped to its first 20 characters."""
+    return quote(text) if len(text) <= 20 else f"{quote(text[:20])}..."
+
+
 def ensure_grade(value: Fraction) -> Fraction:
     """Validate that a rational lies in the unit interval."""
     if not (ZERO <= value <= ONE):
-        raise GradeOutOfRange(f"grade {value} outside [0, 1]")
+        raise GradeOutOfRange(f"grade {_shown(str(value), str)} outside [0, 1]")
     return value
 
 
@@ -27,7 +32,7 @@ def parse_grade(text: str) -> Fraction:
     ``1_0``, nor ``1e-3``, as ``Fraction`` expands the power, so
     ``1e-10000000`` takes seconds.  An error quotes at most 20 characters."""
     text = text.strip()
-    shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
+    shown = _shown(text)
     if "e" in text or "E" in text or "_" in text:
         form = "digit grouping" if "_" in text else "exponent form"
         raise GradeOutOfRange(f"cannot parse grade {shown}: {form} is not accepted")

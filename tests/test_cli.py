@@ -80,6 +80,14 @@ def test_validate_syntax_error_is_usage_error(tmp_path):
     assert result.exit_code == 2
 
 
+def test_validate_refuses_an_element_named_as_a_keyword(tmp_path):
+    doc = tmp_path / "kw.ms"
+    doc.write_text("elements 0 fuzzy 1\ncovers\n 0 < fuzzy\n fuzzy < 1\n")
+    result = run_cli(["validate", str(doc)])
+    assert result.exit_code == 2
+    assert f"{doc}: line 1: element 'fuzzy' is a section keyword" in result.output
+
+
 # -- extend / fixed ----------------------------------------------------------------
 
 def test_extend_example4(fixture_file):
@@ -115,6 +123,32 @@ def test_extend_usage_errors(fixture_file, tmp_path):
     assert run_cli(
         ["extend", str(no_neg), "--chi", "chi", "--w", "0"]
     ).exit_code == 2
+
+
+_TWO_CHAIN = "elements 0 1\ncovers\n 0 < 1\n"
+_CHI = "fuzzy chi\n 0 = 0\n 1 = 1\n"
+
+
+@pytest.mark.parametrize("command", ["extend", "fixed"])
+@pytest.mark.parametrize("text,chi,w,message", [
+    ("elements 0 1\ncovers\n 0 < 1\n 1 < 0\n" + _CHI, "nope", ",",
+     "{path}: cycle through '0' and '1'"),
+    (_TWO_CHAIN + _CHI, "nope", ",", "{path}: file has no negation table"),
+    (_TWO_CHAIN + "neg\n 0 -> 1\n 1 -> 0\n" + _CHI, "nope", ",",
+     "no fuzzy section named 'nope'"),
+    (_TWO_CHAIN + "neg\n 0 -> 1\n 1 -> 0\n" + _CHI, "chi", ",",
+     "--w needs at least one element"),
+    (_TWO_CHAIN + "neg\n 0 -> 1\n 1 -> 0\n" + _CHI, "chi", "0,zz",
+     "--w references unknown element 'zz'"),
+])
+def test_extend_and_fixed_check_the_document_then_chi_then_w(
+        tmp_path, command, text, chi, w, message):
+    path = tmp_path / "doc.ms"
+    path.write_text(text)
+    result = run_cli([command, str(path), "--chi", chi, "--w", w])
+    assert result.exit_code == 2
+    assert result.output.splitlines()[-1] == (
+        f"msfuzz {command}: error: " + message.format(path=path))
 
 
 def test_fixed_diamond(fixture_file):

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from msfuzz import (
+    AlgebraDocument,
     AlgebraSyntaxError,
     DanglingReference,
     FIXTURE_NAMES,
     FuzzySet,
     GradeOutOfRange,
+    build_lattice,
     document_from_objects,
     document_to_objects,
     fixture_text,
@@ -18,6 +20,7 @@ from msfuzz import (
 )
 from msfuzz.errors import SizeCapExceeded
 from msfuzz.file_format import MAX_DOCUMENT_ELEMENTS, DuplicateElement
+from msfuzz.grades import parse_grade
 from msfuzz.catalog import lattice_catalog
 
 
@@ -198,3 +201,59 @@ def test_parse_error_table(text, error, message, line):
     assert type(err.value) is error
     assert str(err.value) == message
     assert getattr(err.value, "line", None) == line
+
+
+@pytest.mark.parametrize("text,keyword,line", [
+    ("elements 0 fuzzy 1\ncovers\n 0 < fuzzy\n fuzzy < 1\n", "fuzzy", 1),
+    ("elements elements\n", "elements", 1),
+    ("elements 0\n 1 covers\n", "covers", 2),
+    ("elements 0\n  1 neg\n", "neg", 2),
+])
+def test_element_named_as_a_keyword_is_refused(text, keyword, line):
+    with pytest.raises(AlgebraSyntaxError) as err:
+        parse_algebra(text)
+    assert str(err.value) == f"line {line}: element {keyword!r} is a section keyword"
+    assert err.value.line == line
+
+
+def test_fuzzy_map_named_as_a_keyword_round_trips():
+    doc = parse_algebra("elements 0\nfuzzy neg\n 0 = 1\n")
+    assert doc.fuzzy == (("neg", (("0", Fraction(1)),)),)
+    assert parse_algebra(serialize_algebra(doc)) == doc
+
+
+@pytest.mark.parametrize("name", ["x#y", "x y", "x\ty", "", "elements", "covers", "neg", "fuzzy"])
+def test_serialize_refuses_an_element_name_that_does_not_parse_back(name):
+    doc = AlgebraDocument(elements=("a", name), covers=(("a", name),))
+    with pytest.raises(AlgebraSyntaxError) as err:
+        serialize_algebra(doc)
+    assert str(err.value) == f"line 1: cannot write element name {name!r}"
+
+
+def test_serialize_refuses_the_name_of_a_built_lattice():
+    lat = build_lattice(["a", "x#y"], [("a", "x#y")])
+    with pytest.raises(AlgebraSyntaxError, match="'x#y'"):
+        serialize_algebra(document_from_objects(lat))
+
+
+@pytest.mark.parametrize("name", ["", "f g", "f#", "f\n"])
+def test_serialize_refuses_a_fuzzy_map_name_that_does_not_parse_back(name):
+    grades = (("a", Fraction(1)),)
+    doc = AlgebraDocument(elements=("a",), covers=(), fuzzy=(("f", grades), (name, grades)))
+    # elements a / covers / fuzzy f / a = 1 / fuzzy NAME
+    with pytest.raises(AlgebraSyntaxError) as err:
+        serialize_algebra(doc)
+    assert str(err.value) == f"line 5: cannot write fuzzy map name {name!r}"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("3/2", "grade 3/2 outside [0, 1]"),
+    ("-1", "grade -1 outside [0, 1]"),
+    ("1" * 20, "grade 11111111111111111111 outside [0, 1]"),
+    ("1" * 4000, "grade 11111111111111111111... outside [0, 1]"),
+    ("1" * 25 + "/2", "grade 11111111111111111111... outside [0, 1]"),
+], ids=["3/2", "-1", "20 digits", "4000 digits", "25-digit numerator"])
+def test_out_of_range_grade_is_echoed_clipped(text, message):
+    with pytest.raises(GradeOutOfRange) as err:
+        parse_grade(text)
+    assert str(err.value) == message
