@@ -76,9 +76,8 @@ def parse_algebra(text: str) -> AlgebraDocument:
     """Parse a document, reporting the first error with its line number.
 
     ``order`` maps each element to its index, from the elements header on.
-    ``tables`` maps ("neg", None) and each ("fuzzy", NAME) to the line that
-    reports a gap in it, and to its entries.  That line is 1 for neg, whose
-    sections merge, and the header line for a fuzzy section."""
+    ``tables`` maps ("neg", None) and each ("fuzzy", NAME) to its header
+    line, which reports a gap in it, and to its entries."""
     order: dict[str, int] | None = None
     covers: list[tuple[str, str]] = []
     tables: dict[tuple[str, str | None], tuple[int, dict]] = {}
@@ -100,10 +99,11 @@ def parse_algebra(text: str) -> AlgebraDocument:
                     raise AlgebraSyntaxError(usage, lineno)
                 if section != "covers":
                     name = tokens[0] if tokens else None
-                    if section == "fuzzy" and (section, name) in tables:
-                        raise AlgebraSyntaxError(f"second fuzzy section {name!r}", lineno)
-                    gap_line = lineno if section == "fuzzy" else 1
-                    entries = tables.setdefault((section, name), (gap_line, {}))[1]
+                    if (section, name) in tables:
+                        raise AlgebraSyntaxError(
+                            " ".join(["second", section, "section", *map(repr, tokens)]), lineno)
+                    entries = {}
+                    tables[section, name] = lineno, entries
                 continue
         if section is None:
             raise AlgebraSyntaxError(f"content before any section: {line!r}", lineno)
@@ -138,12 +138,11 @@ def parse_algebra(text: str) -> AlgebraDocument:
 
     if not order:
         raise AlgebraSyntaxError("no elements section", 1)
-    for (section, name), (gap_line, entries) in sorted(
-            tables.items(), key=lambda item: item[0][0] == "fuzzy"):  # neg first
+    for (section, name), (header, entries) in tables.items():
         *_, missing = _SECTIONS[section]
         for e in order:
             if e not in entries:
-                raise AlgebraSyntaxError(missing.format(a=e, name=name), gap_line)
+                raise AlgebraSyntaxError(missing.format(a=e, name=name), header)
     neg = tables.get(("neg", None))
     return AlgebraDocument(
         elements=tuple(order),

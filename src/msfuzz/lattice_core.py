@@ -11,6 +11,7 @@ element indices that must carry one of these tables to an operation.
 from __future__ import annotations
 
 from collections import Counter
+from functools import reduce
 
 from .errors import (
     DuplicateElement,
@@ -258,15 +259,15 @@ def principal_filter(lat: FiniteLattice, e: str) -> FilterSet:
 
 def is_filter(lat: FiniteLattice, subset) -> SubsetVerdict:
     """Check nonemptiness, up-closure and meet-closure of a subset."""
-    members = {e for e in subset}
-    for e in members:
-        lat.element_index(e)
-    if not members:
+    idx = sorted(map(lat.element_index, set(subset)))
+    if not idx:
         return SubsetVerdict(False, None, "empty subset")
-    idx = sorted(lat.element_index(e) for e in members)
     inside = [False] * lat.n
     for i in idx:
         inside[i] = True
+    low = reduce(lambda a, b: lat.meet_table[a][b], idx)
+    if lat.leq_table[low] == tuple(inside):  # the up-set of its meet, which is a filter
+        return SubsetVerdict(True)
     for i in idx:
         for j in range(lat.n):
             if lat.leq_table[i][j] and not inside[j]:

@@ -13,8 +13,8 @@ from .hom_analysis import cokernel_row, kernel_row
 from .lattice_core import FiniteLattice, enumerate_filters, first_break, is_filter
 from .ms_algebra import MSAlgebra, extended_filter_crisp, verify_derived_identities
 from .scan import (
-    Instance, Witness, _by_base, _by_grades, _by_join, _by_omg, _fail, _law, _listed,
-    _listed_w, _pair_law, _Row, _row_law, _scan, _singletons, _w_sets,
+    Instance, Witness, _by_base, _by_grades, _by_join, _by_meet, _by_omg, _fail, _key_images,
+    _law, _listed, _listed_w, _pair_law, _Row, _row_law, _scan, _singletons, _w_sets,
 )
 
 
@@ -47,22 +47,24 @@ def _check_prop_2_1(inst: Instance):
 
 def _crisp_scan(pid: str, inst: Instance, test) -> Witness | None:
     """The first (filter, W) on which ``test(lattice, filter, extension)``
-    fails: filters in ``enumerate_filters`` order, then W in ``_w_sets``
-    order, on the first W of each meet m of its double-negation image D.
-    In a distributive lattice, and ``build_lattice`` builds no other, x ∨ d
-    lies in a filter F for every d in D exactly when x ∨ m does (F is
-    up-closed and meet-closed, and the meet of the x ∨ d is x ∨ m), so the
-    crisp extension reads W only through m."""
-    ms = inst.ms
-    lat, ws = ms.lattice, {}
-    for img in _w_sets(inst):
-        ws.setdefault(img.meet, img.idx)
+    fails: filters in ``enumerate_filters`` order, then every listed W, or
+    the first W of each meet m of its double-negation image D
+    (``_by_meet``).  In a distributive lattice, and ``build_lattice`` builds
+    no other, x ∨ d lies in a filter F for every d in D exactly when x ∨ m
+    does (F is up-closed and meet-closed, and the meet of the x ∨ d is
+    x ∨ m), so the crisp extension reads W only through m; ``test`` runs on
+    the first W of each extension of a filter, all that it reads of W."""
+    ms, lat = inst.ms, inst.ms.lattice
+    images = _w_sets(inst) if inst.w_sets is not None else [
+        img for img, _ in _key_images(inst, _by_meet)]
     for filt in enumerate_filters(lat):
-        for w_idx in ws.values():
-            w = [lat.elements[v] for v in w_idx]
-            found = test(lat, filt, extended_filter_crisp(ms, filt, w))
+        seen = set()
+        for img in images:
+            ext = extended_filter_crisp(ms, filt, [lat.elements[v] for v in img.idx])
+            found = None if ext.members in seen else test(lat, filt, ext)
             if found is not None:
-                return _fail(pid, inst, found, w_idx=w_idx)
+                return _fail(pid, inst, found, w_idx=img.idx)
+            seen.add(ext.members)
     return None
 
 

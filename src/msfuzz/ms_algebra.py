@@ -11,6 +11,7 @@ theorem machinery requires it, the evaluators do not.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import compress
 
 from .errors import EmptyW, SizeCapExceeded, UnknownElement
 from .lattice_core import FilterSet, FiniteLattice, first_break, join_irreducibles
@@ -173,17 +174,14 @@ def extended_filter_crisp(ms: MSAlgebra, filt: FilterSet, w_subset) -> FilterSet
     reference element lands in the filter.  That it is a filter containing
     the input (which needs only distributivity, not a valid table) is law
     thm-2.3-extended-filter."""
-    lat = ms.lattice
-    w_idx = [lat.element_index(w) for w in w_subset]
-    if not w_idx:
+    lat, dd = ms.lattice, ms.dneg_table()
+    image = {dd[lat.element_index(w)] for w in w_subset}
+    if not image:
         raise EmptyW("reference subset W is empty")
-    inside = [lat.elements[i] in filt.members for i in range(lat.n)]
-    dd = ms.dneg_table()
-    members = set()
-    for i in range(lat.n):
-        if all(inside[lat.join_table[i][dd[w]]] for w in w_idx):
-            members.add(lat.elements[i])
-    return FilterSet(lat, frozenset(members))
+    inside = list(map(filt.members.__contains__, lat.elements))
+    # row d of the join table holds each x ∨ d
+    keep = map(all, zip(*[map(inside.__getitem__, lat.join_table[d]) for d in image]))
+    return FilterSet(lat, frozenset(compress(lat.elements, keep)))
 
 
 def enumerate_ms_operations(lat: FiniteLattice) -> list[dict[str, str]]:

@@ -1,32 +1,19 @@
 """The row engine of the law registry: instances, witnesses, the registry
 itself, and the (chi, W) rows that the law predicates read.
 
-Every law has a string id (``lemma-3.2.1`` and friends).  A law check
-receives an Instance -- an algebra plus a pool of candidate fuzzy
+A law check receives an Instance -- an algebra, a pool of candidate fuzzy
 filters and a grade universe -- and returns the first violation as a
 replayable Witness or None.  Most laws are predicates over (chi, W) rows,
-visited in one order: chi in pool order, then W in mask order.  The
-extensions read W only through its double-negation image D, a subset of
-the skeleton S = {x°°}, so each instance builds, once for every law, a
-row per chi and D from S: the packed omegas (see ``_Ranks``) come from a
-recurrence over D, one column per chi, and each base max chi(D) is its
-omega at the bottom, as ⊥ ∨ d = d (over ``SKELETON_CAP`` elements of S
-the scans report an unmet hypothesis).  A stage keyed on what its
-verdict reads -- the base, which fixes ``ups``; the set of image grades;
-the base, join of D and whether D holds the top; or the packed ``omg``,
-which fixes the base -- visits the first row of each key only (see
-``_STAGES``); a pair law visits each ordered pair of chis, then every
-row of the default W source.  Four laws settle most chis without a scan
-(see ``_SETTLED``): ``_settled`` checks, once per chi, that its omega
-column is what a kernel that calls no recurrence computes from the
-definition, and that each base raises chi to the extension that the
-definition of upsilon gives.  thm-4.8 passes each chi that holds both,
-the pair laws an instance whose chis all do; any other chi or instance
-is scanned row by row.
-Rows and guards see only integer grade ranks, which order as the grades
-do (see ``_Ranks``), and test them with the row kernels of
-``lattice_core``, ``fuzzy_core``, ``extensions`` and ``hom_analysis``;
-grades come back only in witness data.
+visited chi in pool order, then W in mask order, on integer grade ranks
+(see ``_Ranks``).  The extensions read W only through its double-negation
+image D ⊆ S = {x°°}, so the default W source is the first W of each D.
+A stage keyed on what its verdict reads (``_Key``) builds a row only for
+the first D of each key, found by one pass over S whose states are the
+keys (``_key_images``), so ``KEY_CAP`` bounds it, not |S|.  thm-4.8 and
+the pair laws settle most chis without a scan (``_SETTLED``) by checking,
+once per chi, every omega column against its definition in a table over
+all 2^|S| - 1 images: they, and the rows of any chi they leave open, stop
+at ``SKELETON_CAP`` elements of S.
 """
 
 from __future__ import annotations
@@ -46,7 +33,8 @@ from .lattice_core import FiniteLattice
 from .ms_algebra import MSAlgebra
 from .report import Record
 
-SKELETON_CAP = 16  # bound on |S| for the scans over the subsets of the skeleton S
+SKELETON_CAP = 16  # bound on |S| for the scans that read every subset of the skeleton S
+KEY_CAP = (1 << SKELETON_CAP) - 1  # bound on the keys of a keyed stage
 
 
 class Instance(Record):
@@ -82,8 +70,7 @@ class Instance(Record):
 
     @cached_property
     def _rows(self) -> dict:
-        """The row table that ``_stage_rows`` fills, shared by every law run
-        on the instance."""
+        """The row table, shared by every law run on the instance."""
         return {}
 
 
@@ -97,28 +84,21 @@ class Witness(Record):
     data: Mapping[str, Any] = MappingProxyType({})
 
     def to_dict(self) -> dict[str, Any]:
-        ms = self.instance.ms
-        lat = ms.lattice
-        named = {}
-        for i, c in enumerate(self.instance.chis):
-            named["chi" if i == 0 else f"chi{i + 1}"] = c
-        doc = document_from_objects(lat, ms, named)
+        ms, lat = self.instance.ms, self.instance.ms.lattice
+        named = {"chi" if i == 0 else f"chi{i + 1}": c for i, c in enumerate(self.instance.chis)}
         out: dict[str, Any] = {
             "property": self.property_id,
             "detail": self.detail,
             "elements": list(lat.elements),
             "covers": [list(p) for p in lat.covers],
             "neg": {e: ms.neg[e] for e in lat.elements},
-            "fuzzy": {
-                name: {e: format_grade(g) for e, g in zip(lat.elements, c.grades)}
-                for name, c in named.items()
-            },
+            "fuzzy": {name: _jsonable(c) for name, c in named.items()},
         }
         if self.instance.w_sets is not None:
             out["w_sets"] = [list(w) for w in self.instance.w_sets]
         if self.data:
             out["data"] = _jsonable(self.data)
-        out["document"] = serialize_algebra(doc)
+        out["document"] = serialize_algebra(document_from_objects(lat, ms, named))
         return out
 
 
@@ -162,13 +142,9 @@ def _fail(pid: str, inst: Instance, found, *, chis=None, w_idx=None) -> Witness:
     """Witness from a detail string or (detail, data), on the instance
     narrowed to the failing chis and W, given by its element indices."""
     detail, data = (found, None) if isinstance(found, str) else found
-    restricted = Instance(
-        ms=inst.ms,
-        chis=tuple(chis) if chis is not None else inst.chis,
-        grade_universe=inst.grade_universe,
-        w_sets=(tuple(inst.ms.lattice.elements[v] for v in w_idx),) if w_idx is not None
-        else inst.w_sets,
-    )
+    w_sets = inst.w_sets if w_idx is None else (tuple(inst.ms.lattice.elements[v] for v in w_idx),)
+    restricted = Instance(inst.ms, inst.chis if chis is None else tuple(chis), inst.grade_universe,
+                          w_sets)
     return Witness(pid, restricted, detail, data or {})
 
 
@@ -177,10 +153,8 @@ def _fail(pid: str, inst: Instance, found, *, chis=None, w_idx=None) -> Witness:
 # ---------------------------------------------------------------------------
 
 class _Image(NamedTuple):
-    """A reference subset W by its double-negation image D: W's element
-    indices, the join and meet of D and whether D holds the top; a skeleton
-    image also names ``rest``, the index of the image D less its first
-    element ``d``, or -1 when D = {d}."""
+    """W's element indices, the join and meet of its image D, whether D holds
+    the top, and in ``_skeleton_images`` the index of D less ``d``, or -1."""
 
     idx: tuple[int, ...]
     join: int
@@ -190,36 +164,40 @@ class _Image(NamedTuple):
     d: int = -1
 
 
+def _lowest(dd: tuple[int, ...]) -> dict[int, int]:
+    """Each d in S = {x°°} and its lowest preimage, in the order of those."""
+    return {d: dd.index(d) for d in dict.fromkeys(dd)}
+
+
+def _adjoin(lat: FiniteLattice, img: _Image | None, d: int, w: int, *tail) -> _Image:
+    """The image of W + (w,), with d = w°°, from that of W, or of (w,) when
+    ``img`` is None; ``tail`` gives ``rest`` and ``d``."""
+    if img is None:
+        return _Image((w,), d, d, d == lat.element_index(lat.top), *tail)
+    return _Image((*img.idx, w), lat.join_table[img.join][d], lat.meet_table[img.meet][d],
+                  img.top or d == lat.element_index(lat.top), *tail)
+
+
 def _skeleton_images(lat: FiniteLattice, dd: tuple[int, ...]) -> list[_Image]:
-    """Each double-negation image D ⊆ S = {x°°} by its first W in mask
-    order, the lowest preimage of each d in D; with S ordered by lowest
-    preimage, D in mask order over S keeps its W in mask order.  Entry k is
-    the D of mask k + 1."""
-    low: dict[int, int] = {}
-    for w in range(lat.n):
-        low.setdefault(dd[w], w)
+    """Each image D ⊆ S by its first W, the lowest preimage of each d in D;
+    with S in ``_lowest`` order, masks over S keep W in mask order.  Entry
+    k is the D of mask k + 1."""
+    low = _lowest(dd)
     if len(low) > SKELETON_CAP:
         raise SizeCapExceeded(f"|skeleton| = {len(low)} exceeds cap {SKELETON_CAP}")
-    skeleton, top = list(low), lat.element_index(lat.top)
-    join, meet = lat.join_table, lat.meet_table
-    images: list[_Image] = []
+    skeleton, images = list(low), []
     for mask in range(1, 1 << len(skeleton)):
-        rest = (mask & (mask - 1)) - 1
-        d = skeleton[(mask & -mask).bit_length() - 1]
-        r = images[rest] if rest >= 0 else _Image((), d, d, False)
-        images.append(_Image((low[d], *r.idx), join[r.join][d], meet[r.meet][d],
-                             r.top or d == top, rest, d))
+        high = mask.bit_length() - 1
+        rest, d = mask - (1 << high) - 1, skeleton[high]
+        images.append(_adjoin(lat, images[rest] if rest >= 0 else None, d, low[d], rest, d))
     return images
 
 
 def _listed(ms: MSAlgebra, ws) -> list[_Image]:
     """The images of listed W, each given by its element names."""
     lat, dd = ms.lattice, ms.dneg_table()
-    join, meet, top = lat.join_table, lat.meet_table, lat.element_index(lat.top)
-    return [_Image(idx, reduce(lambda a, b: join[a][b], image),
-                   reduce(lambda a, b: meet[a][b], image), top in image)
-            for w in ws for idx in [tuple(map(lat.element_index, w))]
-            for image in [[dd[v] for v in idx]]]
+    return [reduce(lambda img, v: _adjoin(lat, img, dd[v], v), map(lat.element_index, w), None)
+            for w in ws]
 
 
 def _once(inst: Instance, key, make):
@@ -284,12 +262,11 @@ class _Ranks:
 class _Row:
     """One (chi, W) pair of a scan, on integer grade ranks only: ``grades``
     is chi's row of ranks, ``base`` the rank of max chi(w°°) over W, ``ups``
-    the extension, ``packed`` the strong extension's column, packed as
-    ``_Ranks`` packs (None outside the default W source), ``omg`` its ranks,
-    decoded when first read, ``join`` the join of the image of W and
-    ``top`` whether it holds the top.  A law compares ranks with each
-    other, with ``one``, the rank of 1, or with 0, the rank of 0, and passes
-    rows to the row kernels; ``fuzzy`` turns ranks back into grades."""
+    the extension, ``packed`` the strong extension's column as ``_Ranks``
+    packs it (None outside ``_w_sets``), ``omg`` its ranks, decoded when
+    first read, ``join`` the join of W's image and ``top`` whether it holds
+    the top.  ``one`` is the rank of 1, and ``fuzzy`` turns ranks back into
+    grades."""
 
     __slots__ = ("ms", "lat", "dd", "scale", "one", "unpack", "grades", "w_idx", "base", "ups",
                  "packed", "_omg", "join", "top")
@@ -309,51 +286,73 @@ class _Row:
         return FuzzySet(self.lat, tuple(map(self.scale.__getitem__, ranks)))
 
 
-def _recurrences(images: list[_Image], join, grades, pack) -> list[int]:
+def _recurrences(images: list[_Image], single: dict[int, int]) -> list[int]:
     """Each skeleton image's packed omega, from the earlier entry's:
-    omg(D ∪ {d})(t) = max(omg(D)(t), chi(t ∨ d)), a ``|`` of columns."""
-    omgs, single = [], {}
+    omg(D ∪ {d})(t) = max(omg(D)(t), chi(t ∨ d)), a ``|`` with {d}'s column."""
+    omgs: list[int] = []
     for img in images:
-        rest, d = img.rest, img.d
-        if rest < 0:
-            single[d] = pack([grades[row[d]] for row in join])
-        omgs.append(omgs[rest] | single[d] if rest >= 0 else single[d])
+        omgs.append(omgs[img.rest] | single[img.d] if img.rest >= 0 else single[img.d])
     return omgs
 
 
 def _columns(inst: Instance, grades) -> list[int]:
-    """The packed omega of each image of the default W source for chi's
-    rank row ``grades``: over skeleton images by the recurrence, over
-    listed ones by ``omega_row``.  Each base is its column's field at the
-    bottom, since ⊥ ∨ d = d.  Once per chi, in the row table, for its rows
-    and for ``_settled``."""
+    """Packed omega of each image of ``_w_sets`` for chi's rank row ``grades``,
+    by the recurrence over the skeleton, else by ``omega_row``; once per chi."""
     ms, images, pack = inst.ms, _w_sets(inst), inst._ranks.pack
     return _once(inst, ("columns", grades), lambda: (
-        _recurrences(images, ms.lattice.join_table, grades, pack) if inst.w_sets is None
+        _recurrences(images, _singles(inst, grades)) if inst.w_sets is None
         else [pack(omega_row(ms, grades, img.idx)) for img in images]))
 
 
-def _rows(inst: Instance, i: int, ws) -> list[_Row]:
-    """Chi ``i``'s rows over the W source ``ws``: for ``_w_sets``, each
-    base read off its ``_columns`` column at the bottom, else by
-    ``_base_grade``.  Only ``_w_sets`` rows carry ``omg``, as only the
-    stages on them read it."""
-    ms, ranks, images = inst.ms, inst._ranks, ws(inst, inst.chis[i])
+def _singles(inst: Instance, grades) -> dict[int, int]:
+    """Packed omega chi(· ∨ d) of each {d}, d in S, for ``grades``; once per chi."""
+    join, pack = inst.ms.lattice.join_table, inst._ranks.pack
+    return _once(inst, ("singles", grades), lambda: {
+        d: pack([grades[row[d]] for row in join]) for d in set(inst.ms.dneg_table())})
+
+
+def _key_images(inst: Instance, key, grades=None) -> list[tuple[_Image, int]]:
+    """The first image of each key in mask order, and its packed omega for
+    ``grades`` (0 without), by one pass over S whose states are the keys
+    (``key.grow`` gives that of the empty set and the step to D ∪ {d}); as
+    masks compare by their highest bit, a key first met at d extends the
+    first W of the earliest state reaching it."""
+    (empty, step), best, lat = key.grow(inst, grades), {}, inst.ms.lattice
+    low = _lowest(inst.ms.dneg_table())
+    single = dict.fromkeys(low, 0) if grades is None else _singles(inst, grades)
+    for d, w in low.items():
+        for s, (img, packed) in [(empty, (None, 0)), *best.items()]:
+            k = step(s, d)
+            if k not in best:
+                best[k] = _adjoin(lat, img, d, w), packed | single[d]
+        if len(best) > KEY_CAP:
+            raise SizeCapExceeded(f"more than {KEY_CAP} keys on a skeleton of {len(low)}")
+    return list(best.values())
+
+
+def _rows(inst: Instance, i: int, ws, key=None) -> list[_Row]:
+    """Chi ``i``'s rows over the W source ``ws``: for ``_w_sets``, every
+    image with its ``_columns`` column, or the ``_key_images`` of ``key``,
+    each base read off its column at the bottom (⊥ ∨ d = d); other sources
+    get each base by ``_base_grade`` and no ``omg``, which they never read."""
+    ms, ranks = inst.ms, inst._ranks
     grades, bottom = ranks.rows[i], ms.lattice.element_index(ms.lattice.bottom)
-    if ws is _w_sets:
-        omgs = _columns(inst, grades)
-        bases = [ranks.at(o, bottom) for o in omgs]
-    else:
+    if ws is not _w_sets:
+        images = ws(inst, inst.chis[i])
         omgs, bases = [None] * len(images), [_base_grade(ms, grades, img.idx) for img in images]
-    ups = {b: _raise_to(grades, b) for b in set(bases)}
+    else:
+        images, omgs = (_w_sets(inst), _columns(inst, grades)) if key is None else zip(
+            *_key_images(inst, key, grades))
+        bases = [ranks.at(o, bottom) for o in omgs]
+    ups = _once(inst, ("ups", grades), dict)  # per chi, by base
+    ups.update((b, _raise_to(grades, b)) for b in set(bases) - ups.keys())
     ctx = (ms, ms.lattice, ms.dneg_table(), ranks.grades, ranks.one, ranks.unpack)
     return [_Row(ctx, grades, image, b, ups[b], o) for image, b, o in zip(images, bases, omgs)]
 
 
 def _image_masks(inst: Instance) -> tuple[list[int], list[int]] | None:
-    """The elements of the images of the default W source, and each W's
-    image D as a bit mask over them, read from dd[v] for v in W; None over
-    ``SKELETON_CAP`` image elements.  Once per instance."""
+    """The elements of the images of ``_w_sets``, and each W's image as a bit
+    mask over them, from dd[v] for v in W; None over ``SKELETON_CAP`` of them."""
     def make():
         dd = inst.ms.dneg_table()
         images = [{dd[v] for v in img.idx} for img in _w_sets(inst)]
@@ -366,13 +365,11 @@ def _image_masks(inst: Instance) -> tuple[list[int], list[int]] | None:
 
 
 def _omega_by_definition(inst: Instance, grades) -> list[int] | None:
-    """Packed omega of each W of the default W source from its definition,
-    max over d in D of chi(t ∨ d), by a route that shares only the packing
-    with ``_columns``: a table over the subsets of the image elements,
-    filled by doubling (adding d, each earlier entry e gives e | chi(· ∨ d)),
-    read at each W's mask.  None where ``_image_masks`` is."""
-    found = _image_masks(inst)
-    if found is None:
+    """Packed omega of each W of ``_w_sets`` by its definition, max over d
+    in D of chi(t ∨ d), by a route that shares only the packing with
+    ``_columns``: a table over the subsets of the image elements, filled by
+    doubling, read at each W's mask.  None where ``_image_masks`` is."""
+    if (found := _image_masks(inst)) is None:
         return None
     elements, masks = found
     join, pack, by_mask = inst.ms.lattice.join_table, inst._ranks.pack, [0]
@@ -382,37 +379,58 @@ def _omega_by_definition(inst: Instance, grades) -> list[int] | None:
     return [by_mask[m] for m in masks]
 
 
+def _omega_settled(inst: Instance, i: int) -> bool:
+    """Whether chi ``i``'s omega column is ``_omega_by_definition``, the fact
+    that settles thm-4.8.  Once per chi, in the row table; builds no row."""
+    grades = inst._ranks.rows[i]
+    return _once(inst, ("omega settled", grades), lambda: (
+        _columns(inst, grades) == _omega_by_definition(inst, grades)))
+
+
 def _settled(inst: Instance, i: int) -> bool:
-    """Whether chi ``i``'s ``_columns`` hold the facts that settle the
-    ``_SETTLED`` laws: the omega column is ``_omega_by_definition``, so each
-    base, its field at the bottom, is max chi(D); and ``_raise_to`` gives
-    the extension max(chi, base) pointwise, once per distinct column.  Once
-    per chi, in the row table beside its columns; builds no row."""
+    """Whether chi ``i`` holds the facts that settle the pair laws: the
+    omega fact, and ``_raise_to`` gives max(chi, base) pointwise, once per
+    distinct column.  Once per chi, in the row table; builds no row."""
     ranks, lat = inst._ranks, inst.ms.lattice
     grades, bottom = ranks.rows[i], lat.element_index(lat.bottom)
-
-    def check():
-        omegas = _columns(inst, grades)
-        return omegas == _omega_by_definition(inst, grades) and all(
-            _raise_to(grades, b) == tuple(max(g, b) for g in grades)
-            for b in {ranks.at(o, bottom) for o in set(omegas)})
-
-    return _once(inst, ("settled", grades), check)
+    return _once(inst, ("settled", grades), lambda: _omega_settled(inst, i) and all(
+        _raise_to(grades, b) == tuple(max(g, b) for g in grades)
+        for b in {ranks.at(o, bottom) for o in set(_columns(inst, grades))}))
 
 
-# Keys: what a stage's verdict reads of W.  When the verdict is a function
-# of its key, the first failing row is the first row of its key, so a stage
-# visits those only and its witness keeps its bytes.  ``ups`` is a function
-# of the base, and the other keys hold the base, so a keyed stage may read
-# ``ups``; ``_by_join`` adds ``join`` and ``top``, and ``_by_omg``, the packed
-# ``omg``, fixes the base, its field at the bottom.
-_by_base, _by_omg = attrgetter("base"), attrgetter("packed")
-_by_join = attrgetter("base", "join", "top")
+class _Key(NamedTuple):
+    """What a stage's verdict reads of W.  As the verdict is a function of
+    the key, the first failing row is the first row of its key, so a stage
+    visits those only.  ``read`` takes the key off a row (an image, for
+    ``_by_meet``); ``grow`` is for ``_key_images``."""
+
+    read: Callable
+    grow: Callable
+
+    def __call__(self, r):
+        return self.read(r)
 
 
-def _by_grades(r: _Row) -> frozenset:
-    """The set of image grades, whose maximum is the base."""
-    return frozenset(r.grades[r.dd[v]] for v in r.w_idx)
+def _grow_join(inst: Instance, g):
+    lat = inst.ms.lattice
+    join, top = lat.join_table, lat.element_index(lat.top)
+    return ((-1, lat.element_index(lat.bottom), False),
+            lambda s, d: (max(s[0], g[d]), join[s[1]][d], s[2] or d == top))
+
+
+# The keys.  Each row key holds the base, of which ``ups`` is a function.
+# ``_by_base`` is a max, so its first images are the singletons of the first
+# d of each grade; ``_by_omg``, a ``|`` of single columns, has the base as
+# its field at the bottom.
+_by_base = _Key(attrgetter("base"), lambda inst, g: (-1, lambda b, d: max(b, g[d])))
+_by_join = _Key(attrgetter("base", "join", "top"), _grow_join)
+_by_grades = _Key(lambda r: frozenset(r.grades[r.dd[v]] for v in r.w_idx),
+                  lambda inst, g: (frozenset(), lambda s, d: s | {g[d]}))
+_by_omg = _Key(attrgetter("packed"), lambda inst, g: (
+    0, lambda s, d, single=_singles(inst, g): s | single[d]))
+_by_meet = _Key(attrgetter("meet"), lambda inst, g: (
+    inst.ms.lattice.element_index(inst.ms.lattice.top),
+    lambda s, d: inst.ms.lattice.meet_table[s][d]))
 
 
 # The law table: law id -> its stages, in the order they run for each chi.
@@ -420,40 +438,28 @@ def _by_grades(r: _Row) -> frozenset:
 # string, or (detail, data); ``ws`` gives the reference subsets for
 # (instance, chi); ``when``, unless None, is given (algebra, chi's rank
 # row) and skips the chis that miss the stage's hypothesis; ``key``, unless
-# None, is the function of a row (``_by_base`` and friends) through which
-# alone ``test`` reads W.
+# None, is the ``_Key`` through which alone ``test`` reads W.
 _STAGES: dict[str, list[tuple]] = {}
 _PAIR_STAGES: dict[str, tuple] = {}  # pair laws: (test, when on the two rank rows)
-# The laws that follow from the facts ``_settled`` checks, on every row of
-# a chi for a row law, on every pair of such chis for a pair law.  The law
-# skips the chis it settles, a pair law only an instance whose chis are
-# all settled, so its witness is the first of the full scan.
+# The laws that follow from the facts ``_settled`` checks: thm-4.8 on each chi
+# with the omega fact, a pair law when every chi holds both; else they scan.
 _SETTLED: set[str] = set()
 
 
 def _stage_rows(inst: Instance, i: int, ws, key=None) -> list[_Row]:
-    """Chi ``i``'s rows for a stage over the W source ``ws``, each key's
-    first only, from the instance's row table: (ws, chi, key) -> rows."""
-    rows = _once(inst, (ws, i, None), lambda: _rows(inst, i, ws))
-    return rows if key is None else _once(inst, (ws, i, key), lambda: _firsts(rows, key))
+    """Chi ``i``'s rows for a stage over ``ws``, once per instance: the first
+    of each ``key`` over the skeleton, else every row (same first failure)."""
+    if ws is not _w_sets or inst.w_sets is not None:
+        key = None
+    return _once(inst, (ws, i, key), lambda: _rows(inst, i, ws, key))
 
 
-def _firsts(rows: list[_Row], key) -> list[_Row]:
-    """The first row of each key, in order."""
-    firsts: dict = {}
-    for r in rows:
-        firsts.setdefault(key(r), r)
-    return list(firsts.values())
-
-
-def _scan(pid: str, inst: Instance, *stages: tuple, among=None) -> Witness | None:
-    """The first failing row: chi in pool order (only the chi indices
-    ``among``, when given), then the stages in order, then W in the
-    stage's order, each key's first row only."""
-    if any(ws is _w_sets for _, ws, _, _ in stages):
-        _w_sets(inst)  # refuses a skeleton over the cap, whichever chis the stages skip
-    for i in range(len(inst.chis)) if among is None else among:
-        chi = inst.chis[i]
+def _scan(pid: str, inst: Instance, *stages: tuple, settled=None) -> Witness | None:
+    """The first failing row: chi in pool order, less those for which
+    ``settled(inst, i)`` holds, then the stages, then W in stage order."""
+    for i, chi in enumerate(inst.chis):
+        if settled is not None and settled(inst, i):
+            continue
         for test, ws, when, key in stages:
             if when is not None and not when(inst.ms, inst._ranks.rows[i]):
                 continue
@@ -466,30 +472,24 @@ def _scan(pid: str, inst: Instance, *stages: tuple, among=None) -> Witness | Non
 
 def _pair_scan(pid: str, inst: Instance, test, when) -> Witness | None:
     """The first failing (chi1, chi2, W) as in ``_scan``: each ordered pair
-    of chis that ``when`` allows, then each row of the default W source."""
-    rows = [_stage_rows(inst, i, _w_sets) for i in range(len(inst.chis))]
-    pool = list(zip(inst.chis, inst._ranks.rows, rows))
-    for chi1, g1, rows1 in pool:
-        for chi2, g2, rows2 in pool:
+    of chis that ``when`` allows, then each row of the default W source,
+    built when the pair is first visited."""
+    pool = list(enumerate(zip(inst.chis, inst._ranks.rows)))
+    for i, (chi1, g1) in pool:
+        for j, (chi2, g2) in pool:
             if when is not None and not when(g1, g2):
                 continue
-            for r1, r2 in zip(rows1, rows2):
+            for r1, r2 in zip(_stage_rows(inst, i, _w_sets), _stage_rows(inst, j, _w_sets)):
                 found = test(r1, r2)
                 if found is not None:
                     return _fail(pid, inst, found, chis=[chi1, chi2], w_idx=r1.w_idx)
     return None
 
 
-def _unsettled(inst: Instance):
-    """The chi indices that ``_settled`` leaves to a settled law's scan."""
-    return (i for i in range(len(inst.chis)) if not _settled(inst, i))
-
-
 def _row_law(pid: str, summary=None, ws=_w_sets, when=None, key=None, settled=False):
     """Register a row predicate as a law, scanning only the chis that
-    ``_settled`` leaves open when ``settled`` (see ``_SETTLED``).  Without
-    a summary it becomes the next stage of the law already registered under
-    ``pid``."""
+    ``_omega_settled`` leaves open when ``settled``.  Without a summary it
+    becomes the next stage of the law registered under ``pid``."""
 
     def decorate(test):
         if summary is not None:
@@ -497,7 +497,7 @@ def _row_law(pid: str, summary=None, ws=_w_sets, when=None, key=None, settled=Fa
             if settled:
                 _SETTLED.add(pid)
             _law(pid, summary)(lambda inst: _scan(
-                pid, inst, *_STAGES[pid], among=_unsettled(inst) if settled else None))
+                pid, inst, *_STAGES[pid], settled=_omega_settled if settled else None))
         _STAGES[pid].append((test, ws, when, key))
         return test
 
@@ -506,14 +506,13 @@ def _row_law(pid: str, summary=None, ws=_w_sets, when=None, key=None, settled=Fa
 
 def _pair_law(pid: str, summary: str, when=None):
     """Register a law from its predicate over the two rows of a pair that
-    share W.  The law passes without a pair scan when ``_settled`` settles
-    every chi (see ``_SETTLED``)."""
+    share W; it passes without a scan when ``_settled`` settles every chi."""
 
     def decorate(test):
         _PAIR_STAGES[pid] = (test, when)
         _SETTLED.add(pid)
-        _law(pid, summary)(lambda inst: None if next(_unsettled(inst), None) is None
-                           else _pair_scan(pid, inst, *_PAIR_STAGES[pid]))
+        _law(pid, summary)(lambda inst: None if all(_settled(inst, i) for i in range(
+            len(inst.chis))) else _pair_scan(pid, inst, *_PAIR_STAGES[pid]))
         return test
 
     return decorate

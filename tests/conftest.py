@@ -13,6 +13,7 @@ import pytest
 from msfuzz import cli_io
 from msfuzz import (
     FuzzySet,
+    Instance,
     MSAlgebra,
     build_lattice,
     document_to_objects,
@@ -54,6 +55,26 @@ def chain_order(n: int, prefix: str = "c"):
 def chain(n: int):
     """Chain c0 < c1 < ... < c{n-1}."""
     return build_lattice(*chain_order(n))
+
+
+def kleene(n: int, chi2: str | None = "thirds") -> Instance:
+    """The Kleene chain c0 < ... < c{n-1} with neg(c_k) = c_{n-1-k}, its own
+    skeleton, as an instance over its filters' grades, 0 and 1.  chi is 0
+    on c_k for k < n // 2, 1/2 above that up to c{n-2}, and 1 on the top.
+    ``chi2``, when given, adds "thirds", 1/3, 2/3 and 1 on c_k for
+    k < n // 3, k < n - n // 3 and the rest, or "ramp", k/(n-1) on c_k,
+    an injective filter."""
+    lat, third = chain(n), n // 3
+    ms = MSAlgebra(lat, {e: lat.elements[n - 1 - k] for k, e in enumerate(lat.elements)})
+    rows = [[Fraction(0) if k < n // 2 else Fraction(1, 2) if k < n - 1 else Fraction(1)
+             for k in range(n)]]
+    if chi2 == "thirds":
+        rows.append([Fraction(1 if k < third else 2 if k < n - third else 3, 3)
+                     for k in range(n)])
+    elif chi2 == "ramp":
+        rows.append([Fraction(k, n - 1) for k in range(n)])
+    universe = sorted({g for row in rows for g in row} | {Fraction(0), Fraction(1)})
+    return Instance(ms, tuple(FuzzySet(lat, tuple(row)) for row in rows), tuple(universe))
 
 
 def grid_order(a: int, b: int):

@@ -212,10 +212,11 @@ def test_verify_invalid_table_reports_unmet(fixture_file):
 
 def test_verify_caps_the_image_scans_on_a_large_skeleton(tmp_path):
     """The 2^7 Boolean algebra with complement as negation has a skeleton
-    of 128 elements: every law that scans the double-negation images
-    reports the skeleton cap as its unmet hypothesis (thm-3.1-prime its
-    filter-pool cap, checked first), and the laws on listed W still run."""
-    from msfuzz.scan import _PAIR_STAGES, _STAGES, SKELETON_CAP, _w_sets
+    of 128 elements: the laws whose settling checks read every image
+    (thm-4.8 and the pair laws) report the skeleton cap as their unmet
+    hypothesis, thm-3.1-prime its filter-pool cap, and the keyed laws,
+    thm-2.3 and the laws on listed W run and pass."""
+    from msfuzz.scan import _SETTLED, SKELETON_CAP
 
     from .conftest import boolean_order
 
@@ -228,18 +229,16 @@ def test_verify_caps_the_image_scans_on_a_large_skeleton(tmp_path):
     result = run_cli(["--format", "json", "verify", str(path)])
     assert result.exit_code == 1
     rows = {r["id"]: r for r in json.loads(result.output)["properties"]}
-    scans = {"thm-2.3-extended-filter", "thm-3.1-prime", *_PAIR_STAGES,
-             *(pid for pid, stages in _STAGES.items() if any(s[1] is _w_sets for s in stages))}
-    assert SKELETON_CAP < 128 and len(scans) == 25 and len(rows) == 30
+    capped = {"thm-3.1-prime", *_SETTLED}
+    assert SKELETON_CAP < 128 and len(capped) == 5 and len(rows) == 30
     for pid, row in rows.items():
-        if pid not in scans:
+        if pid not in capped:
             assert row["verdict"] == "pass", pid
             continue
         assert row["verdict"] == "hypothesis-unmet", pid
         cap = "|elements| * |grades| = 256" if pid == "thm-3.1-prime" else (
             f"|skeleton| = 128 exceeds cap {SKELETON_CAP}")
         assert cap in row["reason"], pid
-    assert rows["prop-2.1"]["verdict"] == "pass"
 
 
 def test_verify_unknown_prop(fixture_file):

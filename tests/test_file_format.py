@@ -70,7 +70,7 @@ def test_round_trip_normalizes_order():
         ("elements a b\ncovers\n a <= b\n", AlgebraSyntaxError, 3),
         ("elements a a\n", DuplicateElement, 1),
         ("elements a b\ncovers\n a < zz\n", DanglingReference, 3),
-        ("elements a b\nneg\n a -> b\n", AlgebraSyntaxError, 1),  # partial table
+        ("elements a b\nneg\n a -> b\n", AlgebraSyntaxError, 2),  # partial table
         ("elements a b\nfuzzy f\n a = 1\n", AlgebraSyntaxError, 2),  # missing grade
         ("a < b\nelements a b\n", AlgebraSyntaxError, 1),  # content before sections
         ("elements a b\nneg\n a -> b\n a -> b\n", DuplicateElement, 4),
@@ -126,7 +126,7 @@ _CAP_LINE = "elements " + " ".join(f"e{i}" for i in range(MAX_DOCUMENT_ELEMENTS 
 # errors are reported: the first error in line order; within a line, the
 # form (arity and separator), then the left element, then the right one,
 # then a repeated entry, then the grade; after the last line, a missing
-# elements section, then a gap in neg, then each fuzzy section in order.
+# elements section, then a gap in each neg or fuzzy section, in header order.
 # Each row: text, exact exception type, full message, and ``.line`` (None
 # for the two classes that carry no line attribute).
 _PARSE_ERRORS = [
@@ -159,7 +159,7 @@ _PARSE_ERRORS = [
     ("elements a b\nneg\n a -> b\n a -> a\n",
      DuplicateElement, "line 4: negation of 'a' given twice", 4),
     ("elements a b\nneg\n a -> b\n b -> a\nneg\n a -> a\n",
-     DuplicateElement, "line 6: negation of 'a' given twice", 6),
+     AlgebraSyntaxError, "line 5: second neg section", 5),
     ("elements a b\nfuzzy f\n a = 1\n a = 0\n",
      DuplicateElement, "line 4: grade of 'a' in 'f' given twice", 4),
     ("elements a b\nfuzzy f\n a = 1.2\n",
@@ -172,7 +172,7 @@ _PARSE_ERRORS = [
     ("elements\n", AlgebraSyntaxError, "line 1: no elements section", 1),
     ("elements\ncovers\n", AlgebraSyntaxError, "line 1: no elements section", 1),
     ("elements a b\nneg\n a -> b\n",
-     AlgebraSyntaxError, "line 1: neg section is missing an entry for 'b'", 1),
+     AlgebraSyntaxError, "line 2: neg section is missing an entry for 'b'", 2),
     ("elements a b\nfuzzy f\n a = 1\n",
      AlgebraSyntaxError, "line 2: fuzzy section 'f' is missing a grade for 'b'", 2),
     # order within a line
@@ -186,7 +186,7 @@ _PARSE_ERRORS = [
     ("elements a b c\nneg\n a -> b\ncovers\n a < q\n",
      DanglingReference, "line 5: unknown element 'q'", 5),
     ("elements a b\nfuzzy f\n a = 1\nneg\n a -> b\n",
-     AlgebraSyntaxError, "line 1: neg section is missing an entry for 'b'", 1),
+     AlgebraSyntaxError, "line 2: fuzzy section 'f' is missing a grade for 'b'", 2),
     ("elements a b\nfuzzy f\n a = 1\nfuzzy g\n b = 1\n",
      AlgebraSyntaxError, "line 2: fuzzy section 'f' is missing a grade for 'b'", 2),
     ("elements a\nfuzzy f\n a = 1\nfuzzy g\n",

@@ -29,7 +29,7 @@ from msfuzz import verifier
 from msfuzz.errors import InternalInvariantError
 from msfuzz.verifier import fixture_instance
 
-from .conftest import fuzzy, grades
+from .conftest import fuzzy, grades, kleene
 from .test_lattice_core import M3, PENTAGON, build_lattice_by_scan
 
 HALF = Fraction(1, 2)
@@ -1221,13 +1221,13 @@ def test_skeleton_images_match_the_mask_route():
 def _assert_recurrences(inst):
     """Oracle: for every chi and skeleton image, the omega recurrence gives
     max chi(t ∨ w°°) over W as a packed column."""
-    from msfuzz.scan import _recurrences, _skeleton_images
+    from msfuzz.scan import _recurrences, _singles, _skeleton_images
 
     ms, ranks = inst.ms, inst._ranks
     lat, dd = ms.lattice, ms.dneg_table()
     images = _skeleton_images(lat, dd)
     for g in ranks.rows:
-        omgs = _recurrences(images, lat.join_table, g, ranks.pack)
+        omgs = _recurrences(images, _singles(inst, g))
         assert list(map(ranks.unpack, omgs)) == [
             tuple(max(g[row[dd[v]]] for v in img.idx) for row in lat.join_table)
             for img in images]
@@ -1246,22 +1246,6 @@ def test_recurrences_match_every_image():
     assert checked
 
 
-def _kleene16():
-    """The chain c0 < ... < c15 with neg(c_k) = c_{15-k} and two filters:
-    chi is 0 on c0-c7, 1/2 on c8-c14 and 1 on c15, chi2(c_k) = k/15, so
-    that the ranks run to 16 and need two-byte fields."""
-    from msfuzz import FuzzySet
-
-    from .conftest import chain
-
-    lat = chain(16)
-    ms = MSAlgebra(lat, {e: lat.elements[15 - k] for k, e in enumerate(lat.elements)})
-    chi = FuzzySet(lat, tuple(Fraction(0) if k < 8 else HALF if k < 15 else Fraction(1)
-                              for k in range(16)))
-    chi2 = FuzzySet(lat, tuple(Fraction(k, 15) for k in range(16)))
-    return Instance(ms, (chi, chi2), UNIVERSE3)
-
-
 def test_packed_columns_round_trip_and_give_omega():
     """Oracle for the packing of ``_Ranks`` on every catalog instance up to
     five elements over {0, 1/2, 1} and {0, 1/3, 2/3, 1}, and on Kleene-16:
@@ -1275,7 +1259,7 @@ def test_packed_columns_round_trip_and_give_omega():
     inputs = [inst for universe in (UNIVERSE3, THIRDS0)
               for inst in _instance_stream(SearchConfig(max_elements=5, grade_universe=universe))]
     widths, rows = set(), 0
-    for inst in [*inputs, _kleene16()]:
+    for inst in [*inputs, kleene(16, "ramp")]:
         ranks, n = inst._ranks, inst.ms.lattice.n
         widths.add(ranks.k)
         for r in range(ranks.one + 1):
@@ -1306,6 +1290,86 @@ def test_a_two_element_skeleton_builds_three_rows():
     for rec in properties():
         if rec.fixture is None and rec.pid != "thm-3.1-prime":  # its pool is over the cap
             run_property(rec.pid, inst)
+
+
+def _assert_first_rows(inst):
+    """Oracle for the key pass over the default W source: for each chi and
+    row key, a keyed stage's rows are, field for field and in order, the
+    first row of each key among every row of the full list; and the
+    images of the meet key are the first image of each meet among every
+    image.  Listed W are visited row by row, so only the skeleton is
+    checked."""
+    from operator import attrgetter
+
+    from msfuzz.scan import (
+        _by_base, _by_grades, _by_join, _by_meet, _by_omg, _key_images, _stage_rows, _w_sets,
+    )
+
+    if inst.w_sets is not None:
+        return
+    fields = attrgetter("w_idx", "base", "ups", "packed", "join", "top")
+    for i in range(len(inst.chis)):
+        rows = _stage_rows(inst, i, _w_sets)
+        for key in (_by_base, _by_join, _by_grades, _by_omg):
+            firsts = {}
+            for r in rows:
+                firsts.setdefault(key(r), r)
+            keyed = _stage_rows(inst, i, _w_sets, key)
+            assert list(map(fields, keyed)) == list(map(fields, firsts.values())), key
+    meets = {}
+    for img in _w_sets(inst):
+        meets.setdefault(img.meet, img._replace(rest=-1, d=-1))
+    assert [img for img, _ in _key_images(inst, _by_meet)] == list(meets.values())
+
+
+@pytest.mark.parametrize("universe", [UNIVERSE3, THIRDS0], ids=["halves", "thirds0"])
+def test_key_pass_matches_the_first_row_of_each_key(universe):
+    """``_assert_first_rows`` on every chi of every catalog instance up to
+    six elements, and on Kleene-16 with its thirds filter."""
+    from msfuzz.verifier import _instance_stream
+
+    inputs = list(_instance_stream(SearchConfig(max_elements=6, grade_universe=universe)))
+    for inst in [*inputs, kleene(16)]:
+        _assert_first_rows(inst)
+    assert {inst.ms.lattice.n for inst in inputs} == set(range(1, 7))
+
+
+def test_the_key_cap_is_the_size_of_the_image_table():
+    """Each keyed stage is bounded by its number of keys: an injective
+    filter on a chain that is its own skeleton has a set of image grades
+    per image, 2^16 - 1 of them at 16 elements, which ``_by_grades`` keeps,
+    and more at 17, which it refuses; the base key has 17 there."""
+    from msfuzz.scan import KEY_CAP, _by_base, _by_grades, _stage_rows, _w_sets
+
+    assert len(_stage_rows(kleene(16, "ramp"), 1, _w_sets, _by_grades)) == KEY_CAP == 2 ** 16 - 1
+    inst = kleene(17, "ramp")
+    assert len(_stage_rows(inst, 1, _w_sets, _by_base)) == 17
+    with pytest.raises(SizeCapExceeded, match=f"more than {KEY_CAP} keys on a skeleton of 17"):
+        _stage_rows(inst, 1, _w_sets, _by_grades)
+
+
+@pytest.mark.parametrize("n", [15, 17])
+def test_keyed_laws_run_past_the_skeleton_cap(n):
+    """On the n-element Kleene chain with its three-grade filter, every law
+    runs at 15 elements, and at 17 only those that read every image stop
+    at the skeleton cap: thm-4.8 and the pair laws, whose settling checks
+    build a table over all 2^17 - 1 images.  thm-3.1-prime, the known-
+    refutable search target, fails on both; thm-4.3 cannot fail on a
+    chain, where a max of monotone maps is monotone."""
+    from msfuzz.scan import _SETTLED, SKELETON_CAP
+
+    inst = kleene(n, chi2=None)
+    verdicts = {}
+    for rec in properties():
+        if rec.fixture is None:
+            verdicts[rec.pid] = _outcome(lambda: run_property(rec.pid, inst))
+    unmet = {pid for pid, (verdict, _) in verdicts.items() if verdict == "HypothesisUnmet"}
+    assert unmet == (set() if n <= SKELETON_CAP else _SETTLED)
+    failed = {pid for pid, (verdict, _) in verdicts.items() if verdict == "fail"}
+    assert failed == {"thm-3.1-prime"} and len(verdicts) == 30
+    if unmet:
+        with pytest.raises(HypothesisUnmet, match=f"= {n} exceeds cap {SKELETON_CAP}"):
+            run_property("thm-4.8", inst)
 
 
 def test_the_skeleton_cap_is_inclusive():
@@ -1641,13 +1705,11 @@ def _recurrences_by(omega_step):
     """The recurrence of ``_recurrences`` with its step replaced: the step
     gets the earlier entry's packed column and that of the singleton {d},
     on which ``|`` is the entrywise max and ``&`` the min."""
-    def recurrences(images, join, grades, pack):
-        omgs, single = [], {}
+    def recurrences(images, single):
+        omgs = []
         for img in images:
-            rest, d = img.rest, img.d
-            if rest < 0:
-                single[d] = pack([grades[row[d]] for row in join])
-            omgs.append(omega_step(omgs[rest], single[d]) if rest >= 0 else single[d])
+            d = img.d
+            omgs.append(omega_step(omgs[img.rest], single[d]) if img.rest >= 0 else single[d])
         return omgs
 
     return recurrences
@@ -1660,8 +1722,8 @@ def _rows_with_the_base_at_the_top():
 
     rows_of = scan._rows
 
-    def rows(inst, i, ws):
-        found, lat = rows_of(inst, i, ws), inst.ms.lattice
+    def rows(inst, i, ws, key=None):
+        found, lat = rows_of(inst, i, ws, key), inst.ms.lattice
         if ws is scan._w_sets:
             for r in found:
                 r.base = inst._ranks.at(r.packed, lat.element_index(lat.top))
@@ -1675,6 +1737,30 @@ def _skeleton_map(change):
     from msfuzz.scan import _skeleton_images
 
     return lambda lat, dd: change(_skeleton_images(lat, dd), lat, dd)
+
+
+def _adjoin_map(change):
+    """``_adjoin`` with each image it makes changed by ``change(image, lattice)``."""
+    from msfuzz.scan import _adjoin
+
+    return lambda lat, *args: change(_adjoin(lat, *args), lat)
+
+
+def _key_images_by(keep=lambda best, key, w: best.setdefault(key, w), order=iter):
+    """``_key_images`` with the rule that keeps a key's first W, or the
+    order in which the keys found so far are grown, replaced."""
+    def key_images(inst, key, grades=None):
+        from msfuzz.scan import _adjoin, _lowest, _singles
+
+        (empty, step), best, lat = key.grow(inst, grades), {}, inst.ms.lattice
+        low = _lowest(inst.ms.dneg_table())
+        single = dict.fromkeys(low, 0) if grades is None else _singles(inst, grades)
+        for d, w in low.items():
+            for s, (img, packed) in [(empty, (None, 0)), *order(list(best.items()))]:
+                keep(best, step(s, d), (_adjoin(lat, img, d, w), packed | single[d]))
+        return list(best.values())
+
+    return key_images
 
 
 def _omega_row_by(op, through_dd=True):
@@ -1806,7 +1892,8 @@ def _settling_oracle(inst):
     """Oracle: the kernel gives omega of each W computed from W itself,
     ``_settled`` settles every chi, and it leaves the first chi unsettled
     when only its omega column (each rank one off at the first W) or only
-    ``_raise_to`` (one rank high) is wrong."""
+    ``_raise_to`` (one rank high) is wrong; ``_omega_settled``, thm-4.8's
+    fact, leaves it unsettled in the first case only."""
     from unittest import mock
 
     from msfuzz import scan
@@ -1824,21 +1911,30 @@ def _settling_oracle(inst):
     # one rank off, down where it can go down, so that it stays a rank
     broken._rows["columns", g] = [ranks.pack([o - 1 if o else 1 for o in ranks.unpack(omg)]),
                                   *omgs]
-    assert not scan._settled(broken, 0)
+    assert not scan._omega_settled(broken, 0) and not scan._settled(broken, 0)
     with mock.patch.object(scan, "_raise_to", lambda g, b: tuple(x + 1 for x in g)):
-        assert not scan._settled(_fresh(inst), 0)
+        raised = _fresh(inst)
+        assert scan._omega_settled(raised, 0) and not scan._settled(raised, 0)
 
 
-def _crisp_key(key):
-    """The W source of ``_crisp_scan`` with each image's meet, the key it
-    groups W by, replaced by ``key(algebra, image)``."""
-    from msfuzz.scan import _w_sets
+def _crisp_key(empty, step):
+    """The key ``_crisp_scan`` groups W by, the meet of the image, replaced
+    by the key that ``empty(lattice)`` starts and ``step(lattice, s, d)``
+    grows."""
+    from msfuzz.scan import _Key
 
-    return lambda inst, chi=None: [img._replace(meet=key(inst.ms, img)) for img in _w_sets(inst)]
+    return _Key(None, lambda inst, g: (empty(inst.ms.lattice),
+                                       lambda s, d: step(inst.ms.lattice, s, d)))
 
 
 def _crisp_key_oracle(inst):
-    _crisp_scan_matches_every_w(inst.ms)
+    """``_crisp_scan_matches_every_w`` on the algebra, then on it with its
+    elements listed top first, where the first image of a meet can hold
+    two elements above it."""
+    ms = inst.ms
+    _crisp_scan_matches_every_w(ms)
+    flipped = build_lattice(ms.lattice.elements[::-1], ms.lattice.covers)
+    _crisp_scan_matches_every_w(MSAlgebra(flipped, ms.neg))
 
 
 def _poset_reps_map(change):
@@ -1886,12 +1982,22 @@ _MUTANTS = {
     "skeleton-w-is-the-image": (
         [("scan", "_skeleton_images", _skeleton_map(lambda imgs, lat, dd: [
             img._replace(idx=tuple(sorted({dd[v] for v in img.idx}))) for img in imgs]))],
-        "laws"),
+        _skeleton_oracle),
     "skeleton-join-is-meet": ([("scan", "_skeleton_images", _skeleton_map(
         lambda imgs, lat, dd: [img._replace(join=img.meet) for img in imgs]))],
         _skeleton_oracle),
     "skeleton-never-top": ([("scan", "_skeleton_images", _skeleton_map(
-        lambda imgs, lat, dd: [img._replace(top=False) for img in imgs]))], "laws"),
+        lambda imgs, lat, dd: [img._replace(top=False) for img in imgs]))], _skeleton_oracle),
+    "adjoin-w-is-its-last-element": ([("scan", "_adjoin", _adjoin_map(
+        lambda img, lat: img._replace(idx=img.idx[-1:])))], "laws"),
+    "adjoin-never-top": ([("scan", "_adjoin", _adjoin_map(lambda img, lat: img._replace(
+        top=False)))], "laws"),
+    "adjoin-join-is-meet": ([("scan", "_adjoin", _adjoin_map(lambda img, lat: img._replace(
+        join=img.meet)))], "laws"),
+    "key-pass-keeps-the-last-w": ([("scan", "_key_images", _key_images_by(
+        lambda best, key, w: best.__setitem__(key, w)))], _assert_first_rows),
+    "key-pass-from-the-latest-state": ([("scan", "_key_images", _key_images_by(
+        order=reversed))], _assert_first_rows),
     "pair-scan-rows-reversed": ([("scan", "_pair_scan", _pair_scan_by(
         cut=lambda rows: rows[::-1]))], _assert_pair_visit_order),
     "pair-scan-first-row-only": ([("scan", "_pair_scan", _pair_scan_by(
@@ -1937,15 +2043,17 @@ _MUTANTS = {
                                            _image_masks_by(through_dd=False))],
                                          _settling_oracle),
     "settled-always-holds": ([("scan", "_settled", lambda inst, i: True)], _settling_oracle),
+    "omega-settled-always-holds": ([("scan", "_omega_settled", lambda inst, i: True)],
+                                   _settling_oracle),
     "settled-drops-the-omega-column": ([("scan", "_settled", _settled_without("omega"))],
                                        _settling_oracle),
     "settled-drops-raise_to": ([("scan", "_settled", _settled_without("raise_to"))],
                                _settling_oracle),
-    "crisp-scan-keys-on-the-join": ([("laws", "_w_sets", _crisp_key(lambda ms, img: img.join))],
-                                    _crisp_key_oracle),
-    "crisp-scan-keys-on-the-first-element": (
-        [("laws", "_w_sets", _crisp_key(lambda ms, img: ms.dneg_table()[img.idx[0]]))],
+    "crisp-scan-keys-on-the-join": ([("laws", "_by_meet", _crisp_key(
+        lambda lat: lat.element_index(lat.bottom), lambda lat, s, d: lat.join_table[s][d]))],
         _crisp_key_oracle),
+    "crisp-scan-keys-on-the-first-element": ([("laws", "_by_meet", _crisp_key(
+        lambda lat: None, lambda lat, s, d: d if s is None else s))], _crisp_key_oracle),
     "canonical-poset-unminimized": ([("catalog", "product", lambda *parts: islice(
         product(*parts), 1))], _canonical_form_oracle),
     "catalog-drops-a-lattice": ([("catalog", "_poset_reps", _poset_reps_map(
