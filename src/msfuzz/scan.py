@@ -173,9 +173,9 @@ def _adjoin(lat: FiniteLattice, img: _Image | None, d: int, w: int, *tail) -> _I
     """The image of W + (w,), with d = w°°, from that of W, or of (w,) when
     ``img`` is None; ``tail`` gives ``rest`` and ``d``."""
     if img is None:
-        return _Image((w,), d, d, d == lat.element_index(lat.top), *tail)
+        return _Image((w,), d, d, lat.elements[d] == lat.top, *tail)
     return _Image((*img.idx, w), lat.join_table[img.join][d], lat.meet_table[img.meet][d],
-                  img.top or d == lat.element_index(lat.top), *tail)
+                  img.top or lat.elements[d] == lat.top, *tail)
 
 
 def _skeleton_images(lat: FiniteLattice, dd: tuple[int, ...]) -> list[_Image]:
@@ -318,7 +318,7 @@ def _key_images(inst: Instance, key, grades=None) -> list[tuple[_Image, int]]:
     masks compare by their highest bit, a key first met at d extends the
     first W of the earliest state reaching it."""
     (empty, step), best, lat = key.grow(inst, grades), {}, inst.ms.lattice
-    low = _lowest(inst.ms.dneg_table())
+    low = _once(inst, "lowest", lambda: _lowest(inst.ms.dneg_table()))
     single = dict.fromkeys(low, 0) if grades is None else _singles(inst, grades)
     for d, w in low.items():
         for s, (img, packed) in [(empty, (None, 0)), *best.items()]:
@@ -415,17 +415,17 @@ def _grow_join(inst: Instance, g):
     lat = inst.ms.lattice
     join, top = lat.join_table, lat.element_index(lat.top)
     return ((-1, lat.element_index(lat.bottom), False),
-            lambda s, d: (max(s[0], g[d]), join[s[1]][d], s[2] or d == top))
+            lambda s, d: (s[0] if s[0] > g[d] else g[d], join[s[1]][d], s[2] or d == top))
 
 
 # The keys.  Each row key holds the base, of which ``ups`` is a function.
 # ``_by_base`` is a max, so its first images are the singletons of the first
 # d of each grade; ``_by_omg``, a ``|`` of single columns, has the base as
 # its field at the bottom.
-_by_base = _Key(attrgetter("base"), lambda inst, g: (-1, lambda b, d: max(b, g[d])))
+_by_base = _Key(attrgetter("base"), lambda inst, g: (-1, lambda b, d: b if b > g[d] else g[d]))
 _by_join = _Key(attrgetter("base", "join", "top"), _grow_join)
-_by_grades = _Key(lambda r: frozenset(r.grades[r.dd[v]] for v in r.w_idx),
-                  lambda inst, g: (frozenset(), lambda s, d: s | {g[d]}))
+_by_grades = _Key(lambda r: sum({1 << r.grades[r.dd[v]] for v in r.w_idx}),
+                  lambda inst, g: (0, lambda s, d: s | 1 << g[d]))
 _by_omg = _Key(attrgetter("packed"), lambda inst, g: (
     0, lambda s, d, single=_singles(inst, g): s | single[d]))
 _by_meet = _Key(attrgetter("meet"), lambda inst, g: (
