@@ -2077,7 +2077,8 @@ def _kills(killer, inst, expected):
 def test_mutant_is_killed(monkeypatch, mutant_baseline, name):
     """Each hand-written mutant of a row kernel (``_raise_to``,
     ``omega_row``, the omega recurrence, the base read off it, the
-    skeleton builder, ``_base_grade``, ``first_break``, ``is_filter_row``,
+    skeleton builder, the image step ``_adjoin``, the key pass
+    ``_key_images``, ``_base_grade``, ``first_break``, ``is_filter_row``,
     ``kernel_row``, ``cokernel_row``, ``dense_row`` and
     ``prime_pair_row``), of the omega kernel and the settling check
     ``_settled``, of the pair scan's visit order, of ``_crisp_scan``'s key
