@@ -118,7 +118,7 @@ def run_property(pid: str, instance: Instance) -> Witness | None:
         raise HypothesisUnmet(pid, "no fuzzy filters available on the instance")
     try:
         return record.check(instance)
-    except SizeCapExceeded as exc:  # a filter pool or a skeleton too large to scan
+    except SizeCapExceeded as exc:  # a filter pool, skeleton or key set too large to scan
         raise HypothesisUnmet(pid, str(exc)) from None
 
 
