@@ -6,20 +6,23 @@ filters and a grade universe -- and returns the first violation as a
 replayable Witness or None.  Most laws are predicates over (chi, W) rows,
 visited chi in pool order, then W in mask order, on integer grade ranks
 (see ``_Ranks``).  The extensions read W only through its double-negation
-image D ⊆ S = {x°°}, so the default W source is the first W of each D.
-A stage keyed on what its verdict reads (``_Key``) builds a row only for
-the first D of each key, found by one pass over S whose states are the
-keys (``_key_images``), so ``KEY_CAP`` bounds it, not |S|.  thm-4.8 and
-the pair laws settle most chis without a scan (``_SETTLED``) by checking,
-once per chi, every omega column against its definition in a table over
-all 2^|S| - 1 images: they, and the rows of any chi they leave open, stop
-at ``SKELETON_CAP`` elements of S.
+image D ⊆ S = {x°°}, so the default W source is the first W of each D,
+listed, and each chi's omega columns with it, by one doubling walk over S
+(``_walk``).  A stage keyed on what its verdict reads (``_Key``) keeps
+the first row of each key: over the skeleton it builds only those, found
+by one pass over S whose states are the keys (``_key_images``), so
+``KEY_CAP`` bounds it, not |S|; over listed W it reads each row's key.
+thm-4.8 and the pair laws settle most chis without a scan
+(``_omega_settled``, ``_settled``) by checking, once per chi, every omega
+column against its definition in a table over all 2^|S| - 1 images: they,
+and the rows of any chi they leave open, stop at ``SKELETON_CAP``
+elements of S.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple
@@ -153,15 +156,11 @@ def _fail(pid: str, inst: Instance, found, *, chis=None, w_idx=None) -> Witness:
 # ---------------------------------------------------------------------------
 
 class _Image(NamedTuple):
-    """W's element indices, the join and meet of its image D, whether D holds
-    the top, and in ``_skeleton_images`` the index of D less ``d``, or -1."""
+    """W's element indices, the join of its image D and whether D holds the top."""
 
     idx: tuple[int, ...]
     join: int
-    meet: int
     top: bool
-    rest: int = -1
-    d: int = -1
 
 
 def _lowest(dd: tuple[int, ...]) -> dict[int, int]:
@@ -169,28 +168,12 @@ def _lowest(dd: tuple[int, ...]) -> dict[int, int]:
     return {d: dd.index(d) for d in dict.fromkeys(dd)}
 
 
-def _adjoin(lat: FiniteLattice, img: _Image | None, d: int, w: int, *tail) -> _Image:
+def _adjoin(lat: FiniteLattice, img: _Image | None, d: int, w: int) -> _Image:
     """The image of W + (w,), with d = w°°, from that of W, or of (w,) when
-    ``img`` is None; ``tail`` gives ``rest`` and ``d``."""
+    ``img`` is None."""
     if img is None:
-        return _Image((w,), d, d, lat.elements[d] == lat.top, *tail)
-    return _Image((*img.idx, w), lat.join_table[img.join][d], lat.meet_table[img.meet][d],
-                  img.top or lat.elements[d] == lat.top, *tail)
-
-
-def _skeleton_images(lat: FiniteLattice, dd: tuple[int, ...]) -> list[_Image]:
-    """Each image D ⊆ S by its first W, the lowest preimage of each d in D;
-    with S in ``_lowest`` order, masks over S keep W in mask order.  Entry
-    k is the D of mask k + 1."""
-    low = _lowest(dd)
-    if len(low) > SKELETON_CAP:
-        raise SizeCapExceeded(f"|skeleton| = {len(low)} exceeds cap {SKELETON_CAP}")
-    skeleton, images = list(low), []
-    for mask in range(1, 1 << len(skeleton)):
-        high = mask.bit_length() - 1
-        rest, d = mask - (1 << high) - 1, skeleton[high]
-        images.append(_adjoin(lat, images[rest] if rest >= 0 else None, d, low[d], rest, d))
-    return images
+        return _Image((w,), d, lat.elements[d] == lat.top)
+    return _Image((*img.idx, w), lat.join_table[img.join][d], img.top or lat.elements[d] == lat.top)
 
 
 def _listed(ms: MSAlgebra, ws) -> list[_Image]:
@@ -207,12 +190,28 @@ def _once(inst: Instance, key, make):
     return inst._rows[key]
 
 
+def _walk(inst: Instance, first, grow) -> list:
+    """One entry per image D ⊆ S in mask order over S, with S in ``_lowest``
+    order, so that each D's first W is the lowest preimage of each d in D:
+    each (d, w) appends ``grow(d, w)`` of ``first``, the empty set's entry,
+    and of every entry so far, as mask order adds d to every earlier mask."""
+    low = _once(inst, "lowest", lambda: _lowest(inst.ms.dneg_table()))
+    if len(low) > SKELETON_CAP:
+        raise SizeCapExceeded(f"|skeleton| = {len(low)} exceeds cap {SKELETON_CAP}")
+    entries: list = []
+    for d, w in low.items():
+        step = grow(d, w)
+        entries += [step(first), *map(step, entries)]
+    return entries
+
+
 def _w_sets(inst: Instance, chi: FuzzySet | None = None) -> list[_Image]:
     """The default W source: the given ``w_sets``, or the first W of each
     double-negation image, all that the extensions read of W."""
     ms = inst.ms
-    return _once(inst, "images", lambda: _skeleton_images(ms.lattice, ms.dneg_table())
-                 if inst.w_sets is None else _listed(ms, inst.w_sets))
+    return _once(inst, "images", lambda: _walk(
+        inst, None, lambda d, w: partial(_adjoin, ms.lattice, d=d, w=w))
+        if inst.w_sets is None else _listed(ms, inst.w_sets))
 
 
 def _listed_w(pick):
@@ -286,22 +285,15 @@ class _Row:
         return FuzzySet(self.lat, tuple(map(self.scale.__getitem__, ranks)))
 
 
-def _recurrences(images: list[_Image], single: dict[int, int]) -> list[int]:
-    """Each skeleton image's packed omega, from the earlier entry's:
-    omg(D ∪ {d})(t) = max(omg(D)(t), chi(t ∨ d)), a ``|`` with {d}'s column."""
-    omgs: list[int] = []
-    for img in images:
-        omgs.append(omgs[img.rest] | single[img.d] if img.rest >= 0 else single[img.d])
-    return omgs
-
-
 def _columns(inst: Instance, grades) -> list[int]:
     """Packed omega of each image of ``_w_sets`` for chi's rank row ``grades``,
-    by the recurrence over the skeleton, else by ``omega_row``; once per chi."""
-    ms, images, pack = inst.ms, _w_sets(inst), inst._ranks.pack
-    return _once(inst, ("columns", grades), lambda: (
-        _recurrences(images, _singles(inst, grades)) if inst.w_sets is None
-        else [pack(omega_row(ms, grades, img.idx)) for img in images]))
+    once per chi: over the skeleton by ``_walk``, as omg(D ∪ {d})(t) =
+    max(omg(D)(t), chi(t ∨ d)), a ``|`` with {d}'s column; else by ``omega_row``."""
+    ms, pack = inst.ms, inst._ranks.pack
+    return _once(inst, ("columns", grades), lambda: _walk(
+        inst, 0, lambda d, w, single=_singles(inst, grades): single[d].__or__)
+        if inst.w_sets is None else [pack(omega_row(ms, grades, img.idx))
+                                     for img in _w_sets(inst)])
 
 
 def _singles(inst: Instance, grades) -> dict[int, int]:
@@ -324,9 +316,9 @@ def _key_images(inst: Instance, key, grades=None) -> list[tuple[_Image, int]]:
         for s, (img, packed) in [(empty, (None, 0)), *best.items()]:
             k = step(s, d)
             if k not in best:
+                if len(best) == KEY_CAP:
+                    raise SizeCapExceeded(f"more than {KEY_CAP} keys on a skeleton of {len(low)}")
                 best[k] = _adjoin(lat, img, d, w), packed | single[d]
-        if len(best) > KEY_CAP:
-            raise SizeCapExceeded(f"more than {KEY_CAP} keys on a skeleton of {len(low)}")
     return list(best.values())
 
 
@@ -401,8 +393,8 @@ def _settled(inst: Instance, i: int) -> bool:
 class _Key(NamedTuple):
     """What a stage's verdict reads of W.  As the verdict is a function of
     the key, the first failing row is the first row of its key, so a stage
-    visits those only.  ``read`` takes the key off a row (an image, for
-    ``_by_meet``); ``grow`` is for ``_key_images``."""
+    visits those only.  ``read`` takes the key off a row of a listed W
+    source; ``grow`` is for ``_key_images`` over the skeleton."""
 
     read: Callable
     grow: Callable
@@ -428,7 +420,7 @@ _by_grades = _Key(lambda r: sum({1 << r.grades[r.dd[v]] for v in r.w_idx}),
                   lambda inst, g: (0, lambda s, d: s | 1 << g[d]))
 _by_omg = _Key(attrgetter("packed"), lambda inst, g: (
     0, lambda s, d, single=_singles(inst, g): s | single[d]))
-_by_meet = _Key(attrgetter("meet"), lambda inst, g: (
+_by_meet = _Key(None, lambda inst, g: (
     inst.ms.lattice.element_index(inst.ms.lattice.top),
     lambda s, d: inst.ms.lattice.meet_table[s][d]))
 
@@ -441,17 +433,22 @@ _by_meet = _Key(attrgetter("meet"), lambda inst, g: (
 # None, is the ``_Key`` through which alone ``test`` reads W.
 _STAGES: dict[str, list[tuple]] = {}
 _PAIR_STAGES: dict[str, tuple] = {}  # pair laws: (test, when on the two rank rows)
-# The laws that follow from the facts ``_settled`` checks: thm-4.8 on each chi
-# with the omega fact, a pair law when every chi holds both; else they scan.
-_SETTLED: set[str] = set()
 
 
 def _stage_rows(inst: Instance, i: int, ws, key=None) -> list[_Row]:
     """Chi ``i``'s rows for a stage over ``ws``, once per instance: the first
-    of each ``key`` over the skeleton, else every row (same first failure)."""
-    if ws is not _w_sets or inst.w_sets is not None:
-        key = None
-    return _once(inst, (ws, i, key), lambda: _rows(inst, i, ws, key))
+    of each ``key``, by ``_key_images`` over the skeleton, else read off each
+    row of the source; without a key, every row."""
+    if key is None or ws is _w_sets and inst.w_sets is None:
+        return _once(inst, (ws, i, key), lambda: _rows(inst, i, ws, key))
+
+    def firsts():
+        by_key: dict = {}
+        for r in _stage_rows(inst, i, ws):
+            by_key.setdefault(key(r), r)
+        return list(by_key.values())
+
+    return _once(inst, (ws, i, key), firsts)
 
 
 def _scan(pid: str, inst: Instance, *stages: tuple, settled=None) -> Witness | None:
@@ -494,8 +491,6 @@ def _row_law(pid: str, summary=None, ws=_w_sets, when=None, key=None, settled=Fa
     def decorate(test):
         if summary is not None:
             _STAGES[pid] = []
-            if settled:
-                _SETTLED.add(pid)
             _law(pid, summary)(lambda inst: _scan(
                 pid, inst, *_STAGES[pid], settled=_omega_settled if settled else None))
         _STAGES[pid].append((test, ws, when, key))
@@ -510,7 +505,6 @@ def _pair_law(pid: str, summary: str, when=None):
 
     def decorate(test):
         _PAIR_STAGES[pid] = (test, when)
-        _SETTLED.add(pid)
         _law(pid, summary)(lambda inst: None if all(_settled(inst, i) for i in range(
             len(inst.chis))) else _pair_scan(pid, inst, *_PAIR_STAGES[pid]))
         return test

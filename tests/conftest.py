@@ -46,6 +46,12 @@ def golden(request):
     return check
 
 
+# The laws that scan only the chis left open by the facts ``scan._settled``
+# checks: thm-4.8, the row law registered with ``settled=True``, and the
+# three pair laws.
+SETTLED_LAWS = ("lemma-3.2.2", "prop-3.3.1", "prop-3.7", "thm-4.8")
+
+
 def chain_order(n: int, prefix: str = "c"):
     """(elements, covers) of the chain {prefix}0 < ... < {prefix}{n-1}."""
     els = [f"{prefix}{i}" for i in range(n)]

@@ -8,7 +8,8 @@ from msfuzz import FIXTURE_NAMES
 from msfuzz.file_format import MAX_DOCUMENT_ELEMENTS
 
 from .conftest import (
-    chain_order, document_text, fuzzy, grades, run_cli, spliced_order, write_fixture_file,
+    SETTLED_LAWS, chain_order, document_text, fuzzy, grades, run_cli, spliced_order,
+    write_fixture_file,
 )
 
 
@@ -216,7 +217,7 @@ def test_verify_caps_the_image_scans_on_a_large_skeleton(tmp_path):
     (thm-4.8 and the pair laws) report the skeleton cap as their unmet
     hypothesis, thm-3.1-prime its filter-pool cap, and the keyed laws,
     thm-2.3 and the laws on listed W run and pass."""
-    from msfuzz.scan import _SETTLED, SKELETON_CAP
+    from msfuzz.scan import SKELETON_CAP
 
     from .conftest import boolean_order
 
@@ -229,7 +230,7 @@ def test_verify_caps_the_image_scans_on_a_large_skeleton(tmp_path):
     result = run_cli(["--format", "json", "verify", str(path)])
     assert result.exit_code == 1
     rows = {r["id"]: r for r in json.loads(result.output)["properties"]}
-    capped = {"thm-3.1-prime", *_SETTLED}
+    capped = {"thm-3.1-prime", *SETTLED_LAWS}
     assert SKELETON_CAP < 128 and len(capped) == 5 and len(rows) == 30
     for pid, row in rows.items():
         if pid not in capped:

@@ -183,14 +183,26 @@ def test_the_route_table_names_no_live_helper():
                 _resolve(span)
 
 
+def _defined_names(paths) -> set[str]:
+    """The names that the Python files ``paths`` define at any depth: by
+    ``def``, ``class``, or an assignment or annotation that starts a line."""
+    patterns = (r"^\s*(?:def|class)\s+(\w+)", r"^\s*(\w+)\s*(?::|=(?!=))")
+    return {name for path in paths for pattern in patterns
+            for name in re.findall(pattern, path.read_text(), re.M)}
+
+
 def test_readme_cites_live_names():
     """Every test that README cites by name is defined under ``tests/``,
-    and every ``module.name`` it cites of an msfuzz module resolves, so
-    README cannot keep citing a test or a name that is gone."""
+    every ``module.name`` it cites of an msfuzz module resolves, and every
+    bare private ``_name`` it cites is defined in an msfuzz or a test
+    module; every ``_name`` that an msfuzz docstring or comment cites in
+    double backticks is defined in an msfuzz module.  So neither README nor
+    the source can keep citing a test or a name that is gone."""
     import pkgutil
 
     spans = re.findall(r"`([^`\n]+)`", (Path(SRC).parent / "README.md").read_text())
-    defined = {name for path in Path(__file__).parent.glob("**/*.py")
+    tests = list(Path(__file__).parent.glob("**/*.py"))
+    defined = {name for path in tests
                for name in re.findall(r"^\s*def (test_\w+)\(", path.read_text(), re.M)}
     cited = {name for span in spans for name in re.findall(r"(?:^|::)(test_\w+)$", span)}
     assert cited and cited <= defined, sorted(cited - defined)
@@ -200,6 +212,14 @@ def test_readme_cites_live_names():
     assert dotted
     for span in dotted:
         _resolve(span)
+    sources = list(Path(msfuzz.__file__).parent.glob("*.py"))
+    in_source = _defined_names(sources)
+    private = {span for span in spans if re.fullmatch(r"_[A-Za-z]\w*", span)}
+    assert private and private <= in_source | _defined_names(tests), sorted(
+        private - in_source - _defined_names(tests))
+    quoted = {name for path in sources
+              for name in re.findall(r"``(_[A-Za-z]\w*)``", path.read_text())}
+    assert quoted and quoted <= in_source, sorted(quoted - in_source)
 
 
 def _msfuzz_imports(name: str) -> set[str]:

@@ -3,6 +3,7 @@ import os
 import re
 import signal
 from fractions import Fraction
+from functools import reduce
 from itertools import islice, permutations, product
 from operator import and_
 
@@ -29,7 +30,7 @@ from msfuzz import verifier
 from msfuzz.errors import InternalInvariantError
 from msfuzz.verifier import fixture_instance
 
-from .conftest import fuzzy, grades, kleene
+from .conftest import SETTLED_LAWS, fuzzy, grades, kleene
 from .test_lattice_core import M3, PENTAGON, build_lattice_by_scan
 
 HALF = Fraction(1, 2)
@@ -1197,40 +1198,37 @@ def test_base_and_omega_keys_add_no_row_on_filter_pools(universe):
 
 # -- rows from the skeleton ------------------------------------------------------
 
-def _assert_skeleton_route(ms):
-    """Oracle: the skeleton builder lists the W of the mask route, the first
-    of each double-negation image, in its order, with the join, meet and
+def _assert_skeleton_route(inst):
+    """Oracle: the walk lists as default images the W of the mask route, the
+    first of each double-negation image, in its order, with the join and
     top of each image as computed from W directly."""
-    from msfuzz.scan import _listed, _skeleton_images
+    from msfuzz.scan import _listed, _w_sets
 
-    lat, dd = ms.lattice, ms.dneg_table()
-    got = _skeleton_images(lat, dd)
-    expected = _listed(ms, [w for w, _ in _image_w_sets(lat, dd, None)])
-    assert [img._replace(rest=-1, d=-1) for img in got] == expected
+    ms = inst.ms
+    expected = _listed(ms, [w for w, _ in _image_w_sets(ms.lattice, ms.dneg_table(), None)])
+    assert _w_sets(inst) == expected
 
 
 def test_skeleton_images_match_the_mask_route():
     """``_assert_skeleton_route`` on every catalog algebra up to six elements."""
     checked = 0
     for ms in _algebras(lattice_catalog(6)):
-        _assert_skeleton_route(ms)
+        _assert_skeleton_route(Instance(ms, (), UNIVERSE3))
         checked += 1
     assert checked
 
 
 def _assert_recurrences(inst):
-    """Oracle: for every chi and skeleton image, the omega recurrence gives
-    max chi(t ∨ w°°) over W as a packed column."""
-    from msfuzz.scan import _recurrences, _singles, _skeleton_images
+    """Oracle: for every chi and skeleton image, the walk's omega column
+    (``_columns``) is max chi(t ∨ w°°) over W, packed."""
+    from msfuzz.scan import _columns, _w_sets
 
     ms, ranks = inst.ms, inst._ranks
     lat, dd = ms.lattice, ms.dneg_table()
-    images = _skeleton_images(lat, dd)
     for g in ranks.rows:
-        omgs = _recurrences(images, _singles(inst, g))
-        assert list(map(ranks.unpack, omgs)) == [
+        assert list(map(ranks.unpack, _columns(inst, g))) == [
             tuple(max(g[row[dd[v]]] for v in img.idx) for row in lat.join_table)
-            for img in images]
+            for img in _w_sets(inst)]
 
 
 def test_recurrences_match_every_image():
@@ -1296,30 +1294,43 @@ def _assert_first_rows(inst):
     """Oracle for the key pass over the default W source: for each chi and
     row key, a keyed stage's rows are, field for field and in order, the
     first row of each key among every row of the full list; and the
-    images of the meet key are the first image of each meet among every
-    image.  Listed W are visited row by row, so only the skeleton is
-    checked."""
-    from operator import attrgetter
-
+    images of the meet key are the first image of each meet of D among
+    every image.  Listed W are keyed row by row
+    (``_assert_listed_keys``), so only the skeleton is checked."""
     from msfuzz.scan import (
-        _by_base, _by_grades, _by_join, _by_meet, _by_omg, _key_images, _stage_rows, _w_sets,
+        _by_base, _by_grades, _by_join, _by_meet, _by_omg, _key_images, _w_sets,
     )
 
     if inst.w_sets is not None:
         return
-    fields = attrgetter("w_idx", "base", "ups", "packed", "join", "top")
     for i in range(len(inst.chis)):
-        rows = _stage_rows(inst, i, _w_sets)
         for key in (_by_base, _by_join, _by_grades, _by_omg):
-            firsts = {}
-            for r in rows:
-                firsts.setdefault(key(r), r)
-            keyed = _stage_rows(inst, i, _w_sets, key)
-            assert list(map(fields, keyed)) == list(map(fields, firsts.values())), key
+            _assert_keyed_rows(inst, i, _w_sets, key)
     meets = {}
     for img in _w_sets(inst):
-        meets.setdefault(img.meet, img._replace(rest=-1, d=-1))
+        meets.setdefault(_meet_of(inst.ms, img.idx), img)
     assert [img for img, _ in _key_images(inst, _by_meet)] == list(meets.values())
+
+
+def _meet_of(ms, w_idx):
+    """The meet of W's double-negation image, as an element index."""
+    dd, meet = ms.dneg_table(), ms.lattice.meet_table
+    return reduce(lambda m, v: meet[m][dd[v]], w_idx[1:], dd[w_idx[0]])
+
+
+def _assert_keyed_rows(inst, i, ws, key):
+    """Chi ``i``'s rows over ``ws`` keyed by ``key`` are, field for field
+    and in order, the first row of each key among its unkeyed rows."""
+    from operator import attrgetter
+
+    from msfuzz.scan import _stage_rows
+
+    fields = attrgetter("w_idx", "base", "ups", "packed", "join", "top")
+    firsts = {}
+    for r in _stage_rows(inst, i, ws):
+        firsts.setdefault(key(r), r)
+    keyed = _stage_rows(inst, i, ws, key)
+    assert list(map(fields, keyed)) == list(map(fields, firsts.values())), key
 
 
 @pytest.mark.parametrize("universe", [UNIVERSE3, THIRDS0], ids=["halves", "thirds0"])
@@ -1332,6 +1343,43 @@ def test_key_pass_matches_the_first_row_of_each_key(universe):
     for inst in [*inputs, kleene(16)]:
         _assert_first_rows(inst)
     assert {inst.ms.lattice.n for inst in inputs} == set(range(1, 7))
+
+
+def _assert_listed_keys(inst):
+    """Oracle for keys over every W source: each keyed stage's rows are the
+    first row of each key among its unkeyed rows, and each keyed law's
+    verdict and witness are those of its scan with the keys dropped, both
+    read from one row table, as a sweep shares it."""
+    from msfuzz.laws import _PRIME_STAGE
+    from msfuzz.scan import _STAGES, _scan
+
+    laws = {pid: stages for pid, stages in _STAGES.items() if any(s[3] for s in stages)}
+    laws["thm-3.1-prime"] = [_PRIME_STAGE]
+    for pid, stages in laws.items():
+        for i in range(len(inst.chis)):
+            for _, ws, _, key in stages:
+                if key is not None:
+                    _assert_keyed_rows(inst, i, ws, key)
+        got = _outcome(lambda: run_property(pid, inst))
+        unkeyed = [(test, ws, when, None) for test, ws, when, _ in stages]
+        scanned = _outcome(lambda: _scan(pid, inst, *unkeyed))
+        assert (got[0], got[1] and got[1].to_dict()) == (
+            scanned[0], scanned[1] and scanned[1].to_dict()), pid
+
+
+@pytest.mark.parametrize("universe", [UNIVERSE3, THIRDS0], ids=["halves", "thirds0"])
+def test_keys_keep_the_first_row_on_every_w_source(universe):
+    """``_assert_listed_keys`` on every catalog instance up to five
+    elements, with W from the skeleton and listed in reverse, where every
+    default-W stage keys the listed rows and a W of two or more elements
+    comes first; thm-3.8 and cor-3.9 key the singletons on both."""
+    from msfuzz.verifier import _instance_stream
+
+    inputs = list(_instance_stream(SearchConfig(max_elements=5, grade_universe=universe)))
+    for inst in inputs:
+        _assert_listed_keys(inst)
+        _assert_listed_keys(_reversed_w(inst))
+    assert {inst.ms.lattice.n for inst in inputs} == set(range(1, 6))
 
 
 def test_the_key_cap_is_the_size_of_the_image_table():
@@ -1348,6 +1396,26 @@ def test_the_key_cap_is_the_size_of_the_image_table():
         _stage_rows(inst, 1, _w_sets, _by_grades)
 
 
+def test_the_key_pass_refuses_at_the_first_key_past_the_cap(monkeypatch):
+    """The key pass refuses before it builds a key past ``KEY_CAP``: on the
+    17-element Kleene chain with its injective filter, lemma-3.2.1's
+    ``_by_grades`` pass builds at most ``KEY_CAP`` images before it stops."""
+    from msfuzz import scan
+
+    adjoin, calls = scan._adjoin, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return adjoin(*args, **kwargs)
+
+    inst = kleene(17, "ramp")
+    _, ws, _, key = scan._STAGES["lemma-3.2.1"][0]
+    monkeypatch.setattr(scan, "_adjoin", counted)
+    with pytest.raises(SizeCapExceeded, match=f"more than {scan.KEY_CAP} keys"):
+        scan._stage_rows(inst, 1, ws, key)
+    assert scan.KEY_CAP // 2 < len(calls) <= scan.KEY_CAP
+
+
 @pytest.mark.parametrize("n", [15, 17])
 def test_keyed_laws_run_past_the_skeleton_cap(n):
     """On the n-element Kleene chain with its three-grade filter, every law
@@ -1356,7 +1424,7 @@ def test_keyed_laws_run_past_the_skeleton_cap(n):
     build a table over all 2^17 - 1 images.  thm-3.1-prime, the known-
     refutable search target, fails on both; thm-4.3 cannot fail on a
     chain, where a max of monotone maps is monotone."""
-    from msfuzz.scan import _SETTLED, SKELETON_CAP
+    from msfuzz.scan import SKELETON_CAP
 
     inst = kleene(n, chi2=None)
     verdicts = {}
@@ -1364,7 +1432,7 @@ def test_keyed_laws_run_past_the_skeleton_cap(n):
         if rec.fixture is None:
             verdicts[rec.pid] = _outcome(lambda: run_property(rec.pid, inst))
     unmet = {pid for pid, (verdict, _) in verdicts.items() if verdict == "HypothesisUnmet"}
-    assert unmet == (set() if n <= SKELETON_CAP else _SETTLED)
+    assert unmet == (set() if n <= SKELETON_CAP else set(SETTLED_LAWS))
     failed = {pid for pid, (verdict, _) in verdicts.items() if verdict == "fail"}
     assert failed == {"thm-3.1-prime"} and len(verdicts) == 30
     if unmet:
@@ -1374,21 +1442,20 @@ def test_keyed_laws_run_past_the_skeleton_cap(n):
 
 def test_the_skeleton_cap_is_inclusive():
     """A chain with the order-reversing negation is its own skeleton: at
-    ``SKELETON_CAP`` elements it builds a row per nonempty subset, one
-    element more is refused."""
+    ``SKELETON_CAP`` elements the walk lists an image and an omega column
+    per nonempty subset, one element more is refused."""
     from msfuzz.errors import SizeCapExceeded
-    from msfuzz.scan import SKELETON_CAP, _skeleton_images
-
-    from .conftest import chain
+    from msfuzz.scan import SKELETON_CAP, _columns, _w_sets
 
     for n in (SKELETON_CAP, SKELETON_CAP + 1):
-        lat = chain(n)
-        ms = MSAlgebra(lat, {e: lat.elements[n - 1 - k] for k, e in enumerate(lat.elements)})
+        inst = kleene(n, chi2=None)
+        g = inst._ranks.rows[0]
         if n == SKELETON_CAP:
-            assert len(_skeleton_images(lat, ms.dneg_table())) == 2 ** n - 1
-        else:
+            assert len(_w_sets(inst)) == len(_columns(inst, g)) == 2 ** n - 1
+            continue
+        for walk in (_w_sets, lambda inst: _columns(inst, g)):
             with pytest.raises(SizeCapExceeded, match=f"= {n} exceeds cap {SKELETON_CAP}"):
-                _skeleton_images(lat, ms.dneg_table())
+                walk(inst)
 
 
 def _thm_4_8_by_dense_sets(r):
@@ -1692,7 +1759,7 @@ def _law_outcomes(inst):
 
 def _skeleton_oracle(inst):
     if inst.w_sets is None:
-        _assert_skeleton_route(inst.ms)
+        _assert_skeleton_route(inst)
 
 
 @pytest.fixture(scope="module")
@@ -1701,18 +1768,20 @@ def mutant_baseline():
     return inputs, [_law_outcomes(_fresh(inst)) for inst in inputs]
 
 
-def _recurrences_by(omega_step):
-    """The recurrence of ``_recurrences`` with its step replaced: the step
-    gets the earlier entry's packed column and that of the singleton {d},
-    on which ``|`` is the entrywise max and ``&`` the min."""
-    def recurrences(images, single):
-        omgs = []
-        for img in images:
-            d = img.d
-            omgs.append(omega_step(omgs[img.rest], single[d]) if img.rest >= 0 else single[d])
-        return omgs
+def _walk_by(omega_step):
+    """``_walk`` with the step of the omega columns replaced: the step gets
+    the earlier entry's packed column and that of the singleton {d}, which
+    the column walk grows from 0, on which ``|`` is the entrywise max and
+    ``&`` the min.  The image walk, from None, is kept."""
+    from msfuzz.scan import _walk
 
-    return recurrences
+    def walk(inst, first, grow):
+        if first is None:
+            return _walk(inst, first, grow)
+        return _walk(inst, None, lambda d, w: lambda e, column=grow(d, w)(0): (
+            column if e is None else omega_step(e, column)))
+
+    return walk
 
 
 def _rows_with_the_base_at_the_top():
@@ -1734,16 +1803,30 @@ def _rows_with_the_base_at_the_top():
 
 
 def _skeleton_map(change):
-    from msfuzz.scan import _skeleton_images
+    """``_walk`` with the default images it lists changed by
+    ``change(images, algebra)``; the omega columns are kept."""
+    from msfuzz.scan import _walk
 
-    return lambda lat, dd: change(_skeleton_images(lat, dd), lat, dd)
+    def walk(inst, first, grow):
+        found = _walk(inst, first, grow)
+        return found if first is not None else change(found, inst.ms)
+
+    return walk
+
+
+def _adjoin_join_is_meet():
+    """``_adjoin`` taking the meet of the image for its join."""
+    from msfuzz.scan import _adjoin
+
+    return lambda lat, img, d, w: _adjoin(lat, img, d, w)._replace(
+        join=d if img is None else lat.meet_table[img.join][d])
 
 
 def _adjoin_map(change):
     """``_adjoin`` with each image it makes changed by ``change(image, lattice)``."""
     from msfuzz.scan import _adjoin
 
-    return lambda lat, *args: change(_adjoin(lat, *args), lat)
+    return lambda lat, *args, **kwargs: change(_adjoin(lat, *args, **kwargs), lat)
 
 
 def _key_images_by(keep=lambda best, key, w: best.setdefault(key, w), order=iter):
@@ -1969,31 +2052,28 @@ _MUTANTS = {
          ("scan", "omega_row", _omega_row_by(max, through_dd=False)),
          ("laws", "omega_row", _omega_row_by(max, through_dd=False))], "laws"),
     "base-read-at-the-top": ([("scan", "_rows", _rows_with_the_base_at_the_top())], "laws"),
-    "omega-step-keeps-the-rest": ([("scan", "_recurrences",
-                                    _recurrences_by(omega_step=lambda a, b: a))], "laws"),
-    "omega-step-min": ([("scan", "_recurrences", _recurrences_by(
-        omega_step=lambda a, b: a & b))], "laws"),
-    "skeleton-reversed": ([("scan", "_skeleton_images",
-                            _skeleton_map(lambda imgs, lat, dd: imgs[::-1]))],
+    "omega-step-keeps-the-rest": ([("scan", "_walk", _walk_by(omega_step=lambda a, b: a))],
+                                  "laws"),
+    "omega-step-min": ([("scan", "_walk", _walk_by(omega_step=lambda a, b: a & b))], "laws"),
+    "skeleton-reversed": ([("scan", "_walk", _skeleton_map(lambda imgs, ms: imgs[::-1]))],
                           _skeleton_oracle),
-    "skeleton-drops-the-whole": ([("scan", "_skeleton_images",
-                                   _skeleton_map(lambda imgs, lat, dd: imgs[:-1]))],
+    "skeleton-drops-the-whole": ([("scan", "_walk", _skeleton_map(lambda imgs, ms: imgs[:-1]))],
                                  _skeleton_oracle),
     "skeleton-w-is-the-image": (
-        [("scan", "_skeleton_images", _skeleton_map(lambda imgs, lat, dd: [
-            img._replace(idx=tuple(sorted({dd[v] for v in img.idx}))) for img in imgs]))],
+        [("scan", "_walk", _skeleton_map(lambda imgs, ms: [
+            img._replace(idx=tuple(sorted({ms.dneg_table()[v] for v in img.idx})))
+            for img in imgs]))],
         _skeleton_oracle),
-    "skeleton-join-is-meet": ([("scan", "_skeleton_images", _skeleton_map(
-        lambda imgs, lat, dd: [img._replace(join=img.meet) for img in imgs]))],
+    "skeleton-join-is-meet": ([("scan", "_walk", _skeleton_map(
+        lambda imgs, ms: [img._replace(join=_meet_of(ms, img.idx)) for img in imgs]))],
         _skeleton_oracle),
-    "skeleton-never-top": ([("scan", "_skeleton_images", _skeleton_map(
-        lambda imgs, lat, dd: [img._replace(top=False) for img in imgs]))], _skeleton_oracle),
+    "skeleton-never-top": ([("scan", "_walk", _skeleton_map(
+        lambda imgs, ms: [img._replace(top=False) for img in imgs]))], _skeleton_oracle),
     "adjoin-w-is-its-last-element": ([("scan", "_adjoin", _adjoin_map(
         lambda img, lat: img._replace(idx=img.idx[-1:])))], "laws"),
     "adjoin-never-top": ([("scan", "_adjoin", _adjoin_map(lambda img, lat: img._replace(
         top=False)))], "laws"),
-    "adjoin-join-is-meet": ([("scan", "_adjoin", _adjoin_map(lambda img, lat: img._replace(
-        join=img.meet)))], "laws"),
+    "adjoin-join-is-meet": ([("scan", "_adjoin", _adjoin_join_is_meet())], "laws"),
     "key-pass-keeps-the-last-w": ([("scan", "_key_images", _key_images_by(
         lambda best, key, w: best.__setitem__(key, w)))], _assert_first_rows),
     "key-pass-from-the-latest-state": ([("scan", "_key_images", _key_images_by(
@@ -2076,8 +2156,8 @@ def _kills(killer, inst, expected):
 @pytest.mark.parametrize("name", list(_MUTANTS))
 def test_mutant_is_killed(monkeypatch, mutant_baseline, name):
     """Each hand-written mutant of a row kernel (``_raise_to``,
-    ``omega_row``, the omega recurrence, the base read off it, the
-    skeleton builder, the image step ``_adjoin``, the key pass
+    ``omega_row``, the omega step of the walk, the base read off it, the
+    default images the walk lists, the image step ``_adjoin``, the key pass
     ``_key_images``, ``_base_grade``, ``first_break``, ``is_filter_row``,
     ``kernel_row``, ``cokernel_row``, ``dense_row`` and
     ``prime_pair_row``), of the omega kernel and the settling check
@@ -2121,9 +2201,9 @@ def _row_scan(pid, inst):
 def _settled_matches_scan(inst):
     """Each settled law gives its scan's verdict and witness JSON on
     ``inst``; returns how many chis ``_settled`` settled."""
-    from msfuzz.scan import _SETTLED, _settled
+    from msfuzz.scan import _settled
 
-    for pid in sorted(_SETTLED):
+    for pid in SETTLED_LAWS:
         got = _outcome(lambda: run_property(pid, _fresh(inst)))
         scanned = _outcome(lambda: _row_scan(pid, _fresh(inst)))
         assert (got[0], got[1] and got[1].to_dict()) == (
@@ -2137,10 +2217,10 @@ def test_settled_laws_match_their_scans(universe):
     """thm-4.8 and the three pair laws give the verdicts and witnesses of
     their plain scans on every catalog instance up to five elements, also
     with every W listed in reverse, where the kernel reads listed W."""
-    from msfuzz.scan import _SETTLED
+    from msfuzz.scan import _PAIR_STAGES
     from msfuzz.verifier import _instance_stream
 
-    assert _SETTLED == {"lemma-3.2.2", "prop-3.3.1", "prop-3.7", "thm-4.8"}
+    assert set(SETTLED_LAWS) == {*_PAIR_STAGES, "thm-4.8"}
     settled = total = 0
     for inst in _instance_stream(SearchConfig(max_elements=5, grade_universe=universe)):
         for listing in (inst, _reversed_w(inst)):
@@ -2150,7 +2230,7 @@ def test_settled_laws_match_their_scans(universe):
 
 
 @pytest.mark.parametrize("patch, failing", [
-    (("_recurrences", _recurrences_by(omega_step=lambda a, b: a & b)),
+    (("_walk", _walk_by(omega_step=lambda a, b: a & b)),
      {"thm-4.8", "prop-3.3.1", "prop-3.7"}),
     (("_raise_to", lambda g, b: tuple(min(x, b) for x in g)), {"prop-3.3.1", "prop-3.7"}),
 ], ids=["omega-step-min", "raise_to-lowers"])
@@ -2167,7 +2247,7 @@ def test_a_wrong_column_falls_back_to_the_scan(monkeypatch, patch, failing):
     monkeypatch.setattr(scan, *patch)
     failed, unsettled = set(), 0
     for inst in _pair_oracle_inputs():
-        for pid in sorted(scan._SETTLED):
+        for pid in SETTLED_LAWS:
             got = run_property(pid, _fresh(inst))
             scanned = _row_scan(pid, _fresh(inst))
             assert (got and got.to_dict()) == (scanned and scanned.to_dict()), pid
@@ -2255,12 +2335,12 @@ def _listed_over_the_cap(*cuts):
 def test_a_listed_w_over_the_cap_is_scanned():
     """A listed W whose image has more than ``SKELETON_CAP`` elements gets
     no kernel: its laws are decided by their scans, as before."""
-    from msfuzz.scan import _SETTLED, _image_masks, _settled
+    from msfuzz.scan import _image_masks, _settled
 
     inst = _listed_over_the_cap()
     assert _image_masks(inst) is None
     assert not _settled(inst, 0)
-    for pid in _SETTLED:
+    for pid in SETTLED_LAWS:
         assert run_property(pid, inst) is None
 
 
